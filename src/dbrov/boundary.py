@@ -17,9 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .poly import CPoly, poly_roots
-from .space import SpaceContext, hb_inner, kernel
-
-UNIMODULAR_TOL = 1e-8
+from .space import UNIMODULAR_TOL, SpaceContext, hb_inner, kernel
 
 
 @dataclass(frozen=True)

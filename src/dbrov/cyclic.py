@@ -83,9 +83,11 @@ def spectrum_crosscheck(ctx: SpaceContext, N: int,
     controls decay.  The decay is like 1/N, not geometric: for ROW2 a
     control lam has residual 8/(N|1 - lam|^2 + 10) against 4/5 at the
     member 1, so the gap ratio is 1 + N|1 - lam|^2/10.  That is (N+5)/5 at
-    +-i, which exceeds 10 only from N = 46, and at the nearest default
-    control exp(0.5i) only from N = 368.  A gap ratio below 10 is reported
-    as an `InconclusiveGap` warning, not a failure.
+    +-i, which exceeds 10 only from N = 46.  The default controls are the
+    four of sixteen circle points farthest from the spectrum; for ROW2 the
+    nearest is exp(2.46i), where the ratio exceeds 10 from N = 26.  A gap
+    ratio below 10 is reported as an `InconclusiveGap` warning, not a
+    failure.
     """
     if N < 2 * max(ctx.a.degree, 0) + 4:
         raise ValidationError(f"order N = {N} too small for this mate degree")
@@ -111,12 +113,10 @@ def spectrum_crosscheck(ctx: SpaceContext, N: int,
 
 
 def _default_controls(ctx: SpaceContext, count: int = 4):
-    angles = np.linspace(0.0, 2.0 * np.pi, 4 * count, endpoint=False) + 0.5
-    points = np.exp(1j * angles)
-    keep = []
-    for z in points:
-        if all(abs(z - lam) > 0.2 for lam, _ in ctx.Lambda):
-            keep.append(complex(z))
-        if len(keep) == count:
-            break
-    return keep
+    """The count of 4 * count circle points farthest from the spectrum."""
+    points = np.exp(1j * (np.linspace(0.0, 2.0 * np.pi, 4 * count,
+                                      endpoint=False) + 0.5))
+    dist = np.array([min((abs(z - lam) for lam, _ in ctx.Lambda),
+                         default=np.inf) for z in points])
+    keep = np.sort(np.argsort(-dist, kind="stable")[:count])
+    return [complex(points[i]) for i in keep if dist[i] > 0.2]

@@ -126,9 +126,6 @@ class CPoly:
             return CPoly.zero()
         return CPoly(self.coeffs[1:] * np.arange(1, self.coeffs.shape[0]))
 
-    def conj_coeffs(self) -> "CPoly":
-        return CPoly(np.conj(self.coeffs))
-
     def norm_sq(self) -> float:
         """Squared Hardy-space norm: sum of squared coefficient moduli."""
         return float(np.sum(np.abs(self.coeffs) ** 2))

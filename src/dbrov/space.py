@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryNotRegular,
@@ -65,7 +66,6 @@ class SpaceContext:
         self.tol = tol
         self.reports = dict(reports)
         self._astar = np.conj(A.coeffs).transpose(0, 2, 1)
-        self._mono: dict[int, HBElement] = {}
 
     @property
     def dim(self) -> int:
@@ -156,51 +156,79 @@ def _verify_context(ctx: SpaceContext) -> None:
 
 
 def embed(ctx: SpaceContext, f) -> HBElement:
-    """Embed a polynomial: solve for the unique plus part of degree <= deg f.
+    """Embed a polynomial: the unique plus part of degree <= deg f.
 
-    Rows k = deg f .. 0 of the analytic part of B*f + A*f+ = 0 form a banded
-    upper-triangular block Toeplitz system; each row is a d x d solve against
-    A(0)*.  The residual is re-verified before returning.
+    The one-column case of `_embed_block`, residual re-verified.
     """
     f = f if isinstance(f, CPoly) else CPoly(f)
-    d = ctx.dim
+    P, norms = _embed_block(ctx, f.coeffs[:, None])
+    return HBElement(f, VecPoly(P[:, :, 0], dim=ctx.dim), float(norms[0]))
+
+
+def _embed_block(ctx: SpaceContext, F: np.ndarray):
+    """Plus parts P (n+1, d, m) and squared norms (m,) of the columns of F.
+
+    Rows k = n .. 0 of the analytic part of B*f + A*f+ = 0 form a banded
+    upper-triangular block Toeplitz system with diagonal block A(0)*, so
+    every column of the coefficient block F (n+1, m) shares one
+    back-substitution.  The band terms use einsum rather than BLAS and the
+    norms are sequential sums, so a column's numbers do not depend on the
+    other columns or on trailing zero rows.
+    """
     if ctx.reports["A0_cond"] > 1e6:
         raise IllConditionedConstant(
             f"A(0)* solve would lose more than 6 digits "
             f"(cond = {ctx.reports['A0_cond']:.3e})"
         )
-    if f.is_zero:
-        return HBElement(CPoly.zero(), VecPoly.zero(d), 0.0)
-    n = f.degree
-    r = toeplitz_conj(ctx.B, f)
-    rhs_rows = np.zeros((n + 1, d), dtype=complex)
-    rhs_rows[: r.coeffs.shape[0]] = r.coeffs
-    astar = ctx._astar
-    p = astar.shape[0] - 1
-    g = np.zeros((n + 1, d), dtype=complex)
-    for k in range(n, -1, -1):
-        rhs = -rhs_rows[k].copy()
-        for j in range(1, min(p, n - k) + 1):
-            rhs -= astar[j] @ g[k + j]
-        g[k] = np.linalg.solve(astar[0], rhs)
-    f_plus = VecPoly(g, dim=d)
-    _verify_pair(ctx, f, f_plus)
-    return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
+    n1, m = F.shape
+    astar, bstar = ctx._astar, np.conj(ctx.B.coeffs)
+    windows = sliding_window_view(
+        np.vstack([F, np.zeros((bstar.shape[0], m))]), bstar.shape[0], axis=0)
+    rhs = np.einsum("ja,kmj->kam", bstar, windows[:n1])
+    P = np.zeros((n1, ctx.dim, m), dtype=complex)
+    for k in range(n1 - 1, -1, -1):
+        j = min(astar.shape[0], n1 - k)
+        band = np.einsum("jab,jbm->am", astar[1:j], P[k + 1 : k + j])
+        P[k] = -np.linalg.solve(astar[0], rhs[k] + band)
+    _check_pairs(ctx, F, P)
+    # the leading zero row gives an empty block zero norms
+    sq = np.abs(np.vstack([np.zeros((1, m)), F, P.reshape(-1, m)])) ** 2
+    return P, np.cumsum(sq, axis=0)[-1]
 
 
-def _verify_pair(ctx: SpaceContext, f: CPoly, f_plus: VecPoly) -> None:
-    res = toeplitz_conj(ctx.B, f)
-    res2 = toeplitz_conj(ctx.A, f_plus)
-    scale = 1.0 + max(np.abs(f.coeffs).max(initial=0.0),
-                      np.abs(f_plus.coeffs).max(initial=0.0))
-    n = max(res.coeffs.shape[0], res2.coeffs.shape[0])
-    total = np.zeros((n, ctx.dim), dtype=complex)
-    total[: res.coeffs.shape[0]] += res.coeffs
-    total[: res2.coeffs.shape[0]] += res2.coeffs
-    worst = float(np.abs(total).max(initial=0.0))
-    if worst > ctx.tol.tol_eval * scale:
+def _conj_band(adj: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Conjugate-analytic Toeplitz action r_k = sum_j adj_j x_{k+j} per column.
+
+    adj holds adjoint coefficients (p+1, d, e), X the coefficient rows of m
+    columns (n+1, e, m); the result has shape (n+1, d, m).
+    """
+    out = np.zeros((X.shape[0], adj.shape[1], X.shape[2]), dtype=complex)
+    for j in range(min(adj.shape[0], X.shape[0])):
+        out[: X.shape[0] - j] += adj[j] @ X[j:]
+    return out
+
+
+def _pair_residual(ctx: SpaceContext, F: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Per-column sup of the analytic part of B*f + A*f+; zero for true pairs.
+
+    F (n+1, m) and P (n'+1, d, m) hold the coefficient rows of m pairs.
+    """
+    res = np.zeros((max(F.shape[0], P.shape[0]), ctx.dim, F.shape[1]),
+                   dtype=complex)
+    res[: F.shape[0]] += _conj_band(np.conj(ctx.B.coeffs)[:, :, None],
+                                    F[:, None, :])
+    res[: P.shape[0]] += _conj_band(ctx._astar, P)
+    return np.abs(res).max(axis=(0, 1), initial=0.0)
+
+
+def _check_pairs(ctx: SpaceContext, F: np.ndarray, P: np.ndarray) -> None:
+    worst = _pair_residual(ctx, F, P)
+    scale = 1.0 + np.maximum(np.abs(F).max(axis=0, initial=0.0),
+                             np.abs(P).max(axis=(0, 1), initial=0.0))
+    if np.any(worst > ctx.tol.tol_eval * scale):
         raise IllConditionedConstant(
-            f"pair residual {worst:.3e} exceeds tolerance; A(0)* solve degraded"
+            f"pair residual {worst.max():.3e} exceeds tolerance; "
+            f"A(0)* solve degraded"
         )
 
 
@@ -216,21 +244,6 @@ def _pair_inner(fa: np.ndarray, ga: np.ndarray) -> complex:
     if n == 0:
         return 0j
     return complex(np.vdot(ga[:n], fa[:n]))
-
-
-def hb_lincomb(ctx: SpaceContext, terms) -> HBElement:
-    """Linear combination sum c_i F_i of embedded pairs (embedding is linear)."""
-    d = ctx.dim
-    nf = max((t[1].f.coeffs.shape[0] for t in terms), default=0)
-    np_ = max((t[1].f_plus.coeffs.shape[0] for t in terms), default=0)
-    fc = np.zeros(nf, dtype=complex)
-    pc = np.zeros((np_, d), dtype=complex)
-    for c, el in terms:
-        fc[: el.f.coeffs.shape[0]] += c * el.f.coeffs
-        pc[: el.f_plus.coeffs.shape[0]] += c * el.f_plus.coeffs
-    f = CPoly(fc)
-    f_plus = VecPoly(pc, dim=d)
-    return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +321,7 @@ def _boundary_kernel(ctx: SpaceContext, w: complex) -> HBElement:
         pc[: c.shape[0], i] = c
     f = CPoly(fc)
     f_plus = VecPoly(pc, dim=ctx.dim)
-    _verify_pair(ctx, f, f_plus)
+    _check_pairs(ctx, f.coeffs[:, None], f_plus.coeffs[:, :, None])
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
 
 
@@ -355,7 +368,7 @@ def toeplitz_conj_hb(ctx: SpaceContext, phi: CPoly, F: HBElement) -> HBElement:
         else VecPoly.zero(ctx.dim)
     if isinstance(f_plus, VecPoly) and f_plus.dim != ctx.dim:
         f_plus = VecPoly(f_plus.coeffs, dim=ctx.dim)
-    _verify_pair(ctx, f, f_plus)
+    _check_pairs(ctx, f.coeffs[:, None], f_plus.coeffs[:, :, None])
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
 
 
@@ -363,25 +376,19 @@ def toeplitz_conj_hb(ctx: SpaceContext, phi: CPoly, F: HBElement) -> HBElement:
 # Gram machinery, density and point-evaluation residuals
 
 
-def _monomial(ctx: SpaceContext, k: int) -> HBElement:
-    el = ctx._mono.get(k)
-    if el is None:
-        el = embed(ctx, CPoly(np.concatenate([np.zeros(k), [1.0]])))
-        ctx._mono[k] = el
-    return el
-
-
 def gram(ctx: SpaceContext, N: int) -> np.ndarray:
-    """Hermitian positive definite monomial Gram matrix G_jk = <z^j, z^k>."""
+    """Hermitian positive definite monomial Gram matrix G_jk = <z^j, z^k>.
+
+    One block embedding of 1, z, ..., z^N; the off-diagonal entries are the
+    plus-part products P^T conj(P) and the diagonal is the pair norms, so
+    G[k, k] equals embed(z^k).norm_sq exactly.
+    """
     if N < 0:
         raise DomainError("Gram order must be nonnegative")
-    els = [_monomial(ctx, k) for k in range(N + 1)]
-    G = np.zeros((N + 1, N + 1), dtype=complex)
-    for j in range(N + 1):
-        for k in range(j, N + 1):
-            G[j, k] = hb_inner(ctx, els[j], els[k])
-            G[k, j] = np.conj(G[j, k])
-    return G
+    P, norms = _embed_block(ctx, np.eye(N + 1, dtype=complex))
+    Q = P.reshape(-1, N + 1)
+    G = np.triu(Q.T @ np.conj(Q), 1)
+    return G + np.conj(G.T) + np.diag(norms)
 
 
 def _chol_psd(G: np.ndarray) -> np.ndarray:
@@ -391,25 +398,32 @@ def _chol_psd(G: np.ndarray) -> np.ndarray:
         scale = float(np.abs(np.diag(G)).max(initial=1.0))
         warnings.warn(
             "Gram factorization needed 1e-12 diagonal jitter",
-            ConditioningWarning, stacklevel=3,
+            ConditioningWarning, stacklevel=4,
         )
         return np.linalg.cholesky(G + 1e-12 * scale * np.eye(G.shape[0]))
+
+
+def _section_kernel(ctx: SpaceContext, zeta: complex, N: int) -> float:
+    """K^N_zeta(zeta) = e* G^{-1} e with e_j = zeta^j.
+
+    The diagonal of the reproducing kernel of the polynomials of degree <= N
+    under the norm of the space, from one Cholesky factor of the Gram.
+    """
+    y = np.linalg.solve(_chol_psd(gram(ctx, N)), zeta ** np.arange(N + 1))
+    return float(np.vdot(y, y).real)
 
 
 def density_residual(ctx: SpaceContext, w, N: int) -> float:
     """Squared distance from K_w to the span of 1, z, ..., z^N.
 
-    The moment vector <K_w, z^j> = conj(w)^j is exact by the reproducing
-    property, so the residual is K_w(w) - v* G^{-1} v.
+    The projection of K_w onto that span is the finite-section kernel, so
+    the residual is K_w(w) - K^N_w(w).
     """
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError("density residual needs an interior point")
     kww = float((1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2))
-    v = np.conj(w) ** np.arange(N + 1)
-    L = _chol_psd(gram(ctx, N))
-    y = np.linalg.solve(L, v)
-    val = kww - float(np.vdot(y, y).real)
+    val = kww - _section_kernel(ctx, w, N)
     if val < -1e-9:
         warnings.warn(f"density residual {val:.3e} is negative beyond -1e-9",
                       ConditioningWarning, stacklevel=2)
@@ -417,30 +431,15 @@ def density_residual(ctx: SpaceContext, w, N: int) -> float:
 
 
 def point_eval_residual(ctx: SpaceContext, lam, N: int) -> float:
-    """Squared distance in the space from 1 to span{(z - lam) z^k : k < N}."""
+    """Squared distance in the space from 1 to span{(z - lam) z^k : k < N}.
+
+    That span is exactly the polynomials of degree <= N vanishing at lam,
+    so the distance is |1(lam)|^2 / K^N_lam(lam) = 1 / K^N_lam(lam).
+    """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-10:
         raise DomainError("point evaluation probe needs a unimodular point")
-    one = _monomial(ctx, 0)
-    if N < 1:
-        return one.norm_sq
-    vs = [
-        hb_lincomb(ctx, [(1.0, _monomial(ctx, k + 1)), (-lam, _monomial(ctx, k))])
-        for k in range(N)
-    ]
-    P = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        for l in range(k, N):
-            P[k, l] = hb_inner(ctx, vs[l], vs[k])
-            P[l, k] = np.conj(P[k, l])
-    b = np.array([hb_inner(ctx, one, v) for v in vs])
-    L = _chol_psd(P)
-    y = np.linalg.solve(L, b)
-    val = one.norm_sq - float(np.vdot(y, y).real)
-    if val < -1e-9:
-        warnings.warn(f"point residual {val:.3e} is negative beyond -1e-9",
-                      ConditioningWarning, stacklevel=2)
-    return val
+    return 1.0 / _section_kernel(ctx, lam, max(N, 0))
 
 
 def rank_one_identity_defect(ctx: SpaceContext, f, g) -> float:

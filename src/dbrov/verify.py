@@ -17,6 +17,7 @@ from .poly import CPoly, VecPoly, circle_grid, toeplitz_conj
 from .rowschur import RowSchur
 from .space import (
     Tolerances,
+    _pair_residual,
     backward_shift,
     density_residual,
     embed,
@@ -87,15 +88,9 @@ def _factor_identities(ctx) -> CheckResult:
 def _embedding_residual(ctx, rng, n_random) -> CheckResult:
     worst = 0.0
     for _ in range(n_random):
-        f = _rand_poly(rng, 12)
-        el = embed(ctx, f)
-        r = toeplitz_conj(ctx.B, el.f)
-        r2 = toeplitz_conj(ctx.A, el.f_plus)
-        n = max(r.coeffs.shape[0], r2.coeffs.shape[0], 1)
-        tot = np.zeros((n, ctx.dim), dtype=complex)
-        tot[: r.coeffs.shape[0]] += r.coeffs
-        tot[: r2.coeffs.shape[0]] += r2.coeffs
-        worst = max(worst, float(np.abs(tot).max(initial=0.0)))
+        el = embed(ctx, _rand_poly(rng, 12))
+        res = _pair_residual(ctx, el.f.coeffs[:, None], el.f_plus.coeffs[:, :, None])
+        worst = max(worst, float(res[0]))
     return _result("embedding_residual", worst, 1e-10)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,8 +113,10 @@ class TestCyclicity:
 
 class TestSpectrumCrosscheck:
     def test_row2_member_vs_controls(self, ctx_row2):
-        with pytest.warns(InconclusiveGap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", InconclusiveGap)
             sweep = spectrum_crosscheck(ctx_row2, 40)
+        assert sweep.gap_ratio > 10
         members = [r for _, r, m in sweep.entries if m]
         controls = [r for _, r, m in sweep.entries if not m]
         assert abs(members[0] - 0.8) < 1e-3

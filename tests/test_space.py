@@ -3,13 +3,16 @@ import pytest
 
 from dbrov import (
     CPoly,
+    RowSchur,
     VecPoly,
     backward_shift,
     density_residual,
     embed,
+    fixture,
     gram,
     hb_inner,
     kernel,
+    make_context,
     multiply_z,
     point_eval_residual,
     rank_one_identity_defect,
@@ -18,9 +21,21 @@ from dbrov import (
 )
 from dbrov.errors import BoundaryNotRegular, DomainError
 from dbrov.poly import circle_grid
-from dbrov.space import hb_lincomb
 
 from conftest import assert_close
+
+
+def monomial(k):
+    return CPoly(np.concatenate([np.zeros(k), [1.0]]))
+
+
+def stacked(el, n, d):
+    """Coefficients of the pair (f, f+) as one vector of length n (1 + d)."""
+    f = np.zeros(n, dtype=complex)
+    p = np.zeros((n, d), dtype=complex)
+    f[: el.f.coeffs.shape[0]] = el.f.coeffs
+    p[: el.f_plus.coeffs.shape[0]] = el.f_plus.coeffs
+    return np.concatenate([f, p.ravel()])
 
 
 def rand_poly(rng, max_deg):
@@ -271,6 +286,35 @@ class TestGramAndResiduals:
         val = point_eval_residual(ctx_row2, 1.0, 40)
         assert abs(val - 0.8) < 1e-3
 
+    def test_gram_diagonal_is_embedded_norm(self, ctx_row2):
+        # a column's numbers do not depend on the columns embedded with it
+        G = gram(ctx_row2, 160)
+        for k in (0, 80, 160):
+            assert G[k, k] == embed(ctx_row2, monomial(k)).norm_sq
+
+    def test_density_complex_row_against_lstsq(self):
+        # ROW2 rotated by z -> exp(0.7i) z with unimodular column phases: a
+        # touching row with complex coefficients, so its Gram is complex.
+        # Oracle: least-squares distance from the kernel pair to the stacked
+        # monomial pairs, with no Gram and no conjugation convention.
+        phase = np.exp(0.7j * np.arange(3))[:, None] * np.exp([0.3j, -1.1j])
+        ctx = make_context(RowSchur(fixture("ROW2").B.coeffs * phase))
+        w = 0.5j
+        k = kernel(ctx, w, N=80)
+        n = k.f.coeffs.shape[0]
+        y = stacked(k, n, ctx.dim)
+        for N in (0, 5, 20):
+            M = np.stack([stacked(embed(ctx, monomial(j)), n, ctx.dim)
+                          for j in range(N + 1)], axis=1)
+            r = y - M @ np.linalg.lstsq(M, y, rcond=None)[0]
+            assert abs(density_residual(ctx, w, N) - np.vdot(r, r).real) <= 1e-10
+
+    def test_point_eval_row2_closed_form(self, ctx_row2):
+        for lam in (1j, -1.0, np.exp(2.5j)):
+            for N in (10, 40, 120):
+                want = 8.0 / (N * abs(1.0 - lam) ** 2 + 10.0)
+                assert abs(point_eval_residual(ctx_row2, lam, N) - want) <= 1e-13
+
     def test_point_eval_off_spectrum_decays(self, ctx_row2):
         vals = [point_eval_residual(ctx_row2, -1.0, N) for N in (10, 40, 200)]
         assert vals[0] > vals[1] > vals[2]
@@ -327,9 +371,11 @@ class TestRankOneIdentity:
 
 
 def test_lincomb_matches_embedding(ctx_row2):
+    # the embedding is linear: 2 (1 + 2z) - i z^2 = 2 + 4z - i z^2
     a = embed(ctx_row2, CPoly([1, 2.0]))
     b = embed(ctx_row2, CPoly([0, 0, 1.0]))
-    combo = hb_lincomb(ctx_row2, [(2.0, a), (-1j, b)])
     direct = embed(ctx_row2, CPoly([2.0, 4.0, -1j]))
-    assert_close(combo.f.coeffs, direct.f.coeffs, 1e-14)
-    assert_close(combo.f_plus.coeffs, direct.f_plus.coeffs, 1e-12)
+    combo = 2.0 * stacked(a, 3, 2) - 1j * stacked(b, 3, 2)
+    want = stacked(direct, 3, 2)
+    assert_close(combo[:3], want[:3], 1e-14)
+    assert_close(combo[3:], want[3:], 1e-12)
