@@ -233,8 +233,9 @@ def _dispatch(args, spec: ProblemSpec):
     if cmd == "density":
         w = _require(spec, "w", cmd)
         n_max = spec.N if spec.N is not None else 12
-        rows = [[n, density_residual(ctx, w, n)] for n in range(n_max + 1)]
-        return rows, ["N", "residual"]
+        # largest order first, so that an oversized sweep fails before it runs
+        rows = [[n, density_residual(ctx, w, n)] for n in range(n_max, -1, -1)]
+        return rows[::-1], ["N", "residual"]
     if cmd == "crosscheck":
         n = spec.N if spec.N is not None else 2 * max(ctx.a.degree, 0) + 4
         sweep = spectrum_crosscheck(ctx, n)

@@ -37,11 +37,13 @@ class FactorizationDiverged(DbrovError):
     """Spectral factorization residuals stopped improving above tolerance."""
 
     def __init__(self, message, residual_trace=None, best_factor=None,
-                 best_residual=None):
+                 best_residual=None, grid=None, deflations=None):
         super().__init__(message)
         self.residual_trace = residual_trace
         self.best_factor = best_factor
         self.best_residual = best_residual
+        self.grid = grid
+        self.deflations = deflations
 
 
 class SingularIterate(DbrovError):

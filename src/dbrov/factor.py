@@ -1,9 +1,12 @@
 """Spectral factorization of boundary defects.
 
 The scalar defect 1 - BB* factors through its roots (Fejer-Riesz) into the
-mate a; the matrix defect I - B*B is factored by a Newton-type iteration on
-FFT grids into the analytic outer factor A with A(0) Hermitian positive
-definite, so that det A = a exactly rather than up to a unimodular constant.
+mate a.  The matrix defect I - B*B is factored into the analytic outer
+factor A with A(0) Hermitian positive definite, so that det A = a exactly
+rather than up to a unimodular constant: every zero of det(I - B*B) on or
+just outside the circle is split off as an elementary factor
+I - (z / w) vv*, and the strictly positive remainder is factored by a
+Newton iteration on FFT grids.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import (
     RootFindingFailed,
     SingularIterate,
 )
-from .poly import CPoly, LaurentHerm, MatPoly, circle_grid, poly_roots, \
-    pow2_at_least
+from .poly import CPoly, LaurentHerm, MatPoly, _divide_one_minus, \
+    circle_grid, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 
 # |w * conj(w')| within this of 1 treats (w, w') as a circle-reflected pair
@@ -38,6 +41,8 @@ class FactorReport:
     residual_sup: float
     outer_gap: float
     iterations: int
+    grid: int = 0
+    deflations: int = 0
 
 
 def mate(B: RowSchur, tol_psd: float = 1e-8) -> CPoly:
@@ -145,136 +150,207 @@ def wilson_factor(phi: LaurentHerm, tol_factor: float = 1e-10,
     return wilson_report(phi, tol_factor, max_iter, grid_log2).factor
 
 
-# coefficient-space polish is a dense least-squares solve; cap its size
-_POLISH_MAX_UNKNOWNS = 6000
+# the grid iterates the split density to this residual, not just to
+# tol_factor (putting each split factor back can multiply its error by up to
+# 4), and finer grids are tried while the factor's residual stays above it
+_GRID_TOL = 1e-14
+# a singular value of phi(w) below this fraction of the largest eigenvalue
+# of phi on the circle is a null direction
+_NULL_REL = 1e-8
+# zeros of det phi this close to the circle are split off too: the grid
+# would need about 36 / (|w| - 1) points to resolve them
+_NEAR = 0.05
 
 
 def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10,
                   max_iter: int = 500,
                   grid_log2: int | None = None) -> FactorReport:
-    """Newton iteration A <- A [A^{-*} phi A^{-1} + I]_+ on an FFT grid.
+    """Outer factor A with A*A = phi: split circle zeros off, grid the rest.
 
-    [.]_+ keeps the analytic Fourier half with the constant term halved.  The
-    grid is offset by half a sample so circle zeros of the density (the
-    generic case here) never coincide with grid points.  The iteration starts
-    from the Cholesky factor of the grid mean of phi; the trimmed polynomial
-    is then polished by a coefficient-space Gauss-Newton step, which removes
-    the O(1/N) aliasing bias that grid methods suffer on boundary-degenerate
-    densities.  Circle zeros of det phi open a fold direction that residuals
-    cannot see below sqrt(eps); the zeros and their null vectors are detected
-    from the density itself and pin that direction in the polish.  If the
-    polished residual still exceeds tol_factor the grid is enlarged (strictly
-    positive but nearly degenerate densities need it when the system is too
-    large to polish).
+    At each zero w of det phi on the circle or just outside it, with null
+    vector v of phi(w), the elementary factor E(z) = I - (z / w) vv* is split
+    off: phi = E* phi1 E with phi1 = E^{-*} phi E^{-1} again Hermitian
+    Laurent of half-degree <= m (Youla-Kazanjian), repeated while phi1(w)
+    stays singular.  The Newton iteration A1 <- A1 [A1^{-*} phi1 A1^{-1} + I]_+
+    on an FFT grid ([.]_+ keeps the analytic half, constant term halved)
+    factors the strictly positive phi1 with quadratic convergence (Wilson).
+    A = A1 E_k ... E_1, trimmed to degree m, keeps A(0) = A1(0) Hermitian
+    positive definite since E(0) = I, so det A = a exactly.  The residual
+    is checked against phi; the grid grows four-fold, warm-started, while
+    it is above tol_factor, or above rounding level and still falling.
     """
     m = phi.half_degree
-    d = phi.dim
+    scale = float(np.abs(phi.coeffs).max(initial=0.0))
+    zeros, floor = _boundary_zeros(phi)
+    phi1, splits = phi, []
+    for w in zeros:
+        # det phi has 2 d m zeros, so no more than d m factors can split off
+        while phi1.half_degree > 0 and len(splits) < phi.dim * m:
+            _, sing, vh = np.linalg.svd(np.atleast_2d(phi1(w)))
+            if sing[-1] > floor:
+                break
+            splits.append((w, np.conj(vh[-1])))
+            phi1 = _split_off(phi1, *splits[-1])
     n0 = (1 << grid_log2) if grid_log2 is not None \
-        else max(pow2_at_least(8 * max(m, 1) + 1), 256)
-    boundary_null = _boundary_nulls(phi)
+        else max(pow2_at_least(8 * max(phi1.half_degree, 1) + 1), 256)
     trace: list[float] = []
-    best: tuple[float, MatPoly | None, int] = (np.inf, None, 0)
+    best: tuple[float, MatPoly | None, int] = (np.inf, None, n0)
     iterations = 0
-    n = n0
+    n, prev, A1 = n0, np.inf, None
     while True:
-        a_grid, its = _wilson_grid(phi, n, max_iter, tol_factor, trace)
+        a_grid, its = _wilson_grid(phi1, n, max_iter,
+                                   min(tol_factor, _GRID_TOL), trace, start=A1)
         iterations += its
-        factor = _finish(a_grid, m, d, offset=True)
-        if _polish_size(m, d) <= _POLISH_MAX_UNKNOWNS:
-            factor = _gauss_newton_polish(factor, phi, boundary_null)
+        A1 = _finish(a_grid, phi1.half_degree, phi.dim)
+        factor = _reinflate(A1, splits, m)
         resid = factor_residual(factor, phi)
         if resid < best[0]:
-            best = (resid, factor, iterations)
-        if resid <= tol_factor:
-            return FactorReport(factor, resid, outer_check(factor), iterations)
-        if n >= max(1 << 16, 8 * n0) or iterations >= 4 * max_iter:
+            best = (resid, factor, n)
+        last = n >= max(1 << 16, 8 * n0) or iterations >= 4 * max_iter
+        # a coarse grid aliases the factor: enlarge it while that pays off
+        settled = resid <= _GRID_TOL * scale or resid > prev / 4 or last
+        if best[0] <= tol_factor and settled:
+            return FactorReport(best[1], best[0], outer_check(best[1]),
+                                iterations, best[2], len(splits))
+        if last:
             raise FactorizationDiverged(
                 f"residual {best[0]:.3e} after {iterations} iterations "
                 f"(grid up to {n})",
                 residual_trace=trace,
                 best_factor=best[1],
                 best_residual=best[0],
+                grid=n,
+                deflations=len(splits),
             )
-        n *= 4
+        n, prev = 4 * n, resid
+        # warm-start the finer grid only from a factor close enough that no
+        # zero of its determinant can have crossed the circle
+        A1 = A1 if resid <= 1e-8 * scale else None
 
 
-def _boundary_nulls(phi: LaurentHerm):
-    """Unimodular zeros of det phi with the null directions of phi there.
+def _boundary_zeros(phi: LaurentHerm):
+    """Zeros w of det phi on or near the circle, and the floor for nulls.
 
-    The determinant of a Hermitian PSD Laurent polynomial is a nonnegative
-    trigonometric polynomial; its zeros are located from grid minima refined
-    by Newton on the angle, and kept only when the refined value vanishes at
-    rounding scale (nearly-degenerate but positive densities are left alone).
+    det phi is a nonnegative trigonometric polynomial.  A grid minimum,
+    refined by Newton on the angle, that vanishes at rounding scale is a
+    zero on the circle; a positive one comes from zeros w, 1/conj(w) about
+    sqrt(2 value / curvature) off the circle, and when that is below _NEAR
+    Newton in the plane finds the w with |w| > 1.  The null floor is
+    relative to the largest eigenvalue of phi on the circle, so that it
+    holds for d = 1 too.  A negative dip raises NotPositive first.
     """
-    d = phi.dim
-    dm = d * phi.half_degree
-    if dm == 0:
-        return []
+    dm = phi.dim * phi.half_degree
     n = pow2_at_least(max(4 * (2 * dm) + 1, 1024))
-    z = circle_grid(n)
-    vals = phi(z)
-    if not phi.is_matrix:
-        vals = vals[:, None, None]
-    dets = np.linalg.det(vals).real
+    vals = phi(circle_grid(n))
+    eigs = np.linalg.eigvalsh(vals if phi.is_matrix else vals[:, None, None])
+    if eigs.min() < -1e-8:
+        raise NotPositive(f"density dips to {eigs.min():.3e} on the circle")
+    floor = _NULL_REL * float(eigs.max())
+    dets = eigs.prod(axis=1)
     top = float(dets.max())
     if top <= 0:
-        return []
+        return [], floor
     spec = np.fft.fft(dets) / n
-    lau = np.zeros(2 * dm + 1, dtype=complex)
-    lau[dm] = spec[0]
-    for k in range(1, dm + 1):
-        lau[dm + k] = spec[k]
-        lau[dm - k] = spec[n - k]
+    lau = np.concatenate([spec[n - dm :], spec[: dm + 1]])
     ks = np.arange(-dm, dm + 1)
-    out = []
-    for j in range(n):
-        if not (dets[j] < dets[j - 1] and dets[j] < dets[(j + 1) % n]):
-            continue
+    out: list[complex] = []
+    minima = (dets < np.roll(dets, 1)) & (dets < np.roll(dets, -1))
+    for j in np.nonzero(minima)[0]:
         theta = _refine_boundary_angle(lau, 2.0 * np.pi * j / n)
-        value = float(np.sum(lau * np.exp(1j * ks * theta)).real)
+        e = np.exp(1j * ks * theta)
+        value = float(np.sum(lau * e).real)
+        curv = float(np.sum(-(ks ** 2) * lau * e).real)
+        w = complex(np.exp(1j * theta))
         if value > 1e-10 * top:
-            continue
-        lam = np.exp(1j * theta)
-        if any(abs(lam - l) < 1e-8 for l, _ in out):
-            continue
-        eigs, vecs = np.linalg.eigh(phi(lam) if phi.is_matrix
-                                    else np.array([[phi(lam)]]))
-        for i in range(d):
-            if eigs[i] <= 1e-8 * max(abs(eigs).max(), 1e-300):
-                out.append((complex(lam), vecs[:, i].copy()))
-    return out
+            if curv <= 0 or 2 * value >= _NEAR ** 2 * curv:
+                continue
+            w = _zero_off_circle(phi, w * (1 + np.sqrt(2 * value / curv)))
+            if not 1 < abs(w) < 1 + _NEAR:
+                continue
+        if all(abs(w - u) >= 1e-8 for u in out):
+            out.append(w)
+    return out, floor
 
 
-def _offset_grid(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+def _zero_off_circle(phi: LaurentHerm, z: complex) -> complex:
+    """Newton z <- z - 1 / tr(phi(z)^{-1} phi'(z)) on det phi; root |w| > 1."""
+    c = phi.coeffs if phi.is_matrix else phi.coeffs[:, None, None]
+    ks = np.arange(c.shape[0]) - phi.half_degree
+    for _ in range(50):
+        zk = z ** ks
+        val = np.tensordot(zk, c, axes=1)
+        der = np.tensordot(ks * zk / z, c, axes=1)
+        try:
+            step = 1.0 / np.trace(np.linalg.solve(val, der))
+        except np.linalg.LinAlgError:
+            break
+        z -= step
+        if not abs(step) > 1e-15 * abs(z):
+            break
+    return z if abs(z) >= 1 else 1 / np.conj(z)
+
+
+def _split_off(phi: LaurentHerm, w: complex, v: np.ndarray) -> LaurentHerm:
+    """E^{-*} phi E^{-1} for E(z) = I - (z / w) vv*, with phi(w) v = 0.
+
+    With P = I - vv* and g = phi v / (1 - z / w), on the circle
+
+        E^{-*} phi E^{-1} = P phi P + P g v* + v g* P + t vv*,
+        t = v* g / (1 - 1 / (conj(w) z)),
+
+    and both divisions are exact: phi v vanishes at w, and v* g at
+    1/conj(w), because phi(1/conj(w)) = phi(w)* there.
+    """
+    c = phi.coeffs if phi.is_matrix else phi.coeffs[:, None, None]
+    P = np.eye(phi.dim) - np.outer(v, np.conj(v))
+    g = _divide_one_minus(c @ v, 1 / w)  # powers -m .. m-1
+    # 1 - 1/(conj(w) z) = -(1 - conj(w) z) / (conj(w) z): powers -m+1 .. m-1
+    t = -np.conj(w) * _divide_one_minus(g @ np.conj(v), np.conj(w))
+    out = P @ c @ P
+    out[:-1] += (g @ P.T)[:, :, None] * np.conj(v)
+    out[1:] += v[:, None] * (np.conj(g) @ P)[::-1, None, :]
+    out[1:-1] += t[:, None, None] * np.outer(v, np.conj(v))
+    return LaurentHerm(out if phi.is_matrix else out[:, 0, 0])
+
+
+def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
+    """A1 E_k ... E_1 trimmed to degree m, with E(z) = I - (z / w) vv*."""
+    coeffs = A1.coeffs
+    for w, v in reversed(splits):
+        out = np.zeros((coeffs.shape[0] + 1,) + coeffs.shape[1:], dtype=complex)
+        out[:-1] = coeffs
+        out[1:] -= (coeffs @ v)[:, :, None] * np.conj(v) / w
+        coeffs = out
+    return MatPoly(coeffs[: m + 1], dim=A1.dim)
 
 
 def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
-                 trace: list[float]):
-    """Run the grid iteration; returns (grid values, iterations used)."""
+                 trace: list[float], start: MatPoly | None = None):
+    """Run the grid iteration; returns (grid values, iterations used).
+
+    It starts from the factor `start` of a coarser grid when one is given,
+    and from the Cholesky factor of the grid mean of phi otherwise.
+    """
     d = phi.dim
-    z = _offset_grid(n)
+    z = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)  # half-sample offset
     vals = phi(z)
     if not phi.is_matrix:
         vals = vals[:, None, None]
     vals = 0.5 * (vals + np.conj(vals).transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(vals)
-    if eigs.min() < -1e-8:
-        raise NotPositive(f"density dips to {eigs.min():.3e} on the circle")
     if np.abs(np.linalg.det(vals)).max() < 1e-13:
         raise SingularIterate("density is identically singular on the circle")
 
-    c0 = vals.mean(axis=0)
-    c0 = 0.5 * (c0 + np.conj(c0).T)
-    try:
-        chol = np.linalg.cholesky(c0)
-    except np.linalg.LinAlgError:
+    if start is not None:
+        a_grid = start(z)
+    else:
         try:
-            chol = np.linalg.cholesky(c0 + 1e-12 * np.eye(d))
+            chol = np.linalg.cholesky(vals.mean(axis=0))
         except np.linalg.LinAlgError as exc:
             raise SingularIterate("mean density is not positive definite") from exc
-    a_grid = np.tile(np.conj(chol).T, (n, 1, 1))
+        a_grid = np.tile(np.conj(chol).T, (n, 1, 1))
 
+    # the rounding floor of the residual grows with the scale of phi
+    floor = max(tol_factor, 16 * np.finfo(float).eps * np.abs(vals).max())
     eye = np.eye(d)
     best = (np.inf, a_grid)
     stall = 0
@@ -295,29 +371,24 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
             np.abs(np.conj(a_grid).transpose(0, 2, 1) @ a_grid - vals).max()
         )
         trace.append(resid)
-        if resid < best[0] * (1.0 - 1e-12):
+        # Newton steps at least halve the residual until rounding stops them
+        stall = stall + 1 if resid > 0.5 * best[0] else 0
+        if resid < best[0]:
             best = (resid, a_grid.copy())
-            stall = 0
-        else:
-            stall += 1
-        if resid <= max(tol_factor, 4e-16) or stall >= 25:
+        if resid <= floor or stall >= 3:
             break
     return best[1], it
 
 
-def _finish(a_grid: np.ndarray, m: int, d: int, offset: bool) -> MatPoly:
-    """Trim grid values to degree m and normalize A(0) Hermitian PD."""
+def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
+    """Coefficients 0..m of half-sample offset grid values, A(0) made PD.
+
+    The constant coefficient is rotated to its polar part: A <- U A with U
+    unitary, so that A(0) is Hermitian positive definite and A*A unchanged.
+    """
     n = a_grid.shape[0]
-    spec = np.fft.fft(a_grid, axis=0) / n
-    if offset:
-        k = np.arange(n)
-        kk = np.where(k <= n // 2, k, k - n)
-        spec *= np.exp(-1j * np.pi * kk / n)[:, None, None]
-    coeffs = spec[: m + 1]
-    return _polar_normalize(coeffs, d)
-
-
-def _polar_normalize(coeffs: np.ndarray, d: int) -> MatPoly:
+    coeffs = (np.fft.fft(a_grid, axis=0)[: m + 1] / n) \
+        * np.exp(-1j * np.pi * np.arange(m + 1) / n)[:, None, None]
     a0 = coeffs[0]
     w, v = np.linalg.eigh(np.conj(a0).T @ a0)
     if w.min() <= 0:
@@ -325,107 +396,6 @@ def _polar_normalize(coeffs: np.ndarray, d: int) -> MatPoly:
     h = (v * np.sqrt(w)) @ np.conj(v).T
     u = np.conj(a0 @ np.linalg.inv(h)).T
     return MatPoly(np.einsum("ij,kjl->kil", u, coeffs), dim=d)
-
-
-def _polish_size(m: int, d: int) -> int:
-    return 2 * (m + 1) * d * d
-
-
-def _gauss_newton_polish(A: MatPoly, phi: LaurentHerm, boundary_null=None,
-                         steps: int = 80) -> MatPoly:
-    """Refine A in coefficient space so that (A*A)_k = phi_k exactly.
-
-    The linearization Delta -> Delta*A + A*Delta has the constant left
-    skew-Hermitian rotations as nullspace; the minimum-norm least-squares
-    step ignores them and the polar normalization restores A(0) > 0 at the
-    end.  Convergence is quadratic for strictly positive densities.  A zero
-    of the density on the circle adds a fold direction where plain steps
-    only halve geometrically; when the null directions (lam, v) of the zero
-    are supplied, the linear rows A(lam) v = 0 pin that fold and restore
-    machine-precision factors.
-    """
-    m = phi.half_degree
-    d = phi.dim
-    ac = np.zeros((m + 1, d, d), dtype=complex)
-    na = min(A.coeffs.shape[0], m + 1)
-    ac[:na] = A.coeffs.reshape(-1, d, d)[:na]
-    phik = np.stack([np.atleast_2d(phi.coeff(k)) for k in range(m + 1)])
-    scale = float(np.abs(phik).max())
-    perm = _transpose_perm(d)
-    boundary_null = boundary_null or []
-    n_unknown = 2 * (m + 1) * d * d
-    bs = 2 * d * d
-    n_rows = (m + 1) * bs + 2 * d * len(boundary_null)
-    eye = np.eye(d)
-    prev_err = np.inf
-    for _ in range(steps):
-        rhs_blocks = []
-        for k in range(m + 1):
-            e = phik[k] - sum(
-                np.conj(ac[j]).T @ ac[j + k] for j in range(m + 1 - k)
-            )
-            rhs_blocks.append(e)
-        err = max(np.abs(e).max() for e in rhs_blocks)
-        for lam, v in boundary_null:
-            err = max(err, np.abs(_eval_coeffs(ac, lam) @ v).max())
-        if err <= 1e-15 * max(scale, 1.0) or err > 0.7 * prev_err:
-            break
-        prev_err = err
-        big = np.zeros((n_rows, n_unknown))
-        rhs = np.zeros(n_rows)
-        for k in range(m + 1):
-            rhs[k * bs : k * bs + d * d] = rhs_blocks[k].real.ravel()
-            rhs[k * bs + d * d : (k + 1) * bs] = rhs_blocks[k].imag.ravel()
-            for j in range(m + 1 - k):
-                # A_j^* Delta_{j+k}: complex-linear block
-                c = np.kron(np.conj(ac[j]).T, eye)
-                _add_block(big, k, j + k, bs, c.real, -c.imag, c.imag, c.real)
-                # Delta_j^* A_{j+k}: conjugate-linear block, via transposition
-                dmat = np.kron(eye, ac[j + k].T) @ perm
-                _add_block(big, k, j, bs, dmat.real, dmat.imag, dmat.imag,
-                           -dmat.real)
-        row = (m + 1) * bs
-        for lam, v in boundary_null:
-            resid = -(_eval_coeffs(ac, lam) @ v)
-            rhs[row : row + d] = resid.real
-            rhs[row + d : row + 2 * d] = resid.imag
-            for k in range(m + 1):
-                blk = (lam ** k) * np.kron(eye, np.asarray(v))
-                cols = slice(k * bs, k * bs + d * d)
-                icols = slice(k * bs + d * d, (k + 1) * bs)
-                big[row : row + d, cols] += blk.real
-                big[row : row + d, icols] += -blk.imag
-                big[row + d : row + 2 * d, cols] += blk.imag
-                big[row + d : row + 2 * d, icols] += blk.real
-            row += 2 * d
-        delta, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-        delta = delta.reshape(m + 1, 2, d, d)
-        ac = ac + delta[:, 0] + 1j * delta[:, 1]
-    return _polar_normalize(ac, d)
-
-
-def _eval_coeffs(coeffs: np.ndarray, z: complex) -> np.ndarray:
-    out = np.zeros_like(coeffs[0])
-    for mat in coeffs[::-1]:
-        out = out * z + mat
-    return out
-
-
-def _transpose_perm(d: int) -> np.ndarray:
-    p = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            p[i * d + j, j * d + i] = 1.0
-    return p
-
-
-def _add_block(big, row_k, col_j, bs, rr, ri, ir, ii):
-    half = bs // 2
-    r0, c0 = row_k * bs, col_j * bs
-    big[r0 : r0 + half, c0 : c0 + half] += rr
-    big[r0 : r0 + half, c0 + half : c0 + bs] += ri
-    big[r0 + half : r0 + bs, c0 : c0 + half] += ir
-    big[r0 + half : r0 + bs, c0 + half : c0 + bs] += ii
 
 
 def factor_residual(A: MatPoly, phi: LaurentHerm, n_grid: int = 512) -> float:

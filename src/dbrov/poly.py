@@ -43,6 +43,27 @@ def grid_to_coeffs(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values, axis=0) / values.shape[0]
 
 
+def _divide_one_minus(h: np.ndarray, c: complex) -> np.ndarray:
+    """Quotient g with h = (1 - c z) g, for h vanishing at 1/c.
+
+    Synthetic division runs forward from the low end and backward from the
+    high end to meet in the middle, which spreads the remainder of an
+    inexact zero instead of dropping it all at one end.
+    """
+    n = max(h.shape[0] - 1, 0)
+    g = np.zeros((n,) + h.shape[1:], dtype=complex)
+    half = n // 2
+    acc = np.zeros(h.shape[1:], dtype=complex)
+    for k in range(half):
+        acc = h[k] + c * acc
+        g[k] = acc
+    acc = np.zeros(h.shape[1:], dtype=complex)
+    for k in range(n, half, -1):
+        acc = (acc - h[k]) / c
+        g[k - 1] = acc
+    return g
+
+
 class CPoly:
     """Scalar polynomial with complex coefficients."""
 
@@ -232,11 +253,18 @@ class MatPoly:
         return VecPoly(out, dim=self.dim)
 
     def det_poly(self) -> CPoly:
-        """Determinant as a scalar polynomial, via FFT interpolation."""
+        """Determinant as a scalar polynomial, via FFT interpolation.
+
+        Trailing coefficients at the rounding level of the values, d eps
+        times their Hadamard bound prod_i |A(z) e_i|, are dropped as noise.
+        """
         n = self.dim * max(self.degree, 0) + 1
-        grid = circle_grid(pow2_at_least(max(2 * n, 8)))
-        coeffs = grid_to_coeffs(np.linalg.det(self(grid)))
-        return CPoly(coeffs[:n])
+        vals = self(circle_grid(pow2_at_least(max(2 * n, 8))))
+        coeffs = grid_to_coeffs(np.linalg.det(vals))[:n]
+        hadamard = np.prod(np.linalg.norm(vals, axis=-2), axis=-1).max()
+        noise = self.dim * np.finfo(float).eps * hadamard
+        keep = np.nonzero(np.abs(coeffs) > noise)[0]
+        return CPoly(coeffs[: keep[-1] + 1] if keep.size else coeffs[:0])
 
     def __repr__(self):
         return f"MatPoly(deg={self.degree}, dim={self.dim})"

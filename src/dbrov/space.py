@@ -25,11 +25,13 @@ from .errors import (
 )
 from .factor import FactorReport, factor_residual, mate_report, outer_check, \
     wilson_report
-from .poly import CPoly, MatPoly, VecPoly, circle_grid, pow2_at_least, \
-    poly_roots, toeplitz_conj
+from .poly import CPoly, MatPoly, VecPoly, _divide_one_minus, circle_grid, \
+    pow2_at_least, poly_roots, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
 
 UNIMODULAR_TOL = 1e-8
+# coefficient arrays with more complex entries than this (256 MiB) are refused
+_MAX_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,7 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     lam.sort(key=lambda t: np.angle(t[0]))
 
     _, matrix_defect = defect_laurent(B)
+    fallback = False
     try:
         w_rep = wilson_report(matrix_defect, tol_factor=min(tol.tol_factor, 1e-12),
                               max_iter=max_iter, grid_log2=grid_log2)
@@ -106,7 +109,9 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
             raise
         A = exc.best_factor
         w_rep = FactorReport(A, factor_residual(A, matrix_defect),
-                             outer_check(A), len(exc.residual_trace or []))
+                             outer_check(A), len(exc.residual_trace or []),
+                             exc.grid, exc.deflations)
+        fallback = True
     A = w_rep.factor
 
     a0_cond = float(np.linalg.cond(A.coeffs[0]))
@@ -118,6 +123,9 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
         "outer_gap_mate": m_rep.outer_gap,
         "outer_gap_factor": w_rep.outer_gap,
         "factor_iterations": w_rep.iterations,
+        "factor_grid": w_rep.grid,
+        "boundary_deflations": w_rep.deflations,
+        "factor_fallback": float(fallback),
         "A0_cond": a0_cond,
         "det_gap_sup": _det_gap(A, a),
     }
@@ -239,6 +247,13 @@ def hb_inner(ctx: SpaceContext, F: HBElement, G: HBElement) -> complex:
     )
 
 
+def _check_size(entries: int, what: str) -> None:
+    """Refuse an order whose coefficient arrays would exceed _MAX_ENTRIES."""
+    if entries > _MAX_ENTRIES:
+        raise DomainError(f"{what} needs {float(entries):.3g} coefficients, "
+                          f"more than the {_MAX_ENTRIES} allowed")
+
+
 def _pair_inner(fa: np.ndarray, ga: np.ndarray) -> complex:
     n = min(fa.shape[0], ga.shape[0])
     if n == 0:
@@ -273,6 +288,7 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
         else:
             N = int(np.ceil(np.log(ctx.tol.tol_eval) / np.log(abs(w)))) + ctx.B.degree
         N = max(N, max_deg)
+    _check_size((N + 1) * (ctx.dim + 1), f"kernel at {w} to order {N}")
     wbar = np.conj(w) ** np.arange(N + 1)
     fc = np.convolve(p.coeffs, wbar)[: N + 1] if not p.is_zero else np.zeros(N + 1)
     pc = np.zeros((N + 1, ctx.dim), dtype=complex)
@@ -303,41 +319,15 @@ def _boundary_kernel(ctx: SpaceContext, w: complex) -> HBElement:
     bl = ctx.B(lam)
     p = 1.0 - ctx.B.pair(bl)
     p_plus = ctx.A.matvec_const(-np.conj(bl))
-    fc, rem = _divide_by_one_minus(p.coeffs, lam)
-    if abs(rem) > 1e-6:
-        raise NumericsError(f"boundary kernel division remainder {abs(rem):.3e}")
-    cols = []
-    for i in range(ctx.dim):
-        col = p_plus.coeffs[:, i] if not p_plus.is_zero else np.zeros(1, complex)
-        qc, rem = _divide_by_one_minus(col, lam)
-        if abs(rem) > 1e-6:
-            raise NumericsError(
-                f"boundary kernel plus-part remainder {abs(rem):.3e}"
-            )
-        cols.append(qc)
-    n = max((c.shape[0] for c in cols), default=0)
-    pc = np.zeros((n, ctx.dim), dtype=complex)
-    for i, c in enumerate(cols):
-        pc[: c.shape[0], i] = c
-    f = CPoly(fc)
-    f_plus = VecPoly(pc, dim=ctx.dim)
+    # both numerators vanish at lam, so dividing by (1 - conj(lam) z) is exact
+    rem = max(abs(p(lam)), float(np.abs(p_plus(lam)).max(initial=0.0)))
+    if rem > 1e-6:
+        raise NumericsError(f"boundary kernel division remainder {rem:.3e}")
+    f = CPoly(_divide_one_minus(p.coeffs, np.conj(lam)))
+    f_plus = VecPoly(_divide_one_minus(p_plus.coeffs, np.conj(lam)),
+                     dim=ctx.dim)
     _check_pairs(ctx, f.coeffs[:, None], f_plus.coeffs[:, :, None])
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
-
-
-def _divide_by_one_minus(coeffs: np.ndarray, lam: complex):
-    """Divide p by (1 - conj(lam) z); returns (quotient, remainder)."""
-    n = coeffs.shape[0] - 1
-    if n < 0:
-        return np.zeros(0, dtype=complex), 0j
-    lb = np.conj(lam)
-    q = np.zeros(max(n, 1), dtype=complex)
-    acc = 0j
-    for k in range(n):
-        acc = coeffs[k] + lb * acc
-        q[k] = acc
-    rem = coeffs[n] + lb * (q[n - 1] if n >= 1 else 0.0)
-    return q[:n] if n >= 1 else np.zeros(0, complex), complex(rem)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +375,7 @@ def gram(ctx: SpaceContext, N: int) -> np.ndarray:
     """
     if N < 0:
         raise DomainError("Gram order must be nonnegative")
+    _check_size((N + 1) ** 2 * (ctx.dim + 1), f"Gram of order {N}")
     P, norms = _embed_block(ctx, np.eye(N + 1, dtype=complex))
     Q = P.reshape(-1, N + 1)
     G = np.triu(Q.T @ np.conj(Q), 1)

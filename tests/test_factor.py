@@ -5,6 +5,8 @@ from dbrov import (
     CPoly,
     LaurentHerm,
     MatPoly,
+    RowSchur,
+    make_context,
     mate,
     mate_report,
     outer_check,
@@ -118,3 +120,48 @@ def test_wilson_defect_residual_tight():
         _, matrix = defect_laurent(fixture(name).B)
         rep = wilson_report(matrix)
         assert factor_residual(rep.factor, matrix) <= 1e-12
+
+
+class TestBoundarySplitting:
+    """Rows composed with z -> z^k touch the circle at the k-th roots of 1."""
+
+    @staticmethod
+    def _compose(coeffs, k):
+        out = np.zeros(((len(coeffs) - 1) * k + 1, len(coeffs[0])))
+        out[::k] = coeffs
+        return RowSchur(out)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 6])
+    @pytest.mark.parametrize("name,amp", [("SARASON", 0.5), ("ROW2", SQ8)])
+    def test_roots_of_unity(self, name, amp, k):
+        ctx = make_context(self._compose(fixture(name).B.coeffs.real, k))
+        mate_k = np.zeros(k + 1)
+        mate_k[0], mate_k[k] = amp, -amp
+        assert_close(ctx.a.coeffs, mate_k, 1e-12, "mate (1 - z^k) amp")
+        points = np.array([l for l, _ in ctx.Lambda])
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        assert [m for _, m in ctx.Lambda] == [1] * k
+        assert np.abs(points[:, None] - roots[None, :]).min(axis=0).max() \
+            <= 1e-8
+        assert ctx.reports["boundary_deflations"] == k
+        assert ctx.reports["factor_residual_sup"] <= 1e-12
+        assert ctx.reports["det_gap_sup"] <= 1e-10
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_trunc_factors_without_boundary_zeros(d):
+    ctx = make_context(fixture(f"TRUNC({d})").B)
+    assert ctx.Lambda == ()
+    assert ctx.reports["det_gap_sup"] <= 1e-10
+    assert abs(abs(np.linalg.det(ctx.A(1.0))) ** 2 - 2.0 ** (-d)) \
+        <= 1e-10 * 2.0 ** (-d)
+
+
+def test_reports_show_the_factorization():
+    row2 = make_context(fixture("ROW2").B).reports
+    trunc = make_context(fixture("TRUNC(8)").B).reports
+    assert row2["boundary_deflations"] == 1
+    assert trunc["boundary_deflations"] == 0
+    for rep in (row2, trunc):
+        assert rep["factor_fallback"] == 0.0
+        assert rep["factor_grid"] >= 256

@@ -219,6 +219,17 @@ class TestCli:
         assert code == 3
         assert json.loads(out)["error"] == "MateUndefined"
 
+    @pytest.mark.parametrize("command,payload", [
+        ("kernel", '{"w": [0.999999999, 0]}'),
+        ("density", '{"w": [0.5, 0], "N": 100000}'),
+        ("crosscheck", '{"N": 100000}'),
+    ])
+    def test_oversized_order_exit_code(self, capsys, command, payload):
+        code, out = self.run(
+            [command, "--fixture", "ROW2", "--payload", payload], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == "DomainError"
+
     def test_missing_payload_field(self, capsys):
         code, out = self.run(["norm", "--fixture", "ROW2"], capsys)
         assert code == 2

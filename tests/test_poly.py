@@ -44,6 +44,16 @@ class TestEvaluation:
         det = A.det_poly()
         assert_close(det.coeffs, [1.0], 1e-12, "det of unipotent")
 
+    @pytest.mark.parametrize("c", [10.0, 1e2, 1e4])
+    def test_det_poly_drops_interpolation_noise(self, c):
+        # det(I + c (z + z^2) N) = 1 for nilpotent N, but the values carry
+        # rounding errors of size eps c^2 that interpolate to degree 4
+        N = np.outer([1.0, 1.0], [1.0, -1.0])
+        A = MatPoly(np.array([np.eye(2), c * N, c * N], dtype=complex))
+        det = A.det_poly()
+        assert det.degree == 0
+        assert abs(det.coeffs[0] - 1.0) <= 1e-15 * c * c
+
 
 class TestRoots:
     def test_quadratic_with_known_factors(self):
