@@ -21,7 +21,7 @@ from .poly import CPoly
 from .schema import ProblemSpec, parse_problem
 from .space import (
     Tolerances,
-    density_residual,
+    _density_residuals,
     embed,
     kernel,
     make_context,
@@ -233,9 +233,8 @@ def _dispatch(args, spec: ProblemSpec):
     if cmd == "density":
         w = _require(spec, "w", cmd)
         n_max = spec.N if spec.N is not None else 12
-        # largest order first, so that an oversized sweep fails before it runs
-        rows = [[n, density_residual(ctx, w, n)] for n in range(n_max, -1, -1)]
-        return rows[::-1], ["N", "residual"]
+        vals = _density_residuals(ctx, w, n_max).tolist()
+        return [[n, v] for n, v in enumerate(vals)], ["N", "residual"]
     if cmd == "crosscheck":
         n = spec.N if spec.N is not None else 2 * max(ctx.a.degree, 0) + 4
         sweep = spectrum_crosscheck(ctx, n)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InconclusiveGap, ValidationError, ZeroFunction
 from .poly import CPoly, poly_roots
-from .space import SpaceContext, point_eval_residual
+from .space import SpaceContext, _point_residuals
 
 BOUNDARY_ZERO_REL = 1e-8
 
@@ -87,17 +87,17 @@ def spectrum_crosscheck(ctx: SpaceContext, N: int,
     four of sixteen circle points farthest from the spectrum; for ROW2 the
     nearest is exp(2.46i), where the ratio exceeds 10 from N = 26.  A gap
     ratio below 10 is reported as an `InconclusiveGap` warning, not a
-    failure.
+    failure.  One Gram and one Cholesky factor serve every point.
     """
     if N < 2 * max(ctx.a.degree, 0) + 4:
         raise ValidationError(f"order N = {N} too small for this mate degree")
     if controls is None:
         controls = _default_controls(ctx)
-    entries = []
-    for lam, _ in ctx.Lambda:
-        entries.append((lam, point_eval_residual(ctx, lam, N), True))
-    for lam in controls:
-        entries.append((complex(lam), point_eval_residual(ctx, lam, N), False))
+    members = [lam for lam, _ in ctx.Lambda]
+    points = members + [complex(lam) for lam in controls]
+    residuals = _point_residuals(ctx, points, N).tolist()
+    entries = [(lam, r, i < len(members))
+               for i, (lam, r) in enumerate(zip(points, residuals))]
     member_min = min((r for _, r, flag in entries if flag), default=None)
     control_max = max((r for _, r, flag in entries if not flag), default=None)
     if member_min is None or control_max is None:

@@ -2,8 +2,11 @@
 
 Every polynomial f belongs to the space; its embedded pair (f, f+) is the
 unique one making the analytic part of B*f + A*f+ vanish, computed by a
-banded back-substitution against A(0)*.  Norms, kernels, shifts and Gram
-machinery all go through these pairs, which makes the norm identity exact by
+banded back-substitution against A(0)*.  That system is block Toeplitz, so
+the plus part of z^k is the plus part of z^N shifted down by N - k, and the
+monomial Gram follows from one plus-part column, its Toeplitz generator.
+Norms, kernels, shifts and Gram machinery all go through these pairs, with
+norms summed in one fixed order, which makes the norm identity exact by
 construction.
 """
 
@@ -169,7 +172,9 @@ def embed(ctx: SpaceContext, f) -> HBElement:
     The one-column case of `_embed_block`, residual re-verified.
     """
     f = f if isinstance(f, CPoly) else CPoly(f)
-    P, norms = _embed_block(ctx, f.coeffs[:, None])
+    F = f.coeffs[:, None]
+    P, norms = _embed_block(ctx, F)
+    _check_pairs(ctx, *_pair_bounds(ctx, F, P)[:, -1])
     return HBElement(f, VecPoly(P[:, :, 0], dim=ctx.dim), float(norms[0]))
 
 
@@ -179,9 +184,11 @@ def _embed_block(ctx: SpaceContext, F: np.ndarray):
     Rows k = n .. 0 of the analytic part of B*f + A*f+ = 0 form a banded
     upper-triangular block Toeplitz system with diagonal block A(0)*, so
     every column of the coefficient block F (n+1, m) shares one
-    back-substitution.  The band terms use einsum rather than BLAS and the
-    norms are sequential sums, so a column's numbers do not depend on the
-    other columns or on trailing zero rows.
+    back-substitution and one inverse of A(0)*.  Products use einsum rather
+    than BLAS, and a norm sums the f rows and then the plus-part rows from
+    the last to the first, so a column's numbers do not depend on the other
+    columns or on trailing zero rows (`gram` relies on both).  The caller
+    checks the pair residuals.
     """
     if ctx.reports["A0_cond"] > 1e6:
         raise IllConditionedConstant(
@@ -190,6 +197,7 @@ def _embed_block(ctx: SpaceContext, F: np.ndarray):
         )
     n1, m = F.shape
     astar, bstar = ctx._astar, np.conj(ctx.B.coeffs)
+    inv0 = np.linalg.inv(astar[0])
     windows = sliding_window_view(
         np.vstack([F, np.zeros((bstar.shape[0], m))]), bstar.shape[0], axis=0)
     rhs = np.einsum("ja,kmj->kam", bstar, windows[:n1])
@@ -197,10 +205,9 @@ def _embed_block(ctx: SpaceContext, F: np.ndarray):
     for k in range(n1 - 1, -1, -1):
         j = min(astar.shape[0], n1 - k)
         band = np.einsum("jab,jbm->am", astar[1:j], P[k + 1 : k + j])
-        P[k] = -np.linalg.solve(astar[0], rhs[k] + band)
-    _check_pairs(ctx, F, P)
+        P[k] = -np.einsum("ab,bm->am", inv0, rhs[k] + band)
     # the leading zero row gives an empty block zero norms
-    sq = np.abs(np.vstack([np.zeros((1, m)), F, P.reshape(-1, m)])) ** 2
+    sq = np.abs(np.vstack([np.zeros((1, m)), F, P[::-1].reshape(-1, m)])) ** 2
     return P, np.cumsum(sq, axis=0)[-1]
 
 
@@ -208,31 +215,37 @@ def _conj_band(adj: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Conjugate-analytic Toeplitz action r_k = sum_j adj_j x_{k+j} per column.
 
     adj holds adjoint coefficients (p+1, d, e), X the coefficient rows of m
-    columns (n+1, e, m); the result has shape (n+1, d, m).
+    columns (n+1, e, m); the result has shape (n+1, d, m).  einsum rather
+    than BLAS keeps each column's numbers independent of the others.
     """
     out = np.zeros((X.shape[0], adj.shape[1], X.shape[2]), dtype=complex)
     for j in range(min(adj.shape[0], X.shape[0])):
-        out[: X.shape[0] - j] += adj[j] @ X[j:]
+        out[: X.shape[0] - j] += np.einsum("ab,kbm->kam", adj[j], X[j:])
     return out
 
 
-def _pair_residual(ctx: SpaceContext, F: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Per-column sup of the analytic part of B*f + A*f+; zero for true pairs.
+def _pair_bounds(ctx: SpaceContext, F: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Worst pair residual and its scale 1 + max |coefficient|, per column.
 
-    F (n+1, m) and P (n'+1, d, m) hold the coefficient rows of m pairs.
+    F (n+1, m) and P (n'+1, d, m) hold the coefficient rows of m pairs; the
+    residual is the analytic part of B*f + A*f+, zero for true pairs.  Both
+    are taken over the last r rows for every r, as an array (2, rows, m)
+    whose last row covers the whole pair.  For the pair of z^N, row k covers
+    the last k + 1 rows, which shifted down are the pair of z^k (`gram`).
     """
-    res = np.zeros((max(F.shape[0], P.shape[0]), ctx.dim, F.shape[1]),
-                   dtype=complex)
-    res[: F.shape[0]] += _conj_band(np.conj(ctx.B.coeffs)[:, :, None],
-                                    F[:, None, :])
-    res[: P.shape[0]] += _conj_band(ctx._astar, P)
-    return np.abs(res).max(axis=(0, 1), initial=0.0)
+    nf, npl = F.shape[0], P.shape[0]
+    res = np.zeros((max(nf, npl, 1), ctx.dim, F.shape[1]), dtype=complex)
+    res[:nf] += _conj_band(np.conj(ctx.B.coeffs)[:, :, None], F[:, None, :])
+    res[:npl] += _conj_band(ctx._astar, P)
+    bounds = np.zeros((2, res.shape[0], res.shape[2]))
+    bounds[0] = np.abs(res).max(axis=1)
+    bounds[1, :nf] = np.abs(F)
+    bounds[1, :npl] = np.maximum(bounds[1, :npl], np.abs(P).max(axis=1))
+    bounds[1] += 1.0
+    return np.maximum.accumulate(bounds[:, ::-1], axis=1)
 
 
-def _check_pairs(ctx: SpaceContext, F: np.ndarray, P: np.ndarray) -> None:
-    worst = _pair_residual(ctx, F, P)
-    scale = 1.0 + np.maximum(np.abs(F).max(axis=0, initial=0.0),
-                             np.abs(P).max(axis=(0, 1), initial=0.0))
+def _check_pairs(ctx: SpaceContext, worst: np.ndarray, scale: np.ndarray) -> None:
     if np.any(worst > ctx.tol.tol_eval * scale):
         raise IllConditionedConstant(
             f"pair residual {worst.max():.3e} exceeds tolerance; "
@@ -326,7 +339,8 @@ def _boundary_kernel(ctx: SpaceContext, w: complex) -> HBElement:
     f = CPoly(_divide_one_minus(p.coeffs, np.conj(lam)))
     f_plus = VecPoly(_divide_one_minus(p_plus.coeffs, np.conj(lam)),
                      dim=ctx.dim)
-    _check_pairs(ctx, f.coeffs[:, None], f_plus.coeffs[:, :, None])
+    _check_pairs(ctx, *_pair_bounds(ctx, f.coeffs[:, None],
+                                    f_plus.coeffs[:, :, None])[:, -1])
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
 
 
@@ -358,7 +372,8 @@ def toeplitz_conj_hb(ctx: SpaceContext, phi: CPoly, F: HBElement) -> HBElement:
         else VecPoly.zero(ctx.dim)
     if isinstance(f_plus, VecPoly) and f_plus.dim != ctx.dim:
         f_plus = VecPoly(f_plus.coeffs, dim=ctx.dim)
-    _check_pairs(ctx, f.coeffs[:, None], f_plus.coeffs[:, :, None])
+    _check_pairs(ctx, *_pair_bounds(ctx, f.coeffs[:, None],
+                                    f_plus.coeffs[:, :, None])[:, -1])
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
 
 
@@ -369,17 +384,35 @@ def toeplitz_conj_hb(ctx: SpaceContext, phi: CPoly, F: HBElement) -> HBElement:
 def gram(ctx: SpaceContext, N: int) -> np.ndarray:
     """Hermitian positive definite monomial Gram matrix G_jk = <z^j, z^k>.
 
-    One block embedding of 1, z, ..., z^N; the off-diagonal entries are the
-    plus-part products P^T conj(P) and the diagonal is the pair norms, so
-    G[k, k] equals embed(z^k).norm_sq exactly.
+    One back-substitution embeds z^N alone; its plus-part rows from the last
+    to the first are the Toeplitz generator (h_0, ..., h_N), z^k has plus
+    part (h_k, ..., h_0), and `_pair_bounds` gives every column its own
+    residual check.  G_jk - delta_jk = sum_{r <= min(j, k)} <h_{j-r}, h_{k-r}>
+    is a cumulative sum along a diagonal of <h_a, h_b>, and the diagonal sums
+    1, |h_0|^2, |h_1|^2, ... in the order of `_embed_block`, so G[k, k]
+    equals embed(z^k).norm_sq exactly.
     """
     if N < 0:
         raise DomainError("Gram order must be nonnegative")
     _check_size((N + 1) ** 2 * (ctx.dim + 1), f"Gram of order {N}")
-    P, norms = _embed_block(ctx, np.eye(N + 1, dtype=complex))
-    Q = P.reshape(-1, N + 1)
-    G = np.triu(Q.T @ np.conj(Q), 1)
-    return G + np.conj(G.T) + np.diag(norms)
+    n = N + 1
+    e = np.zeros((n, 1), dtype=complex)
+    e[N] = 1.0
+    P, _ = _embed_block(ctx, e)
+    _check_pairs(ctx, *_pair_bounds(ctx, e, P))
+    h = P[::-1, :, 0]
+    # skewed layout: row s, column s + o of the padded <h_a, h_b> holds
+    # diagonal o, so one cumulative sum over rows sums every diagonal
+    M = np.zeros((n, 2 * n), dtype=complex)
+    M[:, :n] = np.einsum("ia,ja->ij", h, np.conj(h))
+    rows = np.arange(n)[:, None]
+    cols = rows + np.arange(n)
+    M[rows, cols] = np.cumsum(M[rows, cols], axis=0)
+    G = np.triu(M[:, :n], 1)
+    G += np.conj(G.T)
+    sq = np.concatenate([[1.0], (np.abs(h) ** 2).ravel()])
+    G[np.diag_indices(n)] = np.cumsum(sq)[ctx.dim :: ctx.dim]
+    return G
 
 
 def _chol_psd(G: np.ndarray) -> np.ndarray:
@@ -389,19 +422,23 @@ def _chol_psd(G: np.ndarray) -> np.ndarray:
         scale = float(np.abs(np.diag(G)).max(initial=1.0))
         warnings.warn(
             "Gram factorization needed 1e-12 diagonal jitter",
-            ConditioningWarning, stacklevel=4,
+            ConditioningWarning, stacklevel=5,
         )
         return np.linalg.cholesky(G + 1e-12 * scale * np.eye(G.shape[0]))
 
 
-def _section_kernel(ctx: SpaceContext, zeta: complex, N: int) -> float:
-    """K^N_zeta(zeta) = e* G^{-1} e with e_j = zeta^j.
+def _section_kernels(ctx: SpaceContext, zetas, N: int) -> np.ndarray:
+    """K^n_zeta(zeta) = e_n* G_n^{-1} e_n for n = 0 .. N, one column per zeta.
 
-    The diagonal of the reproducing kernel of the polynomials of degree <= N
-    under the norm of the space, from one Cholesky factor of the Gram.
+    The diagonal of the reproducing kernel of the polynomials of degree <= n
+    under the norm of the space, with (e_n)_j = zeta^j and G_n = gram(ctx, n).
+    G_n is the leading block of G_N, whose Cholesky factor L it shares, so
+    every order comes from one Gram and one factor: K^n is the sum of
+    |L^{-1} e_N|^2 over its first n + 1 entries.
     """
-    y = np.linalg.solve(_chol_psd(gram(ctx, N)), zeta ** np.arange(N + 1))
-    return float(np.vdot(y, y).real)
+    E = np.asarray(zetas, dtype=complex)[None, :] ** np.arange(N + 1)[:, None]
+    Y = np.linalg.solve(_chol_psd(gram(ctx, N)), E)
+    return np.cumsum(np.abs(Y) ** 2, axis=0)
 
 
 def density_residual(ctx: SpaceContext, w, N: int) -> float:
@@ -410,15 +447,20 @@ def density_residual(ctx: SpaceContext, w, N: int) -> float:
     The projection of K_w onto that span is the finite-section kernel, so
     the residual is K_w(w) - K^N_w(w).
     """
+    return float(_density_residuals(ctx, w, N)[-1])
+
+
+def _density_residuals(ctx: SpaceContext, w, N: int) -> np.ndarray:
+    """`density_residual` at every order 0 .. N from one sweep."""
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError("density residual needs an interior point")
     kww = float((1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2))
-    val = kww - _section_kernel(ctx, w, N)
-    if val < -1e-9:
-        warnings.warn(f"density residual {val:.3e} is negative beyond -1e-9",
-                      ConditioningWarning, stacklevel=2)
-    return val
+    vals = kww - _section_kernels(ctx, [w], N)[:, 0]
+    if vals.min() < -1e-9:
+        warnings.warn(f"density residual {vals.min():.3e} is negative beyond "
+                      f"-1e-9", ConditioningWarning, stacklevel=3)
+    return vals
 
 
 def point_eval_residual(ctx: SpaceContext, lam, N: int) -> float:
@@ -427,10 +469,15 @@ def point_eval_residual(ctx: SpaceContext, lam, N: int) -> float:
     That span is exactly the polynomials of degree <= N vanishing at lam,
     so the distance is |1(lam)|^2 / K^N_lam(lam) = 1 / K^N_lam(lam).
     """
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-10:
+    return float(_point_residuals(ctx, [lam], N)[0])
+
+
+def _point_residuals(ctx: SpaceContext, lams, N: int) -> np.ndarray:
+    """`point_eval_residual` at every lam from one Gram and one factor."""
+    lams = np.asarray(lams, dtype=complex)
+    if np.any(np.abs(np.abs(lams) - 1.0) > 1e-10):
         raise DomainError("point evaluation probe needs a unimodular point")
-    return 1.0 / _section_kernel(ctx, lam, max(N, 0))
+    return 1.0 / _section_kernels(ctx, lams, max(N, 0))[-1]
 
 
 def rank_one_identity_defect(ctx: SpaceContext, f, g) -> float:

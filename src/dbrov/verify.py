@@ -17,9 +17,9 @@ from .poly import CPoly, VecPoly, circle_grid, toeplitz_conj
 from .rowschur import RowSchur
 from .space import (
     Tolerances,
-    _pair_residual,
+    _density_residuals,
+    _pair_bounds,
     backward_shift,
-    density_residual,
     embed,
     gram,
     hb_inner,
@@ -89,8 +89,9 @@ def _embedding_residual(ctx, rng, n_random) -> CheckResult:
     worst = 0.0
     for _ in range(n_random):
         el = embed(ctx, _rand_poly(rng, 12))
-        res = _pair_residual(ctx, el.f.coeffs[:, None], el.f_plus.coeffs[:, :, None])
-        worst = max(worst, float(res[0]))
+        res = _pair_bounds(ctx, el.f.coeffs[:, None],
+                           el.f_plus.coeffs[:, :, None])[0, -1, 0]
+        worst = max(worst, float(res))
     return _result("embedding_residual", worst, 1e-10)
 
 
@@ -193,7 +194,7 @@ def _gram_density(ctx) -> CheckResult:
         pd = True
     except np.linalg.LinAlgError:
         pd = False
-    vals = [density_residual(ctx, 0.5, N) for N in range(9)]
+    vals = _density_residuals(ctx, 0.5, 8)
     mono = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(8))
     ok = pd and mono and vals[-1] >= -1e-9
     return CheckResult("gram_and_density", bool(ok),

@@ -6,6 +6,7 @@ from dbrov.cli import main
 from dbrov.errors import MateUndefined, ValidationError
 from dbrov.fixtures import fixture
 from dbrov.schema import parse_problem, serialize_problem
+from dbrov.space import density_residual
 
 from conftest import assert_close
 
@@ -177,6 +178,21 @@ class TestCli:
         assert lines[0] == "N,residual"
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_density_sweep_matches_library(self, capsys, ctx_trunc8):
+        code, out = self.run(
+            ["density", "--fixture", "TRUNC(8)", "--payload",
+             '{"w": [0.5, 0], "N": 40}'],
+            capsys,
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "N,residual"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(n) for n, _ in rows] == list(range(41))
+        for n, value in rows:
+            want = density_residual(ctx_trunc8, 0.5, int(n))
+            assert abs(float(value) - want) <= 1e-14
 
     def test_crosscheck_csv(self, capsys):
         code, out = self.run(

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,18 @@ from dbrov import (
     multiply_z,
     point_eval_residual,
     rank_one_identity_defect,
+    spectrum_crosscheck,
     toeplitz_conj,
     toeplitz_conj_hb,
 )
+from dbrov import space
 from dbrov.errors import BoundaryNotRegular, DomainError
 from dbrov.poly import circle_grid
+from dbrov.space import _density_residuals, _embed_block, _pair_bounds, \
+    _section_kernels
 
 from conftest import assert_close
+from test_random_rows import random_row
 
 
 def monomial(k):
@@ -36,6 +43,18 @@ def stacked(el, n, d):
     f[: el.f.coeffs.shape[0]] = el.f.coeffs
     p[: el.f_plus.coeffs.shape[0]] = el.f_plus.coeffs
     return np.concatenate([f, p.ravel()])
+
+
+@pytest.fixture(scope="module")
+def ctx_touching():
+    # complex coefficients, d = 3, q = 6, one boundary spectrum point
+    return make_context(random_row(np.random.default_rng(1), 3, 6, 1.0))
+
+
+@pytest.fixture(scope="module")
+def gram_contexts(all_contexts, ctx_touching):
+    names = ("ROW2", "SARASON", "TRUNC(8)")
+    return {**{n: all_contexts[n] for n in names}, "touching": ctx_touching}
 
 
 def rand_poly(rng, max_deg):
@@ -286,11 +305,13 @@ class TestGramAndResiduals:
         val = point_eval_residual(ctx_row2, 1.0, 40)
         assert abs(val - 0.8) < 1e-3
 
-    def test_gram_diagonal_is_embedded_norm(self, ctx_row2):
-        # a column's numbers do not depend on the columns embedded with it
-        G = gram(ctx_row2, 160)
-        for k in (0, 80, 160):
-            assert G[k, k] == embed(ctx_row2, monomial(k)).norm_sq
+    def test_gram_diagonal_is_embedded_norm(self, gram_contexts):
+        # the diagonal sums 1, |h_0|^2, ..., |h_k|^2 in embed's order
+        for name in ("ROW2", "TRUNC(8)", "touching"):
+            ctx = gram_contexts[name]
+            G = gram(ctx, 160)
+            for k in (0, 1, 80, 159, 160):
+                assert G[k, k] == embed(ctx, monomial(k)).norm_sq, name
 
     def test_density_complex_row_against_lstsq(self):
         # ROW2 rotated by z -> exp(0.7i) z with unimodular column phases: a
@@ -319,6 +340,118 @@ class TestGramAndResiduals:
         vals = [point_eval_residual(ctx_row2, -1.0, N) for N in (10, 40, 200)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-2
+
+
+class TestGeneratorGram:
+    @pytest.mark.parametrize("name", ["ROW2", "SARASON", "TRUNC(8)", "touching"])
+    def test_gram_against_embedded_inner_products(self, gram_contexts, name):
+        ctx = gram_contexts[name]
+        els = [embed(ctx, monomial(k)) for k in range(161)]
+        ref = np.array([[hb_inner(ctx, F, G) for G in els] for F in els])
+        for N in (0, 1, 40, 160):
+            want = ref[: N + 1, : N + 1]
+            err = np.abs(gram(ctx, N) - want).max()
+            assert err <= 1e-14 * np.abs(want).max(), (N, err)
+
+    @pytest.mark.parametrize("name", ["ROW2", "TRUNC(8)", "touching"])
+    def test_leading_block_is_lower_order_gram(self, gram_contexts, name):
+        ctx = gram_contexts[name]
+        G = gram(ctx, 160)
+        for n in (0, 1, 40, 159):
+            assert np.array_equal(G[: n + 1, : n + 1], gram(ctx, n)), n
+
+    def test_gram_back_substitutes_one_column(self, ctx_row2, monkeypatch):
+        shapes = []
+
+        def spy(ctx, F):
+            shapes.append(F.shape)
+            return _embed_block(ctx, F)
+
+        monkeypatch.setattr(space, "_embed_block", spy)
+        gram(ctx_row2, 160)
+        assert shapes == [(161, 1)]
+
+    def test_public_signatures(self):
+        for fn, params in ((gram, ["ctx", "N"]),
+                           (density_residual, ["ctx", "w", "N"]),
+                           (point_eval_residual, ["ctx", "lam", "N"]),
+                           (spectrum_crosscheck, ["ctx", "N", "controls"])):
+            assert list(inspect.signature(fn).parameters) == params
+
+    @pytest.mark.parametrize("name", ["ROW2", "TRUNC(8)"])
+    def test_one_column_check_matches_block_check(self, all_contexts, name):
+        # per-column worst residual and scale of z^0..z^N, from z^N alone
+        # and from the (N+1)-column identity block
+        ctx = all_contexts[name]
+        N = 40
+        eye = np.eye(N + 1, dtype=complex)
+        want = _pair_bounds(ctx, eye, _embed_block(ctx, eye)[0])[:, -1]
+        e = eye[:, N:]
+        got = _pair_bounds(ctx, e, _embed_block(ctx, e)[0])[:, :, 0]
+        assert np.array_equal(got, want)
+        assert want[0].max() > 0.0
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("name", ["ROW2", "TRUNC(8)", "touching"])
+    def test_section_kernels_match_per_order_values(self, gram_contexts, name):
+        ctx = gram_contexts[name]
+        for w in (0.5, 0.3 + 0.6j):
+            kww = (1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2)
+            K = _section_kernels(ctx, [w], 40)[:, 0]
+            for n in range(41):
+                assert abs(kww - K[n] - density_residual(ctx, w, n)) <= 1e-14
+        lams = [1.0, -1.0, 1j, np.exp(2.5j)]
+        K = _section_kernels(ctx, lams, 60)
+        for n in range(61):
+            for i, lam in enumerate(lams):
+                assert abs(1.0 / K[n, i] - point_eval_residual(ctx, lam, n)) \
+                    <= 1e-14
+
+    def test_density_values_pinned(self, all_contexts):
+        # criterion 7 values at w = 0.5 as computed with one Gram and one
+        # Cholesky factor per order; ZERO is |w|^(2N+2) / (1 - |w|^2)
+        for name, want in DENSITY_AT_HALF.items():
+            got = [density_residual(all_contexts[name], 0.5, N)
+                   for N in range(13)]
+            assert np.abs(np.array(got) - want).max() <= 1e-14, name
+        got = _density_residuals(all_contexts["ZERO"], 0.5, 12)
+        want = 0.25 ** np.arange(1, 14) / 0.75
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_point_values_closed_forms(self, ctx_zero, ctx_row2):
+        # criterion 8 points: 8/(N|1 - lam|^2 + 10) on ROW2, 1/(N+1) on H^2
+        for N in (40, 46):
+            for lam in (1.0, -1.0, 1j):
+                want = 8.0 / (N * abs(1.0 - lam) ** 2 + 10.0)
+                assert abs(point_eval_residual(ctx_row2, lam, N) - want) <= 1e-14
+        for lam in (1.0, -1.0, 1j, -1j):
+            assert abs(point_eval_residual(ctx_zero, lam, 120) - 1 / 121) <= 1e-14
+
+
+DENSITY_AT_HALF = {
+    "SARASON": [
+        0.08333333333333348, 0.02083333333333348, 0.005208333333333481,
+        0.0013020833333334814, 0.00032552083333348136, 8.138020833348136e-05,
+        2.0345052083481363e-05, 5.086263020981363e-06, 1.271565755356363e-06,
+        3.1789143895011307e-07, 7.947285984855057e-08, 1.9868215073159945e-08,
+        4.967053879312289e-09,
+    ],
+    "ROW2": [
+        0.06666666666666698, 0.010416666666667074, 0.0026041666666670737,
+        0.0006510416666670737, 0.00016276041666707375, 4.069010416707375e-05,
+        1.0172526042073748e-05, 2.5431315108237484e-06, 6.357828780112484e-07,
+        1.5894571980812344e-07, 3.973643025734219e-08, 9.93410786964688e-09,
+        2.4835272727230517e-09,
+    ],
+    "TRUNC(3)": [
+        0.08173520917046129, 0.006033120903646827, 0.00037994279622510785,
+        9.498569905652676e-05, 2.374642476432598e-05, 5.9366061913035395e-06,
+        1.4841515479924183e-06, 3.710378873034159e-07, 9.275947210340973e-08,
+        2.318986824789704e-08, 5.7974672840188646e-09, 1.4493670708048967e-09,
+        3.6234204525698033e-10,
+    ],
+}
 
 
 class TestOrthoComplement:
