@@ -34,16 +34,16 @@ class OddBoundaryMultiplicity(DbrovError):
 
 
 class FactorizationDiverged(DbrovError):
-    """Spectral factorization residuals stopped improving above tolerance."""
+    """Spectral factorization residuals stopped improving above tolerance.
 
-    def __init__(self, message, residual_trace=None, best_factor=None,
-                 best_residual=None, grid=None, deflations=None):
+    best is the report of the best factor seen (residual, Jensen outer gap,
+    grid, splits), or None when no factor was finished.
+    """
+
+    def __init__(self, message, residual_trace=None, best=None):
         super().__init__(message)
         self.residual_trace = residual_trace
-        self.best_factor = best_factor
-        self.best_residual = best_residual
-        self.grid = grid
-        self.deflations = deflations
+        self.best = best
 
 
 class SingularIterate(DbrovError):

@@ -1,17 +1,17 @@
 """Spectral factorization of boundary defects.
 
-The scalar defect 1 - BB* factors through its roots (Fejer-Riesz) into the
-mate a.  The matrix defect I - B*B is factored into the analytic outer
-factor A with A(0) Hermitian positive definite, so that det A = a exactly
-rather than up to a unimodular constant: every zero of det(I - B*B) on or
-just outside the circle is split off as an elementary factor
-I - (z / w) vv*, and the strictly positive remainder is factored by a
-Newton iteration on FFT grids.
+One engine factors both defects: the scalar 1 - BB* into the mate a and the
+matrix I - B*B into the analytic outer factor A with A(0) Hermitian positive
+definite.  Every zero of the density's determinant on or just outside the
+circle is split off as an elementary factor I - (z / w) vv*, and the
+strictly positive remainder is factored by a Newton iteration on FFT grids.
+The two runs are kept apart, so that det A = a compares two factorizations.
+Outerness is certified without roots, by Jensen's formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,29 +20,33 @@ from .errors import (
     FactorizationDiverged,
     MateUndefined,
     NotPositive,
-    OddBoundaryMultiplicity,
-    RootFindingFailed,
     SingularIterate,
 )
 from .poly import CPoly, LaurentHerm, MatPoly, _divide_one_minus, \
     circle_grid, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 
-# |w * conj(w')| within this of 1 treats (w, w') as a circle-reflected pair
-PAIRING_TOL = 1e-6
 ZERO_DEFECT_TOL = 1e-12
+# a stalled iteration's best factor is accepted from this residual down:
+# regularizing a boundary-degenerate density would move its boundary zeros
+BEST_FACTOR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class FactorReport:
-    """Outcome of a factorization: the factor plus certification numbers."""
+    """Outcome of a factorization: the factor plus certification numbers.
+
+    splits holds the zero w of each elementary factor split off (|w| >= 1),
+    once per split; fallback says the best factor of a stalled run was taken.
+    """
 
     factor: CPoly | MatPoly
     residual_sup: float
     outer_gap: float
     iterations: int
     grid: int = 0
-    deflations: int = 0
+    splits: tuple = ()
+    fallback: bool = False
 
 
 def mate(B: RowSchur, tol_psd: float = 1e-8) -> CPoly:
@@ -51,52 +55,26 @@ def mate(B: RowSchur, tol_psd: float = 1e-8) -> CPoly:
 
 
 def mate_report(B: RowSchur, tol_psd: float = 1e-8) -> FactorReport:
+    """The mate as the d = 1 case of `wilson_report`, on 1 - BB*.
+
+    The zeros of the defect on the circle, or within the split radius
+    _NEAR = 36 / 4096 outside it, are split off as factors 1 - z / w; the
+    unimodular split points are the zeros of a on the circle, once per
+    split.  outer_gap is the Jensen gap of the grid factor a1, which every
+    split factor leaves unchanged (see `wilson_report`).  A run that stalls
+    at a residual of at most BEST_FACTOR_TOL returns its best factor, with
+    fallback set.
+    """
     scalar, _ = defect_laurent(B)
-    m = scalar.half_degree
-    coeffs = scalar.coeffs
-    if np.abs(coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
+    if np.abs(scalar.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
     low = scalar.min_circle_eig()
     if low < -tol_psd:
         raise NotPositive(f"defect dips to {low:.3e} on the circle")
 
-    if m == 0:
-        a = CPoly([np.sqrt(coeffs[0].real)])
-        return FactorReport(a, _mate_residual(B, a), outer_check(a), 0)
-
-    # roots of z^m L(z) come in (w, 1/conj(w)) pairs; unimodular clusters
-    # carry even multiplicity and are split evenly between the factors.
-    # dips of size tol_psd (allowed by the precondition) split a boundary
-    # double root by ~sqrt(tol_psd), so the cluster radius must cover that
-    boundary_tol = max(PAIRING_TOL, 2.0 * np.sqrt(tol_psd))
-    p = CPoly(coeffs)
-    roots = poly_roots(p)
-    selected: list[complex] = []
-    boundary: list[tuple[complex, int]] = []
-    for r, mult in roots:
-        if abs(abs(r) ** 2 - 1.0) < boundary_tol:
-            boundary.append((r, mult))
-        elif abs(r) > 1.0:
-            selected.extend([r] * mult)
-    for center, mult in _cluster_unimodular(boundary, boundary_tol):
-        if mult % 2 != 0:
-            raise OddBoundaryMultiplicity(
-                f"unimodular root cluster at {center} has odd multiplicity {mult}"
-            )
-        theta = _refine_boundary_angle(coeffs, float(np.angle(center)))
-        selected.extend([np.exp(1j * theta)] * (mult // 2))
-    if len(selected) != m:
-        raise RootFindingFailed(
-            f"defect root pairing is inconsistent: {len(selected)} factor "
-            f"roots for half-degree {m}"
-        )
-
-    lead = coeffs[-1]
-    amp = np.sqrt(abs(lead) / np.prod([abs(w) for w in selected]))
-    a = amp * CPoly.from_roots(selected)
-    a0 = a(0)
-    a = (np.conj(a0) / abs(a0)) * a
-    return FactorReport(a, _mate_residual(B, a), outer_check(a), 0)
+    rep = wilson_or_best(scalar, tol_factor=1e-12)
+    a = CPoly(rep.factor.coeffs[:, 0, 0])
+    return replace(rep, factor=a, residual_sup=_mate_residual(B, a))
 
 
 def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
@@ -104,11 +82,13 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
 
     The defect is a real trigonometric polynomial with an even-order zero at
     the cluster angle, so Newton on its derivative is quadratically exact and
-    beats the sqrt(eps) scatter of a generic double root.
+    beats the sqrt(eps) scatter of a generic double root.  It runs to a step
+    below 1e-15 (three steps left 1e-11 rad, and a 3e-9 factor residual, at
+    degree 60).
     """
     m = laurent_coeffs.shape[0] // 2
     ks = np.arange(-m, m + 1)
-    for _ in range(3):
+    for _ in range(20):
         e = np.exp(1j * ks * theta)
         d1 = np.sum(1j * ks * laurent_coeffs * e).real
         d2 = np.sum(-(ks ** 2) * laurent_coeffs * e).real
@@ -119,23 +99,6 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
         if abs(step) < 1e-15:
             break
     return theta
-
-
-def _cluster_unimodular(boundary, tol: float = PAIRING_TOL):
-    merged: list[list] = []
-    for r, mult in sorted(boundary, key=lambda t: np.angle(t[0])):
-        if merged and abs(merged[-1][0] - r) < tol:
-            tot = merged[-1][1] + mult
-            merged[-1][0] = (merged[-1][0] * merged[-1][1] + r * mult) / tot
-            merged[-1][1] = tot
-        else:
-            merged.append([r, mult])
-    if len(merged) > 1 and abs(merged[0][0] - merged[-1][0]) < tol:
-        tot = merged[0][1] + merged[-1][1]
-        merged[0][0] = (merged[0][0] * merged[0][1] + merged[-1][0] * merged[-1][1]) / tot
-        merged[0][1] = tot
-        merged.pop()
-    return [(complex(r), int(mult)) for r, mult in merged]
 
 
 def _mate_residual(B: RowSchur, a: CPoly, n_grid: int = 512) -> float:
@@ -157,9 +120,12 @@ _GRID_TOL = 1e-14
 # a singular value of phi(w) below this fraction of the largest eigenvalue
 # of phi on the circle is a null direction
 _NULL_REL = 1e-8
-# zeros of det phi this close to the circle are split off too: the grid
-# would need about 36 / (|w| - 1) points to resolve them
-_NEAR = 0.05
+# a grid of n points resolves a zero of det phi at |w| - 1 = delta once
+# n >= 36 / delta ((1 + delta)^-n < 2e-16); zeros nearer the circle than
+# what the budget resolves are split off, and the Jensen mean uses a grid of
+# at least the budget
+_GRID_BUDGET = 1 << 12
+_NEAR = 36.0 / _GRID_BUDGET
 
 
 def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10,
@@ -167,17 +133,25 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10,
                   grid_log2: int | None = None) -> FactorReport:
     """Outer factor A with A*A = phi: split circle zeros off, grid the rest.
 
-    At each zero w of det phi on the circle or just outside it, with null
-    vector v of phi(w), the elementary factor E(z) = I - (z / w) vv* is split
-    off: phi = E* phi1 E with phi1 = E^{-*} phi E^{-1} again Hermitian
-    Laurent of half-degree <= m (Youla-Kazanjian), repeated while phi1(w)
-    stays singular.  The Newton iteration A1 <- A1 [A1^{-*} phi1 A1^{-1} + I]_+
-    on an FFT grid ([.]_+ keeps the analytic half, constant term halved)
-    factors the strictly positive phi1 with quadratic convergence (Wilson).
+    At each zero w of det phi on the circle or within the split radius
+    _NEAR = 36 / 4096 outside it, with null vector v of phi(w), the
+    elementary factor E(z) = I - (z / w) vv* is split off: phi = E* phi1 E
+    with phi1 = E^{-*} phi E^{-1} again Hermitian Laurent of half-degree
+    <= m (Youla-Kazanjian), repeated while phi1(w) stays singular.  The
+    Newton iteration A1 <- A1 [A1^{-*} phi1 A1^{-1} + I]_+ on an FFT grid
+    ([.]_+ keeps the analytic half, constant term halved) factors the
+    strictly positive phi1 with quadratic convergence (Wilson).
     A = A1 E_k ... E_1, trimmed to degree m, keeps A(0) = A1(0) Hermitian
     positive definite since E(0) = I, so det A = a exactly.  The residual
     is checked against phi; the grid grows four-fold, warm-started, while
     it is above tol_factor, or above rounding level and still falling.
+
+    outer_gap is the Jensen gap of det A = det A1 prod (1 - z / w_k): each
+    factor with |w_k| >= 1 has gap 0, so it is
+    |log|det A1(0)| - mean of log|det A1| over the circle|, which det A1,
+    zero-free within _NEAR of the circle, gives to rounding on a grid of
+    _GRID_BUDGET points.  A failed run raises FactorizationDiverged with
+    the report of its best factor.
     """
     m = phi.half_degree
     scale = float(np.abs(phi.coeffs).max(initial=0.0))
@@ -194,7 +168,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10,
     n0 = (1 << grid_log2) if grid_log2 is not None \
         else max(pow2_at_least(8 * max(phi1.half_degree, 1) + 1), 256)
     trace: list[float] = []
-    best: tuple[float, MatPoly | None, int] = (np.inf, None, n0)
+    best: tuple = (np.inf, None, None, n0)
     iterations = 0
     n, prev, A1 = n0, np.inf, None
     while True:
@@ -205,27 +179,49 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10,
         factor = _reinflate(A1, splits, m)
         resid = factor_residual(factor, phi)
         if resid < best[0]:
-            best = (resid, factor, n)
+            best = (resid, factor, A1, n)
         last = n >= max(1 << 16, 8 * n0) or iterations >= 4 * max_iter
         # a coarse grid aliases the factor: enlarge it while that pays off
         settled = resid <= _GRID_TOL * scale or resid > prev / 4 or last
-        if best[0] <= tol_factor and settled:
-            return FactorReport(best[1], best[0], outer_check(best[1]),
-                                iterations, best[2], len(splits))
-        if last:
+        done = best[0] <= tol_factor and settled
+        if done or last:
+            report = None if best[1] is None else FactorReport(
+                best[1], best[0], _jensen_gap(best[2], max(best[3], _GRID_BUDGET)),
+                iterations, best[3], tuple(w for w, _ in splits),
+                fallback=not done)
+            if done:
+                return report
             raise FactorizationDiverged(
                 f"residual {best[0]:.3e} after {iterations} iterations "
                 f"(grid up to {n})",
                 residual_trace=trace,
-                best_factor=best[1],
-                best_residual=best[0],
-                grid=n,
-                deflations=len(splits),
+                best=report,
             )
         n, prev = 4 * n, resid
         # warm-start the finer grid only from a factor close enough that no
         # zero of its determinant can have crossed the circle
         A1 = A1 if resid <= 1e-8 * scale else None
+
+
+def wilson_or_best(phi: LaurentHerm, tol_factor: float = 1e-10,
+                   max_iter: int = 500,
+                   grid_log2: int | None = None) -> FactorReport:
+    """`wilson_report`, or the best factor of a run that stalled at a
+    residual of at most BEST_FACTOR_TOL (its report has fallback set)."""
+    try:
+        return wilson_report(phi, tol_factor, max_iter, grid_log2)
+    except FactorizationDiverged as exc:
+        if exc.best is None or not exc.best.residual_sup <= BEST_FACTOR_TOL:
+            raise
+        return exc.best
+
+
+def _jensen_gap(A1: MatPoly, n: int) -> float:
+    """|log|det A1(0)| - mean of log|det A1| over n circle points|."""
+    det = A1.det_poly().coeffs
+    vals = np.fft.fft(det, n=max(n, det.shape[0]))
+    with np.errstate(divide="ignore"):
+        return float(abs(np.log(abs(det[0])) - np.log(np.abs(vals)).mean()))
 
 
 def _boundary_zeros(phi: LaurentHerm):
@@ -241,8 +237,8 @@ def _boundary_zeros(phi: LaurentHerm):
     """
     dm = phi.dim * phi.half_degree
     n = pow2_at_least(max(4 * (2 * dm) + 1, 1024))
-    vals = phi(circle_grid(n))
-    eigs = np.linalg.eigvalsh(vals if phi.is_matrix else vals[:, None, None])
+    vals = phi.circle_values(n)
+    eigs = np.linalg.eigvalsh(vals) if phi.is_matrix else vals.real[:, None]
     if eigs.min() < -1e-8:
         raise NotPositive(f"density dips to {eigs.min():.3e} on the circle")
     floor = _NULL_REL * float(eigs.max())
@@ -332,8 +328,7 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
     and from the Cholesky factor of the grid mean of phi otherwise.
     """
     d = phi.dim
-    z = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)  # half-sample offset
-    vals = phi(z)
+    vals = phi.circle_values(n, offset=0.5)  # half-sample offset
     if not phi.is_matrix:
         vals = vals[:, None, None]
     vals = 0.5 * (vals + np.conj(vals).transpose(0, 2, 1))
@@ -341,7 +336,7 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
         raise SingularIterate("density is identically singular on the circle")
 
     if start is not None:
-        a_grid = start(z)
+        a_grid = start(np.exp(2j * np.pi * (np.arange(n) + 0.5) / n))
     else:
         try:
             chol = np.linalg.cholesky(vals.mean(axis=0))
@@ -356,7 +351,7 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
     stall = 0
     for it in range(1, max_iter + 1):
         try:
-            inv = np.linalg.inv(a_grid)
+            inv = _grid_inv(a_grid)
         except np.linalg.LinAlgError as exc:
             raise SingularIterate("singular iterate on the grid") from exc
         g = np.conj(inv).transpose(0, 2, 1) @ vals @ inv + eye
@@ -380,6 +375,16 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
     return best[1], it
 
 
+def _grid_inv(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of d x d matrices: 1 x 1 ones elementwise, which
+    is some 30 times cheaper than one LAPACK call per grid point."""
+    if a.shape[-1] > 1:
+        return np.linalg.inv(a)
+    if not np.all(a):
+        raise np.linalg.LinAlgError("singular 1 x 1 matrix")
+    return 1.0 / a
+
+
 def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
     """Coefficients 0..m of half-sample offset grid values, A(0) made PD.
 
@@ -401,9 +406,8 @@ def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
 def factor_residual(A: MatPoly, phi: LaurentHerm, n_grid: int = 512) -> float:
     """sup over the circle grid of |A(z)^*A(z) - phi(z)| entrywise."""
     n = max(n_grid, pow2_at_least(4 * max(A.degree, phi.half_degree) + 1))
-    z = circle_grid(n)
-    av = A(z)
-    pv = phi(z)
+    av = A(circle_grid(n))
+    pv = phi.circle_values(n)
     if not phi.is_matrix:
         pv = pv[:, None, None]
     return float(np.abs(np.conj(av).transpose(0, 2, 1) @ av - pv).max())

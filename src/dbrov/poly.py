@@ -329,8 +329,19 @@ class LaurentHerm:
                 return complex(out)
         return out
 
-    def circle_values(self, n_grid: int) -> np.ndarray:
-        return self(circle_grid(n_grid))
+    def circle_values(self, n_grid: int, offset: float = 0.0) -> np.ndarray:
+        """Values at exp(2 pi i (j + offset) / n_grid), j < n_grid, by one FFT.
+
+        z_j^k depends on k only modulo n_grid once the offset phase is taken
+        into the coefficients, so any n_grid works (coefficients alias).
+        """
+        m = self.half_degree
+        ks = np.arange(-m, m + 1)
+        phase = np.exp(2j * np.pi * offset * ks / n_grid)
+        spec = np.zeros((n_grid,) + self.coeffs.shape[1:], dtype=complex)
+        np.add.at(spec, ks % n_grid,
+                  self.coeffs * phase.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)))
+        return np.fft.ifft(spec, axis=0) * n_grid
 
     def min_circle_eig(self, n_grid: int | None = None) -> float:
         """Smallest eigenvalue (scalar: smallest value) over a circle grid."""

@@ -73,18 +73,13 @@ def defect_laurent(B: RowSchur) -> tuple[LaurentHerm, LaurentHerm]:
     """
     q, d = B.degree, B.dim
     rows = B.coeffs
-    scalar = np.zeros(2 * q + 1, dtype=complex)
     matrix = np.zeros((2 * q + 1, d, d), dtype=complex)
     for k in range(q + 1):
-        s = 0j
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(q + 1 - k):
-            s += rows[j + k] @ np.conj(rows[j])
-            m += np.outer(np.conj(rows[j]), rows[j + k])
-        scalar[q + k] = -s
-        scalar[q - k] = -np.conj(s)
+        m = np.conj(rows[: q + 1 - k]).T @ rows[k:]
         matrix[q + k] = -m
         matrix[q - k] = -np.conj(m).T
+    # sum_j <B_{j+k}, B_j> is the trace of the matrix coefficient
+    scalar = np.trace(matrix, axis1=1, axis2=2)
     scalar[q] += 1.0
     matrix[q] += np.eye(d)
     return LaurentHerm(scalar), LaurentHerm(matrix)

@@ -13,6 +13,7 @@ construction.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,12 @@ from .errors import (
     BoundaryNotRegular,
     ConditioningWarning,
     DomainError,
-    FactorizationDiverged,
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import FactorReport, factor_residual, mate_report, outer_check, \
-    wilson_report
+from .factor import mate_report, wilson_or_best
 from .poly import CPoly, MatPoly, VecPoly, _divide_one_minus, circle_grid, \
-    pow2_at_least, poly_roots, toeplitz_conj
+    pow2_at_least, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
 
 UNIMODULAR_TOL = 1e-8
@@ -86,35 +85,23 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    The matrix factorization is pushed well below tol_factor when possible;
-    boundary-degenerate densities that stall are accepted down to 1e-8, since
-    regularizing them would perturb the boundary spectrum.
+    The mate and the matrix factor come from two separate runs of the
+    factorization engine, and the boundary spectrum is read off the
+    unimodular split points of the mate's run, with multiplicity the number
+    of splits at each; no polynomial roots are found.  The matrix
+    factorization is pushed well below tol_factor when possible;
+    boundary-degenerate densities that stall are accepted down to 1e-8,
+    since regularizing them would perturb the boundary spectrum.
     """
     tol = tol or Tolerances()
     m_rep = mate_report(B, tol_psd=tol.tol_psd)
     a = m_rep.factor
-
-    lam = []
-    if a.degree >= 1:
-        for r, mult in poly_roots(a):
-            if abs(abs(r) - 1.0) <= UNIMODULAR_TOL:
-                lam.append((r / abs(r), mult))
-    lam.sort(key=lambda t: np.angle(t[0]))
+    lam = Counter(w / abs(w) for w in m_rep.splits
+                  if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
 
     _, matrix_defect = defect_laurent(B)
-    fallback = False
-    try:
-        w_rep = wilson_report(matrix_defect, tol_factor=min(tol.tol_factor, 1e-12),
-                              max_iter=max_iter, grid_log2=grid_log2)
-    except FactorizationDiverged as exc:
-        if exc.best_factor is None or exc.best_residual is None \
-                or exc.best_residual > 1e-8:
-            raise
-        A = exc.best_factor
-        w_rep = FactorReport(A, factor_residual(A, matrix_defect),
-                             outer_check(A), len(exc.residual_trace or []),
-                             exc.grid, exc.deflations)
-        fallback = True
+    w_rep = wilson_or_best(matrix_defect, tol_factor=min(tol.tol_factor, 1e-12),
+                           max_iter=max_iter, grid_log2=grid_log2)
     A = w_rep.factor
 
     a0_cond = float(np.linalg.cond(A.coeffs[0]))
@@ -127,12 +114,14 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
         "outer_gap_factor": w_rep.outer_gap,
         "factor_iterations": w_rep.iterations,
         "factor_grid": w_rep.grid,
-        "boundary_deflations": w_rep.deflations,
-        "factor_fallback": float(fallback),
+        "boundary_deflations": len(w_rep.splits),
+        "factor_fallback": float(w_rep.fallback),
+        "mate_fallback": float(m_rep.fallback),
         "A0_cond": a0_cond,
         "det_gap_sup": _det_gap(A, a),
     }
-    ctx = SpaceContext(B, a, A, lam, tol, reports)
+    ctx = SpaceContext(B, a, A, sorted(lam.items(), key=lambda t: np.angle(t[0])),
+                       tol, reports)
     _verify_context(ctx)
     return ctx
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,12 +15,13 @@ from dbrov import (
     wilson_report,
 )
 from dbrov.errors import DegenerateDeterminant, MateUndefined, NotPositive
-from dbrov.factor import _wilson_grid, factor_residual
+from dbrov.factor import _jensen_gap, _wilson_grid, factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_grid
 from dbrov.rowschur import defect_laurent
 
 from conftest import assert_close
+from test_random_rows import random_row
 
 SQ8 = 1.0 / (2.0 * np.sqrt(2.0))
 
@@ -52,6 +54,63 @@ class TestMate:
             a = mate(fixture(name).B)
             assert a(0).real > 0
             assert abs(a(0).imag) < 1e-14
+
+
+def _fejer_riesz_mate(B: RowSchur, dps: int = 50) -> np.ndarray:
+    """The mate from the roots of z^m (1 - BB*), found to dps digits.
+
+    An oracle apart from the factorization engine: the defect coefficients
+    c_k = delta_k0 - sum_j <B_{j+k}, B_j> are formed in mpmath, and of each
+    circle-reflected root pair the one outside is kept.  Rounding the input
+    to floats splits a double root on the circle by about sqrt(eps), so the
+    two roots within 1e-6 of the circle (at most one such pair here) are
+    merged into their mean, which is accurate to O(eps), put on the circle.
+    Then a = a0 prod (1 - z / r) with a0^2 = |c_m| prod |r|.
+    """
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpc(complex(x)) for x in row] for row in B.coeffs]
+        q = len(rows) - 1
+        c = [int(k == 0) - mpmath.fsum(
+            rows[j + k][i] * mpmath.conj(rows[j][i])
+            for j in range(q + 1 - k) for i in range(B.dim))
+            for k in range(q + 1)]
+        m = max(k for k in range(q + 1) if k == 0 or abs(c[k]) > 1e-30)
+        desc = c[m:0:-1] + [c[0]] + [mpmath.conj(x) for x in c[1 : m + 1]]
+        roots = mpmath.polyroots(desc, maxsteps=400, extraprec=4 * dps) \
+            if m else []
+        near = [r for r in roots if abs(abs(r) - 1) < 1e-6]
+        outside = [r for r in roots if abs(r) >= 1 + 1e-6]
+        if near:
+            assert len(near) == 2
+            outside.append((near[0] + near[1]) / abs(near[0] + near[1]))
+        assert len(outside) == m
+        poly = [mpmath.sqrt(abs(c[m]) * mpmath.fprod(abs(r) for r in outside))]
+        for r in outside:
+            poly = [x - (poly[j - 1] / r if j else 0)
+                    for j, x in enumerate(poly + [0])]
+        return np.array([complex(x) for x in poly])
+
+
+MATE_ORACLE_ROWS = [pytest.param(fixture(name).B, id=name)
+                    for name in ("SARASON", "ROW2", "TRUNC(3)")] \
+    + [pytest.param(random_row(np.random.default_rng(seed), d, q, 0.9),
+                    id=f"seed{seed}-d{d}-q{q}")
+       for seed, d, q in [(1, 1, 4), (2, 1, 8), (3, 2, 5), (4, 2, 8),
+                          (5, 3, 3), (6, 3, 8)]]
+
+
+@pytest.mark.parametrize("B", MATE_ORACLE_ROWS)
+def test_mate_against_fejer_riesz_oracle(B):
+    a = mate(B).coeffs
+    want = _fejer_riesz_mate(B)
+    n = max(a.shape[0], want.shape[0])
+    assert np.abs(np.pad(a, (0, n - a.shape[0]))
+                  - np.pad(want, (0, n - want.shape[0]))).max() <= 1e-10
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpc(complex(x)) for x in a[::-1]],
+                                 maxsteps=400, extraprec=200) \
+            if a.shape[0] > 1 else []
+    assert all(abs(r) >= 1 - 1e-8 for r in roots)
 
 
 class TestWilson:
@@ -113,6 +172,23 @@ class TestOuterCheck:
     def test_degenerate_determinant(self):
         with pytest.raises(DegenerateDeterminant):
             outer_check(CPoly([0.0]))
+
+
+class TestJensenGap:
+    """The root-free outer gap against the one `outer_check` gets from roots."""
+
+    @pytest.mark.parametrize("coeffs", [[-0.5, 1.0], [1.0, 0.3, -0.2j],
+                                        [0.2, 1.0, 0.5 + 0.5j], [2.0, -1.0]])
+    def test_matches_roots(self, coeffs):
+        A = MatPoly(np.array(coeffs, dtype=complex)[:, None, None])
+        assert abs(_jensen_gap(A, 4096) - outer_check(CPoly(coeffs))) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
+    def test_engine_factors_are_outer(self, name):
+        _, matrix = defect_laurent(fixture(name).B)
+        rep = wilson_report(matrix)
+        assert rep.outer_gap <= 1e-12
+        assert outer_check(rep.factor) <= 1e-8
 
 
 def test_wilson_defect_residual_tight():

@@ -152,6 +152,36 @@ class TestDefects:
         gram = np.einsum("ni,nj->nij", np.conj(bv), bv)
         assert_close(mv, np.eye(B.dim) - gram, 1e-12, "matrix defect on circle")
 
+    @pytest.mark.parametrize("d,q", [(1, 6), (3, 4), (5, 9)])
+    def test_matches_lag_loop(self, d, q):
+        # reference: the sums over j and lag k written out term by term
+        rng = np.random.default_rng(d * 10 + q)
+        c = rng.normal(size=(q + 1, d)) + 1j * rng.normal(size=(q + 1, d))
+        B = RowSchur(0.9 * c / np.abs(c).sum(axis=0).max() / np.sqrt(d))
+        rows = B.coeffs
+        scalar = np.zeros(2 * q + 1, dtype=complex)
+        matrix = np.zeros((2 * q + 1, d, d), dtype=complex)
+        for k in range(q + 1):
+            for j in range(q + 1 - k):
+                scalar[q + k] -= rows[j + k] @ np.conj(rows[j])
+                matrix[q + k] -= np.outer(np.conj(rows[j]), rows[j + k])
+            scalar[q - k] = np.conj(scalar[q + k])
+            matrix[q - k] = np.conj(matrix[q + k]).T
+        scalar[q] += 1.0
+        matrix[q] += np.eye(d)
+        got_s, got_m = defect_laurent(B)
+        assert_close(got_s.coeffs, scalar, 1e-15, "scalar defect")
+        assert_close(got_m.coeffs, matrix, 1e-15, "matrix defect")
+
+    @pytest.mark.parametrize("n", [7, 64])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_circle_values_by_fft(self, n, offset):
+        # n = 7 < 2m + 1 aliases the coefficients; both must match the sum
+        for phi in defect_laurent(fixture("TRUNC(5)").B):
+            z = np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+            assert_close(phi.circle_values(n, offset), phi(z), 1e-14,
+                         "grid values")
+
     def test_row_validation(self):
         with pytest.raises(Exception):
             RowSchur([[2.0]])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dbrov import CPoly, RowSchur, embed, hb_inner, kernel, make_context
-from dbrov.poly import circle_grid
+from dbrov.errors import DbrovError, NumericsError, RootFindingFailed
+from dbrov.verify import run_checks
 
 
 def _row_norm_sq(c, theta):
@@ -15,8 +16,8 @@ def _row_norm_sq(c, theta):
     return (np.abs(vals) ** 2).sum(axis=-1)
 
 
-def random_row(rng, d, q, target_sup, dense=1 << 14):
-    c = rng.normal(size=(q + 1, d)) + 1j * rng.normal(size=(q + 1, d))
+def sup_angle(c, dense=1 << 14):
+    """Angle where |B| attains its sup on the circle, for coefficients c."""
     thetas = 2 * np.pi * np.arange(dense) / dense
     j = int(np.argmax(_row_norm_sq(c, thetas)))
     # ternary refinement of the sup so the normalized row is truly Schur
@@ -27,7 +28,12 @@ def random_row(rng, d, q, target_sup, dense=1 << 14):
             lo = m1
         else:
             hi = m2
-    sup = float(np.sqrt(_row_norm_sq(c, 0.5 * (lo + hi))))
+    return 0.5 * (lo + hi)
+
+
+def random_row(rng, d, q, target_sup, dense=1 << 14):
+    c = rng.normal(size=(q + 1, d)) + 1j * rng.normal(size=(q + 1, d))
+    sup = float(np.sqrt(_row_norm_sq(c, sup_angle(c, dense))))
     return RowSchur(c * (target_sup / sup))
 
 
@@ -71,3 +77,58 @@ def test_rows_nearly_touching_the_circle(seed, d, q):
     assert ctx.reports["boundary_deflations"] >= 1
     assert ctx.reports["factor_residual_sup"] <= 1e-12
     assert ctx.reports["det_gap_sup"] <= 1e-10
+
+
+@pytest.mark.parametrize("sup", [0.9, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("q", [40, 60, 80])
+def test_large_degree_rows(q, seed, sup):
+    # no roots are found: the mate, its boundary zeros and both outer gaps
+    # come from the factorization engine, which Aberth failed on at q >= 32
+    B = random_row(np.random.default_rng(seed), 2, q, sup)
+    ctx = make_context(B)
+    assert ctx.reports["mate_residual_sup"] <= 1e-12
+    assert ctx.reports["det_gap_sup"] <= 1e-10
+    if sup < 1.0:
+        assert ctx.Lambda == ()
+    else:
+        touch = np.exp(1j * sup_angle(B.coeffs))
+        assert min(abs(lam - touch) for lam, _ in ctx.Lambda) <= 1e-6
+
+
+def test_stalled_factor_fallback_is_root_free():
+    # both runs stall near 2e-12 here; the best factor is taken with the
+    # Jensen gap of its run, not an outer check through roots
+    B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
+    try:
+        ctx = make_context(B)
+    except DbrovError as exc:
+        assert not isinstance(exc, RootFindingFailed)
+        return
+    assert ctx.reports["factor_fallback"] == 1.0
+    assert ctx.reports["outer_gap_factor"] <= 1e-12
+
+
+NEAR_ROWS = [(d, q, seed) for d in (1, 2, 4, 8) for q in (4, 8, 12, 16)
+             for seed in (1, 2, 3)]
+# the rows of NEAR_ROWS that build: all 48 (none did while the mate came
+# from pairing defect roots, which put its zero on the circle)
+NEAR_BUILT = list(NEAR_ROWS)
+
+
+@pytest.mark.parametrize("d,q,seed", NEAR_ROWS)
+def test_rows_touching_within_1e_9(d, q, seed):
+    # sup 1 - 1e-9: the defect's zeros sit ~1e-5 off the circle, so the mate
+    # has no boundary zero and det A = a must hold to the factor's accuracy
+    B = random_row(np.random.default_rng(seed), d, q, 1.0 - 1e-9)
+    try:
+        results = run_checks(B)
+    except NumericsError as exc:
+        assert "det A vs mate" not in str(exc)
+        assert (d, q, seed) not in NEAR_BUILT
+        return
+    except DbrovError:
+        assert (d, q, seed) not in NEAR_BUILT
+        return
+    assert (d, q, seed) in NEAR_BUILT
+    assert [r.name for r in results if not r.passed] == []
