@@ -18,13 +18,11 @@ from .boundary import (
 from .cyclic import (
     CyclicityCertificate,
     SpectrumSweep,
-    boundary_spectrum,
     cyclicity,
     is_outer,
     spectrum_crosscheck,
 )
-from .factor import FactorReport, mate, mate_report, outer_check, \
-    wilson_factor, wilson_report
+from .factor import FactorReport, mate_report, outer_check, wilson_report
 from .fixtures import Fixture, fixture
 from .poly import CPoly, LaurentHerm, MatPoly, VecPoly, poly_roots, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
@@ -49,14 +47,13 @@ __all__ = [
     "BoundaryReport", "ClarkMeasure", "CPoly", "CyclicityCertificate",
     "FactorReport", "Fixture", "HBElement", "LaurentHerm", "MatPoly",
     "RowSchur", "SpaceContext", "SpectrumSweep", "Tolerances", "VecPoly",
-    "backward_shift", "boundary_spectrum", "caratheodory", "clark",
+    "backward_shift", "caratheodory", "clark",
     "cyclicity", "defect_laurent", "density_residual", "embed", "errors",
     "fixture", "gram", "hb_inner", "is_outer", "kernel", "kernel_convergence",
-    "make_context", "mate", "mate_report", "multiply_z", "outer_check",
+    "make_context", "mate_report", "multiply_z", "outer_check",
     "point_eval_residual", "poly_roots", "rank_one_identity_defect",
     "spectrum_crosscheck", "toeplitz_conj", "toeplitz_conj_hb",
-    "trunc_limit_pairing", "trunc_limit_slope", "wilson_factor",
-    "wilson_report",
+    "trunc_limit_pairing", "trunc_limit_slope", "wilson_report",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
-from .poly import CPoly, poly_roots
+from .poly import CPoly, angle_derivatives, autocorrelation, poly_roots
 from .space import UNIMODULAR_TOL, SpaceContext, hb_inner, kernel
 
 
@@ -59,9 +59,9 @@ class ClarkMeasure:
     def ac_mass(self) -> float:
         return self.total_mass - sum(m for _, m in self.point_masses)
 
-    def mass_at(self, lam: complex, tol: float = 1e-8) -> float:
+    def mass_at(self, lam: complex) -> float:
         for l, m in self.point_masses:
-            if abs(l - lam) <= tol:
+            if abs(l - lam) <= UNIMODULAR_TOL:
                 return m
         return 0.0
 
@@ -104,16 +104,16 @@ def caratheodory(ctx: SpaceContext, lam) -> BoundaryReport:
                           radial, mass)
 
 
-def radial_extrapolate(sample, k_range=range(4, 21)) -> float:
-    """Radial boundary limit of sample(r) over r = 1 - 2^-k by extrapolation."""
-    return _richardson([sample(1.0 - 2.0 ** (-k)) for k in k_range])
+def radial_extrapolate(sample) -> float:
+    """Radial boundary limit of sample(r) over r = 1 - 2^-k, k = 4..20."""
+    return _richardson([sample(1.0 - 2.0 ** (-k)) for k in range(4, 21)])
 
 
-def _richardson(values, ratio: float = 2.0, max_col: int = 6) -> float:
-    """Neville table for samples at geometrically shrinking steps h_k."""
+def _richardson(values) -> float:
+    """Neville table, six columns, for samples at steps h_k halving each time."""
     table = np.asarray(values, dtype=float)
-    for j in range(1, min(max_col, table.shape[0] - 1) + 1):
-        table = table[1:] + (table[1:] - table[:-1]) / (ratio ** j - 1.0)
+    for j in range(1, min(6, table.shape[0] - 1) + 1):
+        table = table[1:] + (table[1:] - table[:-1]) / (2.0 ** j - 1.0)
     return float(table[-1])
 
 
@@ -161,8 +161,10 @@ def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
     fill = den < 1e-13
     density[~fill] = num[~fill] / den[~fill]
     if fill.any():
-        d_lau = _scalar_defect_coeffs(b)
-        e_lau = _product_conj_coeffs(one_minus)
+        # 1 - |b|^2 and |1 - b|^2 as trigonometric polynomials
+        d_lau = -autocorrelation(b.coeffs)
+        d_lau[b.degree] += 1.0
+        e_lau = autocorrelation(one_minus.coeffs)
         for j in np.nonzero(fill)[0]:
             density[j] = _removable_ratio(d_lau, e_lau, thetas[j])
     if density.min() < -1e-9:
@@ -176,39 +178,10 @@ def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
     return measure
 
 
-def _scalar_defect_coeffs(b: CPoly) -> np.ndarray:
-    """Laurent coefficients of 1 - b(z) b(z)* for |z| = 1, indices k+q."""
-    c = b.coeffs
-    q = max(b.degree, 0)
-    out = np.zeros(2 * q + 1, dtype=complex)
-    for k in range(q + 1):
-        s = np.sum(c[k:] * np.conj(c[: c.shape[0] - k])) if c.shape[0] > k else 0.0
-        out[q + k] = -s
-        out[q - k] = -np.conj(s)
-    out[q] += 1.0
-    return out
-
-
-def _product_conj_coeffs(p: CPoly) -> np.ndarray:
-    """Laurent coefficients of p(z) p(z)* for |z| = 1, indices k+n."""
-    c = p.coeffs
-    n = max(p.degree, 0)
-    out = np.zeros(2 * n + 1, dtype=complex)
-    for k in range(n + 1):
-        s = np.sum(c[k:] * np.conj(c[: c.shape[0] - k])) if c.shape[0] > k else 0.0
-        out[n + k] = s
-        out[n - k] = np.conj(s)
-    return out
-
-
 def _removable_ratio(d_lau: np.ndarray, e_lau: np.ndarray, theta: float) -> float:
     """Limit of two trig polynomials with matching double zeros at theta."""
-    dm = d_lau.shape[0] // 2
-    em = e_lau.shape[0] // 2
-    ks_d = np.arange(-dm, dm + 1)
-    ks_e = np.arange(-em, em + 1)
-    num = -np.sum(ks_d ** 2 * d_lau * np.exp(1j * ks_d * theta)).real
-    den = -np.sum(ks_e ** 2 * e_lau * np.exp(1j * ks_e * theta)).real
+    num = angle_derivatives(d_lau, theta)[2]
+    den = angle_derivatives(e_lau, theta)[2]
     if abs(den) < 1e-14:
         raise HigherOrderBoundaryZero(
             "density limit is 0/0 beyond second order at a mass point"

@@ -19,13 +19,7 @@ from .errors import DbrovError, ValidationError
 from .fixtures import fixture
 from .poly import CPoly
 from .schema import ProblemSpec, parse_problem
-from .space import (
-    Tolerances,
-    _density_residuals,
-    embed,
-    kernel,
-    make_context,
-)
+from .space import _density_residuals, embed, kernel, make_context
 from .verify import run_checks
 
 COMMANDS = ("analyze", "norm", "kernel", "clark", "caratheodory", "cyclic",
@@ -76,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(ZERO, SARASON, ROW2, FLAT, TRUNC(d))")
     parser.add_argument("--payload", metavar="JSON",
                         help="inline JSON with command arguments "
-                             "(f, w, xi, lambda, N, radii), for --fixture runs")
+                             "(f, w, xi, lambda, N), for --fixture runs")
     parser.add_argument("--out", metavar="PATH", help="write output here")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--tol-factor", type=float, default=None)
@@ -87,10 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args) -> ProblemSpec:
+    """The decoded spec with the flags merged in, validated as one object."""
+    B = None
     if args.fixture:
         B = fixture(args.fixture).B
         data = json.loads(args.payload) if args.payload else {}
-        spec = parse_problem(data, B=B)
     else:
         if args.payload:
             raise ValidationError("--payload requires --fixture")
@@ -99,20 +94,15 @@ def _load_spec(args) -> ProblemSpec:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-        spec = parse_problem(data)
-    if args.tol_factor is not None:
-        spec.tolerances = Tolerances(
-            tol_psd=spec.tolerances.tol_psd,
-            tol_factor=args.tol_factor,
-            tol_outer=spec.tolerances.tol_outer,
-            tol_eval=spec.tolerances.tol_eval,
-        )
-    if args.grid_log2 is not None:
-        spec.grid_log2 = args.grid_log2
-    if args.max_iter is not None:
-        spec.max_iter = args.max_iter
-    if args.seed is not None:
-        spec.seed = args.seed
+    if not isinstance(data, dict):
+        raise ValidationError("problem spec must be a JSON object")
+    tolerances = data.get("tolerances", {})
+    if args.tol_factor is not None and isinstance(tolerances, dict):
+        data["tolerances"] = {**tolerances, "tol_factor": args.tol_factor}
+    for key in ("grid_log2", "max_iter", "seed"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
+    spec = parse_problem(data, B=B)
     if args.format is None:
         args.format = "csv" if args.command in ("density", "crosscheck") else "json"
     elif args.format == "csv" and args.command not in ("density", "crosscheck"):

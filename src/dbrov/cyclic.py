@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InconclusiveGap, ValidationError, ZeroFunction
 from .poly import CPoly, poly_roots
-from .space import SpaceContext, _point_residuals
+from .space import UNIMODULAR_TOL, SpaceContext, _point_residuals
 
 BOUNDARY_ZERO_REL = 1e-8
 
@@ -40,28 +40,23 @@ class SpectrumSweep:
     order: int
 
 
-def is_outer(f: CPoly, tol: float = 1e-8):
-    """(flag, interior_roots): outer iff every root has |root| >= 1 - tol."""
+def is_outer(f: CPoly):
+    """(flag, interior_roots): outer iff all roots have |r| >= 1 - UNIMODULAR_TOL."""
     f = f if isinstance(f, CPoly) else CPoly(f)
     if f.is_zero:
         raise ZeroFunction("the zero function is neither outer nor cyclic")
     if f.degree == 0:
         return True, []
-    interior = [(r, m) for r, m in poly_roots(f) if abs(r) < 1.0 - tol]
+    interior = [(r, m) for r, m in poly_roots(f) if abs(r) < 1.0 - UNIMODULAR_TOL]
     return len(interior) == 0, interior
 
 
-def boundary_spectrum(ctx: SpaceContext):
-    """The unimodular mate zeros (lam_j, multiplicity), angle-sorted."""
-    return list(ctx.Lambda)
-
-
-def cyclicity(ctx: SpaceContext, f, tol: float = 1e-8) -> CyclicityCertificate:
+def cyclicity(ctx: SpaceContext, f) -> CyclicityCertificate:
     """Certificate for cyclicity of the polynomial f in the space."""
     f = f if isinstance(f, CPoly) else CPoly(f)
     if f.is_zero:
         raise ZeroFunction("the zero function is not cyclic")
-    outer, interior = is_outer(f, tol)
+    outer, interior = is_outer(f)
     scale = float(np.abs(f.coeffs).max())
     checks = []
     for lam, _ in ctx.Lambda:
@@ -112,11 +107,11 @@ def spectrum_crosscheck(ctx: SpaceContext, N: int,
     return SpectrumSweep(tuple(entries), ratio, N)
 
 
-def _default_controls(ctx: SpaceContext, count: int = 4):
-    """The count of 4 * count circle points farthest from the spectrum."""
-    points = np.exp(1j * (np.linspace(0.0, 2.0 * np.pi, 4 * count,
+def _default_controls(ctx: SpaceContext):
+    """The 4 of 16 circle points farthest from the spectrum."""
+    points = np.exp(1j * (np.linspace(0.0, 2.0 * np.pi, 16,
                                       endpoint=False) + 0.5))
     dist = np.array([min((abs(z - lam) for lam, _ in ctx.Lambda),
                          default=np.inf) for z in points])
-    keep = np.sort(np.argsort(-dist, kind="stable")[:count])
+    keep = np.sort(np.argsort(-dist, kind="stable")[:4])
     return [complex(points[i]) for i in keep if dist[i] > 0.2]

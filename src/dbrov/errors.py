@@ -14,7 +14,7 @@ class DomainError(DbrovError):
 
 
 class RootFindingFailed(DbrovError):
-    """Simultaneous root iteration did not converge."""
+    """A computed root fails the residual test against its polynomial."""
 
     def __init__(self, message, best_residuals=None):
         super().__init__(message)

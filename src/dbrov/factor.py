@@ -23,7 +23,7 @@ from .errors import (
     SingularIterate,
 )
 from .poly import CPoly, LaurentHerm, MatPoly, _divide_one_minus, \
-    circle_grid, poly_roots, pow2_at_least
+    angle_derivatives, circle_grid, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 
 ZERO_DEFECT_TOL = 1e-12
@@ -49,11 +49,6 @@ class FactorReport:
     fallback: bool = False
 
 
-def mate(B: RowSchur, tol_psd: float = 1e-8) -> CPoly:
-    """The outer polynomial a with |a|^2 = 1 - BB* on the circle, a(0) > 0."""
-    return mate_report(B, tol_psd=tol_psd).factor
-
-
 def mate_report(B: RowSchur, tol_psd: float = 1e-8) -> FactorReport:
     """The mate as the d = 1 case of `wilson_report`, on 1 - BB*.
 
@@ -65,7 +60,11 @@ def mate_report(B: RowSchur, tol_psd: float = 1e-8) -> FactorReport:
     at a residual of at most BEST_FACTOR_TOL returns its best factor, with
     fallback set.
     """
-    scalar, _ = defect_laurent(B)
+    return _mate_report(B, defect_laurent(B)[0], tol_psd)
+
+
+def _mate_report(B: RowSchur, scalar: LaurentHerm, tol_psd: float) -> FactorReport:
+    """`mate_report` for the scalar defect 1 - BB* of B, computed once."""
     if np.abs(scalar.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
     low = scalar.min_circle_eig()
@@ -86,12 +85,8 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
     below 1e-15 (three steps left 1e-11 rad, and a 3e-9 factor residual, at
     degree 60).
     """
-    m = laurent_coeffs.shape[0] // 2
-    ks = np.arange(-m, m + 1)
     for _ in range(20):
-        e = np.exp(1j * ks * theta)
-        d1 = np.sum(1j * ks * laurent_coeffs * e).real
-        d2 = np.sum(-(ks ** 2) * laurent_coeffs * e).real
+        _, d1, d2 = angle_derivatives(laurent_coeffs, theta)
         if abs(d2) < 1e-14:
             break
         step = d1 / d2
@@ -101,16 +96,10 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
     return theta
 
 
-def _mate_residual(B: RowSchur, a: CPoly, n_grid: int = 512) -> float:
-    z = circle_grid(max(n_grid, pow2_at_least(4 * max(B.degree, a.degree) + 1)))
+def _mate_residual(B: RowSchur, a: CPoly) -> float:
+    z = circle_grid(max(512, pow2_at_least(4 * max(B.degree, a.degree) + 1)))
     bb = (np.abs(B(z)) ** 2).sum(axis=-1)
     return float(np.abs(np.abs(a(z)) ** 2 + bb - 1.0).max())
-
-
-def wilson_factor(phi: LaurentHerm, tol_factor: float = 1e-10,
-                  max_iter: int = 500, grid_log2: int | None = None) -> MatPoly:
-    """Outer matrix factor A with A(z)^*A(z) = phi(z) on the circle."""
-    return wilson_report(phi, tol_factor, max_iter, grid_log2).factor
 
 
 # the grid iterates the split density to this residual, not just to
@@ -248,14 +237,11 @@ def _boundary_zeros(phi: LaurentHerm):
         return [], floor
     spec = np.fft.fft(dets) / n
     lau = np.concatenate([spec[n - dm :], spec[: dm + 1]])
-    ks = np.arange(-dm, dm + 1)
     out: list[complex] = []
     minima = (dets < np.roll(dets, 1)) & (dets < np.roll(dets, -1))
     for j in np.nonzero(minima)[0]:
         theta = _refine_boundary_angle(lau, 2.0 * np.pi * j / n)
-        e = np.exp(1j * ks * theta)
-        value = float(np.sum(lau * e).real)
-        curv = float(np.sum(-(ks ** 2) * lau * e).real)
+        value, _, curv = angle_derivatives(lau, theta)
         w = complex(np.exp(1j * theta))
         if value > 1e-10 * top:
             if curv <= 0 or 2 * value >= _NEAR ** 2 * curv:
@@ -403,9 +389,9 @@ def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
     return MatPoly(np.einsum("ij,kjl->kil", u, coeffs), dim=d)
 
 
-def factor_residual(A: MatPoly, phi: LaurentHerm, n_grid: int = 512) -> float:
+def factor_residual(A: MatPoly, phi: LaurentHerm) -> float:
     """sup over the circle grid of |A(z)^*A(z) - phi(z)| entrywise."""
-    n = max(n_grid, pow2_at_least(4 * max(A.degree, phi.half_degree) + 1))
+    n = max(512, pow2_at_least(4 * max(A.degree, phi.half_degree) + 1))
     av = A(circle_grid(n))
     pv = phi.circle_values(n)
     if not phi.is_matrix:

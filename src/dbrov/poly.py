@@ -64,6 +64,44 @@ def _divide_one_minus(h: np.ndarray, c: complex) -> np.ndarray:
     return g
 
 
+def horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_k coeffs[k] z^k by Horner's rule, for every point of z.
+
+    The trailing dimensions of the coefficients are kept: the result has
+    shape z.shape + coeffs.shape[1:].
+    """
+    z = np.asarray(z)
+    zz = z.reshape(z.shape + (1,) * (coeffs.ndim - 1))
+    out = np.zeros(z.shape + coeffs.shape[1:], dtype=np.result_type(coeffs, z))
+    for c in coeffs[::-1]:
+        out = out * zz + c
+    return out
+
+
+def autocorrelation(c: np.ndarray) -> np.ndarray:
+    """Coefficients sum_j c_j^* c_{j+k} for k = -q..q, stored at index k + q.
+
+    The c_j are scalars or rows of C^d (then c_j^* c_{j+k} is a d x d
+    matrix); on the unit circle sum_k out[k + q] z^k = c(z)^* c(z).
+    """
+    q = c.shape[0] - 1
+    out = np.zeros((2 * q + 1,) + c.shape[1:] + c.shape[1:], dtype=complex)
+    for k in range(q + 1):
+        s = np.conj(c[: q + 1 - k]).T @ c[k:]
+        out[q + k] = s
+        out[q - k] = np.conj(s).T
+    return out
+
+
+def angle_derivatives(coeffs: np.ndarray, theta: float) -> np.ndarray:
+    """Real parts of the value and the first two theta-derivatives of
+    sum_{k=-m..m} c_k e^{ik theta}, for coefficients stored at index k + m."""
+    m = coeffs.shape[0] // 2
+    ik = 1j * np.arange(-m, m + 1)
+    e = np.exp(ik * theta)
+    return (ik ** np.arange(3)[:, None] * coeffs * e).sum(axis=1).real
+
+
 class CPoly:
     """Scalar polynomial with complex coefficients."""
 
@@ -94,14 +132,8 @@ class CPoly:
     def is_zero(self) -> bool:
         return self.coeffs.shape[0] == 0
 
-    def coeff(self, k: int) -> complex:
-        return complex(self.coeffs[k]) if 0 <= k < self.coeffs.shape[0] else 0j
-
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for c in self.coeffs[::-1]:
-            out = out * z + c
+        out = horner(self.coeffs, z)
         return complex(out) if out.ndim == 0 else out
 
     def __add__(self, other):
@@ -185,17 +217,8 @@ class VecPoly:
     def is_zero(self) -> bool:
         return self.coeffs.shape[0] == 0
 
-    def coordinate(self, i: int) -> CPoly:
-        if self.is_zero:
-            return CPoly.zero()
-        return CPoly(self.coeffs[:, i])
-
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape + (self.dim,), dtype=complex)
-        for row in self.coeffs[::-1]:
-            out = out * z[..., None] + row
-        return out
+        return horner(self.coeffs, z)
 
     def backward(self) -> "VecPoly":
         return VecPoly(self.coeffs[1:], dim=self.dim)
@@ -230,11 +253,7 @@ class MatPoly:
         return self.coeffs.shape[0] - 1
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape + (self.dim, self.dim), dtype=complex)
-        for mat in self.coeffs[::-1]:
-            out = out * z[..., None, None] + mat
-        return out
+        return horner(self.coeffs, z)
 
     def matvec_const(self, x) -> VecPoly:
         """A(z) x for a constant vector x."""
@@ -306,12 +325,6 @@ class LaurentHerm:
     def is_matrix(self) -> bool:
         return self.coeffs.ndim == 3
 
-    def coeff(self, k: int):
-        m = self.half_degree
-        if -m <= k <= m:
-            return self.coeffs[k + m]
-        return np.zeros((self.dim, self.dim), dtype=complex) if self.is_matrix else 0j
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if np.any(z == 0):
@@ -343,9 +356,9 @@ class LaurentHerm:
                   self.coeffs * phase.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)))
         return np.fft.ifft(spec, axis=0) * n_grid
 
-    def min_circle_eig(self, n_grid: int | None = None) -> float:
+    def min_circle_eig(self) -> float:
         """Smallest eigenvalue (scalar: smallest value) over a circle grid."""
-        n = n_grid or pow2_at_least(max(4 * 2 * self.half_degree + 1, 512))
+        n = pow2_at_least(max(4 * 2 * self.half_degree + 1, 512))
         vals = self.circle_values(n)
         if self.is_matrix:
             return float(np.linalg.eigvalsh(vals).min())
@@ -408,37 +421,24 @@ def toeplitz_conj(phi, g):
 
 
 # ---------------------------------------------------------------------------
-# root finding: Aberth-Ehrlich simultaneous iteration with cluster merging
+# root finding: companion-matrix eigenvalues with cluster merging
+
+# a root is accepted when |p| is within 100 (n + 1) TOL_ROOT of its scale
+TOL_ROOT = 1e-13
+# roots this close, relative to 1 + |root|, always fall into one cluster
+CLUSTER_TOL = 1e-8
 
 
-def _poly_and_deriv(coeffs: np.ndarray, z: np.ndarray):
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _eval_scale(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_j |c_j| |z|^j, the natural backward-error scale at z."""
-    az = np.abs(z)
-    out = np.zeros_like(az)
-    for c in np.abs(coeffs[::-1]):
-        out = out * az + c
-    return out
-
-
-def poly_roots(p: CPoly, tol_root: float = 1e-13, max_iter: int = 200,
-               cluster_tol: float = 1e-8):
+def poly_roots(p: CPoly):
     """All roots of p with multiplicities.
 
-    Aberth-Ehrlich simultaneous iteration from randomly perturbed points on a
-    circle enclosing all roots, followed by cluster merging and a
-    multiplicity-aware Newton polish of each cluster center.  Returns a list
-    of (root, multiplicity) sorted by (real, imag); multiplicities sum to the
-    degree.  Raises RootFindingFailed (with the best residuals attached) on
-    non-convergence.
+    The eigenvalues of the companion matrix of p / p_n, which are backward
+    stable for the polynomial (Edelman & Murakami, Math. Comp. 64, 1995),
+    followed by cluster merging and a multiplicity-aware Newton polish of
+    each cluster center.  Returns a list of (root, multiplicity) sorted by
+    (real, imag); multiplicities sum to the degree.  Raises
+    RootFindingFailed (with the residual attached) when a polished center
+    does not meet the residual test.
     """
     if p.is_zero:
         raise DomainError("cannot compute roots of the zero polynomial")
@@ -452,12 +452,16 @@ def poly_roots(p: CPoly, tol_root: float = 1e-13, max_iter: int = 200,
         out.append((0j, roots_at_zero))
     n = c.shape[0] - 1
     if n >= 1:
-        found = _aberth(c, tol_root, max_iter)
-        for center, mult in _merge_clusters(found, c, cluster_tol):
-            center = _polish_multiple(c, center, mult)
-            resid = abs(_poly_and_deriv(c, np.array([center]))[0][0])
-            scale = float(_eval_scale(c, np.array([center]))[0])
-            if resid > 100 * (n + 1) * max(tol_root, 1e-15) * max(scale, 1e-300):
+        dc = c[1:] * np.arange(1, n + 1)
+        companion = np.diag(np.ones(n - 1, dtype=complex), -1)
+        companion[:, -1] = -c[:-1] / c[-1]
+        found = np.linalg.eigvals(companion)
+        for center, mult in _merge_clusters(found, c, dc):
+            center = _polish_multiple(c, dc, center, mult)
+            resid = float(abs(horner(c, center)))
+            # sum_j |c_j| |z|^j, the natural backward-error scale at z
+            scale = float(horner(np.abs(c), abs(center)))
+            if resid > 100 * (n + 1) * TOL_ROOT * max(scale, 1e-300):
                 raise RootFindingFailed(
                     f"residual {resid:.3e} too large at root {center}",
                     best_residuals=[resid],
@@ -467,48 +471,7 @@ def poly_roots(p: CPoly, tol_root: float = 1e-13, max_iter: int = 200,
     return out
 
 
-def _aberth(c: np.ndarray, tol_root: float, max_iter: int) -> np.ndarray:
-    n = c.shape[0] - 1
-    if n == 1:
-        return np.array([-c[0] / c[1]])
-    rng = np.random.default_rng(0x5EED)
-    radius = 1.0 + np.max(np.abs(c[:-1] / c[-1])) if n > 0 else 1.0
-    angles = 2 * np.pi * (np.arange(n) + rng.uniform(0.2, 0.8, n)) / n
-    z = radius * np.exp(1j * angles)
-    eps_floor = np.finfo(float).eps
-    best = None
-    for _ in range(max_iter):
-        pv, dv = _poly_and_deriv(c, z)
-        scale = _eval_scale(c, z)
-        resid = np.abs(pv) / np.maximum(scale, 1e-300)
-        if best is None or resid.max() < best[0]:
-            best = (resid.max(), z.copy(), np.abs(pv))
-        done = resid <= 4 * (n + 1) * eps_floor
-        if np.all(done):
-            return z
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            s = np.sum(1.0 / diff, axis=1) - 1.0 / np.diag(diff)
-            denom = 1.0 - newton * s
-            step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
-        step = np.where(done, 0.0, step)
-        z = z - step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
-            pv2, _ = _poly_and_deriv(c, z)
-            resid2 = np.abs(pv2) / np.maximum(_eval_scale(c, z), 1e-300)
-            if resid2.max() <= max(tol_root, 64 * (n + 1) * eps_floor):
-                return z
-    if best is not None and best[0] <= max(tol_root, 1e4 * (n + 1) * eps_floor):
-        return best[1]
-    raise RootFindingFailed(
-        f"Aberth iteration did not converge in {max_iter} steps",
-        best_residuals=None if best is None else list(best[2]),
-    )
-
-
-def _merge_clusters(roots: np.ndarray, c: np.ndarray, cluster_tol: float):
+def _merge_clusters(roots: np.ndarray, c: np.ndarray, dc: np.ndarray):
     """Merge nearby roots; radii widen with the local Newton correction.
 
     A multiple root computed in floating point scatters into a cluster of
@@ -518,11 +481,11 @@ def _merge_clusters(roots: np.ndarray, c: np.ndarray, cluster_tol: float):
     k = roots.shape[0]
     if k == 0:
         return []
-    pv, dv = _poly_and_deriv(c, roots)
+    pv, dv = horner(c, roots), horner(dc, roots)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(dv != 0, np.abs(pv / np.where(dv == 0, 1, dv)), np.inf)
     corr = np.where(np.isfinite(corr), corr, np.abs(roots) + 1.0)
-    radii = np.maximum(cluster_tol * (1.0 + np.abs(roots)), 3.0 * corr)
+    radii = np.maximum(CLUSTER_TOL * (1.0 + np.abs(roots)), 3.0 * corr)
     parent = list(range(k))
 
     def find(i):
@@ -541,23 +504,24 @@ def _merge_clusters(roots: np.ndarray, c: np.ndarray, cluster_tol: float):
     return [(complex(np.mean(roots[idx])), len(idx)) for idx in groups.values()]
 
 
-def _polish_multiple(c: np.ndarray, center: complex, mult: int) -> complex:
+def _polish_multiple(c: np.ndarray, dc: np.ndarray, center: complex,
+                     mult: int) -> complex:
     """Newton polish x -> x - m p/p', quadratic for multiplicity-m roots.
 
     Keeps the best point seen: near the rounding floor the correction is
     noise-dominated and a step can move away from the root.
     """
     z = center
-    best = (abs(_poly_and_deriv(c, np.array([z]))[0][0]), z)
+    best = (abs(horner(c, z)), z)
     for _ in range(4):
-        pv, dv = _poly_and_deriv(c, np.array([z]))
-        if dv[0] == 0:
+        pv, dv = horner(c, z), horner(dc, z)
+        if dv == 0:
             break
-        step = mult * pv[0] / dv[0]
+        step = mult * pv / dv
         if not np.isfinite(step):
             break
         z = z - step
-        resid = abs(_poly_and_deriv(c, np.array([z]))[0][0])
+        resid = abs(horner(c, z))
         if resid < best[0]:
             best = (resid, z)
         if abs(step) <= 1e-16 * (1.0 + abs(z)):

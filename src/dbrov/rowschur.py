@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .poly import CPoly, LaurentHerm, VecPoly, circle_grid, pow2_at_least
+from .poly import CPoly, LaurentHerm, VecPoly, autocorrelation, circle_grid, \
+    horner, pow2_at_least
 
 
 class RowSchur:
@@ -31,11 +32,7 @@ class RowSchur:
             )
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape + (self.dim,), dtype=complex)
-        for row in self.coeffs[::-1]:
-            out = out * z[..., None] + row
-        return out
+        return horner(self.coeffs, z)
 
     def coordinate(self, i: int) -> CPoly:
         return CPoly(self.coeffs[:, i])
@@ -53,8 +50,8 @@ class RowSchur:
             out[k : k + h.degree + 1] += h.coeffs @ self.coeffs[k]
         return CPoly(out)
 
-    def sup_norm(self, n_grid: int | None = None) -> float:
-        n = n_grid or pow2_at_least(max(4 * self.degree + 1, 64))
+    def sup_norm(self) -> float:
+        n = pow2_at_least(max(4 * self.degree + 1, 64))
         vals = self(circle_grid(n))
         return float(np.sqrt((np.abs(vals) ** 2).sum(axis=-1)).max())
 
@@ -71,15 +68,10 @@ def defect_laurent(B: RowSchur) -> tuple[LaurentHerm, LaurentHerm]:
         c_k = delta_{k0} - sum_j <B_{j+k}, B_j>,
         C_k = delta_{k0} I - sum_j B_j^* B_{j+k}.
     """
-    q, d = B.degree, B.dim
-    rows = B.coeffs
-    matrix = np.zeros((2 * q + 1, d, d), dtype=complex)
-    for k in range(q + 1):
-        m = np.conj(rows[: q + 1 - k]).T @ rows[k:]
-        matrix[q + k] = -m
-        matrix[q - k] = -np.conj(m).T
+    q = B.degree
+    matrix = -autocorrelation(B.coeffs)
     # sum_j <B_{j+k}, B_j> is the trace of the matrix coefficient
     scalar = np.trace(matrix, axis1=1, axis2=2)
     scalar[q] += 1.0
-    matrix[q] += np.eye(d)
+    matrix[q] += np.eye(B.dim)
     return LaurentHerm(scalar), LaurentHerm(matrix)

@@ -27,7 +27,6 @@ class ProblemSpec:
     xi: np.ndarray | None = None
     lam: complex | None = None
     N: int | None = None
-    radii: list | None = None
     grid_log2: int | None = None
     max_iter: int | None = None
     seed: int = 0
@@ -63,12 +62,14 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
     version = str(data.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}")
+    if not isinstance(data.get("tolerances", {}), dict):
+        raise ValidationError("'tolerances' must be an object")
     tol_kwargs = {}
     for key in ("tol_psd", "tol_factor", "tol_outer", "tol_eval"):
         if key in data.get("tolerances", {}):
             value = data["tolerances"][key]
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ValidationError(f"tolerances.{key} must be positive")
+            if not isinstance(value, (int, float)) or not 0 < value < np.inf:
+                raise ValidationError(f"tolerances.{key} must be positive and finite")
             tol_kwargs[key] = float(value)
     tol = Tolerances(**tol_kwargs)
     if B is not None:
@@ -112,13 +113,6 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
         if not isinstance(data["N"], int) or data["N"] < 0:
             raise ValidationError("'N' must be a nonnegative integer")
         spec.N = data["N"]
-    if "radii" in data:
-        radii = data["radii"]
-        if not isinstance(radii, list) or not all(
-            isinstance(r, (int, float)) and 0 <= r < 1 for r in radii
-        ):
-            raise ValidationError("'radii' must list values in [0, 1)")
-        spec.radii = [float(r) for r in radii]
     if "grid_log2" in data:
         if not isinstance(data["grid_log2"], int) or not 4 <= data["grid_log2"] <= 20:
             raise ValidationError("'grid_log2' must be an integer in 4..20")
@@ -161,8 +155,6 @@ def serialize_problem(spec: ProblemSpec) -> dict:
         out["xi"] = [_complex_to_pair(c) for c in spec.xi]
     if spec.N is not None:
         out["N"] = spec.N
-    if spec.radii is not None:
-        out["radii"] = spec.radii
     if spec.grid_log2 is not None:
         out["grid_log2"] = spec.grid_log2
     if spec.max_iter is not None:

@@ -26,7 +26,7 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import mate_report, wilson_or_best
+from .factor import _mate_report, wilson_or_best
 from .poly import CPoly, MatPoly, VecPoly, _divide_one_minus, circle_grid, \
     pow2_at_least, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
@@ -94,12 +94,12 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     since regularizing them would perturb the boundary spectrum.
     """
     tol = tol or Tolerances()
-    m_rep = mate_report(B, tol_psd=tol.tol_psd)
+    scalar_defect, matrix_defect = defect_laurent(B)
+    m_rep = _mate_report(B, scalar_defect, tol.tol_psd)
     a = m_rep.factor
     lam = Counter(w / abs(w) for w in m_rep.splits
                   if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
 
-    _, matrix_defect = defect_laurent(B)
     w_rep = wilson_or_best(matrix_defect, tol_factor=min(tol.tol_factor, 1e-12),
                            max_iter=max_iter, grid_log2=grid_log2)
     A = w_rep.factor
@@ -126,8 +126,8 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     return ctx
 
 
-def _det_gap(A: MatPoly, a: CPoly, n_grid: int = 512) -> float:
-    z = circle_grid(max(n_grid, pow2_at_least(4 * A.dim * max(A.degree, 1) + 1)))
+def _det_gap(A: MatPoly, a: CPoly) -> float:
+    z = circle_grid(max(512, pow2_at_least(4 * A.dim * max(A.degree, 1) + 1)))
     return float(np.abs(np.linalg.det(A(z)) - a(z)).max())
 
 

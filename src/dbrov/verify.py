@@ -30,6 +30,9 @@ from .space import (
     toeplitz_conj_hb,
 )
 
+# random inputs per randomized check
+_N_RANDOM = 25
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -44,20 +47,20 @@ def _rand_poly(rng, max_deg: int) -> CPoly:
     return CPoly(c)
 
 
-def run_checks(B: RowSchur, tol: Tolerances | None = None, seed: int = 0,
-               n_random: int = 25) -> list[CheckResult]:
+def run_checks(B: RowSchur, tol: Tolerances | None = None,
+               seed: int = 0) -> list[CheckResult]:
     """Build the context for B and run every invariant check."""
     rng = np.random.default_rng(seed)
     ctx = make_context(B, tol)
     out = [CheckResult("context_build", True,
                        f"|Lambda| = {len(ctx.Lambda)}")]
     out.append(_factor_identities(ctx))
-    out.append(_embedding_residual(ctx, rng, n_random))
-    out.append(_orthogonal_complement(ctx, rng, n_random))
-    out.append(_reproducing(ctx, rng, n_random))
-    out.append(_shift_properties(ctx, rng, n_random))
-    out.append(_conj_toeplitz(ctx, rng, n_random))
-    out.append(_containments(ctx, rng, n_random))
+    out.append(_embedding_residual(ctx, rng))
+    out.append(_orthogonal_complement(ctx, rng))
+    out.append(_reproducing(ctx, rng))
+    out.append(_shift_properties(ctx, rng))
+    out.append(_conj_toeplitz(ctx, rng))
+    out.append(_containments(ctx, rng))
     out.append(_clark_balance(ctx, rng))
     out.append(_gram_density(ctx))
     out.append(_rank_one(ctx, rng))
@@ -85,9 +88,9 @@ def _factor_identities(ctx) -> CheckResult:
     return _result("factorization_identities", worst, 1e-8)
 
 
-def _embedding_residual(ctx, rng, n_random) -> CheckResult:
+def _embedding_residual(ctx, rng) -> CheckResult:
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         el = embed(ctx, _rand_poly(rng, 12))
         res = _pair_bounds(ctx, el.f.coeffs[:, None],
                            el.f_plus.coeffs[:, :, None])[0, -1, 0]
@@ -95,9 +98,9 @@ def _embedding_residual(ctx, rng, n_random) -> CheckResult:
     return _result("embedding_residual", worst, 1e-10)
 
 
-def _orthogonal_complement(ctx, rng, n_random) -> CheckResult:
+def _orthogonal_complement(ctx, rng) -> CheckResult:
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         F = embed(ctx, _rand_poly(rng, 10))
         hc = rng.uniform(-1, 1, (4, ctx.dim)) + 1j * rng.uniform(-1, 1, (4, ctx.dim))
         h = VecPoly(hc)
@@ -111,9 +114,9 @@ def _orthogonal_complement(ctx, rng, n_random) -> CheckResult:
     return _result("orthogonal_complement", worst, 1e-9)
 
 
-def _reproducing(ctx, rng, n_random) -> CheckResult:
+def _reproducing(ctx, rng) -> CheckResult:
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         f = _rand_poly(rng, 10)
         w = rng.uniform(0.05, 0.9) * np.exp(2j * np.pi * rng.uniform())
         k = kernel(ctx, w)
@@ -122,10 +125,10 @@ def _reproducing(ctx, rng, n_random) -> CheckResult:
     return _result("reproducing_property", worst, 1e-8)
 
 
-def _shift_properties(ctx, rng, n_random) -> CheckResult:
+def _shift_properties(ctx, rng) -> CheckResult:
     worst = 0.0
     exact = True
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         F = embed(ctx, _rand_poly(rng, 10))
         worst = max(worst, backward_shift(ctx, F).norm_sq - F.norm_sq)
         G = multiply_z(ctx, F)
@@ -136,10 +139,10 @@ def _shift_properties(ctx, rng, n_random) -> CheckResult:
     return CheckResult("backward_shift", bool(worst <= 0 and exact), detail)
 
 
-def _conj_toeplitz(ctx, rng, n_random) -> CheckResult:
+def _conj_toeplitz(ctx, rng) -> CheckResult:
     worst_id = 0.0
     worst_norm = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         f = _rand_poly(rng, 8)
         phi = _rand_poly(rng, 5)
         if phi.is_zero:
@@ -161,9 +164,9 @@ def _conj_toeplitz(ctx, rng, n_random) -> CheckResult:
                        f"contraction excess {worst_norm:.3e}")
 
 
-def _containments(ctx, rng, n_random) -> CheckResult:
+def _containments(ctx, rng) -> CheckResult:
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         p = _rand_poly(rng, 10)
         ap = embed(ctx, ctx.a * p)
         worst = max(worst, ap.norm_sq - p.norm_sq())

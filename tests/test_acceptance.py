@@ -17,7 +17,7 @@ from dbrov import (
     embed,
     hb_inner,
     kernel,
-    mate,
+    mate_report,
     multiply_z,
     point_eval_residual,
     rank_one_identity_defect,
@@ -49,14 +49,14 @@ def _rand_poly(rng, max_deg):
 
 def test_criterion_1_mate_construction():
     failures = []
-    got = mate(fixture("ROW2").B).coeffs
+    got = mate_report(fixture("ROW2").B).factor.coeffs
     if np.abs(got - np.array([SQ8, -SQ8])).max() > 1e-9:
         failures.append(f"ROW2 mate off by {np.abs(got - [SQ8, -SQ8]).max():.2e}")
-    got = mate(fixture("SARASON").B).coeffs
+    got = mate_report(fixture("SARASON").B).factor.coeffs
     if np.abs(got - np.array([0.5, -0.5])).max() > 1e-9:
         failures.append("SARASON mate wrong")
     try:
-        mate(fixture("FLAT").B)
+        mate_report(fixture("FLAT").B)
         failures.append("FLAT did not raise MateUndefined")
     except MateUndefined:
         pass
@@ -80,7 +80,8 @@ def test_criterion_2_factorization_identities(all_contexts):
             failures.append(f"{name}: |det A - a| = {det_gap:.2e}")
     _, scalar_as_matrix = defect_laurent(fixture("SARASON").B)
     rank1 = wilson_report(scalar_as_matrix).factor.coeffs.ravel()
-    gap = np.abs(rank1 - mate(fixture("SARASON").B).coeffs).max()
+    gap = np.abs(rank1
+                 - mate_report(fixture("SARASON").B).factor.coeffs).max()
     if gap > 1e-8:
         failures.append(f"rank-1 factor vs mate: {gap:.2e}")
     _report(2, "factorization identities on 512 circle points", failures)

@@ -5,7 +5,6 @@ import pytest
 
 from dbrov import (
     CPoly,
-    boundary_spectrum,
     caratheodory,
     cyclicity,
     is_outer,
@@ -36,21 +35,21 @@ class TestIsOuter:
 
 class TestBoundarySpectrum:
     def test_hardy_space(self, ctx_zero):
-        assert boundary_spectrum(ctx_zero) == []
+        assert list(ctx_zero.Lambda) == []
 
     def test_row2(self, ctx_row2):
-        spec = boundary_spectrum(ctx_row2)
+        spec = list(ctx_row2.Lambda)
         assert len(spec) == 1
         lam, mult = spec[0]
         assert abs(lam - 1.0) < 1e-12 and mult == 1
 
     def test_trunc_has_empty_spectrum(self, ctx_trunc3, ctx_trunc8):
-        assert boundary_spectrum(ctx_trunc3) == []
-        assert boundary_spectrum(ctx_trunc8) == []
+        assert list(ctx_trunc3.Lambda) == []
+        assert list(ctx_trunc8.Lambda) == []
 
     def test_members_pass_caratheodory(self, ctx_sarason, ctx_row2):
         for ctx in (ctx_sarason, ctx_row2):
-            for lam, _ in boundary_spectrum(ctx):
+            for lam, _ in ctx.Lambda:
                 rep = caratheodory(ctx, lam)
                 assert rep.satisfies_caratheodory
                 assert abs((np.abs(rep.boundary_vector) ** 2).sum() - 1) <= 1e-8
@@ -84,7 +83,7 @@ class TestCyclicity:
 
     def test_multiplicative_obstruction(self, ctx_row2):
         f = CPoly([2.0, -1.0])  # cyclic
-        lam = boundary_spectrum(ctx_row2)[0][0]
+        lam = ctx_row2.Lambda[0][0]
         blocked = CPoly([-lam, 1.0]) * f
         assert not cyclicity(ctx_row2, blocked).verdict
         still = CPoly([-1.7, 1.0]) * f  # zero outside the disk

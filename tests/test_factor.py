@@ -8,7 +8,6 @@ from dbrov import (
     MatPoly,
     RowSchur,
     make_context,
-    mate,
     mate_report,
     outer_check,
     poly_roots,
@@ -28,17 +27,20 @@ SQ8 = 1.0 / (2.0 * np.sqrt(2.0))
 
 class TestMate:
     def test_zero_row(self):
-        assert_close(mate(fixture("ZERO").B).coeffs, [1.0], 1e-15)
+        assert_close(mate_report(fixture("ZERO").B).factor.coeffs, [1.0],
+                     1e-15)
 
     def test_sarason(self):
-        assert_close(mate(fixture("SARASON").B).coeffs, [0.5, -0.5], 1e-12)
+        assert_close(mate_report(fixture("SARASON").B).factor.coeffs,
+                     [0.5, -0.5], 1e-12)
 
     def test_row2(self):
-        assert_close(mate(fixture("ROW2").B).coeffs, [SQ8, -SQ8], 1e-12)
+        assert_close(mate_report(fixture("ROW2").B).factor.coeffs,
+                     [SQ8, -SQ8], 1e-12)
 
     def test_flat_has_no_mate(self):
         with pytest.raises(MateUndefined):
-            mate(fixture("FLAT").B)
+            mate_report(fixture("FLAT").B)
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
     def test_residual_and_outer(self, name):
@@ -51,7 +53,7 @@ class TestMate:
 
     def test_positive_at_zero(self):
         for name in ("SARASON", "ROW2", "TRUNC(4)"):
-            a = mate(fixture(name).B)
+            a = mate_report(fixture(name).B).factor
             assert a(0).real > 0
             assert abs(a(0).imag) < 1e-14
 
@@ -101,7 +103,7 @@ MATE_ORACLE_ROWS = [pytest.param(fixture(name).B, id=name)
 
 @pytest.mark.parametrize("B", MATE_ORACLE_ROWS)
 def test_mate_against_fejer_riesz_oracle(B):
-    a = mate(B).coeffs
+    a = mate_report(B).factor.coeffs
     want = _fejer_riesz_mate(B)
     n = max(a.shape[0], want.shape[0])
     assert np.abs(np.pad(a, (0, n - a.shape[0]))
@@ -123,7 +125,8 @@ class TestWilson:
         B = fixture("SARASON").B
         _, matrix = defect_laurent(B)
         rep = wilson_report(matrix)
-        assert_close(rep.factor.coeffs.ravel(), mate(B).coeffs, 1e-8)
+        assert_close(rep.factor.coeffs.ravel(), mate_report(B).factor.coeffs,
+                     1e-8)
 
     def test_row2_determinant_identity(self):
         B = fixture("ROW2").B
@@ -131,7 +134,7 @@ class TestWilson:
         rep = wilson_report(matrix)
         z = circle_grid(512)
         det = np.linalg.det(rep.factor(z))
-        assert np.abs(det - mate(B)(z)).max() <= 1e-8
+        assert np.abs(det - mate_report(B).factor(z)).max() <= 1e-8
 
     def test_constant_coefficient_hermitian_pd(self):
         _, matrix = defect_laurent(fixture("ROW2").B)

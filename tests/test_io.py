@@ -48,9 +48,9 @@ class TestFixtures:
         assert abs(scalar(1.0)) < 1e-12
 
     def test_flat_fails_downstream(self):
-        from dbrov import mate
+        from dbrov import mate_report
         with pytest.raises(MateUndefined):
-            mate(fixture("FLAT").B)
+            mate_report(fixture("FLAT").B)
 
     def test_expectations_carry_provenance(self):
         fx = fixture("ROW2")
@@ -245,6 +245,27 @@ class TestCli:
             [command, "--fixture", "ROW2", "--payload", payload], capsys)
         assert code == 3
         assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("extra", [
+        ["--grid-log2", "-1"],
+        ["--grid-log2", "3"],
+        ["--max-iter", "0"],
+        ["--tol-factor", "-1"],
+        ["--tol-factor", "nan"],
+        ["--tol-factor", "inf"],
+        ["--payload", '{"tolerances": 5}', "--tol-factor", "1e-11"],
+    ])
+    def test_flags_are_validated(self, capsys, extra):
+        code, out = self.run(["analyze", "--fixture", "ROW2", *extra], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
+
+    def test_flag_overrides_payload(self, capsys):
+        payload = '{"xi": [[1, 0]], "grid_log2": 8}'
+        code, out = self.run(["clark", "--fixture", "SARASON", "--payload",
+                              payload, "--grid-log2", "6"], capsys)
+        assert code == 0
+        assert json.loads(out)["grid_size"] == 64
 
     def test_missing_payload_field(self, capsys):
         code, out = self.run(["norm", "--fixture", "ROW2"], capsys)

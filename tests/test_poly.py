@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,6 +89,36 @@ class TestRoots:
             )
             scale = np.abs(p.coeffs).max()
             assert_close(rebuilt.coeffs / scale, p.coeffs / scale, 1e-8, "reconstruction")
+
+    @pytest.mark.parametrize("roots", [
+        [1, 1],
+        [1, 1, 1, 1, -1, -1, -1],
+        [1j, 1j, 0.5],
+        [np.exp(0.3j), np.exp(0.3j), -0.2],
+    ])
+    def test_clusters_against_50_digit_roots(self, roots):
+        # the float coefficients have a cluster of roots near each multiple
+        # root; its size and its mean are what the merged roots must match
+        p = CPoly.from_roots(roots)
+        with mpmath.workdps(50):
+            # a root of multiplicity 4 is resolved to eps^(1/4) of the
+            # working precision, so 800 extra bits put it below 1e-50
+            oracle = mpmath.polyroots([mpmath.mpc(complex(c))
+                                       for c in p.coeffs[::-1]],
+                                      maxsteps=2000, extraprec=800)
+            nominal = list(dict.fromkeys(complex(r) for r in roots))
+            clusters: dict[int, list] = {}
+            for r in oracle:
+                near = int(np.argmin([abs(complex(r) - u) for u in nominal]))
+                clusters.setdefault(near, []).append(r)
+            want = [(complex(mpmath.fsum(c) / len(c)), len(c))
+                    for c in clusters.values()]
+        got = poly_roots(p)
+        assert len(got) == len(want)
+        for center, mult in got:
+            w_center, w_mult = min(want, key=lambda t: abs(t[0] - center))
+            assert mult == w_mult
+            assert abs(center - w_center) <= 1e-10
 
 
 class TestToeplitzConj:
