@@ -16,8 +16,9 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
-from .poly import CPoly, angle_derivatives, autocorrelation, poly_roots
-from .space import UNIMODULAR_TOL, SpaceContext, hb_inner, kernel
+from .poly import CPoly, circle_grid
+from .space import UNIMODULAR_TOL, SpaceContext, hb_inner, kernel, on_circle, \
+    spectrum_member
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,10 @@ class BoundaryReport:
 class ClarkMeasure:
     """Positive measure in the Herglotz representation of (1 + b)/(1 - b).
 
-    b(z) = B(z) xi^* is the scalar symbol; point_masses sit at the unimodular
-    roots of 1 - b, and density tabulates the absolutely continuous part
-    (1 - |b|^2)/|1 - b|^2 on an equispaced circle grid (removable points
-    filled with their limit).
+    b(z) = B(z) xi^* is the scalar symbol; point_masses sit at the members
+    of the boundary spectrum where b = 1, and density tabulates the
+    absolutely continuous part (1 - |b|^2)/|1 - b|^2 on an equispaced circle
+    grid (removable points filled with their limit).
     """
 
     xi: np.ndarray
@@ -60,22 +61,16 @@ class ClarkMeasure:
         return self.total_mass - sum(m for _, m in self.point_masses)
 
     def mass_at(self, lam: complex) -> float:
-        for l, m in self.point_masses:
-            if abs(l - lam) <= UNIMODULAR_TOL:
-                return m
-        return 0.0
+        atom = spectrum_member(self.point_masses, lam)
+        return 0.0 if atom is None else atom[1]
 
 
 def caratheodory(ctx: SpaceContext, lam) -> BoundaryReport:
     """Decide bounded point evaluation at lam and certify the kernel norm."""
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-10:
+    if not on_circle(lam):
         raise ValidationError("caratheodory probe needs a unimodular point")
-    member = None
-    for l, _ in ctx.Lambda:
-        if abs(l - lam) <= UNIMODULAR_TOL:
-            member = l
-            break
+    member = spectrum_member(ctx.Lambda, lam)
     bv = ctx.B(lam)
     if member is None:
         if abs((np.abs(bv) ** 2).sum() - 1.0) <= UNIMODULAR_TOL:
@@ -85,7 +80,7 @@ def caratheodory(ctx: SpaceContext, lam) -> BoundaryReport:
             )
         return BoundaryReport(lam, False, bv)
 
-    lam = member
+    lam = member[0]
     bv = ctx.B(lam)
     g = ctx.B.pair(bv)
     lhopital = lam * g.derivative()(lam)
@@ -120,9 +115,10 @@ def _richardson(values) -> float:
 def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
     """Aleksandrov-Clark measure of B in direction xi (|xi| <= 1).
 
-    Point masses are located at the unimodular roots of the polynomial
-    1 - b with b = B xi^*, each mass evaluated in closed form as
-    conj(lam)/b'(lam); the density is tabulated on the grid and the Herglotz
+    On the circle |b| <= |B| |xi| <= 1 for b = B xi^*, so b(lam) = 1 forces
+    |B(lam)| = 1: every point mass sits at a member lam of the boundary
+    spectrum with b(lam) = 1, with mass 1/(lam b'(lam)).  The density
+    (1 - |b|^2)/|1 - b|^2 is tabulated on the grid, and the Herglotz
     reconstruction is re-verified at eight interior points.
     """
     xi = np.asarray(xi, dtype=complex).reshape(-1)
@@ -131,42 +127,36 @@ def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
     if np.linalg.norm(xi) > 1.0 + 1e-10:
         raise ValidationError("xi must lie in the closed unit ball")
     b = ctx.B.pair(xi)
-    one_minus = 1.0 - b
-    if one_minus.is_zero:
+    if (1.0 - b).is_zero:
         raise DegenerateSymbol("symbol is identically one")
+    db = b.derivative()
 
     masses = []
-    if one_minus.degree >= 1:
-        db = b.derivative()
-        for r, mult in poly_roots(one_minus):
-            if abs(abs(r) - 1.0) > UNIMODULAR_TOL:
-                continue
-            if mult >= 2:
-                raise HigherOrderBoundaryZero(
-                    f"unimodular zero of 1 - b at {r} has multiplicity {mult}"
-                )
-            lam = r / abs(r)
-            mass = np.conj(lam) / db(lam)
-            if abs(mass.imag) > 1e-9 * max(1.0, abs(mass)) or mass.real <= 0:
-                raise NonpositiveMass(f"mass {mass} at {lam} is not positive")
-            masses.append((complex(lam), float(mass.real)))
+    for lam, _ in ctx.Lambda:
+        if abs(1.0 - b(lam)) > UNIMODULAR_TOL:
+            continue
+        mass = 1.0 / _slope(lam * db(lam))
+        if abs(mass.imag) > 1e-9 * max(1.0, abs(mass)) or mass.real <= 0:
+            raise NonpositiveMass(f"mass {mass} at {lam} is not positive")
+        masses.append((complex(lam), float(mass.real)))
+    # by (real, imag), with real parts that tie up to rounding (conjugate
+    # atoms) ordered by imag
+    masses.sort(key=lambda lm: (round(lm[0].real, 9), lm[0].imag))
 
     n = 1 << grid_log2
-    thetas = 2.0 * np.pi * np.arange(n) / n
-    z = np.exp(1j * thetas)
+    z = circle_grid(n)
     bz = b(z)
     num = 1.0 - np.abs(bz) ** 2
     den = np.abs(1.0 - bz) ** 2
-    density = np.empty(n)
     fill = den < 1e-13
-    density[~fill] = num[~fill] / den[~fill]
+    density = np.divide(num, den, where=~fill, out=np.empty(n))
     if fill.any():
-        # 1 - |b|^2 and |1 - b|^2 as trigonometric polynomials
-        d_lau = -autocorrelation(b.coeffs)
-        d_lau[b.degree] += 1.0
-        e_lau = autocorrelation(one_minus.coeffs)
-        for j in np.nonzero(fill)[0]:
-            density[j] = _removable_ratio(d_lau, e_lau, thetas[j])
+        # at b(z) = 1 the ratio of the two second angle derivatives, with
+        # s = z b'(z) and c = z^2 b''(z)
+        zf = z[fill]
+        s = _slope(zf * db(zf))
+        c = zf ** 2 * db.derivative()(zf)
+        density[fill] = ((s + c).real - np.abs(s) ** 2) / np.abs(s) ** 2
     if density.min() < -1e-9:
         raise NotPositive(f"Clark density dips to {density.min():.3e}")
 
@@ -178,15 +168,15 @@ def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
     return measure
 
 
-def _removable_ratio(d_lau: np.ndarray, e_lau: np.ndarray, theta: float) -> float:
-    """Limit of two trig polynomials with matching double zeros at theta."""
-    num = angle_derivatives(d_lau, theta)[2]
-    den = angle_derivatives(e_lau, theta)[2]
-    if abs(den) < 1e-14:
+def _slope(s):
+    """s = z b'(z) at zeros of 1 - b on the circle; |1 - b|^2 has second
+    angle derivative 2|s|^2 there, and a vanishing one is a higher-order
+    zero."""
+    if np.any(2.0 * np.abs(s) ** 2 < 1e-14):
         raise HigherOrderBoundaryZero(
-            "density limit is 0/0 beyond second order at a mass point"
+            "1 - b vanishes beyond first order on the circle"
         )
-    return float(num / den)
+    return s
 
 
 _PROBE_POINTS = [

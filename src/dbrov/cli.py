@@ -19,7 +19,7 @@ from .errors import DbrovError, ValidationError
 from .fixtures import fixture
 from .poly import CPoly
 from .schema import ProblemSpec, parse_problem
-from .space import _density_residuals, embed, kernel, make_context
+from .space import _density_residuals, embed, kernel, make_context, on_circle
 from .verify import run_checks
 
 COMMANDS = ("analyze", "norm", "kernel", "clark", "caratheodory", "cyclic",
@@ -138,8 +138,9 @@ def _require(spec, field, command):
 
 def _dispatch(args, spec: ProblemSpec):
     cmd = args.command
+    ctx = _context(spec)
     if cmd == "verify":
-        checks = run_checks(spec.B, spec.tolerances, seed=spec.seed)
+        checks = run_checks(ctx, seed=spec.seed)
         return {
             "checks": [
                 {"name": c.name, "pass": c.passed, "detail": c.detail}
@@ -147,8 +148,6 @@ def _dispatch(args, spec: ProblemSpec):
             ],
             "passed": all(c.passed for c in checks),
         }
-
-    ctx = _context(spec)
     if cmd == "analyze":
         return {
             "d": ctx.dim,
@@ -167,9 +166,8 @@ def _dispatch(args, spec: ProblemSpec):
     if cmd == "kernel":
         w = _require(spec, "w", cmd)
         el = kernel(ctx, w, spec.N)
-        boundary = abs(abs(w) - 1.0) <= 1e-10
         return {
-            "kind": "boundary" if boundary else "interior",
+            "kind": "boundary" if on_circle(w) else "interior",
             "f": _pairs(el.f.coeffs),
             "f_plus": _vec_rows(el.f_plus.coeffs) if not el.f_plus.is_zero else [],
             "norm_sq": el.norm_sq,

@@ -22,7 +22,7 @@ from .errors import (
     NotPositive,
     SingularIterate,
 )
-from .poly import CPoly, LaurentHerm, MatPoly, _divide_one_minus, \
+from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_grid, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 
@@ -161,6 +161,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10,
     iterations = 0
     n, prev, A1 = n0, np.inf, None
     while True:
+        _check_size(n * phi.dim ** 2, f"factorization grid of {n} points")
         a_grid, its = _wilson_grid(phi1, n, max_iter,
                                    min(tol_factor, _GRID_TOL), trace, start=A1)
         iterations += its

@@ -12,6 +12,15 @@ from .errors import DomainError, RootFindingFailed
 
 # canonical form: trailing coefficients below this relative size are dropped
 TRIM_REL = 1e-14
+# arrays with more complex entries than this (256 MiB) are refused
+_MAX_ENTRIES = 1 << 24
+
+
+def _check_size(entries: int, what: str) -> None:
+    """Refuse a size whose arrays would exceed _MAX_ENTRIES."""
+    if entries > _MAX_ENTRIES:
+        raise DomainError(f"{what} needs {float(entries):.3g} complex entries, "
+                          f"more than the {_MAX_ENTRIES} allowed")
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:

@@ -27,13 +27,24 @@ from .errors import (
     NumericsError,
 )
 from .factor import _mate_report, wilson_or_best
-from .poly import CPoly, MatPoly, VecPoly, _divide_one_minus, circle_grid, \
-    pow2_at_least, toeplitz_conj
+from .poly import CPoly, MatPoly, VecPoly, _check_size, _divide_one_minus, \
+    circle_grid, pow2_at_least, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
 
 UNIMODULAR_TOL = 1e-8
-# coefficient arrays with more complex entries than this (256 MiB) are refused
-_MAX_ENTRIES = 1 << 24
+
+
+def on_circle(w):
+    """|w| = 1 to 1e-10, elementwise: where kernels and point evaluations
+    take their boundary branch."""
+    return np.abs(np.abs(w) - 1.0) <= 1e-10
+
+
+def spectrum_member(entries, w):
+    """The (point, value) entry with its point within UNIMODULAR_TOL of w,
+    or None; entries are ctx.Lambda (point, multiplicity) or the atoms
+    (point, mass) of a Clark measure."""
+    return next((e for e in entries if abs(e[0] - w) <= UNIMODULAR_TOL), None)
 
 
 @dataclass(frozen=True)
@@ -249,13 +260,6 @@ def hb_inner(ctx: SpaceContext, F: HBElement, G: HBElement) -> complex:
     )
 
 
-def _check_size(entries: int, what: str) -> None:
-    """Refuse an order whose coefficient arrays would exceed _MAX_ENTRIES."""
-    if entries > _MAX_ENTRIES:
-        raise DomainError(f"{what} needs {float(entries):.3g} coefficients, "
-                          f"more than the {_MAX_ENTRIES} allowed")
-
-
 def _pair_inner(fa: np.ndarray, ga: np.ndarray) -> complex:
     n = min(fa.shape[0], ga.shape[0])
     if n == 0:
@@ -276,7 +280,7 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
     by (1 - conj(w) z) is exact polynomial division.
     """
     w = complex(w)
-    if abs(abs(w) - 1.0) <= 1e-10:
+    if on_circle(w):
         return _boundary_kernel(ctx, w)
     if abs(w) >= 1.0:
         raise DomainError(f"kernel point {w} lies outside the closed disk")
@@ -309,15 +313,12 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
 
 
 def _boundary_kernel(ctx: SpaceContext, w: complex) -> HBElement:
-    lam = None
-    for l, _ in ctx.Lambda:
-        if abs(l - w) <= 1e-8:
-            lam = l
-            break
-    if lam is None:
+    member = spectrum_member(ctx.Lambda, w)
+    if member is None:
         raise BoundaryNotRegular(
             f"{w} is not in the boundary spectrum; no bounded evaluation there"
         )
+    lam = member[0]
     bl = ctx.B(lam)
     p = 1.0 - ctx.B.pair(bl)
     p_plus = ctx.A.matvec_const(-np.conj(bl))
@@ -464,7 +465,7 @@ def point_eval_residual(ctx: SpaceContext, lam, N: int) -> float:
 def _point_residuals(ctx: SpaceContext, lams, N: int) -> np.ndarray:
     """`point_eval_residual` at every lam from one Gram and one factor."""
     lams = np.asarray(lams, dtype=complex)
-    if np.any(np.abs(np.abs(lams) - 1.0) > 1e-10):
+    if not np.all(on_circle(lams)):
         raise DomainError("point evaluation probe needs a unimodular point")
     return 1.0 / _section_kernels(ctx, lams, max(N, 0))[-1]
 

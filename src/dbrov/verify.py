@@ -14,9 +14,8 @@ import numpy as np
 
 from .boundary import clark
 from .poly import CPoly, VecPoly, circle_grid, toeplitz_conj
-from .rowschur import RowSchur
 from .space import (
-    Tolerances,
+    SpaceContext,
     _density_residuals,
     _pair_bounds,
     backward_shift,
@@ -24,7 +23,6 @@ from .space import (
     gram,
     hb_inner,
     kernel,
-    make_context,
     multiply_z,
     rank_one_identity_defect,
     toeplitz_conj_hb,
@@ -47,11 +45,9 @@ def _rand_poly(rng, max_deg: int) -> CPoly:
     return CPoly(c)
 
 
-def run_checks(B: RowSchur, tol: Tolerances | None = None,
-               seed: int = 0) -> list[CheckResult]:
-    """Build the context for B and run every invariant check."""
+def run_checks(ctx: SpaceContext, seed: int = 0) -> list[CheckResult]:
+    """Run every invariant check on a built context."""
     rng = np.random.default_rng(seed)
-    ctx = make_context(B, tol)
     out = [CheckResult("context_build", True,
                        f"|Lambda| = {len(ctx.Lambda)}")]
     out.append(_factor_identities(ctx))

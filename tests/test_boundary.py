@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,22 +9,26 @@ from dbrov import (
     Tolerances,
     caratheodory,
     clark,
+    fixture,
     hb_inner,
     kernel,
     kernel_convergence,
+    make_context,
     trunc_limit_pairing,
     trunc_limit_slope,
 )
 from dbrov.errors import (
     BoundaryNotRegular,
+    DbrovError,
     DegenerateSymbol,
     DomainError,
     HigherOrderBoundaryZero,
     ValidationError,
 )
-from dbrov.space import SpaceContext
+from dbrov.space import UNIMODULAR_TOL, SpaceContext
 
 from conftest import assert_close
+from test_random_rows import random_row, sup_angle
 
 
 class TestCaratheodory:
@@ -118,6 +123,77 @@ class TestClark:
                            Tolerances(), {"A0_cond": 1.0})
         with pytest.raises(HigherOrderBoundaryZero):
             clark(ctx, [1.0])
+
+
+def _compose(B: RowSchur, k: int) -> RowSchur:
+    """The row B(z^k): coefficient rows spread k apart."""
+    c = np.zeros((k * B.degree + 1, B.dim), dtype=complex)
+    c[::k] = B.coeffs
+    return RowSchur(c)
+
+
+def _atom_order(lam):
+    return (round(lam.real, 9), lam.imag)
+
+
+def _clark_atoms_50_digits(b: CPoly):
+    """Unimodular roots r of 1 - b and the masses conj(r)/b'(r), in 50 digits."""
+    with mpmath.workdps(50):
+        one_minus = [mpmath.mpc(complex(c)) for c in (1.0 - b).coeffs[::-1]]
+        db = [mpmath.mpc(complex(c)) for c in b.derivative().coeffs[::-1]]
+        atoms = []
+        for r in mpmath.polyroots(one_minus, maxsteps=200, extraprec=200):
+            if abs(abs(r) - 1) <= UNIMODULAR_TOL:
+                mass = mpmath.conj(r) / mpmath.polyval(db, r)
+                atoms.append((complex(r), complex(mass)))
+    return sorted(atoms, key=lambda t: _atom_order(t[0]))
+
+
+class TestClarkOracles:
+    @pytest.mark.parametrize("name,mass", [("SARASON", 2.0), ("ROW2", 0.8)])
+    @pytest.mark.parametrize("k", [2, 3, 5, 6])
+    def test_composed_fixtures(self, name, mass, k):
+        # b(z^k) = 1 at every k-th root of unity lam, where the chain rule
+        # gives lam (b(z^k))' = k b'(1): the mass at 1 divided by k
+        B = _compose(fixture(name).B, k)
+        mu = clark(make_context(B), B(1.0))
+        want = sorted(np.exp(2j * np.pi * np.arange(k) / k), key=_atom_order)
+        assert len(mu.point_masses) == k
+        for (lam, m), w in zip(mu.point_masses, want):
+            assert abs(lam - w) <= 1e-12
+            assert abs(m - mass / k) <= 1e-12 * mass / k
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("d,q", [(1, 4), (1, 8), (2, 4), (2, 8), (3, 6),
+                                     (3, 8)])
+    def test_touching_rows_against_50_digit_roots(self, d, q, seed):
+        ctx = make_context(random_row(np.random.default_rng(seed), d, q, 1.0))
+        assert ctx.Lambda
+        for lam, _ in ctx.Lambda:
+            xi = ctx.B(lam)
+            got = clark(ctx, xi).point_masses
+            want = _clark_atoms_50_digits(ctx.B.pair(xi))
+            assert len(got) == len(want)
+            for (point, mass), (w_point, w_mass) in zip(got, want):
+                assert abs(point - w_point) <= 1e-12
+                assert abs(mass - w_mass) <= 1e-12 * abs(w_mass)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    @pytest.mark.parametrize("d,q", [(1, 4), (2, 4), (2, 8), (3, 6)])
+    def test_near_touch_atoms_lie_in_spectrum(self, d, q, seed, eps):
+        # the true measure has no atom here, only a narrow peak near the
+        # point where |B| comes within eps of 1
+        B = random_row(np.random.default_rng(seed), d, q, 1.0 - eps)
+        v = B(np.exp(1j * sup_angle(B.coeffs)))
+        try:
+            ctx = make_context(B)
+            mu = clark(ctx, v / np.linalg.norm(v))
+        except DbrovError:
+            return
+        for point, _ in mu.point_masses:
+            gap = min((abs(point - lam) for lam, _ in ctx.Lambda), default=np.inf)
+            assert gap <= UNIMODULAR_TOL
 
 
 class TestKernelConvergence:

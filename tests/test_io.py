@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dbrov
 from dbrov.cli import main
 from dbrov.errors import MateUndefined, ValidationError
 from dbrov.fixtures import fixture
@@ -209,6 +214,29 @@ class TestCli:
             code, out = self.run(["verify", "--fixture", name], capsys)
             assert code == 0, f"verify failed on {name}: {out}"
             assert json.loads(out)["passed"] is True
+
+    def test_verify_honours_flags(self, capsys):
+        code, out = self.run(
+            ["verify", "--fixture", "TRUNC(8)", "--max-iter", "1"], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == "FactorizationDiverged"
+
+    def test_oversized_grid_refused(self):
+        # at d = 8 one (2^20, 8, 8) complex grid stack takes 1 GiB; the
+        # address-space cap makes a run without the size guard fail fast
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from dbrov.cli import main\n"
+            "sys.exit(main(['analyze', '--fixture', 'TRUNC(8)',"
+            " '--grid-log2', '20']))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(dbrov.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout)["error"] == "DomainError"
 
     def test_verify_flat_fails_with_mate_error(self, capsys):
         code, out = self.run(["verify", "--fixture", "FLAT"], capsys)

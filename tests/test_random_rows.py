@@ -122,7 +122,7 @@ def test_rows_touching_within_1e_9(d, q, seed):
     # has no boundary zero and det A = a must hold to the factor's accuracy
     B = random_row(np.random.default_rng(seed), d, q, 1.0 - 1e-9)
     try:
-        results = run_checks(B)
+        results = run_checks(make_context(B))
     except NumericsError as exc:
         assert "det A vs mate" not in str(exc)
         assert (d, q, seed) not in NEAR_BUILT
