@@ -47,9 +47,37 @@ def circle_grid(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def grid_to_coeffs(values: np.ndarray) -> np.ndarray:
-    """Fourier analysis on circle_grid samples: values_j = sum_k c_k z_j^k."""
-    return np.fft.fft(values, axis=0) / values.shape[0]
+def circle_eval(coeffs: np.ndarray, n: int, offset: float = 0.0,
+                low: int = 0) -> np.ndarray:
+    """sum_k coeffs[k] z^(k + low) at z_j = exp(2 pi i (j + offset) / n), j < n,
+    by one FFT along the first axis.  z_j^k depends on k only modulo n once
+    the offset phase is in the coefficients, so any n works (they alias)."""
+    ks = np.arange(coeffs.shape[0]) + low
+    phase = np.exp(2j * np.pi * offset * ks / n)
+    spec = np.zeros((n,) + coeffs.shape[1:], dtype=complex)
+    np.add.at(spec, ks % n, coeffs * phase.reshape((-1,) + (1,) * (coeffs.ndim - 1)))
+    return np.fft.ifft(spec, axis=0, norm="forward")
+
+
+def grid_adjugate(a: np.ndarray):
+    """Adjugates and determinants of a (d, d, n) stack, d <= 3, by cofactors."""
+    d = a.shape[0]
+    if d == 1:
+        cof = np.ones_like(a)
+    elif d == 2:
+        cof = np.array([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
+    else:  # cyclic index pairs give the signed 3 x 3 cofactors
+        r = ((1, 2), (2, 0), (0, 1))
+        cof = np.array([[a[i, j] * a[k, l] - a[i, l] * a[k, j] for j, l in r]
+                        for i, k in r])
+    return cof.transpose(1, 0, 2), (a[0] * cof[0]).sum(axis=0)
+
+
+def grid_det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (d, d, n) stack: cofactors up to d = 3, LAPACK above."""
+    if a.shape[0] > 3:
+        return np.linalg.det(a.transpose(2, 0, 1))
+    return grid_adjugate(a)[1]
 
 
 def _divide_one_minus(h: np.ndarray, c: complex) -> np.ndarray:
@@ -287,9 +315,9 @@ class MatPoly:
         times their Hadamard bound prod_i |A(z) e_i|, are dropped as noise.
         """
         n = self.dim * max(self.degree, 0) + 1
-        vals = self(circle_grid(pow2_at_least(max(2 * n, 8))))
-        coeffs = grid_to_coeffs(np.linalg.det(vals))[:n]
-        hadamard = np.prod(np.linalg.norm(vals, axis=-2), axis=-1).max()
+        vals = circle_eval(self.coeffs, pow2_at_least(max(2 * n, 8))).transpose(1, 2, 0)
+        coeffs = np.fft.fft(grid_det(vals))[:n] / vals.shape[-1]
+        hadamard = np.prod(np.linalg.norm(vals, axis=0), axis=0).max()
         noise = self.dim * np.finfo(float).eps * hadamard
         keep = np.nonzero(np.abs(coeffs) > noise)[0]
         return CPoly(coeffs[: keep[-1] + 1] if keep.size else coeffs[:0])
@@ -313,19 +341,14 @@ class LaurentHerm:
         if arr.shape[0] % 2 != 1:
             raise ValueError("Laurent coefficient count must be odd (k=-m..m)")
         m = arr.shape[0] // 2
-        sym = np.empty_like(arr)
-        for k in range(-m, m + 1):
-            a = arr[k + m]
-            b = np.conj(arr[-k + m]).T if arr.ndim == 3 else np.conj(arr[-k + m])
-            sym[k + m] = 0.5 * (a + b)
+        rev = np.conj(arr[::-1])  # C_{-k}^*, at index k + m
+        sym = 0.5 * (arr + (rev.transpose(0, 2, 1) if arr.ndim == 3 else rev))
         # symmetric trim: drop matching +-k tail pairs that are negligible
         mags = np.abs(sym).reshape(sym.shape[0], -1).max(axis=1)
         scale = mags.max() if mags.size else 0.0
-        while m > 0 and scale > 0 and mags[0] <= TRIM_REL * scale \
-                and mags[-1] <= TRIM_REL * scale:
-            sym = sym[1:-1]
-            mags = mags[1:-1]
-            m -= 1
+        tiny = TRIM_REL * scale
+        while m > 0 and scale > 0 and mags[0] <= tiny and mags[-1] <= tiny:
+            sym, mags, m = sym[1:-1], mags[1:-1], m - 1
         self.coeffs = sym
         self.half_degree = m
         self.dim = int(sym.shape[1]) if sym.ndim == 3 else 1
@@ -338,32 +361,14 @@ class LaurentHerm:
         z = np.asarray(z, dtype=complex)
         if np.any(z == 0):
             raise DomainError("Laurent polynomial cannot be evaluated at z = 0")
-        m = self.half_degree
-        if self.is_matrix:
-            out = np.zeros(z.shape + self.coeffs.shape[1:], dtype=complex)
-            for k in range(-m, m + 1):
-                out += self.coeffs[k + m] * (z ** k)[..., None, None]
-        else:
-            out = np.zeros(z.shape, dtype=complex)
-            for k in range(-m, m + 1):
-                out += self.coeffs[k + m] * z ** k
-            if out.ndim == 0:
-                return complex(out)
-        return out
+        # z^-m times the Horner value of the coefficients, stored from k = -m
+        out = horner(self.coeffs, z)
+        out = out * (z ** -self.half_degree)[(...,) + (None,) * (out.ndim - z.ndim)]
+        return complex(out) if out.ndim == 0 else out
 
     def circle_values(self, n_grid: int, offset: float = 0.0) -> np.ndarray:
-        """Values at exp(2 pi i (j + offset) / n_grid), j < n_grid, by one FFT.
-
-        z_j^k depends on k only modulo n_grid once the offset phase is taken
-        into the coefficients, so any n_grid works (coefficients alias).
-        """
-        m = self.half_degree
-        ks = np.arange(-m, m + 1)
-        phase = np.exp(2j * np.pi * offset * ks / n_grid)
-        spec = np.zeros((n_grid,) + self.coeffs.shape[1:], dtype=complex)
-        np.add.at(spec, ks % n_grid,
-                  self.coeffs * phase.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)))
-        return np.fft.ifft(spec, axis=0) * n_grid
+        """Values at exp(2 pi i (j + offset) / n_grid), j < n_grid (`circle_eval`)."""
+        return circle_eval(self.coeffs, n_grid, offset, -self.half_degree)
 
     def min_circle_eig(self) -> float:
         """Smallest eigenvalue (scalar: smallest value) over a circle grid."""

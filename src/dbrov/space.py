@@ -26,9 +26,9 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import _mate_report, wilson_or_best
+from .factor import _mate_report, _run_or_best
 from .poly import CPoly, MatPoly, VecPoly, _check_size, _divide_one_minus, \
-    circle_grid, pow2_at_least, toeplitz_conj
+    circle_eval, grid_det, pow2_at_least, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
 
 UNIMODULAR_TOL = 1e-8
@@ -97,22 +97,22 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
     The mate and the matrix factor come from two separate runs of the
-    factorization engine, and the boundary spectrum is read off the
-    unimodular split points of the mate's run, with multiplicity the number
-    of splits at each; no polynomial roots are found.  The matrix
-    factorization is pushed well below tol_factor when possible;
-    boundary-degenerate densities that stall are accepted down to 1e-8,
-    since regularizing them would perturb the boundary spectrum.
+    factorization engine sharing one boundary-zero search, and the boundary
+    spectrum is read off the unimodular split points of the mate's run, with
+    multiplicity the number of splits at each; no polynomial roots are
+    found.  The matrix factorization is pushed well below tol_factor when
+    possible; boundary-degenerate densities that stall are accepted down to
+    1e-8, since regularizing them would perturb the boundary spectrum.
     """
     tol = tol or Tolerances()
     scalar_defect, matrix_defect = defect_laurent(B)
-    m_rep = _mate_report(B, scalar_defect, tol.tol_psd)
+    m_rep, search = _mate_report(B, scalar_defect, tol.tol_psd)
     a = m_rep.factor
     lam = Counter(w / abs(w) for w in m_rep.splits
                   if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
 
-    w_rep = wilson_or_best(matrix_defect, tol_factor=min(tol.tol_factor, 1e-12),
-                           max_iter=max_iter, grid_log2=grid_log2)
+    w_rep = _run_or_best(matrix_defect, search, min(tol.tol_factor, 1e-12),
+                         max_iter, grid_log2)
     A = w_rep.factor
 
     a0_cond = float(np.linalg.cond(A.coeffs[0]))
@@ -138,8 +138,9 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
 
 
 def _det_gap(A: MatPoly, a: CPoly) -> float:
-    z = circle_grid(max(512, pow2_at_least(4 * A.dim * max(A.degree, 1) + 1)))
-    return float(np.abs(np.linalg.det(A(z)) - a(z)).max())
+    n = max(512, pow2_at_least(4 * A.dim * max(A.degree, 1) + 1))
+    det = grid_det(np.moveaxis(circle_eval(A.coeffs, n), 0, -1))
+    return float(np.abs(det - circle_eval(a.coeffs, n)).max())
 
 
 def _verify_context(ctx: SpaceContext) -> None:

@@ -13,10 +13,14 @@ from dbrov import (
     poly_roots,
     wilson_report,
 )
-from dbrov.errors import DegenerateDeterminant, MateUndefined, NotPositive
-from dbrov.factor import _jensen_gap, _wilson_grid, factor_residual
+import dbrov.factor as factor_mod
+import dbrov.space as space_mod
+from dbrov.errors import DegenerateDeterminant, MateUndefined, NotPositive, \
+    SingularIterate
+from dbrov.factor import _grid_inv, _grid_mul, _jensen_gap, _wilson_grid, \
+    factor_residual, wilson_or_best
 from dbrov.fixtures import fixture
-from dbrov.poly import circle_grid
+from dbrov.poly import circle_grid, grid_det
 from dbrov.rowschur import defect_laurent
 
 from conftest import assert_close
@@ -244,3 +248,133 @@ def test_reports_show_the_factorization():
     for rep in (row2, trunc):
         assert rep["factor_fallback"] == 0.0
         assert rep["factor_grid"] >= 256
+
+
+def _stack(rng, d, n, cond=None):
+    """(d, d, n) random complex stack; with cond, each matrix U diag V* has
+    singular values spread log-evenly from 1 down to 1 / cond."""
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    if cond is not None:
+        u, _, vh = np.linalg.svd(a)
+        sing = np.logspace(0, -np.log10(cond), d)
+        a = (u * sing[None, None, :]) @ vh
+    return np.ascontiguousarray(a.transpose(1, 2, 0)), a
+
+
+class TestGridKernels:
+    """The (d, d, n) products, inverses and determinants against numpy's
+    per-matrix `@`, `inv` and `det` on (n, d, d) stacks."""
+
+    @pytest.mark.parametrize("cond", [None, 1e6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_product(self, d, cond):
+        rng = np.random.default_rng(d)
+        (a, at), (b, bt) = _stack(rng, d, 64, cond), _stack(rng, d, 64, cond)
+        want = at @ bt
+        got = _grid_mul(a, b).transpose(2, 0, 1)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("cond", [None, 1e6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_inverse_and_determinant(self, d, cond):
+        a, at = _stack(np.random.default_rng(10 + d), d, 64, cond)
+        want = np.linalg.inv(at)
+        got = _grid_inv(a).transpose(2, 0, 1)
+        # both are backward stable: forward errors scale with cond
+        rel = 1e-13 * (cond or 1e3)
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
+        assert np.abs(got @ at - np.eye(d)).max() <= rel
+        det, want_det = grid_det(a), np.linalg.det(at)
+        assert np.abs(det - want_det).max() <= rel * np.abs(want_det).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_singular_point_is_refused(self, d):
+        a, _ = _stack(np.random.default_rng(20 + d), d, 16)
+        a[:, :, 5] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _grid_inv(a)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_singular_iterate_raises(self, d):
+        # a start that is singular at every grid point stops the iteration
+        start = MatPoly(np.diag([0.0] + [1.0] * (d - 1))[None])
+        phi = LaurentHerm(np.eye(d, dtype=complex)[None])
+        with pytest.raises(SingularIterate):
+            _wilson_grid(phi, 64, 10, 1e-14, [], start=start)
+
+
+class TestDensityScale:
+    """The singular-density check is relative to the scale of phi."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_scaled_identity(self, d, scale):
+        rep = wilson_report(LaurentHerm(scale * np.eye(d, dtype=complex)[None]))
+        assert_close(rep.factor.coeffs, np.sqrt(scale) * np.eye(d)[None],
+                     1e-14 * np.sqrt(scale), "sqrt(s) I")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_rank_deficient_constant_density(self, scale):
+        with pytest.raises(SingularIterate):
+            wilson_report(LaurentHerm(scale * np.diag([1.0, 0.0, 1.0])[None]))
+
+
+def test_stalled_run_stops_at_first_idle_enlargement(monkeypatch):
+    # both runs stall near 2e-12: once the best residual is below
+    # BEST_FACTOR_TOL, an enlargement that does not lower it ends the run
+    # (the mate grew to 2^16 points and the matrix factor to 2^17 before)
+    grids = []
+    real = factor_mod._wilson_grid
+
+    def counting(phi, n, *args, **kwargs):
+        grids.append((phi.dim, n))
+        return real(phi, n, *args, **kwargs)
+
+    monkeypatch.setattr(factor_mod, "_wilson_grid", counting)
+    ctx = make_context(random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9))
+    assert ctx.reports["factor_fallback"] == 1.0
+    assert ctx.reports["factor_residual_sup"] <= factor_mod.BEST_FACTOR_TOL
+    assert len([n for d, n in grids if d == 1]) <= 3
+    assert len([n for d, n in grids if d == 2]) <= 2
+    assert max(n for _, n in grids) <= 4096
+
+
+def _splits_match(got, want):
+    assert len(got) == len(want)
+    for w in want:
+        assert min(abs(np.asarray(got) - w)) <= 1e-10
+
+
+ZERO_REUSE_ROWS = [pytest.param(fixture(name).B, id=name)
+                   for name in ("ROW2", "TRUNC(3)", "TRUNC(8)")] \
+    + [pytest.param(random_row(np.random.default_rng(seed), d, q, sup),
+                    id=f"seed{seed}-d{d}-q{q}-sup{sup}")
+       for seed, d, q in [(1, 2, 6), (2, 3, 4), (3, 4, 5)]
+       for sup in (1.0, 1.0 - 1e-5, 1.0 - 1e-9)]
+
+
+@pytest.mark.parametrize("B", ZERO_REUSE_ROWS)
+def test_matrix_run_reuses_mate_zeros(B, monkeypatch):
+    # make_context hands the mate run's zeros to the matrix run; a
+    # standalone run on I - B*B searches them itself and splits the same
+    reports = []
+    real = space_mod._run_or_best
+
+    def recording(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(space_mod, "_run_or_best", recording)
+    ctx = make_context(B)
+    alone = wilson_or_best(defect_laurent(B)[1], tol_factor=1e-12, max_iter=600)
+    _splits_match(reports[0].splits, alone.splits)
+    assert ctx.reports["boundary_deflations"] == len(alone.splits)
+    assert np.abs(ctx.A.coeffs - alone.factor.coeffs).max() <= 1e-10
+
+
+def test_mate_run_errors_come_first():
+    with pytest.raises(MateUndefined):
+        make_context(fixture("FLAT").B)
+    with pytest.raises(NotPositive):
+        # sup |B| = 1.06 gets past validation only with a loose tol_psd
+        make_context(RowSchur(np.array([[0.8, 0.0], [0.0, 0.7]]), tol_psd=1.0))

@@ -5,6 +5,7 @@ import pytest
 from dbrov import CPoly, MatPoly, VecPoly, poly_roots, toeplitz_conj
 from dbrov.errors import DomainError
 from dbrov.fixtures import fixture
+from dbrov.poly import circle_eval, horner
 from dbrov.rowschur import RowSchur, defect_laurent
 
 from conftest import assert_close
@@ -54,6 +55,34 @@ class TestEvaluation:
         det = A.det_poly()
         assert det.degree == 0
         assert abs(det.coeffs[0] - 1.0) <= 1e-15 * c * c
+
+
+class TestCircleEval:
+    """One FFT evaluates sum_k c_k z^(k + low) on offset circle grids."""
+
+    @pytest.mark.parametrize("n", [5, 16, 64])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)],
+                             ids=["scalar", "row", "matrix"])
+    def test_matches_horner(self, n, offset, shape):
+        # degree 11 >= n = 5 aliases the coefficients; the values stay exact
+        rng = np.random.default_rng(n + len(shape))
+        c = rng.normal(size=(12,) + shape) + 1j * rng.normal(size=(12,) + shape)
+        z = np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+        assert_close(circle_eval(c, n, offset), horner(c, z), 1e-13, "values")
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_negative_powers(self, offset):
+        # low = -m shifts the powers, as for Laurent coefficients k = -m..m
+        rng = np.random.default_rng(7)
+        c = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
+        n = 6
+        z = np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+        want = horner(c, z) * (z ** -4)[:, None, None]
+        assert_close(circle_eval(c, n, offset, low=-4), want, 1e-13, "values")
+
+    def test_empty_coefficients_vanish(self):
+        assert_close(circle_eval(np.zeros((0, 2)), 8), np.zeros((8, 2)), 0.0)
 
 
 class TestRoots:
