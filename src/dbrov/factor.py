@@ -5,8 +5,11 @@ matrix I - B*B into the analytic outer factor A with A(0) Hermitian positive
 definite.  Every zero of the density's determinant on or just outside the
 circle is split off as an elementary factor I - (z / w) vv*, and the
 strictly positive remainder is factored by a Newton iteration on FFT grids.
-The two runs are kept apart, so that det A = a compares two factorizations.
-Outerness is certified without roots, by Jensen's formula.
+For d >= 2 the two runs are kept apart, so that det A = a compares two
+factorizations; for d = 1 the two defects are one Laurent polynomial and
+one run gives both (the mate's independent check is the 50-digit
+Fejér-Riesz oracle of the tests).  Outerness is certified without roots, by
+Jensen's formula.
 """
 
 from __future__ import annotations
@@ -63,21 +66,25 @@ def mate_report(B: RowSchur, tol_psd: float = 1e-8) -> FactorReport:
     return _mate_report(B, defect_laurent(B)[0], tol_psd)[0]
 
 
-def _mate_report(B: RowSchur, scalar: LaurentHerm, tol_psd: float):
-    """`mate_report` for the scalar defect 1 - BB* of B, computed once, and the
-    zeros and null floor for I - B*B: det(I - B*B) = 1 - BB* (Sylvester), and
-    its largest eigenvalue on the circle is 1 for d >= 2 (B*B has rank one)."""
+def _mate_report(B: RowSchur, scalar: LaurentHerm, tol_psd: float,
+                 tol_factor: float = 1e-12, max_iter: int = 500,
+                 grid_log2: int | None = None):
+    """`mate_report` for the scalar defect 1 - BB* of B, computed once.
+
+    Returns the mate's report, the engine's own report (residual against
+    1 - BB*), and the zeros and null floor for I - B*B: det(I - B*B) =
+    1 - BB* (Sylvester), and its largest eigenvalue on the circle is 1 for
+    d >= 2 (B*B has rank one).  For d = 1 the two defects coincide, so the
+    engine's report is also the matrix factor's.  The boundary-zero search
+    also tests positivity, to min(tol_psd, 1e-8).
+    """
     if np.abs(scalar.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
-    low = scalar.min_circle_eig()
-    if low < -tol_psd:
-        raise NotPositive(f"defect dips to {low:.3e} on the circle")
-
-    zeros, floor = _boundary_zeros(scalar)
-    rep = _run_or_best(scalar, (zeros, floor), 1e-12, 500, None)
+    zeros, floor = _boundary_zeros(scalar, -min(tol_psd, 1e-8))
+    rep = _run_or_best(scalar, (zeros, floor), tol_factor, max_iter, grid_log2)
     a = CPoly(rep.factor.coeffs[:, 0, 0])
-    return (replace(rep, factor=a, residual_sup=_mate_residual(B, a)),
-            (zeros, floor if B.dim == 1 else _NULL_REL))
+    return (replace(rep, factor=a, residual_sup=_mate_residual(B, a)), rep,
+            (zeros, _NULL_REL))
 
 
 def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
@@ -110,6 +117,10 @@ def _mate_residual(B: RowSchur, a: CPoly) -> float:
 # tol_factor (putting each split factor back can multiply its error by up to
 # 4), and finer grids are tried while the factor's residual stays above it
 _GRID_TOL = 1e-14
+# a factor with a residual of at most this fraction of the scale of phi
+# starts a finer grid (a grid enlargement, or the full grid after a coarse
+# pass): no zero of its determinant can have crossed the circle
+_WARM_REL = 1e-8
 # a singular value of phi(w) below this fraction of the largest eigenvalue
 # of phi on the circle is a null direction
 _NULL_REL = 1e-8
@@ -134,7 +145,9 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = 5
     ([.]_+ keeps the analytic half, constant term halved) factors the
     strictly positive phi1 with quadratic convergence (Wilson).
     A = A1 E_k ... E_1, trimmed to degree m, keeps A(0) = A1(0) Hermitian
-    positive definite since E(0) = I, so det A = a exactly.  The residual
+    positive definite since E(0) = I, so det A = a exactly.  A matrix run
+    starts its first grid from a Newton pass on a coarse grid (see
+    `_coarse_start`), whose steps count in the iterations.  The residual
     is checked against phi; the grid grows four-fold, warm-started, while
     it is above tol_factor, or above rounding level and still falling.
 
@@ -165,15 +178,16 @@ def _wilson_run(phi: LaurentHerm, zeros, floor: float, tol_factor: float,
             phi1 = _split_off(phi1, *splits[-1])
     n0 = (1 << grid_log2) if grid_log2 is not None \
         else max(pow2_at_least(8 * max(phi1.half_degree, 1) + 1), 256)
-    trace: list[float] = []
+    trace: list[float] = []  # one residual per Newton step, on every grid
     best: tuple = (np.inf, None, None, n0)
-    iterations = 0
     n, prev, A1 = n0, np.inf, None
     while True:
         _check_size(n * phi.dim ** 2, f"factorization grid of {n} points")
-        a_grid, its = _wilson_grid(phi1, n, max_iter,
-                                   min(tol_factor, _GRID_TOL), trace, start=A1)
-        iterations += its
+        if n == n0:
+            A1 = _coarse_start(phi1, n, max_iter, trace)
+        a_grid = _wilson_grid(phi1, n, max_iter, min(tol_factor, _GRID_TOL), trace,
+                              start=A1)
+        iterations = len(trace)
         A1 = _finish(a_grid, phi1.half_degree, phi.dim)
         factor = _reinflate(A1, splits, m)
         resid = factor_residual(factor, phi)
@@ -198,9 +212,7 @@ def _wilson_run(phi: LaurentHerm, zeros, floor: float, tol_factor: float,
                 best=report,
             )
         n, prev = 4 * n, resid
-        # warm-start the finer grid only from a factor close enough that no
-        # zero of its determinant can have crossed the circle
-        A1 = A1 if resid <= 1e-8 * scale else None
+        A1 = A1 if resid <= _WARM_REL * scale else None
 
 
 def wilson_or_best(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = 500,
@@ -229,22 +241,25 @@ def _jensen_gap(A1: MatPoly, n: int) -> float:
         return float(abs(np.log(abs(det[0])) - np.log(np.abs(vals)).mean()))
 
 
-def _boundary_zeros(phi: LaurentHerm):
+def _boundary_zeros(phi: LaurentHerm, dip: float = -1e-8):
     """Zeros w of det phi on or near the circle, and the floor for nulls.
 
     det phi is a nonnegative trigonometric polynomial.  A grid minimum,
     refined by Newton on the angle, that vanishes at rounding scale is a
     zero on the circle; a positive one comes from zeros w, 1/conj(w) about
     sqrt(2 value / curvature) off the circle, and when that is below _NEAR
-    Newton in the plane finds the w with |w| > 1.  The null floor is
-    relative to the largest eigenvalue of phi on the circle, so that it
-    holds for d = 1 too.  A negative dip raises NotPositive first.
+    Newton in the plane finds the w with |w| > 1.  A minimum whose parabola
+    through its three grid values puts that pair twice _NEAR off the circle
+    skips the angle Newton.  The null floor is relative to the largest
+    eigenvalue of phi on the circle, so that it holds for d = 1 too.  An
+    eigenvalue below dip on the grid (of at least 1024 points) raises
+    NotPositive first.
     """
     dm = phi.dim * phi.half_degree
     n = pow2_at_least(max(4 * (2 * dm) + 1, 1024))
     vals = phi.circle_values(n)
     eigs = np.linalg.eigvalsh(vals) if phi.is_matrix else vals.real[:, None]
-    if eigs.min() < -1e-8:
+    if eigs.min() < dip:
         raise NotPositive(f"density dips to {eigs.min():.3e} on the circle")
     floor = _NULL_REL * float(eigs.max())
     dets = eigs.prod(axis=1)
@@ -256,6 +271,14 @@ def _boundary_zeros(phi: LaurentHerm):
     out: list[complex] = []
     minima = (dets < np.roll(dets, 1)) & (dets < np.roll(dets, -1))
     for j in np.nonzero(minima)[0]:
+        # parabola v + c x^2 / 2 through the grid values at j - 1, j, j + 1:
+        # its zero pair sits sqrt(2 v / c) off the circle
+        lo, mid, hi = dets[j - 1], dets[j], dets[(j + 1) % n]
+        bend = lo - 2 * mid + hi
+        c = bend * (n / (2 * np.pi)) ** 2
+        v = mid - (hi - lo) ** 2 / (8 * bend)
+        if v > 1e-10 * top and 2 * v >= 4 * _NEAR ** 2 * c:
+            continue
         theta = _refine_boundary_angle(lau, 2.0 * np.pi * j / n)
         value, _, curv = angle_derivatives(lau, theta)
         w = complex(np.exp(1j * theta))
@@ -322,35 +345,77 @@ def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
     return MatPoly(coeffs[: m + 1], dim=A1.dim)
 
 
+def _coarse_start(phi: LaurentHerm, n: int, max_iter: int, trace: list[float]):
+    """The start of a cold matrix run on n points, or None for the Cholesky one.
+
+    A matrix run (d >= 2) first iterates on n_c = max(64, 4m + 2) points,
+    rounded up to a power of two, from the Cholesky factor of the mean of
+    phi, to a residual of _WARM_REL times the scale of phi; a step there
+    costs a fraction of one on n.  That pass converges to the factor of the
+    sampled density, which differs from the degree-m factor by the aliasing
+    of its inverse's tail.  Its coefficients 0..m start the run on n, which
+    then takes one or two steps instead of five or six (three from 2m + 2
+    points).  A pass that meets a singular iterate or stops above that
+    residual leaves the Cholesky start.  A scalar run (d = 1) keeps it
+    anyway: its steps cost about the same on 32 points as on 256.
+    """
+    n_c = max(64, pow2_at_least(4 * phi.half_degree + 2))
+    if phi.dim == 1 or n_c >= n:
+        return None
+    try:
+        vals, scale = _density_grid(phi, n_c)
+        a_grid, resid = _newton_grid(vals, _cholesky_start(vals), max_iter,
+                                     _WARM_REL * scale, trace)
+        return _finish(a_grid, phi.half_degree, phi.dim) \
+            if resid <= _WARM_REL * scale else None
+    except SingularIterate:
+        return None
+
+
 def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
-                 trace: list[float], start: MatPoly | None = None):
-    """Run the grid iteration; returns (grid values, iterations used).
+                 trace: list[float], start: MatPoly | None = None) -> np.ndarray:
+    """Run the grid iteration on n points; returns the grid values.
 
     It starts from the factor `start` of a coarser grid when one is given,
-    and from the Cholesky factor of the grid mean of phi otherwise.
+    and from the Cholesky factor of the grid mean of phi otherwise.  Each
+    step appends its residual to trace.
     """
-    d = phi.dim
-    vals = _grid_values(phi.coeffs, d, n, 0.5, -phi.half_degree)  # half-sample offset
+    vals, scale = _density_grid(phi, n)
+    a_grid = _cholesky_start(vals) if start is None \
+        else _grid_values(start.coeffs, phi.dim, n, 0.5)
+    return _newton_grid(vals, a_grid, max_iter,
+                        max(tol_factor, 16 * np.finfo(float).eps * scale), trace)[0]
+
+
+def _density_grid(phi: LaurentHerm, n: int):
+    """Hermitian values of phi on the half-sample offset n-point grid, and
+    their scale, which the singular test and the residual floors use."""
+    vals = _grid_values(phi.coeffs, phi.dim, n, 0.5, -phi.half_degree)
     vals = 0.5 * (vals + np.conj(vals).transpose(1, 0, 2))
-    # the singular test and the residual's rounding floor scale with phi
     scale = np.abs(vals).max()
-    if np.abs(grid_det(vals)).max() <= 1e-13 * scale ** d:
+    if np.abs(grid_det(vals)).max() <= 1e-13 * scale ** phi.dim:
         raise SingularIterate("density is identically singular on the circle")
+    return vals, scale
 
-    if start is not None:
-        a_grid = _grid_values(start.coeffs, d, n, 0.5)
-    else:
-        try:
-            chol = np.linalg.cholesky(vals.mean(axis=-1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularIterate("mean density is not positive definite") from exc
-        a_grid = np.conj(chol).T[:, :, None] * np.ones(n)
 
-    floor = max(tol_factor, 16 * np.finfo(float).eps * scale)
-    eye = np.eye(d)[:, :, None]
+def _cholesky_start(vals: np.ndarray) -> np.ndarray:
+    """The constant grid factor C* with C C* the grid mean of the density."""
+    try:
+        chol = np.linalg.cholesky(vals.mean(axis=-1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularIterate("mean density is not positive definite") from exc
+    return np.conj(chol).T[:, :, None] * np.ones(vals.shape[-1])
+
+
+def _newton_grid(vals: np.ndarray, a_grid: np.ndarray, max_iter: int, floor: float,
+                 trace: list[float]):
+    """Newton steps on the grid from a_grid until the residual is at most
+    floor or stalls; returns the best grid factor and its residual."""
+    n = vals.shape[-1]
+    eye = np.eye(vals.shape[0])[:, :, None]
     best = (np.inf, a_grid)
     stall = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         try:
             inv = _grid_inv(a_grid)
         except np.linalg.LinAlgError as exc:
@@ -372,7 +437,7 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
             best = (resid, a_grid)
         if resid <= floor or stall >= 3:
             break
-    return best[1], it
+    return best[1], best[0]
 
 
 def _grid_values(coeffs: np.ndarray, d: int, n: int, offset: float = 0.0,

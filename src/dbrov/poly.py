@@ -370,14 +370,6 @@ class LaurentHerm:
         """Values at exp(2 pi i (j + offset) / n_grid), j < n_grid (`circle_eval`)."""
         return circle_eval(self.coeffs, n_grid, offset, -self.half_degree)
 
-    def min_circle_eig(self) -> float:
-        """Smallest eigenvalue (scalar: smallest value) over a circle grid."""
-        n = pow2_at_least(max(4 * 2 * self.half_degree + 1, 512))
-        vals = self.circle_values(n)
-        if self.is_matrix:
-            return float(np.linalg.eigvalsh(vals).min())
-        return float(vals.real.min())
-
     def __repr__(self):
         kind = "matrix" if self.is_matrix else "scalar"
         return f"LaurentHerm({kind}, m={self.half_degree})"

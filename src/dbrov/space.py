@@ -96,24 +96,28 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    The mate and the matrix factor come from two separate runs of the
-    factorization engine sharing one boundary-zero search, and the boundary
-    spectrum is read off the unimodular split points of the mate's run, with
-    multiplicity the number of splits at each; no polynomial roots are
-    found.  The matrix factorization is pushed well below tol_factor when
+    For d >= 2 the mate and the matrix factor come from two separate runs
+    of the factorization engine sharing one boundary-zero search.  For
+    d = 1 the two defects are the same Laurent polynomial, and a second run
+    would repeat the first bit for bit, so one run gives both: A = a, and
+    the mate's independent check is the Fejér-Riesz test suite.  The
+    boundary spectrum is read off the unimodular split points of the mate's
+    run, with multiplicity the number of splits at each; no polynomial roots
+    are found.  The matrix factorization is pushed well below tol_factor when
     possible; boundary-degenerate densities that stall are accepted down to
     1e-8, since regularizing them would perturb the boundary spectrum.
     """
     tol = tol or Tolerances()
     scalar_defect, matrix_defect = defect_laurent(B)
-    m_rep, search = _mate_report(B, scalar_defect, tol.tol_psd)
-    a = m_rep.factor
+    run = (min(tol.tol_factor, 1e-12), max_iter, grid_log2)
+    if B.dim == 1:
+        m_rep, w_rep, _ = _mate_report(B, scalar_defect, tol.tol_psd, *run)
+    else:
+        m_rep, _, search = _mate_report(B, scalar_defect, tol.tol_psd)
+        w_rep = _run_or_best(matrix_defect, search, *run)
+    a, A = m_rep.factor, w_rep.factor
     lam = Counter(w / abs(w) for w in m_rep.splits
                   if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
-
-    w_rep = _run_or_best(matrix_defect, search, min(tol.tol_factor, 1e-12),
-                         max_iter, grid_log2)
-    A = w_rep.factor
 
     a0_cond = float(np.linalg.cond(A.coeffs[0]))
     if a0_cond > 1e8:

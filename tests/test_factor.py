@@ -22,9 +22,10 @@ from dbrov.factor import _grid_inv, _grid_mul, _jensen_gap, _wilson_grid, \
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_grid, grid_det
 from dbrov.rowschur import defect_laurent
+from dbrov.verify import run_checks
 
 from conftest import assert_close
-from test_random_rows import random_row
+from test_random_rows import NEAR_ROWS, random_row
 
 SQ8 = 1.0 / (2.0 * np.sqrt(2.0))
 
@@ -378,3 +379,149 @@ def test_mate_run_errors_come_first():
     with pytest.raises(NotPositive):
         # sup |B| = 1.06 gets past validation only with a loose tol_psd
         make_context(RowSchur(np.array([[0.8, 0.0], [0.0, 0.7]]), tol_psd=1.0))
+
+
+COLD_ROWS = [pytest.param(fixture(name).B, 2, id=name)
+             for name in ("ROW2", "TRUNC(8)")] \
+    + [pytest.param(fixture("TRUNC(10)").B, 3, id="TRUNC(10)")] \
+    + [pytest.param(random_row(np.random.default_rng(seed), d, q, sup), 2,
+                    id=f"seed{seed}-d{d}-q{q}-sup{sup}")
+       for seed, d, q in [(1, 2, 16), (2, 3, 8), (3, 4, 12), (4, 8, 4)]
+       for sup in (0.9, 1.0, 1.0 - 1e-9)]
+
+
+@pytest.mark.parametrize("B,steps", COLD_ROWS)
+def test_cold_matrix_run_starts_coarse(B, steps, monkeypatch):
+    # the coarse pass hands the first grid a start one or two Newton steps
+    # from the factor (five or six from the Cholesky start).  TRUNC(10) needs
+    # three: det A nearly vanishes at z = 1 (the defect is 2^-10 there), so
+    # the sampled density's factor aliases more
+    calls = []
+    real = factor_mod._wilson_grid
+
+    def spying(phi, n, max_iter, tol, trace, start=None):
+        before = len(trace)
+        out = real(phi, n, max_iter, tol, trace, start=start)
+        calls.append((phi.dim, start is not None, len(trace) - before))
+        return out
+
+    monkeypatch.setattr(factor_mod, "_wilson_grid", spying)
+    ctx = make_context(B)
+    # the first grid of the matrix run is the one that starts cold
+    _, coarse, took = next(c for c in calls if c[0] > 1)
+    assert coarse and took <= steps
+    assert [r.name for r in run_checks(ctx) if not r.passed] == []
+    a0 = ctx.A.coeffs[0]
+    assert np.abs(a0 - np.conj(a0).T).max() <= 1e-12
+    assert np.linalg.eigvalsh(a0).min() > 0
+    assert ctx.reports["det_gap_sup"] <= 1e-10
+
+
+@pytest.mark.parametrize("failure", ["raises", "above bound"])
+@pytest.mark.parametrize("B", [fixture("TRUNC(8)").B,
+                               random_row(np.random.default_rng(5), 4, 6, 1.0)])
+def test_failed_coarse_pass_keeps_cholesky_start(B, failure, monkeypatch):
+    # a coarse pass that meets a singular iterate, or stops above the warm
+    # bound, leaves the run exactly as without a coarse pass
+    _, matrix = defect_laurent(B)
+    monkeypatch.setattr(factor_mod, "_coarse_start", lambda *args: None)
+    want = wilson_report(matrix, 1e-12, 600)
+    monkeypatch.undo()
+    real = factor_mod._newton_grid
+
+    def failing(vals, a_grid, max_iter, floor, trace):
+        if vals.shape[-1] < 256:  # the coarse pass: 64 points, then 256
+            if failure == "raises":
+                raise SingularIterate("forced")
+            return real(vals, a_grid, max_iter, floor, trace)[0], np.inf
+        return real(vals, a_grid, max_iter, floor, trace)
+
+    monkeypatch.setattr(factor_mod, "_newton_grid", failing)
+    got = wilson_report(matrix, 1e-12, 600)
+    assert np.array_equal(got.factor.coeffs, want.factor.coeffs)
+    assert got.residual_sup == want.residual_sup
+    extra = got.iterations - want.iterations
+    assert extra == 0 if failure == "raises" else extra > 0
+
+
+@pytest.mark.parametrize("B", [fixture("SARASON").B, fixture("ZERO").B]
+                         + [random_row(np.random.default_rng(seed), 1, q, sup)
+                            for seed, q in [(1, 3), (2, 8), (3, 16)]
+                            for sup in (0.9, 1.0, 1.0 - 1e-9)])
+def test_scalar_row_runs_the_engine_once(B, monkeypatch):
+    # for d = 1 both defects are 1 - |b|^2: one run gives a and A = a
+    runs = []
+    real = factor_mod._wilson_run
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(factor_mod, "_wilson_run", counting)
+    ctx = make_context(B)
+    assert len(runs) == 1
+    A = ctx.A.coeffs[:, 0, 0]
+    assert np.array_equal(A[: ctx.a.coeffs.shape[0]], ctx.a.coeffs)
+    assert not A[ctx.a.coeffs.shape[0]:].any()
+    assert ctx.reports["det_gap_sup"] == 0.0
+    assert ctx.reports["factor_fallback"] == ctx.reports["mate_fallback"]
+
+
+def _defect_roots_near_circle(B):
+    """Roots w of z^q (1 - BB*) with 1 <= |w| < 1 + _NEAR, from the
+    companion matrix; det(I - B*B) = 1 - BB*, so they are det phi's too.
+
+    Rounding splits a double root on the circle into a pair about sqrt(eps)
+    off it, so roots within 1e-6 of one another count once."""
+    out = []
+    for r, _ in poly_roots(CPoly(_defect_coeffs(B.coeffs))):
+        if 1 - 1e-6 <= abs(r) < 1 + factor_mod._NEAR \
+                and all(abs(r - u) > 1e-6 for u in out):
+            out.append(r)
+    return out
+
+
+def _row_with_zero_off_circle(rng, d, q, delta):
+    """A random row scaled so that the defect's zero nearest the circle
+    sits at |w| - 1 = delta (bisection on the scale of a touching row)."""
+    B = random_row(rng, d, q, 1.0)
+
+    def gap(s):
+        radii = np.abs(np.roots(_defect_coeffs(B.coeffs * s)[::-1]))
+        return radii[radii >= 1].min() - 1
+
+    lo, hi = 0.5, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) > delta else (lo, mid)
+    return RowSchur(B.coeffs * lo)
+
+
+def _defect_coeffs(c):
+    """z^q (1 - BB*) in ascending powers: the coefficient of z^k in BB* is
+    sum_j <B_{j+k}, B_j>, a numpy correlation, apart from `defect_laurent`."""
+    bb = sum(np.correlate(c[:, i], c[:, i], mode="full") for i in range(c.shape[1]))
+    out = -bb
+    out[c.shape[0] - 1] += 1.0
+    return out
+
+
+PLACED_ROWS = [pytest.param(_row_with_zero_off_circle(
+    np.random.default_rng(seed), d, q, rel * factor_mod._NEAR),
+    id=f"seed{seed}-d{d}-q{q}-near{rel}")
+    for seed, d, q in [(1, 1, 6), (2, 2, 5), (3, 3, 4)]
+    for rel in (0.5, 0.99, 1.01, 2.0)]
+
+
+@pytest.mark.parametrize("B", ZERO_REUSE_ROWS + PLACED_ROWS + [
+    pytest.param(random_row(np.random.default_rng(seed), d, q, 1.0 - 1e-9),
+                 id=f"near-d{d}-q{q}-seed{seed}") for d, q, seed in NEAR_ROWS])
+def test_screened_zeros_match_companion_roots(B):
+    # grid minima screened off before the angle Newton lose no zero within
+    # _NEAR of the circle, for the scalar defect and for I - B*B
+    want = _defect_roots_near_circle(B)
+    for phi in defect_laurent(B):
+        got, _ = factor_mod._boundary_zeros(phi)
+        assert len(got) == len(want)
+        for w in want:
+            assert min(abs(np.asarray(got) - w)) <= 1e-6
