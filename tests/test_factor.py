@@ -373,6 +373,22 @@ def test_matrix_run_reuses_mate_zeros(B, monkeypatch):
     assert np.abs(ctx.A.coeffs - alone.factor.coeffs).max() <= 1e-10
 
 
+def test_both_runs_take_the_engine_settings(monkeypatch):
+    # the mate run of a d >= 2 row gets make_context's settings, as the
+    # matrix run does
+    runs = []
+    real = factor_mod._run_or_best
+
+    def recording(phi, search, *run):
+        runs.append(run)
+        return real(phi, search, *run)
+
+    monkeypatch.setattr(factor_mod, "_run_or_best", recording)
+    monkeypatch.setattr(space_mod, "_run_or_best", recording)
+    make_context(fixture("ROW2").B, max_iter=7, grid_log2=12)
+    assert runs == [(1e-12, 7, 12), (1e-12, 7, 12)]
+
+
 def test_mate_run_errors_come_first():
     with pytest.raises(MateUndefined):
         make_context(fixture("FLAT").B)
@@ -525,3 +541,40 @@ def test_screened_zeros_match_companion_roots(B):
         assert len(got) == len(want)
         for w in want:
             assert min(abs(np.asarray(got) - w)) <= 1e-6
+
+
+def _bauer_factor(B, N):
+    """A's coefficients by Bauer's method, with no factorization engine.
+
+    T = [W_{j-i}] is the block Toeplitz matrix (N + 1 blocks) of
+    W = I - B*B = A*A, W_m = delta_m0 I - sum_j b_j^H b_{j+m}.  Its Cholesky
+    factor's last block row, conjugate-transposed and reversed, tends to A
+    up to a unitary on the left, which A(0) > 0 fixes.
+    """
+    c = B.coeffs
+    q1, d = c.shape
+    n = N + 1
+    W = np.zeros((2 * N + 1, d, d), dtype=complex)  # W_m at index N + m
+    W[N] = np.eye(d)
+    for m in range(q1):
+        W[N + m] -= np.conj(c[: q1 - m]).T @ c[m:]
+        W[N - m] = np.conj(W[N + m]).T
+    idx = np.arange(n)
+    T = W[N + idx[None, :] - idx[:, None]].transpose(0, 2, 1, 3)
+    L = np.linalg.cholesky(T.reshape(n * d, n * d))
+    C = np.conj(L[-d:].reshape(d, n, d)[:, ::-1].transpose(1, 2, 0))
+    u, _, vh = np.linalg.svd(C[0])
+    return np.conj(u @ vh).T @ C
+
+
+@pytest.mark.parametrize("B", [fixture("TRUNC(3)").B, fixture("TRUNC(8)").B]
+                         + [random_row(np.random.default_rng(seed), d, q, 0.9)
+                            for seed, d, q in [(1, 1, 8), (2, 2, 4), (3, 3, 6),
+                                               (4, 4, 8), (5, 4, 3)]])
+def test_factor_matches_bauer(B):
+    # strictly contractive rows: Bauer's method converges geometrically, and
+    # 151 blocks leave it at rounding level
+    A = make_context(B).A.coeffs
+    want = _bauer_factor(B, 150)
+    assert np.abs(A - want[: A.shape[0]]).max() <= 1e-10
+    assert np.abs(want[A.shape[0]:]).max() <= 1e-10

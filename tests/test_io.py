@@ -8,7 +8,7 @@ import pytest
 
 import dbrov
 from dbrov.cli import main
-from dbrov.errors import MateUndefined, ValidationError
+from dbrov.errors import DbrovError, MateUndefined, ValidationError
 from dbrov.fixtures import fixture
 from dbrov.schema import parse_problem, serialize_problem
 from dbrov.space import density_residual
@@ -294,6 +294,17 @@ class TestCli:
                               payload, "--grid-log2", "6"], capsys)
         assert code == 0
         assert json.loads(out)["grid_size"] == 64
+
+    @pytest.mark.parametrize("cls", DbrovError.__subclasses__(),
+                             ids=lambda cls: cls.__name__)
+    def test_every_error_has_a_name_and_code(self, capsys, monkeypatch, cls):
+        def failing(args, spec):
+            raise cls("forced")
+
+        monkeypatch.setattr(dbrov.cli, "_dispatch", failing)
+        code, out = self.run(["analyze", "--fixture", "ROW2"], capsys)
+        assert json.loads(out)["error"] == cls.__name__
+        assert code == (2 if cls is ValidationError else 3)
 
     def test_missing_payload_field(self, capsys):
         code, out = self.run(["norm", "--fixture", "ROW2"], capsys)

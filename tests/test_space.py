@@ -2,6 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dbrov import (
     CPoly,
@@ -23,10 +24,11 @@ from dbrov import (
     toeplitz_conj_hb,
 )
 from dbrov import space
-from dbrov.errors import BoundaryNotRegular, DomainError
+from dbrov.errors import BoundaryNotRegular, DomainError, \
+    IllConditionedConstant
 from dbrov.poly import circle_grid
-from dbrov.space import _density_residuals, _embed_block, _pair_bounds, \
-    _section_kernels
+from dbrov.space import SpaceContext, _density_residuals, _extend_generator, \
+    _generator, _pair_bounds, _section_kernels
 
 from conftest import assert_close
 from test_random_rows import random_row
@@ -55,6 +57,34 @@ def ctx_touching():
 def gram_contexts(all_contexts, ctx_touching):
     names = ("ROW2", "SARASON", "TRUNC(8)")
     return {**{n: all_contexts[n] for n in names}, "touching": ctx_touching}
+
+
+def fresh(ctx, **reports):
+    """The same context with an empty generator and the given reports."""
+    return SpaceContext(ctx.B, ctx.a, ctx.A, ctx.Lambda, ctx.tol,
+                        {**ctx.reports, **reports})
+
+
+def back_substitution(ctx, F):
+    """Plus parts (n+1, d, m) of the columns of F (n+1, m), the reference.
+
+    Rows k = n .. 0 of the analytic part of B*f + A*f+ = 0 form a banded
+    upper-triangular block Toeplitz system with diagonal block A(0)*, solved
+    for every column at once, with einsum so that columns do not mix.
+    """
+    n1, m = F.shape
+    astar = np.conj(ctx.A.coeffs).transpose(0, 2, 1)
+    bstar = np.conj(ctx.B.coeffs)
+    inv0 = np.linalg.inv(astar[0])
+    windows = sliding_window_view(
+        np.vstack([F, np.zeros((bstar.shape[0], m))]), bstar.shape[0], axis=0)
+    rhs = np.einsum("ja,kmj->kam", bstar, windows[:n1])
+    P = np.zeros((n1, ctx.dim, m), dtype=complex)
+    for k in range(n1 - 1, -1, -1):
+        j = min(astar.shape[0], n1 - k)
+        band = np.einsum("jab,jbm->am", astar[1:j], P[k + 1 : k + j])
+        P[k] = -np.einsum("ab,bm->am", inv0, rhs[k] + band)
+    return P
 
 
 def rand_poly(rng, max_deg):
@@ -306,9 +336,12 @@ class TestGramAndResiduals:
         assert abs(val - 0.8) < 1e-3
 
     def test_gram_diagonal_is_embedded_norm(self, gram_contexts):
-        # the diagonal sums 1, |h_0|^2, ..., |h_k|^2 in embed's order
-        for name in ("ROW2", "TRUNC(8)", "touching"):
-            ctx = gram_contexts[name]
+        # the diagonal sums 1, |h_0|^2, ..., |h_k|^2 in embed's order; the
+        # scalar touching row also needs both to square the same contiguous
+        # rows (numpy's |.| can differ in the last bit on strided input)
+        scalar = make_context(random_row(np.random.default_rng(0), 1, 4, 1.0))
+        for name, ctx in [(n, gram_contexts[n]) for n in
+                          ("ROW2", "TRUNC(8)", "touching")] + [("d=1", scalar)]:
             G = gram(ctx, 160)
             for k in (0, 1, 80, 159, 160):
                 assert G[k, k] == embed(ctx, monomial(k)).norm_sq, name
@@ -361,15 +394,61 @@ class TestGeneratorGram:
             assert np.array_equal(G[: n + 1, : n + 1], gram(ctx, n)), n
 
     def test_gram_back_substitutes_one_column(self, ctx_row2, monkeypatch):
-        shapes = []
+        # the generator is computed once and continued on demand: a Gram of
+        # order 160 computes 161 rows, lower orders, monomial embeddings and
+        # sweeps up to 160 compute none, and order 200 adds the 40 missing
+        ctx = fresh(ctx_row2)
+        rows = []
 
-        def spy(ctx, F):
-            shapes.append(F.shape)
-            return _embed_block(ctx, F)
+        def spy(ctx, h, N):
+            rows.append(N + 1 - h.shape[0])
+            return _extend_generator(ctx, h, N)
 
-        monkeypatch.setattr(space, "_embed_block", spy)
-        gram(ctx_row2, 160)
-        assert shapes == [(161, 1)]
+        monkeypatch.setattr(space, "_extend_generator", spy)
+        gram(ctx, 160)
+        assert rows == [161]
+        gram(ctx, 40)
+        for k in range(161):
+            embed(ctx, monomial(k))
+        _density_residuals(ctx, 0.5, 160)
+        point_eval_residual(ctx, 1j, 160)
+        assert rows == [161]
+        gram(ctx, 200)
+        assert rows == [161, 40]
+        assert ctx._h.shape == (201, ctx.dim)
+
+    @pytest.mark.parametrize("name", ["ROW2", "TRUNC(8)", "touching"])
+    def test_gram_does_not_depend_on_call_order(self, gram_contexts, name):
+        # cold, after a larger Gram, and after an ascending per-order sweep
+        ctx = gram_contexts[name]
+        cold, big, swept = fresh(ctx), fresh(ctx), fresh(ctx)
+        gram(big, 160)
+        for n in range(161):
+            density_residual(swept, 0.5, n)
+        want = gram(cold, 40).tobytes()
+        assert gram(big, 40).tobytes() == want
+        assert gram(swept, 40).tobytes() == want
+
+    @pytest.mark.parametrize("name", ["ZERO", "SARASON", "ROW2", "TRUNC(3)",
+                                      "TRUNC(8)", "touching"])
+    def test_generator_solves_the_toeplitz_system(self, all_contexts,
+                                                  ctx_touching, name):
+        # h = -Ã^{-1} b̃ in power series, Ã(z) = sum A_j* z^j and
+        # b̃(z) = sum conj(b_j) z^j: a dense block lower-triangular Toeplitz
+        # system, solved without the recurrence
+        ctx = ctx_touching if name == "touching" else all_contexts[name]
+        N, d = 80, ctx.dim
+        astar = np.conj(ctx.A.coeffs).transpose(0, 2, 1)
+        T = np.zeros((N + 1, d, N + 1, d), dtype=complex)
+        for i in range(N + 1):
+            for j in range(max(0, i - astar.shape[0] + 1), i + 1):
+                T[i, :, j, :] = astar[i - j]
+        rhs = np.zeros((N + 1, d), dtype=complex)
+        q = min(ctx.B.coeffs.shape[0], N + 1)
+        rhs[:q] = -np.conj(ctx.B.coeffs[:q])
+        want = np.linalg.solve(T.reshape(-1, (N + 1) * d), rhs.ravel())
+        got = _generator(fresh(ctx), N).ravel()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(initial=0.0)
 
     def test_public_signatures(self):
         for fn, params in ((gram, ["ctx", "N"]),
@@ -385,11 +464,46 @@ class TestGeneratorGram:
         ctx = all_contexts[name]
         N = 40
         eye = np.eye(N + 1, dtype=complex)
-        want = _pair_bounds(ctx, eye, _embed_block(ctx, eye)[0])[:, -1]
-        e = eye[:, N:]
-        got = _pair_bounds(ctx, e, _embed_block(ctx, e)[0])[:, :, 0]
+        want = _pair_bounds(ctx, eye, back_substitution(ctx, eye))[:, -1]
+        P = _generator(fresh(ctx), N)[::-1, :, None]
+        got = _pair_bounds(ctx, eye[:, N:], P)[:, :, 0]
         assert np.array_equal(got, want)
         assert want[0].max() > 0.0
+
+    @pytest.mark.parametrize("name", ["ZERO", "SARASON", "ROW2", "TRUNC(3)",
+                                      "TRUNC(8)", "touching"])
+    def test_embed_matches_back_substitution(self, all_contexts, ctx_touching,
+                                             name):
+        # the correlation with the generator against the banded
+        # back-substitution of the coefficients themselves
+        ctx = ctx_touching if name == "touching" else all_contexts[name]
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            f = rand_poly(rng, 60)
+            el = embed(ctx, f)
+            want = back_substitution(ctx, f.coeffs[:, None])[:, :, 0]
+            got = np.zeros_like(want)
+            got[: el.f_plus.coeffs.shape[0]] = el.f_plus.coeffs
+            scale = max(1.0, np.abs(want).max(initial=0.0))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
+            norm = f.norm_sq() + (np.abs(want) ** 2).sum()
+            assert abs(el.norm_sq - norm) <= 1e-13 * norm
+
+    def test_ill_conditioned_constant_refused(self, ctx_row2):
+        # cond(A(0)) > 1e6 refuses every embedding and Gram, the zero
+        # polynomial included, even when the generator is already cached
+        F = embed(ctx_row2, CPoly([1.0, 2.0]))
+        bad = fresh(ctx_row2, A0_cond=1e7)
+        bad._h = ctx_row2._h
+        calls = [lambda: embed(bad, CPoly([1.0, 2.0])),
+                 lambda: embed(bad, CPoly.zero()),
+                 lambda: multiply_z(bad, F),
+                 lambda: gram(bad, 4),
+                 lambda: density_residual(bad, 0.5, 4),
+                 lambda: point_eval_residual(bad, 1.0, 4)]
+        for call in calls:
+            with pytest.raises(IllConditionedConstant):
+                call()
 
 
 class TestSweeps:
