@@ -1,15 +1,17 @@
 """Spectral factorization of boundary defects.
 
-One engine factors both defects: the scalar 1 - BB* into the mate a and the
-matrix I - B*B into the analytic outer factor A with A(0) Hermitian positive
-definite.  Every zero of the density's determinant on or just outside the
-circle is split off as an elementary factor I - (z / w) vv*, and the
-strictly positive remainder is factored by a Newton iteration on FFT grids.
-For d >= 2 the two runs are kept apart, so that det A = a compares two
-factorizations; for d = 1 the two defects are one Laurent polynomial and
-one run gives both (the mate's independent check is the 50-digit
-Fejér-Riesz oracle of the tests).  Outerness is certified without roots, by
-Jensen's formula.
+One engine, `wilson_report`, factors both defects: the scalar 1 - BB* into
+the mate a and the matrix I - B*B into the analytic outer factor A with
+A(0) Hermitian positive definite.  Every zero of the density's determinant
+on or just outside the circle is split off as an elementary factor
+I - (z / w) vv*, and the strictly positive remainder is factored by a
+Newton iteration on FFT grids.  A run that stalls at a residual of at most
+BEST_FACTOR_TOL returns its best factor with fallback set; any other failed
+run raises FactorizationDiverged.  For d >= 2 the two runs are kept apart,
+so that det A = a compares two factorizations; for d = 1 the two defects
+are one Laurent polynomial and one run gives both (the mate's independent
+check is the 50-digit Fejér-Riesz oracle of the tests).  Outerness is
+certified without roots, by Jensen's formula.
 """
 
 from __future__ import annotations
@@ -59,32 +61,31 @@ def mate_report(B: RowSchur, tol_psd: float = 1e-8) -> FactorReport:
     _NEAR = 36 / 4096 outside it, are split off as factors 1 - z / w; the
     unimodular split points are the zeros of a on the circle, once per
     split.  outer_gap is the Jensen gap of the grid factor a1, which every
-    split factor leaves unchanged (see `wilson_report`).  A run that stalls
-    at a residual of at most BEST_FACTOR_TOL returns its best factor, with
-    fallback set.
+    split factor leaves unchanged, and a stalled run is handled as in
+    `wilson_report`.
     """
-    return _mate_report(B, defect_laurent(B)[0], tol_psd)[0]
+    scalar = defect_laurent(B)[0]
+    search = _defect_zeros(scalar, tol_psd)[0]
+    return _as_mate(B, wilson_report(scalar, 1e-12, search=search))
 
 
-def _mate_report(B: RowSchur, scalar: LaurentHerm, tol_psd: float,
-                 tol_factor: float = 1e-12, max_iter: int = 500,
-                 grid_log2: int | None = None):
-    """`mate_report` for the scalar defect 1 - BB* of B, computed once.
-
-    Returns the mate's report, the engine's own report (residual against
-    1 - BB*), and the zeros and null floor for I - B*B: det(I - B*B) =
-    1 - BB* (Sylvester), and its largest eigenvalue on the circle is 1 for
-    d >= 2 (B*B has rank one).  For d = 1 the two defects coincide, so the
-    engine's report is also the matrix factor's.  The boundary-zero search
-    also tests positivity, to min(tol_psd, 1e-8).
-    """
+def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
+    """The (zeros, null floor) searches of 1 - BB* and I - B*B, from one on
+    1 - BB* that also tests positivity to min(tol_psd, 1e-8): det(I - B*B)
+    = 1 - BB*, and I - B*B has top eigenvalue 1 for d >= 2 (rank-one B*B)."""
     if np.abs(scalar.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
     zeros, floor = _boundary_zeros(scalar, -min(tol_psd, 1e-8))
-    rep = _run_or_best(scalar, (zeros, floor), tol_factor, max_iter, grid_log2)
+    return (zeros, floor), (zeros, _NULL_REL)
+
+
+def _as_mate(B: RowSchur, rep: FactorReport) -> FactorReport:
+    """A run on 1 - BB* read as the mate a, with residual |a|^2 + BB* - 1."""
     a = CPoly(rep.factor.coeffs[:, 0, 0])
-    return (replace(rep, factor=a, residual_sup=_mate_residual(B, a)), rep,
-            (zeros, _NULL_REL))
+    n = max(512, pow2_at_least(4 * max(B.degree, a.degree) + 1))
+    bb = (np.abs(circle_eval(B.coeffs, n)) ** 2).sum(axis=-1)
+    resid = float(np.abs(np.abs(circle_eval(a.coeffs, n)) ** 2 + bb - 1.0).max())
+    return replace(rep, factor=a, residual_sup=resid)
 
 
 def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
@@ -107,12 +108,6 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
     return theta
 
 
-def _mate_residual(B: RowSchur, a: CPoly) -> float:
-    n = max(512, pow2_at_least(4 * max(B.degree, a.degree) + 1))
-    bb = (np.abs(circle_eval(B.coeffs, n)) ** 2).sum(axis=-1)
-    return float(np.abs(np.abs(circle_eval(a.coeffs, n)) ** 2 + bb - 1.0).max())
-
-
 # the grid iterates the split density to this residual, not just to
 # tol_factor (putting each split factor back can multiply its error by up to
 # 4), and finer grids are tried while the factor's residual stays above it
@@ -133,15 +128,16 @@ _NEAR = 36.0 / _GRID_BUDGET
 
 
 def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = 500,
-                  grid_log2: int | None = None) -> FactorReport:
+                  grid_log2: int | None = None, *, search=None) -> FactorReport:
     """Outer factor A with A*A = phi: split circle zeros off, grid the rest.
 
     At each zero w of det phi on the circle or within the split radius
     _NEAR = 36 / 4096 outside it, with null vector v of phi(w), the
     elementary factor E(z) = I - (z / w) vv* is split off: phi = E* phi1 E
     with phi1 = E^{-*} phi E^{-1} again Hermitian Laurent of half-degree
-    <= m (Youla-Kazanjian), repeated while phi1(w) stays singular.  The
-    Newton iteration A1 <- A1 [A1^{-*} phi1 A1^{-1} + I]_+ on an FFT grid
+    <= m (Youla-Kazanjian), repeated while phi1(w) stays singular; search
+    is the (zeros, null floor) of `_boundary_zeros`, run here if not given.
+    The Newton iteration A1 <- A1 [A1^{-*} phi1 A1^{-1} + I]_+ on an FFT grid
     ([.]_+ keeps the analytic half, constant term halved) factors the
     strictly positive phi1 with quadratic convergence (Wilson).
     A = A1 E_k ... E_1, trimmed to degree m, keeps A(0) = A1(0) Hermitian
@@ -155,16 +151,12 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = 5
     factor with |w_k| >= 1 has gap 0, so it is
     |log|det A1(0)| - mean of log|det A1| over the circle|, which det A1,
     zero-free within _NEAR of the circle, gives to rounding on a grid of
-    _GRID_BUDGET points.  A failed run raises FactorizationDiverged with
-    the report of its best factor, at once when an enlargement does not
-    lower a best residual of at most BEST_FACTOR_TOL.
+    _GRID_BUDGET points.  A failed run whose best residual is at most
+    BEST_FACTOR_TOL returns that best factor with fallback set, at once when
+    an enlargement does not lower it; any other failed run raises
+    FactorizationDiverged with the report of its best factor.
     """
-    return _wilson_run(phi, *_boundary_zeros(phi), tol_factor, max_iter, grid_log2)
-
-
-def _wilson_run(phi: LaurentHerm, zeros, floor: float, tol_factor: float,
-                max_iter: int, grid_log2: int | None) -> FactorReport:
-    """`wilson_report` with the zeros and null floor of `_boundary_zeros`."""
+    zeros, floor = _boundary_zeros(phi) if search is None else search
     m = phi.half_degree
     scale = float(np.abs(phi.coeffs).max(initial=0.0))
     phi1, splits = phi, []
@@ -203,7 +195,7 @@ def _wilson_run(phi: LaurentHerm, zeros, floor: float, tol_factor: float,
                 best[1], best[0], _jensen_gap(best[2], max(best[3], _GRID_BUDGET)),
                 iterations, best[3], tuple(w for w, _ in splits),
                 fallback=not done)
-            if done:
+            if done or best[0] <= BEST_FACTOR_TOL:
                 return report
             raise FactorizationDiverged(
                 f"residual {best[0]:.3e} after {iterations} iterations "
@@ -213,24 +205,6 @@ def _wilson_run(phi: LaurentHerm, zeros, floor: float, tol_factor: float,
             )
         n, prev = 4 * n, resid
         A1 = A1 if resid <= _WARM_REL * scale else None
-
-
-def wilson_or_best(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = 500,
-                   grid_log2: int | None = None) -> FactorReport:
-    """`wilson_report`, or the best factor of a run that stalled at a
-    residual of at most BEST_FACTOR_TOL (its report has fallback set)."""
-    return _run_or_best(phi, _boundary_zeros(phi), tol_factor, max_iter, grid_log2)
-
-
-def _run_or_best(phi: LaurentHerm, search, tol_factor: float, max_iter: int,
-                 grid_log2: int | None) -> FactorReport:
-    """`wilson_or_best` with the (zeros, null floor) of `_boundary_zeros`."""
-    try:
-        return _wilson_run(phi, *search, tol_factor, max_iter, grid_log2)
-    except FactorizationDiverged as exc:
-        if exc.best is None or not exc.best.residual_sup <= BEST_FACTOR_TOL:
-            raise
-        return exc.best
 
 
 def _jensen_gap(A1: MatPoly, n: int) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import _mate_report, _run_or_best
+from .factor import _as_mate, _defect_zeros, wilson_report
 from .poly import CPoly, MatPoly, VecPoly, _check_size, _divide_one_minus, \
     circle_eval, grid_det, pow2_at_least, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
@@ -98,8 +98,8 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    For d >= 2 the mate and the matrix factor come from two runs of the
-    factorization engine sharing one boundary-zero search and the same
+    For d >= 2 the mate and the matrix factor come from two
+    `wilson_report` runs sharing one boundary-zero search and the same
     min(tol_factor, 1e-12), max_iter and grid_log2.  For d = 1 the two
     defects are the same Laurent polynomial, and a second run would repeat
     the first bit for bit, so one run gives both: A = a, and the mate's
@@ -112,10 +112,15 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     """
     tol = tol or Tolerances()
     scalar_defect, matrix_defect = defect_laurent(B)
+    mate_search, matrix_search = _defect_zeros(scalar_defect, tol.tol_psd)
+    if grid_log2 is not None:  # refuse the matrix run's grid before either run
+        n = 1 << grid_log2
+        _check_size(n * B.dim ** 2, f"factorization grid of {n} points")
     run = (min(tol.tol_factor, 1e-12), max_iter, grid_log2)
-    m_rep, w_rep, search = _mate_report(B, scalar_defect, tol.tol_psd, *run)
+    w_rep = wilson_report(scalar_defect, *run, search=mate_search)
+    m_rep = _as_mate(B, w_rep)
     if B.dim > 1:
-        w_rep = _run_or_best(matrix_defect, search, *run)
+        w_rep = wilson_report(matrix_defect, *run, search=matrix_search)
     a, A = m_rep.factor, w_rep.factor
     lam = Counter(w / abs(w) for w in m_rep.splits
                   if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)

@@ -15,10 +15,10 @@ from dbrov import (
 )
 import dbrov.factor as factor_mod
 import dbrov.space as space_mod
-from dbrov.errors import DegenerateDeterminant, MateUndefined, NotPositive, \
-    SingularIterate
+from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
+    MateUndefined, NotPositive, SingularIterate
 from dbrov.factor import _grid_inv, _grid_mul, _jensen_gap, _wilson_grid, \
-    factor_residual, wilson_or_best
+    factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_grid, grid_det
 from dbrov.rowschur import defect_laurent
@@ -359,16 +359,17 @@ def test_matrix_run_reuses_mate_zeros(B, monkeypatch):
     # make_context hands the mate run's zeros to the matrix run; a
     # standalone run on I - B*B searches them itself and splits the same
     reports = []
-    real = space_mod._run_or_best
+    real = space_mod.wilson_report
 
-    def recording(*args):
-        reports.append(real(*args))
+    def recording(phi, *run, search):
+        reports.append(real(phi, *run, search=search))
         return reports[-1]
 
-    monkeypatch.setattr(space_mod, "_run_or_best", recording)
+    monkeypatch.setattr(space_mod, "wilson_report", recording)
     ctx = make_context(B)
-    alone = wilson_or_best(defect_laurent(B)[1], tol_factor=1e-12, max_iter=600)
-    _splits_match(reports[0].splits, alone.splits)
+    alone = wilson_report(defect_laurent(B)[1], tol_factor=1e-12, max_iter=600)
+    assert len(reports) == 2  # the mate run, then the matrix run
+    _splits_match(reports[1].splits, alone.splits)
     assert ctx.reports["boundary_deflations"] == len(alone.splits)
     assert np.abs(ctx.A.coeffs - alone.factor.coeffs).max() <= 1e-10
 
@@ -377,16 +378,62 @@ def test_both_runs_take_the_engine_settings(monkeypatch):
     # the mate run of a d >= 2 row gets make_context's settings, as the
     # matrix run does
     runs = []
-    real = factor_mod._run_or_best
+    real = factor_mod.wilson_report
 
-    def recording(phi, search, *run):
+    def recording(phi, *run, search):
         runs.append(run)
-        return real(phi, search, *run)
+        return real(phi, *run, search=search)
 
-    monkeypatch.setattr(factor_mod, "_run_or_best", recording)
-    monkeypatch.setattr(space_mod, "_run_or_best", recording)
+    monkeypatch.setattr(factor_mod, "wilson_report", recording)
+    monkeypatch.setattr(space_mod, "wilson_report", recording)
     make_context(fixture("ROW2").B, max_iter=7, grid_log2=12)
     assert runs == [(1e-12, 7, 12), (1e-12, 7, 12)]
+
+
+def test_stalled_run_returns_best_factor():
+    # one stall policy: a public run that stalls near 2e-12 returns its best
+    # factor with fallback set, as the runs of make_context do
+    B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
+    rep = wilson_report(defect_laurent(B)[1], 1e-12, 600)
+    assert rep.fallback
+    assert 1e-12 < rep.residual_sup <= factor_mod.BEST_FACTOR_TOL
+
+
+def test_run_above_best_factor_bound_raises():
+    # a run whose best residual stays above BEST_FACTOR_TOL has no fallback
+    B = fixture("TRUNC(8)").B
+    for build in (lambda: make_context(B, max_iter=1),
+                  lambda: wilson_report(defect_laurent(B)[1], 1e-12, 1)):
+        with pytest.raises(FactorizationDiverged) as info:
+            build()
+        assert info.value.best.residual_sup > factor_mod.BEST_FACTOR_TOL
+
+
+@pytest.mark.parametrize("B", [fixture("SARASON").B, fixture("ROW2").B,
+                               fixture("TRUNC(8)").B])
+def test_one_zero_search_per_context(B, monkeypatch):
+    calls = []
+    real = factor_mod._boundary_zeros
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(factor_mod, "_boundary_zeros", counting)
+    make_context(B)
+    assert len(calls) == 1
+
+
+def test_oversized_grid_refused_before_any_run(monkeypatch):
+    # at d = 8 the matrix run's first grid of 2^20 points needs 2^26 entries:
+    # make_context refuses it before the mate run's 2^20-point grid
+    def refused(*args, **kwargs):
+        raise AssertionError("wilson_report ran")
+
+    monkeypatch.setattr(space_mod, "wilson_report", refused)
+    monkeypatch.setattr(factor_mod, "wilson_report", refused)
+    with pytest.raises(DomainError, match="factorization grid of 1048576 points"):
+        make_context(fixture("TRUNC(8)").B, grid_log2=20)
 
 
 def test_mate_run_errors_come_first():
@@ -467,13 +514,14 @@ def test_failed_coarse_pass_keeps_cholesky_start(B, failure, monkeypatch):
 def test_scalar_row_runs_the_engine_once(B, monkeypatch):
     # for d = 1 both defects are 1 - |b|^2: one run gives a and A = a
     runs = []
-    real = factor_mod._wilson_run
+    real = factor_mod.wilson_report
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         runs.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(factor_mod, "_wilson_run", counting)
+    monkeypatch.setattr(factor_mod, "wilson_report", counting)
+    monkeypatch.setattr(space_mod, "wilson_report", counting)
     ctx = make_context(B)
     assert len(runs) == 1
     A = ctx.A.coeffs[:, 0, 0]

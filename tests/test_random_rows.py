@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dbrov import CPoly, RowSchur, embed, hb_inner, kernel, make_context
-from dbrov.errors import DbrovError, NumericsError, RootFindingFailed
+from dbrov.errors import DbrovError, NumericsError
 from dbrov.verify import run_checks
 
 
@@ -99,12 +99,7 @@ def test_large_degree_rows(q, seed, sup):
 def test_stalled_factor_fallback_is_root_free():
     # both runs stall near 2e-12 here; the best factor is taken with the
     # Jensen gap of its run, not an outer check through roots
-    B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
-    try:
-        ctx = make_context(B)
-    except DbrovError as exc:
-        assert not isinstance(exc, RootFindingFailed)
-        return
+    ctx = make_context(random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9))
     assert ctx.reports["factor_fallback"] == 1.0
     assert ctx.reports["outer_gap_factor"] <= 1e-12
 
