@@ -124,7 +124,7 @@ def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.shape[0] != ctx.dim:
         raise ValidationError(f"xi must have dimension {ctx.dim}")
-    if np.linalg.norm(xi) > 1.0 + 1e-10:
+    if not np.linalg.norm(xi) <= 1.0 + 1e-10:
         raise ValidationError("xi must lie in the closed unit ball")
     b = ctx.B.pair(xi)
     if (1.0 - b).is_zero:

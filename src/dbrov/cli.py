@@ -16,9 +16,10 @@ import numpy as np
 from .boundary import caratheodory, clark
 from .cyclic import cyclicity, spectrum_crosscheck
 from .errors import DbrovError, ValidationError
+from .factor import MAX_ITER
 from .fixtures import fixture
 from .poly import CPoly
-from .schema import ProblemSpec, parse_problem
+from .schema import ProblemSpec, _complex_to_pair as _pair, parse_problem
 from .space import _density_residuals, embed, kernel, make_context, on_circle
 from .verify import run_checks
 
@@ -112,12 +113,8 @@ def _load_spec(args) -> ProblemSpec:
 
 def _context(spec: ProblemSpec):
     return make_context(spec.B, spec.tolerances,
-                        max_iter=spec.max_iter or 600,
+                        max_iter=spec.max_iter or MAX_ITER,
                         grid_log2=spec.grid_log2)
-
-
-def _pair(z) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def _pairs(arr) -> list:

@@ -35,6 +35,8 @@ ZERO_DEFECT_TOL = 1e-12
 # a stalled iteration's best factor is accepted from this residual down:
 # regularizing a boundary-degenerate density would move its boundary zeros
 BEST_FACTOR_TOL = 1e-8
+# Newton steps per grid: the budget of every run, mate and matrix factor alike
+MAX_ITER = 600
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ _GRID_BUDGET = 1 << 12
 _NEAR = 36.0 / _GRID_BUDGET
 
 
-def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = 500,
+def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = MAX_ITER,
                   grid_log2: int | None = None, *, search=None) -> FactorReport:
     """Outer factor A with A*A = phi: split circle zeros off, grid the rest.
 

@@ -75,6 +75,3 @@ def fixture(name: str) -> Fixture:
             "lambda": ([], "closed-form"),
         })
     raise ValidationError(f"unknown fixture name: {name!r}")
-
-
-FIXTURE_NAMES = ("ZERO", "SARASON", "ROW2", "FLAT", "TRUNC(d)")

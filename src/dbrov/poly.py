@@ -375,55 +375,45 @@ class LaurentHerm:
         return f"LaurentHerm({kind}, m={self.half_degree})"
 
 
-def toeplitz_conj(phi, g):
-    """Conjugate-analytic Toeplitz action in coefficients.
+def _conj_band(adj: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Conjugate-analytic Toeplitz action r_k = sum_j adj_j x_{k+j} per column.
 
-    Returns r with r_k = sum_{j>=0} phi_j^* g_{k+j}; the adjoint of a matrix
-    coefficient acts by conjugate transpose, so the result lives in the
-    domain-side coefficient space and has degree <= degree(g).
+    adj holds adjoint coefficients (p+1, d, e), X the coefficient rows of m
+    columns (n+1, e, m); the result has shape (n+1, d, m).  einsum rather
+    than BLAS keeps each column's numbers independent of the others.
+    """
+    out = np.zeros((X.shape[0], adj.shape[1], X.shape[2]), dtype=complex)
+    for j in range(min(adj.shape[0], X.shape[0])):
+        out[: X.shape[0] - j] += np.einsum("ab,kbm->kam", adj[j], X[j:])
+    return out
+
+
+def toeplitz_conj(phi, g):
+    """Conjugate-analytic Toeplitz action r_k = sum_{j>=0} phi_j^* g_{k+j}.
+
+    One `_conj_band` over phi's adjoint coefficients as a (p+1, d, e) stack
+    and g's rows as an (n+1, e, m) stack: a scalar phi acts on each
+    coordinate of g, the adjoint of a row maps a scalar g into C^d, and a
+    matrix acts on a vector g by conjugate transpose.  The result has degree
+    <= degree(g), and is a CPoly only when both operands are scalar; other
+    operand types raise TypeError.
     """
     from .rowschur import RowSchur  # cycle-free: rowschur imports nothing here
 
+    scalar_g = isinstance(g, CPoly)
+    if isinstance(phi, CPoly) and (scalar_g or isinstance(g, VecPoly)):
+        adj = np.conj(phi.coeffs)[:, None, None]
+        X = g.coeffs[:, None, None] if scalar_g else g.coeffs[:, None, :]
+    elif isinstance(phi, RowSchur) and scalar_g:
+        adj, X = np.conj(phi.coeffs)[:, :, None], g.coeffs[:, None, None]
+    elif isinstance(phi, MatPoly) and isinstance(g, VecPoly):
+        adj, X = np.conj(phi.coeffs).transpose(0, 2, 1), g.coeffs[:, :, None]
+    else:
+        raise TypeError(f"unsupported operand shapes: {type(phi)}, {type(g)}")
+    r = _conj_band(adj, X)
     if isinstance(phi, CPoly):
-        if isinstance(g, CPoly):
-            if phi.is_zero or g.is_zero:
-                return CPoly.zero()
-            full = np.correlate(g.coeffs, phi.coeffs, mode="full")
-            return CPoly(full[phi.coeffs.shape[0] - 1 :])
-        if isinstance(g, VecPoly):
-            if phi.is_zero or g.is_zero:
-                return VecPoly.zero(g.dim)
-            cols = [
-                np.correlate(g.coeffs[:, i], phi.coeffs, mode="full")[
-                    phi.coeffs.shape[0] - 1 :
-                ]
-                for i in range(g.dim)
-            ]
-            return VecPoly(np.stack(cols, axis=1), dim=g.dim)
-    if isinstance(phi, RowSchur) and isinstance(g, CPoly):
-        # row symbol: phi_j^* is a column, scalar g maps into C^d
-        if g.is_zero:
-            return VecPoly.zero(phi.dim)
-        cols = [
-            np.correlate(g.coeffs, phi.coeffs[:, i], mode="full")[
-                phi.coeffs.shape[0] - 1 :
-            ]
-            for i in range(phi.dim)
-        ]
-        return VecPoly(np.stack(cols, axis=1), dim=phi.dim)
-    if isinstance(phi, MatPoly) and isinstance(g, VecPoly):
-        if g.is_zero:
-            return VecPoly.zero(g.dim)
-        n = g.degree
-        adj = np.conj(phi.coeffs).transpose(0, 2, 1)
-        out = np.zeros((n + 1, g.dim), dtype=complex)
-        for j in range(phi.coeffs.shape[0]):
-            tail = g.coeffs[j:]
-            if tail.shape[0] == 0:
-                break
-            out[: tail.shape[0]] += tail @ adj[j].T
-        return VecPoly(out, dim=g.dim)
-    raise TypeError(f"unsupported operand shapes: {type(phi)}, {type(g)}")
+        return CPoly(r[:, 0, 0]) if scalar_g else VecPoly(r[:, 0], dim=g.dim)
+    return VecPoly(r[:, :, 0], dim=r.shape[1])
 
 
 # ---------------------------------------------------------------------------

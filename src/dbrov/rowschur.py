@@ -22,6 +22,8 @@ class RowSchur:
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ValidationError("row coefficients must form a (q+1, d) array")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("row coefficients must be finite")
         self.coeffs = arr
         self.dim = int(arr.shape[1])
         self.degree = int(arr.shape[0] - 1)

@@ -7,6 +7,7 @@ the outer index the power of z and the inner index the coordinate.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,17 @@ class ProblemSpec:
     schema_version: str = SCHEMA_VERSION
 
 
+def _is_int(x) -> bool:  # json's true and false are ints to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:  # json reads NaN, Infinity and integers of any size
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
 def _pair_to_complex(value, where: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
+            and all(_is_real(x) for x in value)):
         raise ValidationError(f"{where}: expected a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
@@ -68,7 +77,7 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
     for key in ("tol_psd", "tol_factor", "tol_outer", "tol_eval"):
         if key in data.get("tolerances", {}):
             value = data["tolerances"][key]
-            if not isinstance(value, (int, float)) or not 0 < value < np.inf:
+            if not _is_real(value) or not value > 0:
                 raise ValidationError(f"tolerances.{key} must be positive and finite")
             tol_kwargs[key] = float(value)
     tol = Tolerances(**tol_kwargs)
@@ -82,7 +91,7 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
         if not isinstance(bspec, dict) or "d" not in bspec or "coeffs" not in bspec:
             raise ValidationError("'B' must be an object with 'd' and 'coeffs'")
         d = bspec["d"]
-        if not isinstance(d, int) or d < 1:
+        if not _is_int(d) or d < 1:
             raise ValidationError(f"'B.d' must be a positive integer, got {d!r}")
         rows = bspec["coeffs"]
         if not isinstance(rows, list) or not rows:
@@ -109,22 +118,14 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
             raise ValidationError(f"'xi' must list {B.dim} [re, im] pairs")
         spec.xi = np.array([_pair_to_complex(v, f"xi[{i}]")
                             for i, v in enumerate(data["xi"])])
-    if "N" in data:
-        if not isinstance(data["N"], int) or data["N"] < 0:
-            raise ValidationError("'N' must be a nonnegative integer")
-        spec.N = data["N"]
-    if "grid_log2" in data:
-        if not isinstance(data["grid_log2"], int) or not 4 <= data["grid_log2"] <= 20:
-            raise ValidationError("'grid_log2' must be an integer in 4..20")
-        spec.grid_log2 = data["grid_log2"]
-    if "max_iter" in data:
-        if not isinstance(data["max_iter"], int) or data["max_iter"] < 1:
-            raise ValidationError("'max_iter' must be a positive integer")
-        spec.max_iter = data["max_iter"]
-    if "seed" in data:
-        if not isinstance(data["seed"], int):
-            raise ValidationError("'seed' must be an integer")
-        spec.seed = data["seed"]
+    for key, low, high, what in (("N", 0, np.inf, "a nonnegative integer"),
+                                 ("grid_log2", 4, 20, "an integer in 4..20"),
+                                 ("max_iter", 1, np.inf, "a positive integer"),
+                                 ("seed", -np.inf, np.inf, "an integer")):
+        if key in data:
+            if not (_is_int(data[key]) and low <= data[key] <= high):
+                raise ValidationError(f"'{key}' must be {what}")
+            setattr(spec, key, data[key])
     return spec
 
 

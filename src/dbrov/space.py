@@ -25,9 +25,9 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import _as_mate, _defect_zeros, wilson_report
-from .poly import CPoly, MatPoly, VecPoly, _check_size, _divide_one_minus, \
-    circle_eval, grid_det, pow2_at_least, toeplitz_conj
+from .factor import BEST_FACTOR_TOL, MAX_ITER, _as_mate, _defect_zeros, wilson_report
+from .poly import CPoly, MatPoly, VecPoly, _check_size, _conj_band, _divide_one_minus, \
+    _trim, circle_eval, grid_det, horner, pow2_at_least, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
 
 UNIMODULAR_TOL = 1e-8
@@ -94,7 +94,7 @@ class SpaceContext:
 
 
 def make_context(B: RowSchur, tol: Tolerances | None = None,
-                 max_iter: int = 600,
+                 max_iter: int = MAX_ITER,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
@@ -156,8 +156,8 @@ def _det_gap(A: MatPoly, a: CPoly) -> float:
 def _verify_context(ctx: SpaceContext) -> None:
     rep = ctx.reports
     checks = [
-        ("mate residual", rep["mate_residual_sup"], 1e-8),
-        ("factorization residual", rep["factor_residual_sup"], 1e-8),
+        ("mate residual", rep["mate_residual_sup"], BEST_FACTOR_TOL),
+        ("factorization residual", rep["factor_residual_sup"], BEST_FACTOR_TOL),
         ("mate outer gap", rep["outer_gap_mate"], ctx.tol.tol_outer),
         ("factor outer gap", rep["outer_gap_factor"], ctx.tol.tol_outer),
         ("det A vs mate", rep["det_gap_sup"], 1e-7),
@@ -230,19 +230,6 @@ def _extend_generator(ctx: SpaceContext, h: np.ndarray, N: int) -> np.ndarray:
     return np.ascontiguousarray(P[::-1, :, 0])
 
 
-def _conj_band(adj: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Conjugate-analytic Toeplitz action r_k = sum_j adj_j x_{k+j} per column.
-
-    adj holds adjoint coefficients (p+1, d, e), X the coefficient rows of m
-    columns (n+1, e, m); the result has shape (n+1, d, m).  einsum rather
-    than BLAS keeps each column's numbers independent of the others.
-    """
-    out = np.zeros((X.shape[0], adj.shape[1], X.shape[2]), dtype=complex)
-    for j in range(min(adj.shape[0], X.shape[0])):
-        out[: X.shape[0] - j] += np.einsum("ab,kbm->kam", adj[j], X[j:])
-    return out
-
-
 def _pair_bounds(ctx: SpaceContext, F: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Worst pair residual and its scale 1 + max |coefficient|, per column.
 
@@ -291,66 +278,53 @@ def _pair_inner(fa: np.ndarray, ga: np.ndarray) -> complex:
 
 
 def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
-    """Reproducing kernel at w.
+    """Reproducing kernel at w: the numerators (1 - B(z)B(w)*, -A(z)B(w)*),
+    the columns of one array, divided by (1 - conj(w) z).
 
-    Interior points yield a truncated pair with a reported geometric
-    tail_bound; for w on the circle the kernel exists exactly when w lies in
-    the boundary spectrum, where both numerators vanish at w and the division
-    by (1 - conj(w) z) is exact polynomial division.
+    Inside the disk the quotient is a power series, truncated at order N with
+    a reported geometric tail_bound.  On the circle the kernel exists exactly
+    when w lies in the boundary spectrum, where both numerators vanish at w
+    and the division is exact polynomial division (Sarason 1994).
     """
     w = complex(w)
-    if on_circle(w):
-        return _boundary_kernel(ctx, w)
-    if abs(w) >= 1.0:
+    boundary = on_circle(w)
+    if boundary:
+        member = spectrum_member(ctx.Lambda, w)
+        if member is None:
+            raise BoundaryNotRegular(
+                f"{w} is not in the boundary spectrum; no bounded evaluation there"
+            )
+        w = member[0]
+    elif not abs(w) < 1.0:
         raise DomainError(f"kernel point {w} lies outside the closed disk")
-    bw = ctx.B(w)
-    p = 1.0 - ctx.B.pair(bw)
-    p_plus = ctx.A.matvec_const(-np.conj(bw))
-    max_deg = max(p.degree, p_plus.degree, 0)
-    if N is None:
-        if w == 0:
-            N = max_deg
-        else:
-            N = int(np.ceil(np.log(ctx.tol.tol_eval) / np.log(abs(w)))) + ctx.B.degree
-        N = max(N, max_deg)
-    _check_size((N + 1) * (ctx.dim + 1), f"kernel at {w} to order {N}")
-    wbar = np.conj(w) ** np.arange(N + 1)
-    fc = np.convolve(p.coeffs, wbar)[: N + 1] if not p.is_zero else np.zeros(N + 1)
-    pc = np.zeros((N + 1, ctx.dim), dtype=complex)
-    for i in range(ctx.dim):
-        col = p_plus.coeffs[:, i] if not p_plus.is_zero else np.zeros(1)
-        pc[:, i] = np.convolve(col, wbar)[: N + 1]
-    if w == 0:
-        tail = 0.0
+    bw = np.conj(ctx.B(w))
+    num = np.zeros((max(ctx.B.degree, ctx.A.degree) + 1, 1 + ctx.dim), complex)
+    num[: ctx.B.degree + 1, 0] = -(ctx.B.coeffs @ bw)
+    num[0, 0] += 1.0
+    num[: ctx.A.degree + 1, 1:] = ctx.A.coeffs @ -bw
+    num = _trim(num)
+    tail = 0.0
+    if boundary:
+        rem = float(np.abs(horner(num, w)).max())
+        if rem > 1e-6:
+            raise NumericsError(f"boundary kernel division remainder {rem:.3e}")
+        quot = _divide_one_minus(num, np.conj(w))
+        _check_pairs(ctx, *_pair_bounds(ctx, quot[:, :1], quot[:, 1:, None])[:, -1])
     else:
-        cf = float(np.abs(p.coeffs).sum())
-        cp = float(np.linalg.norm(p_plus.coeffs, axis=1).sum()) if not p_plus.is_zero else 0.0
-        tail = (cf + cp) * abs(w) ** (N + 1 - max_deg) / np.sqrt(1.0 - abs(w) ** 2)
-    f = CPoly(fc)
-    f_plus = VecPoly(pc, dim=ctx.dim)
+        max_deg = num.shape[0] - 1
+        if N is None:
+            N = max_deg
+            if w != 0:
+                N = max(N, ctx.B.degree
+                        + int(np.ceil(np.log(ctx.tol.tol_eval) / np.log(abs(w)))))
+        _check_size((N + 1) * (ctx.dim + 1), f"kernel at {w} to order {N}")
+        wbar = np.conj(w) ** np.arange(N + 1)
+        quot = np.stack([np.convolve(col, wbar)[: N + 1] for col in num.T], axis=1)
+        if w != 0:
+            size = np.abs(num[:, 0]).sum() + np.linalg.norm(num[:, 1:], axis=1).sum()
+            tail = float(size * abs(w) ** (N + 1 - max_deg) / np.sqrt(1 - abs(w) ** 2))
+    f, f_plus = CPoly(quot[:, 0]), VecPoly(quot[:, 1:], dim=ctx.dim)
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq(), tail_bound=tail)
-
-
-def _boundary_kernel(ctx: SpaceContext, w: complex) -> HBElement:
-    member = spectrum_member(ctx.Lambda, w)
-    if member is None:
-        raise BoundaryNotRegular(
-            f"{w} is not in the boundary spectrum; no bounded evaluation there"
-        )
-    lam = member[0]
-    bl = ctx.B(lam)
-    p = 1.0 - ctx.B.pair(bl)
-    p_plus = ctx.A.matvec_const(-np.conj(bl))
-    # both numerators vanish at lam, so dividing by (1 - conj(lam) z) is exact
-    rem = max(abs(p(lam)), float(np.abs(p_plus(lam)).max(initial=0.0)))
-    if rem > 1e-6:
-        raise NumericsError(f"boundary kernel division remainder {rem:.3e}")
-    f = CPoly(_divide_one_minus(p.coeffs, np.conj(lam)))
-    f_plus = VecPoly(_divide_one_minus(p_plus.coeffs, np.conj(lam)),
-                     dim=ctx.dim)
-    _check_pairs(ctx, *_pair_bounds(ctx, f.coeffs[:, None],
-                                    f_plus.coeffs[:, :, None])[:, -1])
-    return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +350,7 @@ def toeplitz_conj_hb(ctx: SpaceContext, phi: CPoly, F: HBElement) -> HBElement:
     the image of the plus part, so the result is re-verified as a pair.
     """
     phi = phi if isinstance(phi, CPoly) else CPoly(phi)
-    f = toeplitz_conj(phi, F.f)
-    f_plus = toeplitz_conj(phi, F.f_plus) if not F.f_plus.is_zero \
-        else VecPoly.zero(ctx.dim)
-    if isinstance(f_plus, VecPoly) and f_plus.dim != ctx.dim:
-        f_plus = VecPoly(f_plus.coeffs, dim=ctx.dim)
+    f, f_plus = toeplitz_conj(phi, F.f), toeplitz_conj(phi, F.f_plus)
     _check_pairs(ctx, *_pair_bounds(ctx, f.coeffs[:, None],
                                     f_plus.coeffs[:, :, None])[:, -1])
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
@@ -456,7 +426,7 @@ def density_residual(ctx: SpaceContext, w, N: int) -> float:
 def _density_residuals(ctx: SpaceContext, w, N: int) -> np.ndarray:
     """`density_residual` at every order 0 .. N from one sweep."""
     w = complex(w)
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:
         raise DomainError("density residual needs an interior point")
     kww = float((1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2))
     vals = kww - _section_kernels(ctx, [w], N)[:, 0]

@@ -87,6 +87,11 @@ class TestClark:
         assert abs(mu.total_mass - 5.0 / 3.0) < 1e-6
         assert abs(mu.ac_mass - 13.0 / 15.0) < 1e-6
 
+    @pytest.mark.parametrize("xi", [[np.nan, 0.0], [0.5, np.inf]])
+    def test_non_finite_direction_rejected(self, ctx_row2, xi):
+        with pytest.raises(ValidationError):
+            clark(ctx_row2, xi)
+
     def test_zero_direction_is_lebesgue(self, ctx_row2):
         mu = clark(ctx_row2, [0.0, 0.0])
         assert mu.point_masses == ()

@@ -390,6 +390,16 @@ def test_both_runs_take_the_engine_settings(monkeypatch):
     assert runs == [(1e-12, 7, 12), (1e-12, 7, 12)]
 
 
+@pytest.mark.parametrize("B", [fixture(n).B for n in ("ZERO", "SARASON", "ROW2",
+                                                      "TRUNC(3)", "TRUNC(8)")]
+                         + [random_row(np.random.default_rng(s), d, q, sup)
+                            for s, d, q, sup in ((21, 1, 4, 1.0), (22, 2, 3, 0.9),
+                                                 (23, 3, 5, 1.0))])
+def test_mate_report_is_the_context_mate(B):
+    # one Newton budget, MAX_ITER, for the public mate and make_context's
+    assert np.array_equal(mate_report(B).factor.coeffs, make_context(B).a.coeffs)
+
+
 def test_stalled_run_returns_best_factor():
     # one stall policy: a public run that stalls near 2e-12 returns its best
     # factor with fallback set, as the runs of make_context do

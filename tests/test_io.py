@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dbrov
 from dbrov.cli import main
 from dbrov.errors import DbrovError, MateUndefined, ValidationError
 from dbrov.fixtures import fixture
+from dbrov.rowschur import RowSchur
 from dbrov.schema import parse_problem, serialize_problem
 from dbrov.space import density_residual
 
@@ -88,6 +90,20 @@ class TestSchema:
         bad = dict(ROW2_SPEC, tolerances={"tol_factor": -1.0})
         with pytest.raises(ValidationError):
             parse_problem(bad)
+
+    @pytest.mark.parametrize("field", [
+        {"tolerances": {"tol_eval": True}}, {"tolerances": {"tol_psd": float("nan")}},
+        {"seed": True}, {"max_iter": True}, {"grid_log2": True}, {"N": False},
+        {"lambda": [1, float("inf")]}, {"xi": [[True, 0], [0, 0]]},
+    ])
+    def test_non_finite_and_boolean_fields(self, field):
+        with pytest.raises(ValidationError):
+            parse_problem({**ROW2_SPEC, **field})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, -np.inf)])
+    def test_row_refuses_non_finite_coefficients(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            RowSchur([[0.5, 0.0], [bad, 0.0]])
 
     def test_fixture_override_conflict(self):
         with pytest.raises(ValidationError):
@@ -314,6 +330,34 @@ class TestCli:
         code, out = self.run(
             ["analyze", "--fixture", "ZERO", "--format", "csv"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command,payload", [
+        ("norm", '{"f": [[NaN, 0], [1, 0]]}'),
+        ("clark", '{"xi": [[NaN, 0]]}'),
+        ("density", '{"w": [NaN, 0]}'),
+        ("kernel", '{"w": [NaN, 0]}'),
+        ("kernel", '{"w": [0.5, Infinity]}'),
+        ("density", '{"w": [0.5, 0], "N": true}'),
+        ("kernel", '{"w": [true, false]}'),
+        ("norm", '{"f": [[1e999, 0]]}'),
+    ])
+    def test_non_finite_and_boolean_numbers_refused(self, capsys, command, payload):
+        code, out = self.run([command, "--fixture", "SARASON", "--payload", payload],
+                             capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("B", [
+        {"d": 1, "coeffs": [[[float("nan"), 0.0]], [[0.5, 0.0]]]},
+        {"d": 1, "coeffs": [[[0.5, -float("inf")]]]},
+        {"d": True, "coeffs": [[[0.5, 0.0]]]},
+    ], ids=["nan", "infinity", "bool-d"])
+    def test_row_with_invalid_numbers_refused(self, tmp_path, capsys, B):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"B": B}))
+        code, out = self.run(["analyze", "--spec", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
 
     def test_seed_flag_accepted(self, capsys):
         code, out = self.run(

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbrov import CPoly, MatPoly, VecPoly, poly_roots, toeplitz_conj
 from dbrov.errors import DomainError
@@ -184,6 +185,69 @@ class TestToeplitzConj:
             padded = np.zeros(expected.shape[0], dtype=complex)
             padded[: got.coeffs.shape[0]] = got.coeffs
             assert_close(padded, expected, 1e-14, "convolution oracle")
+
+
+def _coeffs(rng, n, *shape):
+    return rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape))
+
+
+def _inner(u, v) -> complex:
+    """<u, v> of coefficient arrays, zero-padded to a common length."""
+    n = max(u.shape[0], v.shape[0])
+    pad = [np.pad(x, ((0, n - x.shape[0]),) + ((0, 0),) * (x.ndim - 1))
+           for x in (u, v)]
+    return complex(np.vdot(pad[1], pad[0]))
+
+
+def _operands(kind, rng, p, n, d, zero):
+    """(phi, g, h, phi h) for one operand kind; phi h from an analytic
+    product that runs no band.  zero is 0 (none), 1 (phi) or 2 (g)."""
+    p, n = (-1 if zero == 1 else p), (-1 if zero == 2 else n)
+    if kind == "scalar":
+        phi, g, h = CPoly(_coeffs(rng, p + 1)), CPoly(_coeffs(rng, n + 1)), \
+            CPoly(_coeffs(rng, 5))
+        return phi, g, h, phi * h
+    if kind == "scalar on vector":
+        phi, g = CPoly(_coeffs(rng, p + 1)), VecPoly(_coeffs(rng, n + 1, d), dim=d)
+        h = VecPoly(_coeffs(rng, 5, d), dim=d)
+        phi_eye = MatPoly(phi.coeffs[:, None, None] * np.eye(d), dim=d)
+        return phi, g, h, phi_eye.matvec_poly(h)
+    if kind == "row":
+        c = _coeffs(rng, p + 1, d)
+        phi = RowSchur(c / max(1.0, np.linalg.norm(c, axis=1).sum())) if p >= 0 \
+            else RowSchur(np.zeros((1, d)))
+        h = VecPoly(_coeffs(rng, 5, d), dim=d)
+        return phi, CPoly(_coeffs(rng, n + 1)), h, phi.row_dot(h)
+    phi = MatPoly(_coeffs(rng, p + 1, d, d), dim=d)
+    h = VecPoly(_coeffs(rng, 5, d), dim=d)
+    return phi, VecPoly(_coeffs(rng, n + 1, d), dim=d), h, phi.matvec_poly(h)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["scalar", "scalar on vector", "row", "matrix"]),
+       seed=st.integers(0, 2 ** 32 - 1), p=st.integers(0, 5),
+       n=st.integers(0, 9), d=st.integers(1, 3), zero=st.sampled_from([0, 0, 1, 2]))
+def test_toeplitz_conj_is_adjoint_of_multiplication(kind, seed, p, n, d, zero):
+    # <T_{phi bar} g, h> = <g, phi h> for every polynomial h
+    phi, g, h, phi_h = _operands(kind, np.random.default_rng(seed), p, n, d, zero)
+    r = toeplitz_conj(phi, g)
+    assert isinstance(r, CPoly if kind == "scalar" else VecPoly)
+    assert r.coeffs.shape[0] <= g.coeffs.shape[0]
+    lhs, rhs = _inner(r.coeffs, h.coeffs), _inner(g.coeffs, phi_h.coeffs)
+    scale = 1.0 + np.abs(g.coeffs).sum() * np.abs(phi_h.coeffs).sum()
+    assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("phi,g", [
+    (MatPoly(np.eye(2)), CPoly([1.0])),
+    (fixture("ROW2").B, VecPoly([[1.0, 0.0]])),
+    (VecPoly([[1.0, 0.0]]), CPoly([1.0])),
+    (CPoly([1.0]), fixture("ROW2").B),
+    (CPoly([1.0]), np.ones(3)),
+])
+def test_toeplitz_conj_refuses_shapes_that_do_not_compose(phi, g):
+    with pytest.raises(TypeError):
+        toeplitz_conj(phi, g)
 
 
 class TestDefects:

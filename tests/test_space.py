@@ -219,6 +219,42 @@ class TestKernel:
         bounds = [kernel(ctx_row2, 0.8, N=N).tail_bound for N in (6, 20, 60)]
         assert bounds[0] > bounds[1] > bounds[2]
 
+    @pytest.mark.parametrize("w", [complex(np.nan, 0.0), complex(0.5, np.nan),
+                                   complex(np.inf, 0.0)])
+    def test_non_finite_point_rejected(self, ctx_row2, w):
+        with pytest.raises(DomainError):
+            kernel(ctx_row2, w)
+        with pytest.raises(DomainError):
+            density_residual(ctx_row2, w, 4)
+
+
+@pytest.fixture(scope="module")
+def ctx_query_touching():
+    # the touching (3, 6) row of the query benchmark at seed 1, drawn the same way
+    return make_context(random_row(np.random.default_rng([1, 2]), 3, 6, 1.0))
+
+
+@pytest.mark.parametrize("name", ["SARASON", "ROW2", "query touching"])
+def test_interior_kernel_tends_to_boundary_kernel(all_contexts, ctx_query_touching,
+                                                   name):
+    # K at r lam differs from K at lam by O(1 - r): in every coefficient, from
+    # the division by 1 - r conj(lam) z, and in norm_sq = K_w(w)
+    ctx = ctx_query_touching if name == "query touching" else all_contexts[name]
+    assert ctx.Lambda
+    for lam, _ in ctx.Lambda:
+        kb = kernel(ctx, lam)
+        errs = []
+        for r in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4):
+            ki = kernel(ctx, r * lam)
+            err = abs(ki.norm_sq - kb.norm_sq)
+            for a, b in ((ki.f.coeffs, kb.f.coeffs),
+                         (ki.f_plus.coeffs, kb.f_plus.coeffs)):
+                pad = ((0, a.shape[0] - b.shape[0]),) + ((0, 0),) * (b.ndim - 1)
+                err = max(err, np.abs(a - np.pad(b, pad)).max())
+            assert err <= 20.0 * (1 - r), (lam, r, err)
+            errs.append(err)
+        assert errs[0] > 5 * errs[1] > 25 * errs[2]
+
 
 class TestShifts:
     def test_shift_of_constant(self, ctx_sarason):
