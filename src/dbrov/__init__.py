@@ -11,7 +11,6 @@ from .boundary import (
     ClarkMeasure,
     caratheodory,
     clark,
-    kernel_convergence,
     trunc_limit_pairing,
     trunc_limit_slope,
 )
@@ -49,7 +48,7 @@ __all__ = [
     "RowSchur", "SpaceContext", "SpectrumSweep", "Tolerances", "VecPoly",
     "backward_shift", "caratheodory", "clark",
     "cyclicity", "defect_laurent", "density_residual", "embed", "errors",
-    "fixture", "gram", "hb_inner", "is_outer", "kernel", "kernel_convergence",
+    "fixture", "gram", "hb_inner", "is_outer", "kernel",
     "make_context", "mate_report", "multiply_z", "outer_check",
     "point_eval_residual", "poly_roots", "rank_one_identity_defect",
     "spectrum_crosscheck", "toeplitz_conj", "toeplitz_conj_hb",

@@ -94,9 +94,8 @@ def caratheodory(ctx: SpaceContext, lam) -> BoundaryReport:
                      / (1.0 - r * r))
 
     radial = radial_extrapolate(row_quotient)
-    mass = clark(ctx, bv).mass_at(lam)
     return BoundaryReport(lam, True, bv, exact, float(lhopital.real),
-                          radial, mass)
+                          radial, _point_mass(lhopital, lam))
 
 
 def radial_extrapolate(sample) -> float:
@@ -135,10 +134,7 @@ def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
     for lam, _ in ctx.Lambda:
         if abs(1.0 - b(lam)) > UNIMODULAR_TOL:
             continue
-        mass = 1.0 / _slope(lam * db(lam))
-        if abs(mass.imag) > 1e-9 * max(1.0, abs(mass)) or mass.real <= 0:
-            raise NonpositiveMass(f"mass {mass} at {lam} is not positive")
-        masses.append((complex(lam), float(mass.real)))
+        masses.append((complex(lam), _point_mass(lam * db(lam), lam)))
     # by (real, imag), with real parts that tie up to rounding (conjugate
     # atoms) ordered by imag
     masses.sort(key=lambda lm: (round(lm[0].real, 9), lm[0].imag))
@@ -166,6 +162,14 @@ def clark(ctx: SpaceContext, xi, grid_log2: int = 14) -> ClarkMeasure:
                            float(h0.imag))
     _verify_herglotz(measure, h0, z)
     return measure
+
+
+def _point_mass(s, lam) -> float:
+    """Clark mass 1/s at a point lam where b(lam) = 1, for s = lam b'(lam)."""
+    mass = 1.0 / _slope(s)
+    if abs(mass.imag) > 1e-9 * max(1.0, abs(mass)) or mass.real <= 0:
+        raise NonpositiveMass(f"mass {mass} at {lam} is not positive")
+    return float(mass.real)
 
 
 def _slope(s):
@@ -200,19 +204,6 @@ def _verify_herglotz(measure: ClarkMeasure, h0: complex, z_grid: np.ndarray):
             raise NumericsError(
                 f"Herglotz reconstruction off by {abs(lhs - rhs):.3e} at {z}"
             )
-
-
-def kernel_convergence(ctx: SpaceContext, lam, radii) -> list[float]:
-    """||K_{r lam} - K_lam||^2 for each r, from reproducing identities only."""
-    lam = complex(lam)
-    k = kernel(ctx, lam)  # raises BoundaryNotRegular outside the spectrum
-    knorm = float(hb_inner(ctx, k, k).real)
-    out = []
-    for r in radii:
-        w = r * lam
-        kww = (1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2)
-        out.append(float(kww - 2.0 * k.f(w).real + knorm))
-    return out
 
 
 # ---------------------------------------------------------------------------

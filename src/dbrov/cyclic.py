@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconclusiveGap, ValidationError, ZeroFunction
-from .poly import CPoly, poly_roots
+from .poly import CPoly, _as_cpoly, poly_roots
 from .space import UNIMODULAR_TOL, SpaceContext, _point_residuals
 
 BOUNDARY_ZERO_REL = 1e-8
@@ -42,7 +42,7 @@ class SpectrumSweep:
 
 def is_outer(f: CPoly):
     """(flag, interior_roots): outer iff all roots have |r| >= 1 - UNIMODULAR_TOL."""
-    f = f if isinstance(f, CPoly) else CPoly(f)
+    f = _as_cpoly(f)
     if f.is_zero:
         raise ZeroFunction("the zero function is neither outer nor cyclic")
     if f.degree == 0:
@@ -53,7 +53,7 @@ def is_outer(f: CPoly):
 
 def cyclicity(ctx: SpaceContext, f) -> CyclicityCertificate:
     """Certificate for cyclicity of the polynomial f in the space."""
-    f = f if isinstance(f, CPoly) else CPoly(f)
+    f = _as_cpoly(f)
     if f.is_zero:
         raise ZeroFunction("the zero function is not cyclic")
     outer, interior = is_outer(f)

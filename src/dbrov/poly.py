@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, RootFindingFailed
+from .errors import DomainError, RootFindingFailed, ValidationError
 
 # canonical form: trailing coefficients below this relative size are dropped
 TRIM_REL = 1e-14
@@ -31,6 +31,8 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
         return c
     mags = np.abs(c).reshape(c.shape[0], -1).max(axis=1)
     scale = mags.max()
+    if not np.isfinite(scale):  # NaN or inf exactly when some coefficient is
+        raise ValidationError("polynomial coefficients must be finite")
     if scale == 0.0:
         return c[:0]
     keep = np.nonzero(mags > TRIM_REL * scale)[0]
@@ -139,10 +141,38 @@ def angle_derivatives(coeffs: np.ndarray, theta: float) -> np.ndarray:
     return (ik ** np.arange(3)[:, None] * coeffs * e).sum(axis=1).real
 
 
-class CPoly:
+class _Poly:
+    """Ascending coefficient stack shared by the polynomial containers:
+    coeffs[k] multiplies z**k and holds a scalar, a row or column of C^dim,
+    or a dim x dim matrix."""
+
+    __slots__ = ("coeffs", "dim")
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[0] - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coeffs.shape[0] == 0
+
+    def __call__(self, z):
+        out = horner(self.coeffs, z)
+        return complex(out) if out.ndim == 0 else out
+
+    def norm_sq(self) -> float:
+        """Squared Hardy-space norm: sum of squared coefficient moduli."""
+        return float(np.sum(np.abs(self.coeffs) ** 2))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(deg={self.degree}, dim={self.dim})"
+
+
+class CPoly(_Poly):
     """Scalar polynomial with complex coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    dim = 1
 
     def __init__(self, coeffs):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -161,18 +191,6 @@ class CPoly:
             c = np.convolve(c, np.array([-r, 1.0], dtype=complex))
         return cls(c)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def __call__(self, z):
-        out = horner(self.coeffs, z)
-        return complex(out) if out.ndim == 0 else out
-
     def __add__(self, other):
         a, b = self.coeffs, _as_cpoly(other).coeffs
         n = max(a.shape[0], b.shape[0])
@@ -180,12 +198,6 @@ class CPoly:
         out[: a.shape[0]] += a
         out[: b.shape[0]] += b
         return CPoly(out)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return self + (-1.0) * _as_cpoly(other)
 
     def __rsub__(self, other):
         return _as_cpoly(other) + (-1.0) * self
@@ -201,11 +213,11 @@ class CPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def shift_up(self, k: int = 1) -> "CPoly":
-        """Multiply by z**k."""
+    def shift_up(self) -> "CPoly":
+        """Multiply by z."""
         if self.is_zero:
             return self
-        return CPoly(np.concatenate([np.zeros(k, dtype=complex), self.coeffs]))
+        return CPoly(np.concatenate([[0j], self.coeffs]))
 
     def backward(self) -> "CPoly":
         """Backward shift (p - p(0)) / z: drop the constant coefficient."""
@@ -216,22 +228,15 @@ class CPoly:
             return CPoly.zero()
         return CPoly(self.coeffs[1:] * np.arange(1, self.coeffs.shape[0]))
 
-    def norm_sq(self) -> float:
-        """Squared Hardy-space norm: sum of squared coefficient moduli."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def __repr__(self):
-        return f"CPoly(deg={self.degree})"
-
 
 def _as_cpoly(x) -> CPoly:
     return x if isinstance(x, CPoly) else CPoly(x)
 
 
-class VecPoly:
+class VecPoly(_Poly):
     """Polynomial with coefficients in C^d, stored as rows of shape (n+1, d)."""
 
-    __slots__ = ("coeffs", "dim")
+    __slots__ = ()
 
     def __init__(self, coeffs, dim=None):
         arr = np.asarray(coeffs, dtype=complex)
@@ -246,31 +251,14 @@ class VecPoly:
     def zero(cls, dim: int) -> "VecPoly":
         return cls(np.zeros((0, dim)), dim=dim)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def __call__(self, z):
-        return horner(self.coeffs, z)
-
     def backward(self) -> "VecPoly":
         return VecPoly(self.coeffs[1:], dim=self.dim)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    def __repr__(self):
-        return f"VecPoly(deg={self.degree}, dim={self.dim})"
-
-
-class MatPoly:
+class MatPoly(_Poly):
     """Square matrix polynomial A(z) = sum_k A_k z^k with d x d coefficients."""
 
-    __slots__ = ("coeffs", "dim")
+    __slots__ = ()
 
     def __init__(self, coeffs, dim=None):
         arr = np.asarray(coeffs, dtype=complex)
@@ -285,23 +273,16 @@ class MatPoly:
     def identity(cls, dim: int) -> "MatPoly":
         return cls(np.eye(dim, dtype=complex)[None, :, :])
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def __call__(self, z):
-        return horner(self.coeffs, z)
-
     def matvec_const(self, x) -> VecPoly:
         """A(z) x for a constant vector x."""
         x = np.asarray(x, dtype=complex)
-        if self.coeffs.shape[0] == 0:
+        if self.is_zero:
             return VecPoly.zero(self.dim)
         return VecPoly(self.coeffs @ x, dim=self.dim)
 
     def matvec_poly(self, h: VecPoly) -> VecPoly:
         """A(z) h(z) for a polynomial vector h."""
-        if self.coeffs.shape[0] == 0 or h.is_zero:
+        if self.is_zero or h.is_zero:
             return VecPoly.zero(self.dim)
         out = np.zeros((self.degree + h.degree + 1, self.dim), dtype=complex)
         for i, mat in enumerate(self.coeffs):
@@ -321,9 +302,6 @@ class MatPoly:
         noise = self.dim * np.finfo(float).eps * hadamard
         keep = np.nonzero(np.abs(coeffs) > noise)[0]
         return CPoly(coeffs[: keep[-1] + 1] if keep.size else coeffs[:0])
-
-    def __repr__(self):
-        return f"MatPoly(deg={self.degree}, dim={self.dim})"
 
 
 class LaurentHerm:

@@ -5,18 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .poly import CPoly, LaurentHerm, VecPoly, autocorrelation, circle_grid, \
-    horner, pow2_at_least
+from .poly import CPoly, LaurentHerm, VecPoly, _Poly, autocorrelation, circle_grid, \
+    pow2_at_least
 
 
-class RowSchur:
+class RowSchur(_Poly):
     """Polynomial 1 x d row with contractive values on the closed disk.
 
     Coefficient rows B_0..B_q live in C^d; B(z) = sum_k B_k z^k.  The sup of
-    the Euclidean norm over a circle grid is checked at construction.
+    the Euclidean norm over a circle grid is checked at construction.  The
+    coefficients are kept untrimmed, so the degree is the declared q.
     """
 
-    __slots__ = ("coeffs", "dim", "degree")
+    __slots__ = ()
 
     def __init__(self, coeffs, tol_psd: float = 1e-8):
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
@@ -26,15 +27,11 @@ class RowSchur:
             raise ValidationError("row coefficients must be finite")
         self.coeffs = arr
         self.dim = int(arr.shape[1])
-        self.degree = int(arr.shape[0] - 1)
         sup = self.sup_norm()
         if sup > 1.0 + tol_psd:
             raise ValidationError(
                 f"row is not a Schur function: sup |B| = {sup:.6g} > 1"
             )
-
-    def __call__(self, z):
-        return horner(self.coeffs, z)
 
     def coordinate(self, i: int) -> CPoly:
         return CPoly(self.coeffs[:, i])
@@ -56,9 +53,6 @@ class RowSchur:
         n = pow2_at_least(max(4 * self.degree + 1, 64))
         vals = self(circle_grid(n))
         return float(np.sqrt((np.abs(vals) ** 2).sum(axis=-1)).max())
-
-    def __repr__(self):
-        return f"RowSchur(deg={self.degree}, dim={self.dim})"
 
 
 def defect_laurent(B: RowSchur) -> tuple[LaurentHerm, LaurentHerm]:

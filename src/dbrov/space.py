@@ -26,8 +26,9 @@ from .errors import (
     NumericsError,
 )
 from .factor import BEST_FACTOR_TOL, MAX_ITER, _as_mate, _defect_zeros, wilson_report
-from .poly import CPoly, MatPoly, VecPoly, _check_size, _conj_band, _divide_one_minus, \
-    _trim, circle_eval, grid_det, horner, pow2_at_least, toeplitz_conj
+from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
+    _divide_one_minus, _trim, circle_eval, grid_det, horner, pow2_at_least, \
+    toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
 
 UNIMODULAR_TOL = 1e-8
@@ -183,7 +184,7 @@ def embed(ctx: SpaceContext, f) -> HBElement:
     p_j = sum_i c_{j+i} h_i, residual re-verified; the norm sums the f rows,
     then the plus-part rows from the last to the first (`gram`'s order).
     """
-    f = f if isinstance(f, CPoly) else CPoly(f)
+    f = _as_cpoly(f)
     c, n1 = f.coeffs, f.coeffs.shape[0]
     hbar = np.conj(_generator(ctx, n1 - 1))
     P = np.zeros((n1, ctx.dim), dtype=complex)
@@ -282,7 +283,8 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
     the columns of one array, divided by (1 - conj(w) z).
 
     Inside the disk the quotient is a power series, truncated at order N with
-    a reported geometric tail_bound.  On the circle the kernel exists exactly
+    a reported tail_bound: geometric, or at w = 0 the exact norm of the
+    dropped numerator rows.  On the circle the kernel exists exactly
     when w lies in the boundary spectrum, where both numerators vanish at w
     and the division is exact polynomial division (Sarason 1994).
     """
@@ -320,7 +322,9 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
         _check_size((N + 1) * (ctx.dim + 1), f"kernel at {w} to order {N}")
         wbar = np.conj(w) ** np.arange(N + 1)
         quot = np.stack([np.convolve(col, wbar)[: N + 1] for col in num.T], axis=1)
-        if w != 0:
+        if w == 0:
+            tail = float(np.linalg.norm(num[N + 1 :]))
+        else:
             size = np.abs(num[:, 0]).sum() + np.linalg.norm(num[:, 1:], axis=1).sum()
             tail = float(size * abs(w) ** (N + 1 - max_deg) / np.sqrt(1 - abs(w) ** 2))
     f, f_plus = CPoly(quot[:, 0]), VecPoly(quot[:, 1:], dim=ctx.dim)
@@ -349,7 +353,7 @@ def toeplitz_conj_hb(ctx: SpaceContext, phi: CPoly, F: HBElement) -> HBElement:
     Acts coefficientwise on both components; the plus part of the image is
     the image of the plus part, so the result is re-verified as a pair.
     """
-    phi = phi if isinstance(phi, CPoly) else CPoly(phi)
+    phi = _as_cpoly(phi)
     f, f_plus = toeplitz_conj(phi, F.f), toeplitz_conj(phi, F.f_plus)
     _check_pairs(ctx, *_pair_bounds(ctx, f.coeffs[:, None],
                                     f_plus.coeffs[:, :, None])[:, -1])
@@ -459,8 +463,7 @@ def rank_one_identity_defect(ctx: SpaceContext, f, g) -> float:
     |<Lf, g> - <f, zg> + sum_i <f, b_i> <L b_i, g>| with every inner product
     taken through embedded pairs.
     """
-    f = f if isinstance(f, CPoly) else CPoly(f)
-    g = g if isinstance(g, CPoly) else CPoly(g)
+    f, g = _as_cpoly(f), _as_cpoly(g)
     F = embed(ctx, f)
     G = embed(ctx, g)
     t1 = hb_inner(ctx, backward_shift(ctx, F), G)

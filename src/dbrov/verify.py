@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import clark
+from .boundary import caratheodory, clark
 from .poly import CPoly, VecPoly, circle_grid, toeplitz_conj
 from .space import (
     SpaceContext,
@@ -216,8 +216,6 @@ def _rank_one(ctx, rng) -> CheckResult:
 def _boundary_duality(ctx) -> CheckResult:
     worst = 0.0
     for lam, _ in ctx.Lambda:
-        k = kernel(ctx, lam)
-        knorm = hb_inner(ctx, k, k).real
-        mass = clark(ctx, ctx.B(lam), grid_log2=13).mass_at(lam)
-        worst = max(worst, abs(knorm * mass - 1.0))
+        rep = caratheodory(ctx, lam)
+        worst = max(worst, abs(rep.k_norm_sq_exact * rep.clark_mass - 1.0))
     return _result("boundary_mass_duality", worst, 1e-8)

@@ -10,9 +10,6 @@ from dbrov import (
     caratheodory,
     clark,
     fixture,
-    hb_inner,
-    kernel,
-    kernel_convergence,
     make_context,
     trunc_limit_pairing,
     trunc_limit_slope,
@@ -23,12 +20,21 @@ from dbrov.errors import (
     DegenerateSymbol,
     DomainError,
     HigherOrderBoundaryZero,
+    NonpositiveMass,
+    NotPositive,
+    NumericsError,
     ValidationError,
 )
 from dbrov.space import UNIMODULAR_TOL, SpaceContext
 
 from conftest import assert_close
 from test_random_rows import random_row, sup_angle
+
+
+def _hand_context(B: RowSchur, Lambda) -> SpaceContext:
+    """A context around B with the given spectrum and a trivial factor."""
+    return SpaceContext(B, CPoly([1.0]), MatPoly.identity(1), Lambda,
+                        Tolerances(), {"A0_cond": 1.0})
 
 
 class TestCaratheodory:
@@ -68,6 +74,31 @@ class TestCaratheodory:
                 assert abs(rep.k_norm_sq_exact - rep.k_norm_sq_lhopital) <= 1e-8
                 assert abs(rep.k_norm_sq_exact - rep.k_norm_sq_radial) <= 1e-4
                 assert abs(rep.k_norm_sq_exact * rep.clark_mass - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("seed,d,q,eps", [(1, 2, 4, 1e-11), (7, 1, 4, 1e-11),
+                                              (7, 2, 8, 1e-11), (7, 1, 4, 1e-12)])
+    def test_near_touch_points_report_their_mass(self, seed, d, q, eps):
+        # the Clark measure of these rows fails its Herglotz check; the mass
+        # comes from the derivative limit, with no measure built
+        ctx = make_context(random_row(np.random.default_rng(seed), d, q, 1.0 - eps))
+        assert ctx.Lambda
+        for lam, _ in ctx.Lambda:
+            rep = caratheodory(ctx, lam)
+            assert rep.satisfies_caratheodory
+            assert rep.clark_mass == 1.0 / rep.k_norm_sq_lhopital
+            assert abs(rep.k_norm_sq_exact * rep.clark_mass - 1.0) <= 1e-8
+
+    def test_unimodular_value_off_spectrum_refused(self):
+        # |B(1)| = 1, but the context's spectrum is empty
+        ctx = _hand_context(RowSchur([[0.5], [0.5]]), [])
+        with pytest.raises(BoundaryNotRegular):
+            caratheodory(ctx, 1.0)
+
+    def test_complex_derivative_limit_refused(self):
+        # b(z) = B(z) B(1)* = (1 + iz)(1 - i)/4 has slope (1 + i)/4 at z = 1
+        ctx = _hand_context(RowSchur([[0.5], [0.5j]]), [(1.0 + 0j, 1)])
+        with pytest.raises(NumericsError, match="not real"):
+            caratheodory(ctx, 1.0)
 
 
 class TestClark:
@@ -111,6 +142,23 @@ class TestClark:
     def test_long_direction_rejected(self, ctx_row2):
         with pytest.raises(ValidationError):
             clark(ctx_row2, [1.0, 1.0])
+
+    def test_wrong_dimension_rejected(self, ctx_row2):
+        with pytest.raises(ValidationError, match="dimension"):
+            clark(ctx_row2, [1.0])
+
+    def test_negative_slope_refused(self):
+        # b = 2 - z equals 1 at z = 1 with slope -1, so the mass would be -1;
+        # tol_psd = 2 admits the row although sup |B| = 3
+        ctx = _hand_context(RowSchur([[2.0], [-1.0]], tol_psd=2.0), [(1.0 + 0j, 1)])
+        with pytest.raises(NonpositiveMass):
+            clark(ctx, [1.0])
+
+    def test_negative_density_refused(self):
+        # |b| = 3/2 on the whole circle, so (1 - |b|^2)/|1 - b|^2 < 0
+        ctx = _hand_context(RowSchur([[1.5]], tol_psd=1.0), [])
+        with pytest.raises(NotPositive):
+            clark(ctx, [1.0])
 
     def test_degenerate_symbol(self):
         ctx = SpaceContext(RowSchur([[1.0]]), CPoly([1.0]),
@@ -199,34 +247,6 @@ class TestClarkOracles:
         for point, _ in mu.point_masses:
             gap = min((abs(point - lam) for lam, _ in ctx.Lambda), default=np.inf)
             assert gap <= UNIMODULAR_TOL
-
-
-class TestKernelConvergence:
-    def test_sarason_closed_form(self, ctx_sarason):
-        b = ctx_sarason.B.coordinate(0)
-        for r in (0.5, 0.9, 0.99):
-            got = kernel_convergence(ctx_sarason, 1.0, [r])[0]
-            want = (1 - abs(b(r)) ** 2) / (1 - r * r) - 0.5
-            assert abs(got - want) < 1e-12
-
-    def test_row2_decreasing_to_zero(self, ctx_row2):
-        radii = [0.9, 0.99, 0.999]
-        vals = kernel_convergence(ctx_row2, 1.0, radii)
-        assert vals[0] > vals[1] > vals[2] > 0
-        assert vals[2] < 1e-2
-
-    def test_origin_against_inner_products(self, ctx_row2):
-        got = kernel_convergence(ctx_row2, 1.0, [0.0])[0]
-        k0 = kernel(ctx_row2, 0.0)
-        k1 = kernel(ctx_row2, 1.0)
-        want = (hb_inner(ctx_row2, k0, k0)
-                - 2 * hb_inner(ctx_row2, k1, k0).real
-                + hb_inner(ctx_row2, k1, k1)).real
-        assert abs(got - want) < 1e-9
-
-    def test_off_spectrum_rejected(self, ctx_row2):
-        with pytest.raises(BoundaryNotRegular):
-            kernel_convergence(ctx_row2, 1j, [0.9])
 
 
 class TestTruncLimit:

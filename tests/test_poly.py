@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrov import CPoly, MatPoly, VecPoly, poly_roots, toeplitz_conj
-from dbrov.errors import DomainError
+from dbrov import CPoly, LaurentHerm, MatPoly, VecPoly, poly_roots, toeplitz_conj
+from dbrov.errors import DomainError, RootFindingFailed, ValidationError
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_eval, horner
 from dbrov.rowschur import RowSchur, defect_laurent
@@ -58,6 +58,32 @@ class TestEvaluation:
         assert abs(det.coeffs[0] - 1.0) <= 1e-15 * c * c
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda c: CPoly([1.0, c]),
+        lambda c: VecPoly([[1.0, 0.0], [0.0, c]]),
+        lambda c: MatPoly([[[1.0]], [[c]]]),
+    ], ids=["CPoly", "VecPoly", "MatPoly"])
+    def test_non_finite_coefficients_refused(self, build, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            build(bad)
+
+    def test_two_dimensional_scalar_coefficients_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            CPoly([[1.0, 2.0], [3.0, 4.0]])
+
+    def test_even_laurent_coefficient_count_refused(self):
+        with pytest.raises(ValueError, match="odd"):
+            LaurentHerm([1.0, 2.0])
+
+    def test_repr(self):
+        assert repr(CPoly([1.0, 2.0])) == "CPoly(deg=1, dim=1)"
+        assert repr(VecPoly.zero(3)) == "VecPoly(deg=-1, dim=3)"
+        assert repr(MatPoly.identity(2)) == "MatPoly(deg=0, dim=2)"
+        assert repr(RowSchur([[0.5, 0.0], [0.0, 0.0]])) == "RowSchur(deg=1, dim=2)"
+
+
 class TestCircleEval:
     """One FFT evaluates sum_k c_k z^(k + low) on offset circle grids."""
 
@@ -106,6 +132,14 @@ class TestRoots:
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
             poly_roots(CPoly([0]))
+
+    def test_inaccurate_eigenvalues_refused(self, monkeypatch):
+        # companion eigenvalues at 0 for z^2 - 4: the polish cannot move off
+        # the critical point, and the residual 4 fails the test
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[0], complex))
+        with pytest.raises(RootFindingFailed) as err:
+            poly_roots(CPoly([-4.0, 0.0, 1.0]))
+        assert err.value.best_residuals == [4.0]
 
     def test_reconstruction_random_degree_30(self):
         rng = np.random.default_rng(11)

@@ -25,7 +25,7 @@ from dbrov import (
 )
 from dbrov import space
 from dbrov.errors import BoundaryNotRegular, DomainError, \
-    IllConditionedConstant
+    IllConditionedConstant, ValidationError
 from dbrov.poly import circle_grid
 from dbrov.space import SpaceContext, _density_residuals, _extend_generator, \
     _generator, _pair_bounds, _section_kernels
@@ -134,6 +134,11 @@ class TestEmbed:
             el = embed(ctx, rand_poly(rng, 20))
             assert pair_residual(ctx, el) <= 1e-10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_refused(self, ctx_row2, bad):
+        with pytest.raises(ValidationError):
+            embed(ctx_row2, [bad, 1.0])
+
     def test_row_membership_plus_part(self, ctx_row2):
         # embedding B(z) x carries plus part A(z) x - (A(0)*)^{-1} x
         for x in (np.array([1.0, 0.0]), np.array([0.3, -0.4 + 0.2j])):
@@ -214,6 +219,15 @@ class TestKernel:
         F = embed(ctx_row2, f)
         err = abs(hb_inner(ctx_row2, F, k) - f(w))
         assert err <= np.sqrt(F.norm_sq) * k.tail_bound + 1e-10
+
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_origin_truncation_reports_dropped_norm(self, ctx_row2, N):
+        # at w = 0 the series is the numerator, of degree 1 for ROW2: the tail
+        # is the norm of the dropped rows
+        k = kernel(ctx_row2, 0.0, N)
+        full = kernel(ctx_row2, 0.0).norm_sq
+        assert abs(k.tail_bound ** 2 - (full - k.norm_sq)) <= 1e-15
+        assert (k.tail_bound == 0.0) == (N >= 1)
 
     def test_longer_truncation_shrinks_tail(self, ctx_row2):
         bounds = [kernel(ctx_row2, 0.8, N=N).tail_bound for N in (6, 20, 60)]
