@@ -28,7 +28,6 @@ from .rowschur import RowSchur, defect_laurent
 from .space import (
     HBElement,
     SpaceContext,
-    Tolerances,
     backward_shift,
     density_residual,
     embed,
@@ -41,6 +40,7 @@ from .space import (
     rank_one_identity_defect,
     toeplitz_conj_hb,
 )
+from .tolerances import Tolerances
 
 __all__ = [
     "BoundaryReport", "ClarkMeasure", "CPoly", "CyclicityCertificate",

@@ -28,33 +28,25 @@ COMMANDS = ("analyze", "norm", "kernel", "clark", "caratheodory", "cyclic",
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        spec = _load_spec(args)
-        payload = _dispatch(args, spec)
+        payload = _dispatch(args, _load_spec(args))
+        code = 3 if args.command == "verify" and not payload["passed"] else 0
     except json.JSONDecodeError as exc:
-        _emit({"error": "MalformedJSON",
-               "message": f"{exc.msg} at line {exc.lineno} column {exc.colno} "
-                          f"(char {exc.pos})"}, args)
-        return 2
-    except ValidationError as exc:
-        _emit({"error": "ValidationError", "message": str(exc)}, args)
-        return 2
+        code, payload = 2, {
+            "error": "MalformedJSON",
+            "message": f"{exc.msg} at line {exc.lineno} column {exc.colno} "
+                       f"(char {exc.pos})"}
     except DbrovError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args)
-        return 3
-    if isinstance(payload, tuple):  # (rows, header) -> CSV-able
-        rows, header = payload
-        if args.format == "csv":
-            _emit_csv(rows, header, args)
-        else:
-            _emit({"columns": header, "rows": rows}, args)
-        return 0
-    _emit(payload, args)
-    if args.command == "verify" and not payload["passed"]:
-        return 3
-    return 0
+        code = 2 if isinstance(exc, ValidationError) else 3
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+    try:
+        _write(_render(payload, args), args.out)
+    except OSError as exc:  # the error goes to standard output instead
+        _write(_render({"error": "ValidationError",
+                        "message": f"cannot write --out: {exc}"}, args), None)
+        return 2
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,11 +82,14 @@ def _load_spec(args) -> ProblemSpec:
     else:
         if args.payload:
             raise ValidationError("--payload requires --fixture")
-        if args.spec:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            data = json.load(sys.stdin)
+        try:
+            if args.spec:
+                with open(args.spec, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            else:
+                data = json.load(sys.stdin)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read the spec: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("problem spec must be a JSON object")
     tolerances = data.get("tolerances", {})
@@ -172,7 +167,7 @@ def _dispatch(args, spec: ProblemSpec):
         }
     if cmd == "clark":
         xi = _require(spec, "xi", cmd)
-        mu = clark(ctx, xi, grid_log2=spec.grid_log2 or 14)
+        mu = clark(ctx, xi)
         h0 = (1.0 + mu.symbol(0)) / (1.0 - mu.symbol(0))
         return {
             "masses": [{"point": _pair(l), "mass": m} for l, m in mu.point_masses],
@@ -231,16 +226,16 @@ def _dispatch(args, spec: ProblemSpec):
     raise ValidationError(f"unknown command {cmd!r}")
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
-    _write(text, args)
-
-
-def _emit_csv(rows, header, args) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
-    _write("\n".join(lines) + "\n", args)
+def _render(payload, args) -> str:
+    """A (rows, header) table as CSV or as JSON columns, a dict as JSON."""
+    if isinstance(payload, tuple):
+        rows, header = payload
+        if args.format == "csv":
+            lines = [",".join(header)]
+            lines += [",".join(_csv_cell(x) for x in row) for row in rows]
+            return "\n".join(lines) + "\n"
+        payload = {"columns": header, "rows": rows}
+    return json.dumps(payload, indent=2, default=_json_default) + "\n"
 
 
 def _csv_cell(x) -> str:
@@ -257,9 +252,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+def _write(text: str, out) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

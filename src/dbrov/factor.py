@@ -30,6 +30,7 @@ from .errors import (
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_eval, grid_adjugate, grid_det, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
+from .tolerances import ENGINE_TOL, PSD_SLACK
 
 ZERO_DEFECT_TOL = 1e-12
 # a stalled iteration's best factor is accepted from this residual down:
@@ -56,7 +57,7 @@ class FactorReport:
     fallback: bool = False
 
 
-def mate_report(B: RowSchur, tol_psd: float = 1e-8) -> FactorReport:
+def mate_report(B: RowSchur, tol_psd: float = PSD_SLACK) -> FactorReport:
     """The mate as the d = 1 case of `wilson_report`, on 1 - BB*.
 
     The zeros of the defect on the circle, or within the split radius
@@ -68,16 +69,16 @@ def mate_report(B: RowSchur, tol_psd: float = 1e-8) -> FactorReport:
     """
     scalar = defect_laurent(B)[0]
     search = _defect_zeros(scalar, tol_psd)[0]
-    return _as_mate(B, wilson_report(scalar, 1e-12, search=search))
+    return _as_mate(B, wilson_report(scalar, ENGINE_TOL, search=search))
 
 
 def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
     """The (zeros, null floor) searches of 1 - BB* and I - B*B, from one on
-    1 - BB* that also tests positivity to min(tol_psd, 1e-8): det(I - B*B)
+    1 - BB* that also tests positivity to min(tol_psd, PSD_SLACK): det(I - B*B)
     = 1 - BB*, and I - B*B has top eigenvalue 1 for d >= 2 (rank-one B*B)."""
     if np.abs(scalar.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
-    zeros, floor = _boundary_zeros(scalar, -min(tol_psd, 1e-8))
+    zeros, floor = _boundary_zeros(scalar, -min(tol_psd, PSD_SLACK))
     return (zeros, floor), (zeros, _NULL_REL)
 
 
@@ -217,7 +218,7 @@ def _jensen_gap(A1: MatPoly, n: int) -> float:
         return float(abs(np.log(abs(det[0])) - np.log(np.abs(vals)).mean()))
 
 
-def _boundary_zeros(phi: LaurentHerm, dip: float = -1e-8):
+def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
     """Zeros w of det phi on or near the circle, and the floor for nulls.
 
     det phi is a nonnegative trigonometric polynomial.  A grid minimum,

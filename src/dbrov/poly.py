@@ -44,11 +44,6 @@ def pow2_at_least(n: int) -> int:
     return 1 << max(0, int(n - 1)).bit_length()
 
 
-def circle_grid(n: int) -> np.ndarray:
-    """n equispaced points exp(2*pi*i*j/n) on the unit circle."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
 def circle_eval(coeffs: np.ndarray, n: int, offset: float = 0.0,
                 low: int = 0) -> np.ndarray:
     """sum_k coeffs[k] z^(k + low) at z_j = exp(2 pi i (j + offset) / n), j < n,

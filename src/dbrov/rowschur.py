@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .poly import CPoly, LaurentHerm, VecPoly, _Poly, autocorrelation, circle_grid, \
+from .poly import CPoly, LaurentHerm, VecPoly, _Poly, autocorrelation, circle_eval, \
     pow2_at_least
+from .tolerances import PSD_SLACK
 
 
 class RowSchur(_Poly):
@@ -19,7 +20,7 @@ class RowSchur(_Poly):
 
     __slots__ = ()
 
-    def __init__(self, coeffs, tol_psd: float = 1e-8):
+    def __init__(self, coeffs, tol_psd: float = PSD_SLACK):
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ValidationError("row coefficients must form a (q+1, d) array")
@@ -51,7 +52,7 @@ class RowSchur(_Poly):
 
     def sup_norm(self) -> float:
         n = pow2_at_least(max(4 * self.degree + 1, 64))
-        vals = self(circle_grid(n))
+        vals = circle_eval(self.coeffs, n)
         return float(np.sqrt((np.abs(vals) ** 2).sum(axis=-1)).max())
 
 

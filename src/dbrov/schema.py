@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rowschur import RowSchur
-from .space import Tolerances
+from .tolerances import Tolerances
 
 SCHEMA_VERSION = "1"
 

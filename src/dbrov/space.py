@@ -30,6 +30,7 @@ from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
     _divide_one_minus, _trim, circle_eval, grid_det, horner, pow2_at_least, \
     toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
+from .tolerances import DENSITY_FLOOR, ENGINE_TOL, Tolerances
 
 UNIMODULAR_TOL = 1e-8
 
@@ -45,14 +46,6 @@ def spectrum_member(entries, w):
     or None; entries are ctx.Lambda (point, multiplicity) or the atoms
     (point, mass) of a Clark measure."""
     return next((e for e in entries if abs(e[0] - w) <= UNIMODULAR_TOL), None)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    tol_psd: float = 1e-8
-    tol_factor: float = 1e-10
-    tol_outer: float = 1e-6
-    tol_eval: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
 
     For d >= 2 the mate and the matrix factor come from two
     `wilson_report` runs sharing one boundary-zero search and the same
-    min(tol_factor, 1e-12), max_iter and grid_log2.  For d = 1 the two
+    min(tol_factor, ENGINE_TOL), max_iter and grid_log2.  For d = 1 the two
     defects are the same Laurent polynomial, and a second run would repeat
     the first bit for bit, so one run gives both: A = a, and the mate's
     independent check is the Fejér-Riesz test suite.  The boundary spectrum
@@ -117,7 +110,7 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     if grid_log2 is not None:  # refuse the matrix run's grid before either run
         n = 1 << grid_log2
         _check_size(n * B.dim ** 2, f"factorization grid of {n} points")
-    run = (min(tol.tol_factor, 1e-12), max_iter, grid_log2)
+    run = (min(tol.tol_factor, ENGINE_TOL), max_iter, grid_log2)
     w_rep = wilson_report(scalar_defect, *run, search=mate_search)
     m_rep = _as_mate(B, w_rep)
     if B.dim > 1:
@@ -434,9 +427,9 @@ def _density_residuals(ctx: SpaceContext, w, N: int) -> np.ndarray:
         raise DomainError("density residual needs an interior point")
     kww = float((1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2))
     vals = kww - _section_kernels(ctx, [w], N)[:, 0]
-    if vals.min() < -1e-9:
+    if vals.min() < DENSITY_FLOOR:
         warnings.warn(f"density residual {vals.min():.3e} is negative beyond "
-                      f"-1e-9", ConditioningWarning, stacklevel=3)
+                      f"{DENSITY_FLOOR:.0e}", ConditioningWarning, stacklevel=3)
     return vals
 
 

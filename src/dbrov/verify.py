@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import caratheodory, clark
-from .poly import CPoly, VecPoly, circle_grid, toeplitz_conj
+from .poly import CPoly, VecPoly, circle_eval, toeplitz_conj
 from .space import (
     SpaceContext,
     _density_residuals,
@@ -27,6 +27,7 @@ from .space import (
     rank_one_identity_defect,
     toeplitz_conj_hb,
 )
+from .tolerances import DENSITY_FLOOR
 
 # random inputs per randomized check
 _N_RANDOM = 25
@@ -70,16 +71,13 @@ def _result(name, worst, bound) -> CheckResult:
 
 
 def _factor_identities(ctx) -> CheckResult:
-    z = circle_grid(512)
-    bv = ctx.B(z)
-    av = ctx.A(z)
+    bv, av, a = (circle_eval(p.coeffs, 512) for p in (ctx.B, ctx.A, ctx.a))
     ident = np.conj(av).transpose(0, 2, 1) @ av \
         + np.einsum("ni,nj->nij", np.conj(bv), bv) - np.eye(ctx.dim)
     worst = max(
         float(np.abs(ident).max()),
-        float(np.abs(np.abs(ctx.a(z)) ** 2
-                     + (np.abs(bv) ** 2).sum(axis=-1) - 1.0).max()),
-        float(np.abs(np.linalg.det(av) - ctx.a(z)).max()),
+        float(np.abs(np.abs(a) ** 2 + (np.abs(bv) ** 2).sum(axis=-1) - 1.0).max()),
+        float(np.abs(np.linalg.det(av) - a).max()),
     )
     return _result("factorization_identities", worst, 1e-8)
 
@@ -151,7 +149,7 @@ def _conj_toeplitz(ctx, rng) -> CheckResult:
         diff[: via_pair.f_plus.coeffs.shape[0]] += via_pair.f_plus.coeffs
         diff[: via_embed.f_plus.coeffs.shape[0]] -= via_embed.f_plus.coeffs
         worst_id = max(worst_id, float(np.abs(diff).max(initial=0.0)))
-        sup = float(np.abs(phi(circle_grid(256))).max())
+        sup = float(np.abs(circle_eval(phi.coeffs, 256)).max())
         scaled = toeplitz_conj_hb(ctx, (1.0 / sup) * phi, F)
         worst_norm = max(worst_norm, scaled.norm_sq - F.norm_sq)
     ok = worst_id <= 1e-10 and worst_norm <= 1e-9
@@ -180,7 +178,7 @@ def _clark_balance(ctx, rng) -> CheckResult:
         v = rng.normal(size=ctx.dim) + 1j * rng.normal(size=ctx.dim)
         xis.append(0.9 * rng.uniform(0.2, 1.0) * v / np.linalg.norm(v))
     for xi in xis:
-        mu = clark(ctx, xi, grid_log2=13)
+        mu = clark(ctx, xi)
         h0 = (1.0 + mu.symbol(0)) / (1.0 - mu.symbol(0))
         worst = max(worst, abs(mu.total_mass - h0.real))
     return _result("clark_mass_balance", worst, 1e-6)
@@ -195,7 +193,7 @@ def _gram_density(ctx) -> CheckResult:
         pd = False
     vals = _density_residuals(ctx, 0.5, 8)
     mono = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(8))
-    ok = pd and mono and vals[-1] >= -1e-9
+    ok = pd and mono and vals[-1] >= DENSITY_FLOOR
     return CheckResult("gram_and_density", bool(ok),
                        f"gram PD: {pd}, density monotone: {mono}, "
                        f"res(8) = {vals[-1]:.3e}")

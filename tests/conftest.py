@@ -40,6 +40,12 @@ def all_contexts(ctx_zero, ctx_sarason, ctx_row2, ctx_trunc3, ctx_trunc8):
     }
 
 
+def circle_grid(n):
+    """n equispaced points exp(2 pi i j / n) on the unit circle: the tests'
+    own grid, evaluated by Horner as a reference independent of the FFT."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
 def assert_close(actual, expected, tol, label=""):
     actual = np.asarray(actual)
     expected = np.asarray(expected)

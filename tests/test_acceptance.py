@@ -28,8 +28,9 @@ from dbrov import (
 )
 from dbrov.errors import MateUndefined
 from dbrov.fixtures import fixture
-from dbrov.poly import circle_grid
 from dbrov.rowschur import defect_laurent
+
+from conftest import circle_grid
 
 SQ8 = 1.0 / (2.0 * np.sqrt(2.0))
 FIXTURE_NAMES = ("ZERO", "SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)")
@@ -181,7 +182,7 @@ def test_criterion_6_clark_balance(all_contexts):
             xis.append(rng.uniform(0.1, 0.97) * v / np.linalg.norm(v))
         worst = 0.0
         for xi in xis:
-            mu = clark(ctx, xi, grid_log2=13)
+            mu = clark(ctx, xi)
             h0 = (1.0 + mu.symbol(0)) / (1.0 - mu.symbol(0))
             worst = max(worst, abs(mu.total_mass - h0.real))
         if worst > 1e-6:

@@ -14,6 +14,7 @@ from dbrov import (
     trunc_limit_pairing,
     trunc_limit_slope,
 )
+from dbrov import boundary
 from dbrov.errors import (
     BoundaryNotRegular,
     DbrovError,
@@ -27,7 +28,7 @@ from dbrov.errors import (
 )
 from dbrov.space import UNIMODULAR_TOL, SpaceContext
 
-from conftest import assert_close
+from conftest import assert_close, circle_grid
 from test_random_rows import random_row, sup_angle
 
 
@@ -134,7 +135,7 @@ class TestClark:
         for _ in range(5):
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             xi = 0.9 * rng.uniform(0.1, 1.0) * v / np.linalg.norm(v)
-            mu = clark(ctx_trunc3, xi, grid_log2=13)
+            mu = clark(ctx_trunc3, xi)
             h0 = (1 + mu.symbol(0)) / (1 - mu.symbol(0))
             assert abs(mu.total_mass - h0.real) < 1e-6
             assert abs(mu.imag_const - h0.imag) < 1e-12
@@ -176,6 +177,40 @@ class TestClark:
                            Tolerances(), {"A0_cond": 1.0})
         with pytest.raises(HigherOrderBoundaryZero):
             clark(ctx, [1.0])
+
+
+def _herglotz_rhs_by_loop(mu, h0):
+    """The Herglotz right-hand side at each probe by a direct sum over the
+    grid: the reference for the series of `boundary._herglotz_rhs`."""
+    t = circle_grid(mu.density_values.shape[0])
+    out = []
+    for z in boundary._PROBE_POINTS:
+        rhs = (1.0 - np.conj(h0)) / 2.0
+        for lam, m in mu.point_masses:
+            rhs += m / (1.0 - z * np.conj(lam))
+        out.append(rhs + np.mean(mu.density_values / (1.0 - z * np.conj(t))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["ZERO", "SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)",
+                                  "touching (3, 6)", "contractive (4, 8)"])
+def test_herglotz_series_matches_grid_loop(name, all_contexts):
+    if name in all_contexts:
+        ctx = all_contexts[name]
+    else:
+        d, q, sup = (3, 6, 1.0) if name.startswith("touching") else (4, 8, 0.9)
+        ctx = make_context(random_row(np.random.default_rng(5), d, q, sup))
+    rng = np.random.default_rng(11)
+    xis = [np.zeros(ctx.dim)] + [ctx.B(lam) for lam, _ in ctx.Lambda]
+    for _ in range(3):
+        v = rng.normal(size=ctx.dim) + 1j * rng.normal(size=ctx.dim)
+        xis.append(rng.uniform(0.1, 0.97) * v / np.linalg.norm(v))
+    for xi in xis:
+        mu = clark(ctx, xi)
+        h0 = (1.0 + mu.symbol(0)) / (1.0 - mu.symbol(0))
+        want = _herglotz_rhs_by_loop(mu, h0)
+        got = boundary._herglotz_rhs(mu, h0)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
 
 
 def _compose(B: RowSchur, k: int) -> RowSchur:

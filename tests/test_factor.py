@@ -20,11 +20,11 @@ from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverg
 from dbrov.factor import _grid_inv, _grid_mul, _jensen_gap, _wilson_grid, \
     factor_residual
 from dbrov.fixtures import fixture
-from dbrov.poly import circle_grid, grid_det
+from dbrov.poly import grid_det
 from dbrov.rowschur import defect_laurent
 from dbrov.verify import run_checks
 
-from conftest import assert_close
+from conftest import assert_close, circle_grid
 from test_random_rows import NEAR_ROWS, random_row
 
 SQ8 = 1.0 / (2.0 * np.sqrt(2.0))

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dbrov
-from dbrov.cli import main
+from dbrov.cli import COMMANDS, main
 from dbrov.errors import DbrovError, MateUndefined, ValidationError
 from dbrov.fixtures import fixture
 from dbrov.rowschur import RowSchur
@@ -58,11 +62,6 @@ class TestFixtures:
         from dbrov import mate_report
         with pytest.raises(MateUndefined):
             mate_report(fixture("FLAT").B)
-
-    def test_expectations_carry_provenance(self):
-        fx = fixture("ROW2")
-        assert all(isinstance(v, tuple) and len(v) == 2
-                   for v in fx.expected.values())
 
 
 class TestSchema:
@@ -305,11 +304,50 @@ class TestCli:
         assert json.loads(out)["error"] == "ValidationError"
 
     def test_flag_overrides_payload(self, capsys):
-        payload = '{"xi": [[1, 0]], "grid_log2": 8}'
-        code, out = self.run(["clark", "--fixture", "SARASON", "--payload",
-                              payload, "--grid-log2", "6"], capsys)
+        payload = '{"grid_log2": 8}'
+        grids = []
+        for extra in ([], ["--grid-log2", "6"]):
+            code, out = self.run(["analyze", "--fixture", "SARASON", "--payload",
+                                  payload, *extra], capsys)
+            assert code == 0
+            grids.append(json.loads(out)["reports"]["factor_grid"])
+        assert grids == [256, 64]
+
+    def test_clark_grid_is_fixed(self, capsys):
+        # --grid-log2 sets the factorization grid only; on 16 points the
+        # Clark density could not pass the Herglotz check
+        code, out = self.run(["clark", "--fixture", "ROW2", "--payload",
+                              '{"xi": [[0.5, 0], [0, 0]]}', "--grid-log2", "4"],
+                             capsys)
         assert code == 0
-        assert json.loads(out)["grid_size"] == 64
+        assert json.loads(out)["grid_size"] == 16384
+
+    def test_missing_spec_file(self, tmp_path, capsys):
+        code, out = self.run(["analyze", "--spec", str(tmp_path / "missing.json")],
+                             capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
+
+    def test_unreadable_spec(self, tmp_path, capsys):
+        # a directory cannot be opened as a file on any platform
+        code, out = self.run(["analyze", "--spec", str(tmp_path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
+
+    def test_spec_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(ROW2_SPEC).encode() + b"\xff")
+        code, out = self.run(["analyze", "--spec", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out_path = tmp_path / "no" / "such" / "dir.json"
+        code, out = self.run(["analyze", "--fixture", "ROW2", "--out",
+                              str(out_path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("cls", DbrovError.__subclasses__(),
                              ids=lambda cls: cls.__name__)
@@ -363,3 +401,77 @@ class TestCli:
         code, out = self.run(
             ["verify", "--fixture", "ZERO", "--seed", "7"], capsys)
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# raw spec JSON through the CLI: every run ends with exit 0, 2 or 3
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(width=64)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_UNIT = st.floats(-1.0, 1.0)
+_PAIR = st.lists(_UNIT, min_size=2, max_size=2)
+
+
+@st.composite
+def _row(draw):
+    """A row {"d", "coeffs"} scaled to sum_k |B_k| = s, so sup |B| <= s."""
+    d, q = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    c = np.array(draw(st.lists(st.lists(_PAIR, min_size=d, max_size=d),
+                               min_size=q + 1, max_size=q + 1)))
+    c = c[..., 0] + 1j * c[..., 1]
+    total = np.linalg.norm(c, axis=1).sum()
+    if total > 0:
+        c *= draw(st.sampled_from([0.5, 0.99, 1.0])) / total
+    return {"d": d, "coeffs": [[[z.real, z.imag] for z in row] for row in c]}
+
+
+_MISSHAPEN = st.lists(st.lists(_UNIT, max_size=3), max_size=4)
+
+
+@st.composite
+def _raw_spec(draw):
+    """Spec text for a row with optional well-formed fields, at most one of
+    them (or B) replaced by a misshapen or junk value."""
+    row = draw(_row())
+    valid = {
+        "f": st.lists(_PAIR, min_size=1, max_size=4), "w": _PAIR, "lambda": _PAIR,
+        "xi": st.lists(_PAIR, min_size=row["d"], max_size=row["d"]),
+        "N": st.integers(0, 16), "grid_log2": st.integers(4, 8),
+        "max_iter": st.integers(1, 40), "seed": st.integers(0, 3),
+        "tolerances": st.dictionaries(
+            st.sampled_from(["tol_psd", "tol_factor", "tol_outer", "tol_eval"]),
+            st.floats(1e-14, 1.0), max_size=2),
+    }
+    spec = {"B": row}
+    for key, strategy in valid.items():
+        if draw(st.booleans()):
+            spec[key] = draw(strategy)
+    bad = draw(st.sampled_from([None, None, None, "B", *valid]))
+    if bad == "B":
+        spec["B"] = draw(st.fixed_dictionaries(
+            {"d": st.integers(0, 4), "coeffs": st.lists(_MISSHAPEN, max_size=3)})
+            | _JUNK)
+    elif bad is not None:
+        spec[bad] = draw(_MISSHAPEN | _JUNK)
+    text = json.dumps(spec)
+    if draw(st.sampled_from(range(10))) == 9:  # cut off mid-document
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(command=st.sampled_from(COMMANDS), text=_raw_spec())
+def test_raw_spec_ends_typed(command, text):
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out):
+        code = main([command])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert json.loads(out.getvalue())["error"] in ("MalformedJSON",
+                                                        "ValidationError")

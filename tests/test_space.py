@@ -26,11 +26,10 @@ from dbrov import (
 from dbrov import space
 from dbrov.errors import BoundaryNotRegular, DomainError, \
     IllConditionedConstant, ValidationError
-from dbrov.poly import circle_grid
 from dbrov.space import SpaceContext, _density_residuals, _extend_generator, \
     _generator, _pair_bounds, _section_kernels
 
-from conftest import assert_close
+from conftest import assert_close, circle_grid
 from test_random_rows import random_row
 
 
