@@ -11,15 +11,13 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .boundary import caratheodory, clark
 from .cyclic import cyclicity, spectrum_crosscheck
 from .errors import DbrovError, ValidationError
 from .factor import MAX_ITER
 from .fixtures import fixture
 from .poly import CPoly
-from .schema import ProblemSpec, _complex_to_pair as _pair, parse_problem
+from .schema import JSON_NAMES, ProblemSpec, parse_problem, to_json
 from .space import _density_residuals, embed, kernel, make_context, on_circle
 from .verify import run_checks
 
@@ -106,31 +104,17 @@ def _load_spec(args) -> ProblemSpec:
     return spec
 
 
-def _context(spec: ProblemSpec):
-    return make_context(spec.B, spec.tolerances,
-                        max_iter=spec.max_iter or MAX_ITER,
-                        grid_log2=spec.grid_log2)
-
-
-def _pairs(arr) -> list:
-    return [_pair(c) for c in np.asarray(arr).ravel()]
-
-
-def _vec_rows(coeffs) -> list:
-    return [[_pair(c) for c in row] for row in np.atleast_2d(coeffs)]
-
-
 def _require(spec, field, command):
     value = getattr(spec, field)
     if value is None:
-        name = "lambda" if field == "lam" else field
-        raise ValidationError(f"'{command}' needs the field {name!r}")
+        raise ValidationError(f"'{command}' needs the field {JSON_NAMES[field]!r}")
     return value
 
 
 def _dispatch(args, spec: ProblemSpec):
     cmd = args.command
-    ctx = _context(spec)
+    ctx = make_context(spec.B, spec.tolerances, max_iter=spec.max_iter or MAX_ITER,
+                       grid_log2=spec.grid_log2)
     if cmd == "verify":
         checks = run_checks(ctx, seed=spec.seed)
         return {
@@ -143,25 +127,22 @@ def _dispatch(args, spec: ProblemSpec):
     if cmd == "analyze":
         return {
             "d": ctx.dim,
-            "mate": _pairs(ctx.a.coeffs),
-            "A": [_vec_rows(mat) for mat in ctx.A.coeffs],
-            "lambda": [{"point": _pair(l), "mult": m} for l, m in ctx.Lambda],
+            "mate": ctx.a.coeffs,
+            "A": ctx.A.coeffs,
+            "lambda": [{"point": l, "mult": m} for l, m in ctx.Lambda],
             "reports": {k: float(v) for k, v in ctx.reports.items()},
         }
     if cmd == "norm":
         f = CPoly(_require(spec, "f", cmd))
         el = embed(ctx, f)
-        return {
-            "norm_sq": el.norm_sq,
-            "f_plus": _vec_rows(el.f_plus.coeffs) if not el.f_plus.is_zero else [],
-        }
+        return {"norm_sq": el.norm_sq, "f_plus": el.f_plus.coeffs}
     if cmd == "kernel":
         w = _require(spec, "w", cmd)
         el = kernel(ctx, w, spec.N)
         return {
             "kind": "boundary" if on_circle(w) else "interior",
-            "f": _pairs(el.f.coeffs),
-            "f_plus": _vec_rows(el.f_plus.coeffs) if not el.f_plus.is_zero else [],
+            "f": el.f.coeffs,
+            "f_plus": el.f_plus.coeffs,
             "norm_sq": el.norm_sq,
             "tail_bound": el.tail_bound,
         }
@@ -170,7 +151,7 @@ def _dispatch(args, spec: ProblemSpec):
         mu = clark(ctx, xi)
         h0 = (1.0 + mu.symbol(0)) / (1.0 - mu.symbol(0))
         return {
-            "masses": [{"point": _pair(l), "mass": m} for l, m in mu.point_masses],
+            "masses": [{"point": l, "mass": m} for l, m in mu.point_masses],
             "total_mass": mu.total_mass,
             "ac_mass": mu.ac_mass,
             "imag_const": mu.imag_const,
@@ -181,9 +162,9 @@ def _dispatch(args, spec: ProblemSpec):
     if cmd == "caratheodory":
         rep = caratheodory(ctx, _require(spec, "lam", cmd))
         out = {
-            "lambda": _pair(rep.lam),
+            "lambda": rep.lam,
             "satisfies_caratheodory": rep.satisfies_caratheodory,
-            "boundary_vector": _pairs(rep.boundary_vector),
+            "boundary_vector": rep.boundary_vector,
         }
         if rep.satisfies_caratheodory:
             out.update({
@@ -198,13 +179,9 @@ def _dispatch(args, spec: ProblemSpec):
         return {
             "verdict": cert.verdict,
             "is_outer": cert.is_outer,
-            "interior_roots": [
-                {"root": _pair(r), "mult": m} for r, m in cert.interior_roots
-            ],
-            "boundary_checks": [
-                {"point": _pair(l), "value": _pair(v), "pass": ok}
-                for l, v, ok in cert.boundary_checks
-            ],
+            "interior_roots": [{"root": r, "mult": m} for r, m in cert.interior_roots],
+            "boundary_checks": [{"point": l, "value": v, "pass": ok}
+                                for l, v, ok in cert.boundary_checks],
             "margins": {
                 "min_boundary_abs": cert.min_boundary_abs,
                 "max_interior_modulus": cert.max_interior_modulus,
@@ -215,15 +192,14 @@ def _dispatch(args, spec: ProblemSpec):
         n_max = spec.N if spec.N is not None else 12
         vals = _density_residuals(ctx, w, n_max).tolist()
         return [[n, v] for n, v in enumerate(vals)], ["N", "residual"]
-    if cmd == "crosscheck":
-        n = spec.N if spec.N is not None else 2 * max(ctx.a.degree, 0) + 4
-        sweep = spectrum_crosscheck(ctx, n)
-        rows = [
-            [float(l.real), float(l.imag), r, int(member)]
-            for l, r, member in sweep.entries
-        ]
-        return rows, ["lambda_re", "lambda_im", "residual", "member"]
-    raise ValidationError(f"unknown command {cmd!r}")
+    # crosscheck
+    n = spec.N if spec.N is not None else 2 * max(ctx.a.degree, 0) + 4
+    sweep = spectrum_crosscheck(ctx, n)
+    rows = [
+        [float(l.real), float(l.imag), r, int(member)]
+        for l, r, member in sweep.entries
+    ]
+    return rows, ["lambda_re", "lambda_im", "residual", "member"]
 
 
 def _render(payload, args) -> str:
@@ -232,24 +208,10 @@ def _render(payload, args) -> str:
         rows, header = payload
         if args.format == "csv":
             lines = [",".join(header)]
-            lines += [",".join(_csv_cell(x) for x in row) for row in rows]
+            lines += [",".join(map(str, row)) for row in rows]
             return "\n".join(lines) + "\n"
         payload = {"columns": header, "rows": rows}
-    return json.dumps(payload, indent=2, default=_json_default) + "\n"
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return json.dumps(payload, indent=2, default=to_json) + "\n"
 
 
 def _write(text: str, out) -> None:

@@ -83,7 +83,7 @@ class NumericsError(DbrovError):
 
 
 class ConditioningWarning(UserWarning):
-    """A Gram solve needed jitter or produced a slightly negative residual."""
+    """A density residual came out negative beyond `DENSITY_FLOOR`."""
 
 
 class InconclusiveGap(UserWarning):

@@ -1,4 +1,5 @@
-"""JSON problem schema: parsing, validation, serialization.
+"""JSON problem schema: parsing, validation, serialization, and the one
+encoder of everything dbrov writes as JSON.
 
 Complex numbers travel as [re, im] pairs; polynomial coefficients ascend in
 powers of z.  The row function B is given as {"d": d, "coeffs": [...]} with
@@ -8,7 +9,7 @@ the outer index the power of z and the inner index the coordinate.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .rowschur import RowSchur
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = "1"
+# the JSON name of each optional ProblemSpec field
+JSON_NAMES = {"f": "f", "w": "w", "lam": "lambda", "xi": "xi", "N": "N",
+              "grid_log2": "grid_log2", "max_iter": "max_iter", "seed": "seed"}
 
 
 @dataclass
@@ -49,8 +53,17 @@ def _pair_to_complex(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
-def _complex_to_pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+def to_json(obj):
+    """A complex number as an [re, im] pair, a numpy array or scalar as a
+    list or number, lists converted entry by entry; the `default` hook of
+    the CLI's `json.dumps` and the encoder of `serialize_problem`."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, list):
+        return [to_json(x) for x in obj]
+    return obj
 
 
 def _parse_coeff_vector(value, where: str) -> np.ndarray:
@@ -121,7 +134,7 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
     for key, low, high, what in (("N", 0, np.inf, "a nonnegative integer"),
                                  ("grid_log2", 4, 20, "an integer in 4..20"),
                                  ("max_iter", 1, np.inf, "a positive integer"),
-                                 ("seed", -np.inf, np.inf, "an integer")):
+                                 ("seed", 0, np.inf, "a nonnegative integer")):
         if key in data:
             if not (_is_int(data[key]) and low <= data[key] <= high):
                 raise ValidationError(f"'{key}' must be {what}")
@@ -131,35 +144,13 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
 
 def serialize_problem(spec: ProblemSpec) -> dict:
     """Inverse of parse_problem; parse(serialize(s)) reproduces s."""
-    out: dict = {
-        "schema_version": spec.schema_version,
-        "B": {
-            "d": spec.B.dim,
-            "coeffs": [
-                [_complex_to_pair(c) for c in row] for row in spec.B.coeffs
-            ],
-        },
-        "tolerances": {
-            "tol_psd": spec.tolerances.tol_psd,
-            "tol_factor": spec.tolerances.tol_factor,
-            "tol_outer": spec.tolerances.tol_outer,
-            "tol_eval": spec.tolerances.tol_eval,
-        },
-    }
-    if spec.f is not None:
-        out["f"] = [_complex_to_pair(c) for c in spec.f]
-    if spec.w is not None:
-        out["w"] = _complex_to_pair(spec.w)
-    if spec.lam is not None:
-        out["lambda"] = _complex_to_pair(spec.lam)
-    if spec.xi is not None:
-        out["xi"] = [_complex_to_pair(c) for c in spec.xi]
-    if spec.N is not None:
-        out["N"] = spec.N
-    if spec.grid_log2 is not None:
-        out["grid_log2"] = spec.grid_log2
-    if spec.max_iter is not None:
-        out["max_iter"] = spec.max_iter
-    if spec.seed:
-        out["seed"] = spec.seed
+    out = {"schema_version": spec.schema_version,
+           "B": {"d": spec.B.dim, "coeffs": to_json(spec.B.coeffs)},
+           "tolerances": asdict(spec.tolerances)}
+    for attr, key in JSON_NAMES.items():
+        value = getattr(spec, attr)
+        if value is not None and attr in ("f", "w", "lam", "xi"):  # a real value too
+            value = np.asarray(value, dtype=complex)
+        if value is not None and (attr != "seed" or value):  # seed 0 is the default
+            out[key] = to_json(value)
     return out

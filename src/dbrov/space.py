@@ -385,18 +385,6 @@ def gram(ctx: SpaceContext, N: int) -> np.ndarray:
     return G
 
 
-def _chol_psd(G: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        scale = float(np.abs(np.diag(G)).max(initial=1.0))
-        warnings.warn(
-            "Gram factorization needed 1e-12 diagonal jitter",
-            ConditioningWarning, stacklevel=5,
-        )
-        return np.linalg.cholesky(G + 1e-12 * scale * np.eye(G.shape[0]))
-
-
 def _section_kernels(ctx: SpaceContext, zetas, N: int) -> np.ndarray:
     """K^n_zeta(zeta) = e_n* G_n^{-1} e_n for n = 0 .. N, one column per zeta.
 
@@ -407,7 +395,11 @@ def _section_kernels(ctx: SpaceContext, zetas, N: int) -> np.ndarray:
     |L^{-1} e_N|^2 over its first n + 1 entries.
     """
     E = np.asarray(zetas, dtype=complex)[None, :] ** np.arange(N + 1)[:, None]
-    Y = np.linalg.solve(_chol_psd(gram(ctx, N)), E)
+    try:  # G is I plus a Gram of generator shifts, so G >= I
+        L = np.linalg.cholesky(gram(ctx, N))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Cholesky of the Gram of order {N} failed") from exc
+    Y = np.linalg.solve(L, E)
     return np.cumsum(np.abs(Y) ** 2, axis=0)
 
 

@@ -16,6 +16,10 @@ DENSITY_FLOOR = -1e-9
 
 @dataclass(frozen=True)
 class Tolerances:
+    """The tolerances a caller sets for a context.  tol_factor only tightens:
+    both engine runs use min(tol_factor, ENGINE_TOL), so every value at or
+    above 1e-12, the default 1e-10 included, builds the same context."""
+
     tol_psd: float = PSD_SLACK
     tol_factor: float = 1e-10
     tol_outer: float = 1e-6

@@ -133,6 +133,12 @@ class TestSpectrumCrosscheck:
         assert all(r < 1e-2 for _, r, _ in sweep.entries)
         assert sweep.gap_ratio == np.inf
 
+    def test_row2_gap_inconclusive_below_26(self, ctx_row2):
+        # the nearest default control of ROW2 separates by 10x only from N = 26
+        with pytest.warns(InconclusiveGap, match="at N = 12"):
+            sweep = spectrum_crosscheck(ctx_row2, 12)
+        assert 5.0 < sweep.gap_ratio < 10.0
+
     def test_order_guard(self, ctx_row2):
         with pytest.raises(ValidationError):
             spectrum_crosscheck(ctx_row2, 2)

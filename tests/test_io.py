@@ -16,8 +16,9 @@ from dbrov.cli import COMMANDS, main
 from dbrov.errors import DbrovError, MateUndefined, ValidationError
 from dbrov.fixtures import fixture
 from dbrov.rowschur import RowSchur
-from dbrov.schema import parse_problem, serialize_problem
+from dbrov.schema import ProblemSpec, parse_problem, serialize_problem
 from dbrov.space import density_residual
+from dbrov.tolerances import Tolerances
 
 from conftest import assert_close
 
@@ -70,6 +71,10 @@ class TestSchema:
         once = serialize_problem(spec)
         twice = serialize_problem(parse_problem(json.loads(json.dumps(once))))
         assert once == twice
+
+    def test_spec_not_an_object(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            parse_problem([])
 
     def test_missing_b(self):
         with pytest.raises(ValidationError):
@@ -141,6 +146,13 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["norm_sq"] == pytest.approx(6.0, abs=1e-12)
 
+    def test_norm_of_zero(self, capsys):
+        # the empty plus part, a (0, d) stack, is written as []
+        code, out = self.run(
+            ["norm", "--fixture", "ROW2", "--payload", '{"f": [[0,0]]}'], capsys)
+        assert code == 0
+        assert json.loads(out) == {"norm_sq": 0.0, "f_plus": []}
+
     def test_clark_lebesgue(self, capsys):
         code, out = self.run(
             ["clark", "--fixture", "ROW2", "--payload",
@@ -161,7 +173,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(out)
         assert doc["kind"] == "boundary"
-        assert_close([c[0] for c in doc["f"]], [0.75, 0.5], 1e-10)
+        assert_close(doc["f"], [[0.75, 0.0], [0.5, 0.0]], 1e-10)
 
     def test_kernel_interior_with_order(self, capsys):
         code, out = self.run(
@@ -402,6 +414,34 @@ class TestCli:
             ["verify", "--fixture", "ZERO", "--seed", "7"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("extra", [["--seed", "-1"], ["--payload", '{"seed": -1}']])
+    def test_negative_seed_refused(self, capsys, extra):
+        code, out = self.run(["verify", "--fixture", "ZERO", *extra], capsys)
+        assert code == 2
+        assert json.loads(out) == {"error": "ValidationError",
+                                   "message": "'seed' must be a nonnegative integer"}
+
+    def test_spec_not_an_object(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[1, 2]"))
+        code, out = self.run(["analyze"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ValidationError"
+
+    def test_pair_check_failure_exit_code(self, capsys):
+        # no pair residual meets a tolerance of 1e-300
+        code, out = self.run(
+            ["norm", "--fixture", "ROW2", "--payload",
+             '{"f": [[1,0],[1,0]], "tolerances": {"tol_eval": 1e-300}}'], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == "IllConditionedConstant"
+
+    def test_failed_gram_cholesky_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(dbrov.space, "gram", lambda ctx, N: -np.eye(N + 1))
+        code, out = self.run(["density", "--fixture", "ROW2", "--payload",
+                              '{"w": [0.5, 0], "N": 4}'], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == "NumericsError"
+
 
 # ---------------------------------------------------------------------------
 # raw spec JSON through the CLI: every run ends with exit 0, 2 or 3
@@ -442,7 +482,7 @@ def _raw_spec(draw):
         "f": st.lists(_PAIR, min_size=1, max_size=4), "w": _PAIR, "lambda": _PAIR,
         "xi": st.lists(_PAIR, min_size=row["d"], max_size=row["d"]),
         "N": st.integers(0, 16), "grid_log2": st.integers(4, 8),
-        "max_iter": st.integers(1, 40), "seed": st.integers(0, 3),
+        "max_iter": st.integers(1, 40), "seed": st.integers(-3, 3),
         "tolerances": st.dictionaries(
             st.sampled_from(["tol_psd", "tol_factor", "tol_outer", "tol_eval"]),
             st.floats(1e-14, 1.0), max_size=2),
@@ -475,3 +515,49 @@ def test_raw_spec_ends_typed(command, text):
     if code == 2:
         assert json.loads(out.getvalue())["error"] in ("MalformedJSON",
                                                         "ValidationError")
+
+
+# ---------------------------------------------------------------------------
+# a spec round-trips through the schema
+
+_FLOAT = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# a real value, as a library caller may put in a complex field, is a pair too
+_COMPLEX = st.builds(complex, _FLOAT, _FLOAT) | _FLOAT
+_TOL = st.floats(1e-12, 1e3)
+
+
+@st.composite
+def _spec(draw):
+    """A ProblemSpec with every optional field drawn, None among the choices."""
+    row = draw(_row())
+    B = parse_problem({"B": row}).B
+    vector = lambda n: st.lists(_COMPLEX, min_size=n, max_size=n).map(np.array)
+    maybe = lambda strategy: st.none() | strategy
+    return ProblemSpec(
+        B=B,
+        tolerances=Tolerances(*(draw(_TOL) for _ in range(4))),
+        f=draw(maybe(st.integers(1, 4).flatmap(vector))),
+        w=draw(maybe(_COMPLEX)),
+        xi=draw(maybe(vector(B.dim))),
+        lam=draw(maybe(_COMPLEX)),
+        N=draw(maybe(st.integers(0, 10 ** 6))),
+        grid_log2=draw(maybe(st.integers(4, 20))),
+        max_iter=draw(maybe(st.integers(1, 10 ** 6))),
+        seed=draw(st.integers(0, 2 ** 63)),
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spec=_spec())
+def test_spec_round_trips(spec):
+    once = serialize_problem(spec)
+    back = parse_problem(json.loads(json.dumps(once)))
+    assert np.array_equal(back.B.coeffs, spec.B.coeffs)
+    assert back.tolerances == spec.tolerances
+    for name in ("f", "xi"):
+        want = getattr(spec, name)
+        got = getattr(back, name)
+        assert got is None if want is None else np.array_equal(got, want)
+    for name in ("w", "lam", "N", "grid_log2", "max_iter", "seed", "schema_version"):
+        assert getattr(back, name) == getattr(spec, name)
+    assert serialize_problem(back) == once

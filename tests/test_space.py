@@ -25,7 +25,7 @@ from dbrov import (
 )
 from dbrov import space
 from dbrov.errors import BoundaryNotRegular, DomainError, \
-    IllConditionedConstant, ValidationError
+    IllConditionedConstant, NumericsError, ValidationError
 from dbrov.space import SpaceContext, _density_residuals, _extend_generator, \
     _generator, _pair_bounds, _section_kernels
 
@@ -422,6 +422,20 @@ class TestGramAndResiduals:
         vals = [point_eval_residual(ctx_row2, -1.0, N) for N in (10, 40, 200)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-2
+
+    def test_negative_gram_order_refused(self, ctx_row2):
+        with pytest.raises(DomainError):
+            gram(ctx_row2, -1)
+
+    def test_point_eval_needs_unimodular_point(self, ctx_row2):
+        with pytest.raises(DomainError):
+            point_eval_residual(ctx_row2, 0.5, 10)
+
+    def test_failed_gram_cholesky_is_typed(self, ctx_row2, monkeypatch):
+        # no jitter retry: a Gram that is not positive definite ends the sweep
+        monkeypatch.setattr(space, "gram", lambda ctx, N: -np.eye(N + 1))
+        with pytest.raises(NumericsError, match="order 6"):
+            density_residual(ctx_row2, 0.5, 6)
 
 
 class TestGeneratorGram:
