@@ -6,14 +6,7 @@ analyze Clark measures and boundary behavior, and decide cyclicity.
 """
 
 from . import errors
-from .boundary import (
-    BoundaryReport,
-    ClarkMeasure,
-    caratheodory,
-    clark,
-    trunc_limit_pairing,
-    trunc_limit_slope,
-)
+from .boundary import BoundaryReport, ClarkMeasure, caratheodory, clark
 from .cyclic import (
     CyclicityCertificate,
     SpectrumSweep,
@@ -37,7 +30,6 @@ from .space import (
     make_context,
     multiply_z,
     point_eval_residual,
-    rank_one_identity_defect,
     toeplitz_conj_hb,
 )
 from .tolerances import Tolerances
@@ -50,9 +42,8 @@ __all__ = [
     "cyclicity", "defect_laurent", "density_residual", "embed", "errors",
     "fixture", "gram", "hb_inner", "is_outer", "kernel",
     "make_context", "mate_report", "multiply_z", "outer_check",
-    "point_eval_residual", "poly_roots", "rank_one_identity_defect",
-    "spectrum_crosscheck", "toeplitz_conj", "toeplitz_conj_hb",
-    "trunc_limit_pairing", "trunc_limit_slope", "wilson_report",
+    "point_eval_residual", "poly_roots", "spectrum_crosscheck",
+    "toeplitz_conj", "toeplitz_conj_hb", "wilson_report",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Boundary behavior: Caratheodory checks, Clark measures, kernel limits."""
+"""Boundary behavior: Caratheodory checks and Clark measures."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import numpy as np
 from .errors import (
     BoundaryNotRegular,
     DegenerateSymbol,
-    DomainError,
     HigherOrderBoundaryZero,
     NonpositiveMass,
     NotPositive,
@@ -17,9 +16,8 @@ from .errors import (
     ValidationError,
 )
 from .poly import CPoly, circle_eval
-from .space import UNIMODULAR_TOL, SpaceContext, hb_inner, kernel, on_circle, \
-    spectrum_member
-from .tolerances import DENSITY_FLOOR
+from .space import SpaceContext, hb_inner, kernel, on_circle, spectrum_member
+from .tolerances import DENSITY_FLOOR, UNIMODULAR_TOL
 
 # circle points of the tabulated Clark density
 CLARK_GRID = 1 << 14
@@ -223,30 +221,3 @@ def _verify_herglotz(measure: ClarkMeasure, h0: complex):
     if bad.size:
         raise NumericsError(f"Herglotz reconstruction off by {err[bad[0]]:.3e} "
                             f"at {_PROBE_POINTS[bad[0]]}")
-
-
-# ---------------------------------------------------------------------------
-# closed-form boundary data for the infinite-rank limit of the TRUNC family
-
-
-def trunc_limit_pairing(z):
-    """B(z) B(1)* for the infinite-rank limit of the TRUNC fixtures.
-
-    The geometric tail sums to a rational function: (1+z)/4 + z^2/(4-2z).
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 2.0):
-        raise DomainError("pairing has a pole at z = 2")
-    out = (1.0 + z) / 4.0 + z * z / (4.0 - 2.0 * z)
-    return complex(out) if out.ndim == 0 else out
-
-
-def trunc_limit_slope(radial: bool = False) -> float:
-    """Boundary slope lim_{z->1} (1 - g(z))/(1 - z) of the limit pairing."""
-    if radial:
-        return radial_extrapolate(
-            lambda r: float(((1.0 - trunc_limit_pairing(r)) / (1.0 - r)).real)
-        )
-    # derivative of (1+z)/4 + z^2/(4-2z) at z = 1
-    z = 1.0
-    return float(0.25 + (8.0 * z - 2.0 * z * z) / (4.0 - 2.0 * z) ** 2)

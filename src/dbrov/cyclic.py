@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InconclusiveGap, ValidationError, ZeroFunction
 from .poly import CPoly, _as_cpoly, poly_roots
-from .space import UNIMODULAR_TOL, SpaceContext, _point_residuals
+from .space import SpaceContext, _point_residuals
+from .tolerances import UNIMODULAR_TOL
 
 BOUNDARY_ZERO_REL = 1e-8
 

@@ -30,12 +30,9 @@ from .errors import (
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_eval, grid_adjugate, grid_det, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
-from .tolerances import ENGINE_TOL, PSD_SLACK
+from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK
 
 ZERO_DEFECT_TOL = 1e-12
-# a stalled iteration's best factor is accepted from this residual down:
-# regularizing a boundary-degenerate density would move its boundary zeros
-BEST_FACTOR_TOL = 1e-8
 # Newton steps per grid: the budget of every run, mate and matrix factor alike
 MAX_ITER = 600
 

@@ -268,13 +268,6 @@ class MatPoly(_Poly):
     def identity(cls, dim: int) -> "MatPoly":
         return cls(np.eye(dim, dtype=complex)[None, :, :])
 
-    def matvec_const(self, x) -> VecPoly:
-        """A(z) x for a constant vector x."""
-        x = np.asarray(x, dtype=complex)
-        if self.is_zero:
-            return VecPoly.zero(self.dim)
-        return VecPoly(self.coeffs @ x, dim=self.dim)
-
     def matvec_poly(self, h: VecPoly) -> VecPoly:
         """A(z) h(z) for a polynomial vector h."""
         if self.is_zero or h.is_zero:

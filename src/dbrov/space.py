@@ -25,14 +25,13 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import BEST_FACTOR_TOL, MAX_ITER, _as_mate, _defect_zeros, wilson_report
+from .factor import MAX_ITER, _as_mate, _defect_zeros, wilson_report
 from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
     _divide_one_minus, _trim, circle_eval, grid_det, horner, pow2_at_least, \
     toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
-from .tolerances import DENSITY_FLOOR, ENGINE_TOL, Tolerances
-
-UNIMODULAR_TOL = 1e-8
+from .tolerances import BEST_FACTOR_TOL, DENSITY_FLOOR, ENGINE_TOL, UNIMODULAR_TOL, \
+    Tolerances
 
 
 def on_circle(w):
@@ -394,11 +393,12 @@ def _section_kernels(ctx: SpaceContext, zetas, N: int) -> np.ndarray:
     every order comes from one Gram and one factor: K^n is the sum of
     |L^{-1} e_N|^2 over its first n + 1 entries.
     """
-    E = np.asarray(zetas, dtype=complex)[None, :] ** np.arange(N + 1)[:, None]
+    # `gram` refuses an N too large before E, (N+1) rows, is built
     try:  # G is I plus a Gram of generator shifts, so G >= I
         L = np.linalg.cholesky(gram(ctx, N))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"Cholesky of the Gram of order {N} failed") from exc
+    E = np.asarray(zetas, dtype=complex)[None, :] ** np.arange(N + 1)[:, None]
     Y = np.linalg.solve(L, E)
     return np.cumsum(np.abs(Y) ** 2, axis=0)
 
@@ -440,21 +440,3 @@ def _point_residuals(ctx: SpaceContext, lams, N: int) -> np.ndarray:
     if not np.all(on_circle(lams)):
         raise DomainError("point evaluation probe needs a unimodular point")
     return 1.0 / _section_kernels(ctx, lams, max(N, 0))[-1]
-
-
-def rank_one_identity_defect(ctx: SpaceContext, f, g) -> float:
-    """Defect of the rank-one backward shift identity.
-
-    |<Lf, g> - <f, zg> + sum_i <f, b_i> <L b_i, g>| with every inner product
-    taken through embedded pairs.
-    """
-    f, g = _as_cpoly(f), _as_cpoly(g)
-    F = embed(ctx, f)
-    G = embed(ctx, g)
-    t1 = hb_inner(ctx, backward_shift(ctx, F), G)
-    t2 = hb_inner(ctx, F, embed(ctx, g.shift_up()))
-    t3 = 0j
-    for i in range(ctx.dim):
-        bi = embed(ctx, ctx.B.coordinate(i))
-        t3 += hb_inner(ctx, F, bi) * hb_inner(ctx, backward_shift(ctx, bi), G)
-    return float(abs(t1 - t2 + t3))

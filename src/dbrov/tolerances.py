@@ -12,6 +12,12 @@ PSD_SLACK = 1e-8
 ENGINE_TOL = 1e-12
 # a tabulated density (Clark density, density residual) below this is negative
 DENSITY_FLOOR = -1e-9
+# a point within this of a unimodular point (spectrum members, Clark atoms,
+# |B| = 1, outer roots) is taken to be that point
+UNIMODULAR_TOL = 1e-8
+# a stalled iteration's best factor is accepted from this residual down:
+# regularizing a boundary-degenerate density would move its boundary zeros
+BEST_FACTOR_TOL = 1e-8
 
 
 @dataclass(frozen=True)

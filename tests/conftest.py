@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dbrov import fixture, make_context
+from dbrov.boundary import radial_extrapolate
+from dbrov.errors import DomainError
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +54,29 @@ def assert_close(actual, expected, tol, label=""):
     assert actual.shape == expected.shape, f"{label}: shape {actual.shape} != {expected.shape}"
     worst = float(np.abs(actual - expected).max()) if actual.size else 0.0
     assert worst <= tol, f"{label}: max deviation {worst:.3e} > {tol:.1e}"
+
+
+# closed-form boundary data for the infinite-rank limit of the TRUNC family
+
+
+def trunc_limit_pairing(z):
+    """B(z) B(1)* for the infinite-rank limit of the TRUNC fixtures.
+
+    The geometric tail sums to a rational function: (1+z)/4 + z^2/(4-2z).
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 2.0):
+        raise DomainError("pairing has a pole at z = 2")
+    out = (1.0 + z) / 4.0 + z * z / (4.0 - 2.0 * z)
+    return complex(out) if out.ndim == 0 else out
+
+
+def trunc_limit_slope(radial: bool = False) -> float:
+    """Boundary slope lim_{z->1} (1 - g(z))/(1 - z) of the limit pairing."""
+    if radial:
+        return radial_extrapolate(
+            lambda r: float(((1.0 - trunc_limit_pairing(r)) / (1.0 - r)).real)
+        )
+    # derivative of (1+z)/4 + z^2/(4-2z) at z = 1
+    z = 1.0
+    return float(0.25 + (8.0 * z - 2.0 * z * z) / (4.0 - 2.0 * z) ** 2)

@@ -11,8 +11,6 @@ from dbrov import (
     clark,
     fixture,
     make_context,
-    trunc_limit_pairing,
-    trunc_limit_slope,
 )
 from dbrov import boundary
 from dbrov.errors import (
@@ -26,9 +24,10 @@ from dbrov.errors import (
     NumericsError,
     ValidationError,
 )
-from dbrov.space import UNIMODULAR_TOL, SpaceContext
+from dbrov.space import SpaceContext
+from dbrov.tolerances import UNIMODULAR_TOL
 
-from conftest import assert_close, circle_grid
+from conftest import assert_close, circle_grid, trunc_limit_pairing, trunc_limit_slope
 from test_random_rows import random_row, sup_angle
 
 
@@ -74,7 +73,6 @@ class TestCaratheodory:
                 rep = caratheodory(ctx, lam)
                 assert abs(rep.k_norm_sq_exact - rep.k_norm_sq_lhopital) <= 1e-8
                 assert abs(rep.k_norm_sq_exact - rep.k_norm_sq_radial) <= 1e-4
-                assert abs(rep.k_norm_sq_exact * rep.clark_mass - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("seed,d,q,eps", [(1, 2, 4, 1e-11), (7, 1, 4, 1e-11),
                                               (7, 2, 8, 1e-11), (7, 1, 4, 1e-12)])
@@ -129,16 +127,6 @@ class TestClark:
         assert mu.point_masses == ()
         assert_close(mu.density_values, np.ones_like(mu.density_values), 1e-12)
         assert abs(mu.total_mass - 1.0) < 1e-12
-
-    def test_random_interior_directions_balance(self, ctx_trunc3):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            xi = 0.9 * rng.uniform(0.1, 1.0) * v / np.linalg.norm(v)
-            mu = clark(ctx_trunc3, xi)
-            h0 = (1 + mu.symbol(0)) / (1 - mu.symbol(0))
-            assert abs(mu.total_mass - h0.real) < 1e-6
-            assert abs(mu.imag_const - h0.imag) < 1e-12
 
     def test_long_direction_rejected(self, ctx_row2):
         with pytest.raises(ValidationError):

@@ -22,6 +22,7 @@ from dbrov.factor import _grid_inv, _grid_mul, _jensen_gap, _wilson_grid, \
 from dbrov.fixtures import fixture
 from dbrov.poly import grid_det
 from dbrov.rowschur import defect_laurent
+from dbrov.tolerances import BEST_FACTOR_TOL
 from dbrov.verify import run_checks
 
 from conftest import assert_close, circle_grid
@@ -334,7 +335,7 @@ def test_stalled_run_stops_at_first_idle_enlargement(monkeypatch):
     monkeypatch.setattr(factor_mod, "_wilson_grid", counting)
     ctx = make_context(random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9))
     assert ctx.reports["factor_fallback"] == 1.0
-    assert ctx.reports["factor_residual_sup"] <= factor_mod.BEST_FACTOR_TOL
+    assert ctx.reports["factor_residual_sup"] <= BEST_FACTOR_TOL
     assert len([n for d, n in grids if d == 1]) <= 3
     assert len([n for d, n in grids if d == 2]) <= 2
     assert max(n for _, n in grids) <= 4096
@@ -406,7 +407,7 @@ def test_stalled_run_returns_best_factor():
     B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
     rep = wilson_report(defect_laurent(B)[1], 1e-12, 600)
     assert rep.fallback
-    assert 1e-12 < rep.residual_sup <= factor_mod.BEST_FACTOR_TOL
+    assert 1e-12 < rep.residual_sup <= BEST_FACTOR_TOL
 
 
 def test_run_above_best_factor_bound_raises():
@@ -416,7 +417,7 @@ def test_run_above_best_factor_bound_raises():
                   lambda: wilson_report(defect_laurent(B)[1], 1e-12, 1)):
         with pytest.raises(FactorizationDiverged) as info:
             build()
-        assert info.value.best.residual_sup > factor_mod.BEST_FACTOR_TOL
+        assert info.value.best.residual_sup > BEST_FACTOR_TOL
 
 
 @pytest.mark.parametrize("B", [fixture("SARASON").B, fixture("ROW2").B,

@@ -237,10 +237,17 @@ class TestCli:
         assert any(line.endswith(",1") for line in lines[1:])
 
     def test_verify_fixtures_pass(self, capsys):
+        names = ["context_build", "factorization_identities", "embedding_residual",
+                 "orthogonal_complement", "reproducing_property", "backward_shift",
+                 "conjugate_toeplitz", "multiplier_containments",
+                 "clark_mass_balance", "gram_and_density",
+                 "rank_one_shift_identity", "boundary_mass_duality"]
         for name in ("ZERO", "SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"):
             code, out = self.run(["verify", "--fixture", name], capsys)
             assert code == 0, f"verify failed on {name}: {out}"
-            assert json.loads(out)["passed"] is True
+            doc = json.loads(out)
+            assert doc["passed"] is True
+            assert [c["name"] for c in doc["checks"]] == names
 
     def test_verify_honours_flags(self, capsys):
         code, out = self.run(
@@ -294,6 +301,9 @@ class TestCli:
         ("kernel", '{"w": [0.999999999, 0]}'),
         ("density", '{"w": [0.5, 0], "N": 100000}'),
         ("crosscheck", '{"N": 100000}'),
+        # refused by the Gram's size check before any array of N rows
+        ("density", '{"w": [0.5, 0], "N": 1000000000000000000000}'),
+        ("crosscheck", '{"N": 1000000000000000000000}'),
     ])
     def test_oversized_order_exit_code(self, capsys, command, payload):
         code, out = self.run(

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dbrov import CPoly, RowSchur, embed, hb_inner, kernel, make_context
+from dbrov import CPoly, RowSchur, hb_inner, kernel, make_context
 from dbrov.errors import DbrovError, NumericsError
-from dbrov.verify import run_checks
+from dbrov.verify import reproducing_error, run_checks
 
 
 def _row_norm_sq(c, theta):
@@ -44,9 +44,7 @@ def test_strictly_contractive_rows(seed, d, q):
     assert ctx.Lambda == ()
     assert ctx.reports["det_gap_sup"] <= 1e-10
     f = CPoly(rng.normal(size=8) + 1j * rng.normal(size=8))
-    w = 0.6 * np.exp(1.1j)
-    k = kernel(ctx, w)
-    assert abs(hb_inner(ctx, embed(ctx, f), k) - f(w)) <= 1e-8 + k.tail_bound
+    assert reproducing_error(ctx, f, 0.6 * np.exp(1.1j)) <= 1e-8
 
 
 @pytest.mark.parametrize("seed,d,q", [(11, 2, 3), (12, 3, 2), (3, 1, 10),
