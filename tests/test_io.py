@@ -249,6 +249,17 @@ class TestCli:
             assert doc["passed"] is True
             assert [c["name"] for c in doc["checks"]] == names
 
+    def test_verify_reproducing_detail_shows_the_error(self, capsys):
+        # the kernel's tail bound exceeds the measured error by orders of
+        # magnitude, so the detail reports both rather than their gap
+        code, out = self.run(["verify", "--fixture", "ROW2"], capsys)
+        assert code == 0
+        check, = (c for c in json.loads(out)["checks"]
+                  if c["name"] == "reproducing_property")
+        err, tail = (float(part.split()[-1]) for part in
+                     check["detail"].split(" (")[0].split(", "))
+        assert 0.0 < err < 1e-12 < tail
+
     def test_verify_honours_flags(self, capsys):
         code, out = self.run(
             ["verify", "--fixture", "TRUNC(8)", "--max-iter", "1"], capsys)
