@@ -9,9 +9,9 @@ Newton iteration on FFT grids.  A run that stalls at a residual of at most
 BEST_FACTOR_TOL returns its best factor with fallback set; any other failed
 run raises FactorizationDiverged.  For d >= 2 the two runs are kept apart,
 so that det A = a compares two factorizations; for d = 1 the two defects
-are one Laurent polynomial and one run gives both (the mate's independent
-check is the 50-digit Fejér-Riesz oracle of the tests).  Outerness is
-certified without roots, by Jensen's formula.
+are the same (2q+1, 1, 1) stack and one run gives both (the mate's
+independent check is the 50-digit Fejér-Riesz oracle of the tests).
+Outerness is certified without roots, by Jensen's formula.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class FactorReport:
     fallback: bool = False
 
 
-def mate_report(B: RowSchur, tol_psd: float = PSD_SLACK) -> FactorReport:
+def mate_report(B: RowSchur) -> FactorReport:
     """The mate as the d = 1 case of `wilson_report`, on 1 - BB*.
 
     The zeros of the defect on the circle, or within the split radius
@@ -65,7 +65,7 @@ def mate_report(B: RowSchur, tol_psd: float = PSD_SLACK) -> FactorReport:
     `wilson_report`.
     """
     scalar = defect_laurent(B)[0]
-    search = _defect_zeros(scalar, tol_psd)[0]
+    search = _defect_zeros(scalar, PSD_SLACK)[0]
     return _as_mate(B, wilson_report(scalar, ENGINE_TOL, search=search))
 
 
@@ -163,7 +163,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     for w in zeros:
         # det phi has 2 d m zeros, so no more than d m factors can split off
         while phi1.half_degree > 0 and len(splits) < phi.dim * m:
-            _, sing, vh = np.linalg.svd(np.atleast_2d(phi1(w)))
+            _, sing, vh = np.linalg.svd(phi1(w))
             if sing[-1] > floor:
                 break
             splits.append((w, np.conj(vh[-1])))
@@ -210,7 +210,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
 def _jensen_gap(A1: MatPoly, n: int) -> float:
     """|log|det A1(0)| - mean of log|det A1| over n circle points|."""
     det = A1.det_poly().coeffs
-    vals = np.fft.fft(det, n=max(n, det.shape[0]))
+    vals = circle_eval(det, max(n, det.shape[0]))
     with np.errstate(divide="ignore"):
         return float(abs(np.log(abs(det[0])) - np.log(np.abs(vals)).mean()))
 
@@ -231,8 +231,8 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
     """
     dm = phi.dim * phi.half_degree
     n = pow2_at_least(max(4 * (2 * dm) + 1, 1024))
-    vals = phi.circle_values(n)
-    eigs = np.linalg.eigvalsh(vals) if phi.is_matrix else vals.real[:, None]
+    vals = circle_eval(phi.coeffs, n, low=-phi.half_degree)
+    eigs = np.linalg.eigvalsh(vals) if phi.dim > 1 else vals.real[:, 0]
     if eigs.min() < dip:
         raise NotPositive(f"density dips to {eigs.min():.3e} on the circle")
     floor = _NULL_REL * float(eigs.max())
@@ -269,7 +269,7 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
 
 def _zero_off_circle(phi: LaurentHerm, z: complex) -> complex:
     """Newton z <- z - 1 / tr(phi(z)^{-1} phi'(z)) on det phi; root |w| > 1."""
-    c = phi.coeffs if phi.is_matrix else phi.coeffs[:, None, None]
+    c = phi.coeffs
     ks = np.arange(c.shape[0]) - phi.half_degree
     for _ in range(50):
         zk = z ** ks
@@ -296,7 +296,7 @@ def _split_off(phi: LaurentHerm, w: complex, v: np.ndarray) -> LaurentHerm:
     and both divisions are exact: phi v vanishes at w, and v* g at
     1/conj(w), because phi(1/conj(w)) = phi(w)* there.
     """
-    c = phi.coeffs if phi.is_matrix else phi.coeffs[:, None, None]
+    c = phi.coeffs
     P = np.eye(phi.dim) - np.outer(v, np.conj(v))
     g = _divide_one_minus(c @ v, 1 / w)  # powers -m .. m-1
     # 1 - 1/(conj(w) z) = -(1 - conj(w) z) / (conj(w) z): powers -m+1 .. m-1
@@ -304,8 +304,8 @@ def _split_off(phi: LaurentHerm, w: complex, v: np.ndarray) -> LaurentHerm:
     out = P @ c @ P
     out[:-1] += (g @ P.T)[:, :, None] * np.conj(v)
     out[1:] += v[:, None] * (np.conj(g) @ P)[::-1, None, :]
-    out[1:-1] += t[:, None, None] * np.outer(v, np.conj(v))
-    return LaurentHerm(out if phi.is_matrix else out[:, 0, 0])
+    out[1:-1] += np.multiply.outer(t, np.outer(v, np.conj(v)))
+    return LaurentHerm(out)
 
 
 def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
@@ -356,7 +356,7 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
     """
     vals, scale = _density_grid(phi, n)
     a_grid = _cholesky_start(vals) if start is None \
-        else _grid_values(start.coeffs, phi.dim, n, 0.5)
+        else _grid_values(start.coeffs, n, 0.5)
     return _newton_grid(vals, a_grid, max_iter,
                         max(tol_factor, 16 * np.finfo(float).eps * scale), trace)[0]
 
@@ -364,7 +364,7 @@ def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
 def _density_grid(phi: LaurentHerm, n: int):
     """Hermitian values of phi on the half-sample offset n-point grid, and
     their scale, which the singular test and the residual floors use."""
-    vals = _grid_values(phi.coeffs, phi.dim, n, 0.5, -phi.half_degree)
+    vals = _grid_values(phi.coeffs, n, 0.5, -phi.half_degree)
     vals = 0.5 * (vals + np.conj(vals).transpose(1, 0, 2))
     scale = np.abs(vals).max()
     if np.abs(grid_det(vals)).max() <= 1e-13 * scale ** phi.dim:
@@ -414,12 +414,12 @@ def _newton_grid(vals: np.ndarray, a_grid: np.ndarray, max_iter: int, floor: flo
     return best[1], best[0]
 
 
-def _grid_values(coeffs: np.ndarray, d: int, n: int, offset: float = 0.0,
+def _grid_values(coeffs: np.ndarray, n: int, offset: float = 0.0,
                  low: int = 0) -> np.ndarray:
-    """Matrix (for d = 1 also scalar) coefficients on a `circle_eval` grid,
-    as a (d, d, n) stack in the memory order of `_grid_mul`."""
-    vals = circle_eval(coeffs.reshape(-1, d, d), n, offset, low).transpose(1, 2, 0)
-    return np.ascontiguousarray(vals) if d <= 4 else vals
+    """A (k, d, d) coefficient stack on a `circle_eval` grid, as a (d, d, n)
+    stack in the memory order of `_grid_mul`."""
+    vals = circle_eval(coeffs, n, offset, low).transpose(1, 2, 0)
+    return np.ascontiguousarray(vals) if coeffs.shape[1] <= 4 else vals
 
 
 def _grid_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -468,8 +468,8 @@ def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
 def factor_residual(A: MatPoly, phi: LaurentHerm) -> float:
     """sup over the circle grid of |A(z)^*A(z) - phi(z)| entrywise."""
     n = max(512, pow2_at_least(4 * max(A.degree, phi.half_degree) + 1))
-    av = _grid_values(A.coeffs, phi.dim, n)
-    pv = _grid_values(phi.coeffs, phi.dim, n, low=-phi.half_degree)
+    av = _grid_values(A.coeffs, n)
+    pv = _grid_values(phi.coeffs, n, low=-phi.half_degree)
     return float(np.abs(_grid_mul(np.conj(av).transpose(1, 0, 2), av) - pv).max())
 
 

@@ -295,50 +295,40 @@ class MatPoly(_Poly):
 class LaurentHerm:
     """Hermitian Laurent polynomial sum_{k=-m..m} C_k z^k with C_{-k} = C_k*.
 
-    Coefficients are stored for k = -m..m at index k + m; entries are scalars
-    or d x d matrices.  Construction symmetrizes, so values on the unit circle
-    are Hermitian (real, in the scalar case) by design.
+    Coefficients are a (2m+1, d, d) stack, C_k at index k + m; a scalar
+    density is the d = 1 stack.  Construction symmetrizes, so values on the
+    unit circle are Hermitian by design.
     """
 
     __slots__ = ("coeffs", "half_degree", "dim")
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs, dtype=complex)
-        if arr.shape[0] % 2 != 1:
-            raise ValueError("Laurent coefficient count must be odd (k=-m..m)")
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] % 2 != 1:
+            raise ValueError("Laurent coefficients must form a (2m+1, d, d) stack: "
+                             "an odd count, k = -m..m, of d x d matrices")
         m = arr.shape[0] // 2
-        rev = np.conj(arr[::-1])  # C_{-k}^*, at index k + m
-        sym = 0.5 * (arr + (rev.transpose(0, 2, 1) if arr.ndim == 3 else rev))
+        rev = np.conj(arr[::-1]).transpose(0, 2, 1)  # C_{-k}^*, at index k + m
+        sym = 0.5 * (arr + rev)
         # symmetric trim: drop matching +-k tail pairs that are negligible
         mags = np.abs(sym).reshape(sym.shape[0], -1).max(axis=1)
-        scale = mags.max() if mags.size else 0.0
+        scale = mags.max()
         tiny = TRIM_REL * scale
         while m > 0 and scale > 0 and mags[0] <= tiny and mags[-1] <= tiny:
             sym, mags, m = sym[1:-1], mags[1:-1], m - 1
         self.coeffs = sym
         self.half_degree = m
-        self.dim = int(sym.shape[1]) if sym.ndim == 3 else 1
-
-    @property
-    def is_matrix(self) -> bool:
-        return self.coeffs.ndim == 3
+        self.dim = int(sym.shape[1])
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if np.any(z == 0):
             raise DomainError("Laurent polynomial cannot be evaluated at z = 0")
         # z^-m times the Horner value of the coefficients, stored from k = -m
-        out = horner(self.coeffs, z)
-        out = out * (z ** -self.half_degree)[(...,) + (None,) * (out.ndim - z.ndim)]
-        return complex(out) if out.ndim == 0 else out
-
-    def circle_values(self, n_grid: int, offset: float = 0.0) -> np.ndarray:
-        """Values at exp(2 pi i (j + offset) / n_grid), j < n_grid (`circle_eval`)."""
-        return circle_eval(self.coeffs, n_grid, offset, -self.half_degree)
+        return horner(self.coeffs, z) * (z ** -self.half_degree)[..., None, None]
 
     def __repr__(self):
-        kind = "matrix" if self.is_matrix else "scalar"
-        return f"LaurentHerm({kind}, m={self.half_degree})"
+        return f"LaurentHerm(m={self.half_degree}, dim={self.dim})"
 
 
 def _conj_band(adj: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -59,16 +59,19 @@ class RowSchur(_Poly):
 def defect_laurent(B: RowSchur) -> tuple[LaurentHerm, LaurentHerm]:
     """Boundary defects of B as Hermitian Laurent polynomials.
 
-    Returns (scalar, matrix) where the scalar part equals 1 - B(z)B(z)^* and
-    the matrix part equals I - B(z)^*B(z) on the unit circle:
+    Returns (scalar, matrix): the (2q+1, 1, 1) stack of 1 - B(z)B(z)^* and
+    the (2q+1, d, d) stack of I - B(z)^*B(z) on the unit circle,
 
         c_k = delta_{k0} - sum_j <B_{j+k}, B_j>,
-        C_k = delta_{k0} I - sum_j B_j^* B_{j+k}.
+        C_k = delta_{k0} I - sum_j B_j^* B_{j+k};
+
+    for d = 1 the two are the same stack.
     """
     q = B.degree
-    matrix = -autocorrelation(B.coeffs)
+    # 0 - x, not -x: zeros stay +0 as in the trace (same bytes for d = 1)
+    matrix = 0.0 - autocorrelation(B.coeffs)
     # sum_j <B_{j+k}, B_j> is the trace of the matrix coefficient
     scalar = np.trace(matrix, axis1=1, axis2=2)
     scalar[q] += 1.0
     matrix[q] += np.eye(B.dim)
-    return LaurentHerm(scalar), LaurentHerm(matrix)
+    return LaurentHerm(scalar[:, None, None]), LaurentHerm(matrix)

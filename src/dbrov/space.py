@@ -157,7 +157,8 @@ def _verify_context(ctx: SpaceContext) -> None:
     ]
     for lam, _ in ctx.Lambda:
         bv = ctx.B(lam)
-        checks.append(("|B(lam)| = 1", abs((np.abs(bv) ** 2).sum() - 1.0), 1e-8))
+        checks.append(("|B(lam)| = 1", abs((np.abs(bv) ** 2).sum() - 1.0),
+                       UNIMODULAR_TOL))
         checks.append(("A(lam) B(lam)* = 0",
                        float(np.abs(ctx.A(lam) @ np.conj(bv)).max()), 1e-7))
     for name, value, bound in checks:

@@ -95,8 +95,7 @@ def test_inputs_beyond_the_draws(all_contexts, name):
     assert complement_product(ctx, f, h) <= 1e-9
     f = _of_degree(rng, 15)
     for w in (0.0, 0.01 * np.exp(2j * np.pi * rng.uniform())):
-        err, tail = reproducing_error(ctx, f, w)
-        assert err - tail <= 1e-8
+        assert reproducing_error(ctx, f, w) <= 1e-10
     for radius in (0.09, 0.97):
         v = rng.normal(size=ctx.dim) + 1j * rng.normal(size=ctx.dim)
         assert clark_imbalance(clark(ctx, radius * v / np.linalg.norm(v))) <= 1e-6
@@ -157,9 +156,8 @@ def test_criterion_4_reproducing_property(all_contexts):
         for _ in range(100):
             f = rand_poly(rng, 15)
             w = rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
-            err, tail = reproducing_error(ctx, f, w)
-            worst = max(worst, err - tail)
-        if worst > 1e-8:
+            worst = max(worst, reproducing_error(ctx, f, w))
+        if worst > 1e-10:
             failures.append(f"{name}: reproducing error {worst:.2e}")
     _report(4, "reproducing property (100 random (f, w)/fixture)", failures)
 

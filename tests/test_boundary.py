@@ -9,6 +9,7 @@ from dbrov import (
     Tolerances,
     caratheodory,
     clark,
+    cyclicity,
     fixture,
     make_context,
 )
@@ -98,6 +99,47 @@ class TestCaratheodory:
         ctx = _hand_context(RowSchur([[0.5], [0.5j]]), [(1.0 + 0j, 1)])
         with pytest.raises(NumericsError, match="not real"):
             caratheodory(ctx, 1.0)
+
+
+SQ2, SQ3 = np.sqrt(2.0), np.sqrt(3.0)
+# a = (1 - z)^2 / 8 has 1 - |a|^2 = (6 + z + 1/z)(10 - z - 1/z) / 64 on the
+# circle, whose outer Fejer-Riesz factor is b below: its zeros -(SQ2 + 1)^2
+# and (SQ3 + SQ2) / (SQ3 - SQ2) lie outside the disk, and b(1) = 1
+DOUBLE_B = np.convolve([SQ2 + 1, SQ2 - 1], [SQ3 + SQ2, SQ2 - SQ3]) / 8
+
+
+class TestDoubleMember:
+    """A member of Lambda of multiplicity 2: the mate (1 - z)^2 / 8 has a
+    double zero at 1, split off twice at one point."""
+
+    @pytest.fixture(params=[1, 2], ids=["d1", "d2"])
+    def ctx(self, request):
+        # (b, b) / sqrt 2 has the same scalar defect as b
+        rows = np.column_stack([DOUBLE_B] * request.param) / np.sqrt(request.param)
+        return make_context(RowSchur(rows))
+
+    def test_closed_form_pair(self):
+        z = circle_grid(64)
+        b = np.polyval(DOUBLE_B[::-1], z)
+        assert np.abs(np.abs((1 - z) ** 2 / 8) ** 2 + np.abs(b) ** 2 - 1).max() <= 1e-15
+
+    def test_spectrum_and_mate(self, ctx):
+        assert ctx.Lambda == ((1, 2),)
+        assert ctx.reports["boundary_deflations"] == 2
+        assert ctx.reports["factor_fallback"] == ctx.reports["mate_fallback"] == 0.0
+        assert_close(ctx.a.coeffs, [1 / 8, -1 / 4, 1 / 8], 1e-12, "mate")
+
+    def test_kernel_norm_is_the_angular_derivative(self, ctx):
+        # ||K_1||^2 = B'(1) B(1)* = b'(1) = (4 - sqrt 2 - sqrt 6) / 4
+        want = (4 - SQ2 - np.sqrt(6.0)) / 4
+        rep = caratheodory(ctx, 1)
+        assert rep.satisfies_caratheodory
+        assert abs(rep.k_norm_sq_exact - want) <= 1e-12
+        assert abs(rep.k_norm_sq_lhopital - want) <= 1e-12
+
+    def test_cyclicity(self, ctx):
+        assert not cyclicity(ctx, CPoly([1.0, -1.0])).verdict
+        assert cyclicity(ctx, CPoly([2.0, -1.0])).verdict
 
 
 class TestClark:

@@ -250,15 +250,15 @@ class TestCli:
             assert [c["name"] for c in doc["checks"]] == names
 
     def test_verify_reproducing_detail_shows_the_error(self, capsys):
-        # the kernel's tail bound exceeds the measured error by orders of
-        # magnitude, so the detail reports both rather than their gap
+        # the kernel runs to order deg f, where the pairing is exact up to
+        # rounding: the detail reports the measured error against 1e-10
         code, out = self.run(["verify", "--fixture", "ROW2"], capsys)
         assert code == 0
         check, = (c for c in json.loads(out)["checks"]
                   if c["name"] == "reproducing_property")
-        err, tail = (float(part.split()[-1]) for part in
-                     check["detail"].split(" (")[0].split(", "))
-        assert 0.0 < err < 1e-12 < tail
+        assert check["detail"].endswith("(bound 1.0e-10)")
+        err = float(check["detail"].split()[1])
+        assert 0.0 < err < 1e-12
 
     def test_verify_honours_flags(self, capsys):
         code, out = self.run(

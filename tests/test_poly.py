@@ -77,6 +77,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="odd"):
             LaurentHerm([1.0, 2.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (3, 2, 3)])
+    def test_laurent_needs_a_square_stack(self, shape):
+        # a scalar density is the (2m+1, 1, 1) stack, not a 1-D array
+        with pytest.raises(ValueError, match="stack"):
+            LaurentHerm(np.ones(shape))
+
     def test_repr(self):
         assert repr(CPoly([1.0, 2.0])) == "CPoly(deg=1, dim=1)"
         assert repr(VecPoly.zero(3)) == "VecPoly(deg=-1, dim=3)"
@@ -287,16 +293,16 @@ def test_toeplitz_conj_refuses_shapes_that_do_not_compose(phi, g):
 class TestDefects:
     def test_zero_row(self):
         scalar, matrix = defect_laurent(fixture("ZERO").B)
-        assert_close(scalar.coeffs, [1.0], 1e-15)
+        assert_close(scalar.coeffs[:, 0, 0], [1.0], 1e-15)
         assert_close(matrix.coeffs, np.eye(1)[None], 1e-15)
 
     def test_sarason_coefficients(self):
         scalar, _ = defect_laurent(fixture("SARASON").B)
-        assert_close(scalar.coeffs, [-0.25, 0.5, -0.25], 1e-15)
+        assert_close(scalar.coeffs[:, 0, 0], [-0.25, 0.5, -0.25], 1e-15)
 
     def test_row2_coefficients(self):
         scalar, _ = defect_laurent(fixture("ROW2").B)
-        assert_close(scalar.coeffs, [-0.125, 0.25, -0.125], 1e-15)
+        assert_close(scalar.coeffs[:, 0, 0], [-0.125, 0.25, -0.125], 1e-15)
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(5)"])
     def test_circle_identity(self, name):
@@ -305,7 +311,7 @@ class TestDefects:
         z = np.exp(2j * np.pi * np.arange(64) / 64)
         bv = B(z)
         direct = 1.0 - (np.abs(bv) ** 2).sum(axis=-1)
-        assert_close(scalar(z).real, direct, 1e-12, "scalar defect on circle")
+        assert_close(scalar(z)[:, 0, 0].real, direct, 1e-12, "scalar defect on circle")
         mv = matrix(z)
         gram = np.einsum("ni,nj->nij", np.conj(bv), bv)
         assert_close(mv, np.eye(B.dim) - gram, 1e-12, "matrix defect on circle")
@@ -328,7 +334,7 @@ class TestDefects:
         scalar[q] += 1.0
         matrix[q] += np.eye(d)
         got_s, got_m = defect_laurent(B)
-        assert_close(got_s.coeffs, scalar, 1e-15, "scalar defect")
+        assert_close(got_s.coeffs[:, 0, 0], scalar, 1e-15, "scalar defect")
         assert_close(got_m.coeffs, matrix, 1e-15, "matrix defect")
 
     @pytest.mark.parametrize("n", [7, 64])
@@ -337,8 +343,17 @@ class TestDefects:
         # n = 7 < 2m + 1 aliases the coefficients; both must match the sum
         for phi in defect_laurent(fixture("TRUNC(5)").B):
             z = np.exp(2j * np.pi * (np.arange(n) + offset) / n)
-            assert_close(phi.circle_values(n, offset), phi(z), 1e-14,
-                         "grid values")
+            assert_close(circle_eval(phi.coeffs, n, offset, -phi.half_degree),
+                         phi(z), 1e-14, "grid values")
+
+    @pytest.mark.parametrize("q", [0, 1, 3, 8])
+    def test_scalar_defect_is_the_d1_matrix_defect(self, q):
+        # for d = 1, 1 - BB* and I - B*B are one density in one storage form
+        c = np.random.default_rng(q).normal(size=(q + 1, 1))
+        B = RowSchur(0.9 * c / np.abs(c).sum())
+        scalar, matrix = defect_laurent(B)
+        assert scalar.coeffs.shape == matrix.coeffs.shape == (2 * q + 1, 1, 1)
+        assert scalar.coeffs.tobytes() == matrix.coeffs.tobytes()
 
     def test_row_validation(self):
         with pytest.raises(Exception):
