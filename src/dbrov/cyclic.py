@@ -83,7 +83,8 @@ def spectrum_crosscheck(ctx: SpaceContext, N: int,
     four of sixteen circle points farthest from the spectrum; for ROW2 the
     nearest is exp(2.46i), where the ratio exceeds 10 from N = 26.  A gap
     ratio below 10 is reported as an `InconclusiveGap` warning, not a
-    failure.  One Gram and one bordered Cholesky factor serve every point.
+    failure.  One matrix product with the context's orthonormal
+    polynomials serves every point.
     """
     if N < 2 * max(ctx.a.degree, 0) + 4:
         raise ValidationError(f"order N = {N} too small for this mate degree")

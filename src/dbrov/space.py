@@ -62,9 +62,15 @@ class HBElement:
 
 
 class SpaceContext:
-    """Immutable bundle (B, mate a, outer factor A, boundary spectrum); it
-    lazily grows the embedding's generator (`_generator`), a private array
-    replaced but never written, and no value the context reports changes."""
+    """Immutable bundle (B, mate a, outer factor A, boundary spectrum).
+
+    It lazily grows two private arrays, each replaced but never written in
+    place, and no value the context reports changes: the embedding's
+    generator (`_generator`, (N+1) x d entries) and the orthonormal
+    polynomials L^{-1}, G = LL* the monomial Gram (`_orthonormal`, read by
+    every density and point sweep), with (ceil((N+1)/32) * 32)^2 entries
+    after a sweep of order N.  No Gram is kept.
+    """
 
     def __init__(self, B: RowSchur, a: CPoly, A: MatPoly, Lambda, tol: Tolerances,
                  reports: dict):
@@ -76,6 +82,7 @@ class SpaceContext:
         self.reports = dict(reports)
         self._astar = np.conj(A.coeffs).transpose(0, 2, 1)
         self._h = np.zeros((0, self.dim), dtype=complex)
+        self._linv = np.zeros((0, 0), dtype=complex)
 
     @property
     def dim(self) -> int:
@@ -383,31 +390,72 @@ def gram(ctx: SpaceContext, N: int) -> np.ndarray:
     return G
 
 
+# rows per growth step of the cached orthonormal polynomials, and columns
+# per chunk of the products in a step
+_BLOCK, _CHUNK = 32, 128
+
+
+def _orthonormal(ctx: SpaceContext, N: int) -> np.ndarray:
+    """Rows 0 .. N of L^{-1}, G = LL* the monomial Gram: row k holds the
+    coefficients of the k-th orthonormal polynomial of the space.
+
+    The context caches L^{-1} and grows it by bordering, in blocks of _BLOCK
+    rows that start at multiples of _BLOCK, so each row's bits do not depend
+    on the order of the calls.  With G = [[G11, G21*], [G21, G22]] and the
+    cached rows F = L11^{-1}: Y = F G21* (= X*, X = G21 L11^{-*}),
+    L22 = chol(G22 - Y*Y), and the new rows are L22^{-1} [-Y*F, I].  Both
+    products skip the zero blocks of the triangular F, in chunks of _CHUNK
+    columns, which halves their cost at large orders.  One Gram, of the
+    block-rounded order, serves a growth and is not kept; a failure caches
+    nothing.
+    """
+    if N < 0:
+        raise DomainError("finite-section order must be nonnegative")
+    n, old = N + 1, ctx._linv
+    m = -(-n // _BLOCK) * _BLOCK
+    _check_size(m * m * (ctx.dim + 1), f"finite sections of order {N}")
+    if old.shape[0] >= n:
+        return old[:n, :n]
+    G = gram(ctx, m - 1)
+    F = np.zeros((m, m), dtype=complex)
+    F[: old.shape[0], : old.shape[0]] = old
+    for s in range(old.shape[0], m, _BLOCK):
+        e = s + _BLOCK
+        chunks = [(a, min(a + _CHUNK, s)) for a in range(0, s, _CHUNK)]
+        Y = np.zeros((s, _BLOCK), dtype=complex)
+        for a, z in chunks:
+            Y[a:z] = F[a:z, :z] @ G[:z, s:e]
+        Yh = np.conj(Y.T)
+        try:
+            L = np.linalg.cholesky(G[s:e, s:e] - Yh @ Y)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"Cholesky of the Gram block of orders "
+                                f"{s} .. {e - 1} failed") from exc
+        R = np.zeros((_BLOCK, _BLOCK), dtype=complex)  # L22^{-1}, row by row
+        for i in range(_BLOCK):
+            R[i, i] = 1.0 / L[i, i]
+            R[i, :i] = -(L[i, :i] @ R[:i, :i]) * R[i, i]
+        W = np.zeros((_BLOCK, s), dtype=complex)
+        for a, z in chunks:
+            W[:, a:z] = Yh[:, a:] @ F[a:s, a:z]
+        F[s:e, :s] = R @ -W
+        F[s:e, s:e] = R
+    ctx._linv = F
+    return F[:n, :n]
+
+
 def _section_kernels(ctx: SpaceContext, zetas, N: int) -> np.ndarray:
-    """K^n_zeta(zeta) = e_n* G_n^{-1} e_n for n = 0 .. N, one column per zeta.
+    """K^n_zeta(zeta) for n = 0 .. N, one column per zeta.
 
     The diagonal of the reproducing kernel of the polynomials of degree <= n
-    under the norm of the space, with (e_n)_j = zeta^j and G_n = gram(ctx, n).
-    G_n is the leading block of G_N, whose Cholesky factor L it shares, and
-    the bordered matrix [[G_N, E], [E*, c I]], E the columns e_N, has the
-    factor [[L, 0], [Y*, L']] with Y = L^{-1} E.  So one Gram and one factor
-    serve every order: K^n is the sum of |Y|^2 over its first n + 1 rows.
+    under the norm of the space is the Christoffel sum
+    K^n_zeta(zeta) = sum_{k <= n} |phi_k(zeta)|^2 over the orthonormal
+    polynomials phi_k, the rows of L^{-1} (`_orthonormal`): with
+    (e)_j = zeta^j it is the cumulative sum of |L^{-1} e|^2 over the rows.
     """
-    G = gram(ctx, N)  # refuses an N too large before E, (N+1) rows, is built
+    F = _orthonormal(ctx, N)  # refuses an N too large before E is built
     E = np.asarray(zetas, dtype=complex)[None, :] ** np.arange(N + 1)[:, None]
-    n, m = E.shape
-    # positive definite for c = 1 + ||E||_F^2: G >= I (I plus a Gram of
-    # generator shifts), so E*G^{-1}E <= E*E < c I; |zeta| <= 1 keeps c small.
-    # Filled in place: np.block would add about a fifth to a sweep at N <= 40.
-    M = np.zeros((n + m, n + m), dtype=complex)
-    M[:n, :n], M[:n, n:], M[n:, :n] = G, E, np.conj(E.T)
-    M[n:, n:] = (1.0 + np.vdot(E, E).real) * np.eye(m)
-    try:
-        Y = np.linalg.cholesky(M)[n:, :n].T
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"Cholesky of the bordered Gram of order {N} "
-                            "failed") from exc
-    return np.cumsum(np.abs(Y) ** 2, axis=0)
+    return np.cumsum(np.abs(F @ E) ** 2, axis=0)
 
 
 def density_residual(ctx: SpaceContext, w, N: int) -> float:
@@ -442,7 +490,7 @@ def point_eval_residual(ctx: SpaceContext, lam, N: int) -> float:
 
 
 def _point_residuals(ctx: SpaceContext, lams, N: int) -> np.ndarray:
-    """`point_eval_residual` at every lam from one Gram and one factor."""
+    """`point_eval_residual` at every lam from one sweep."""
     lams = np.asarray(lams, dtype=complex)
     if not np.all(on_circle(lams)):
         raise DomainError("point evaluation probe needs a unimodular point")

@@ -20,6 +20,7 @@ from .poly import CPoly, VecPoly, circle_eval, toeplitz_conj
 from .space import (
     SpaceContext,
     _density_residuals,
+    _orthonormal,
     _pair_bounds,
     backward_shift,
     embed,
@@ -229,18 +230,16 @@ def _clark_mass_balance(ctx, rng) -> CheckResult:
 
 
 def _gram_and_density(ctx, rng) -> CheckResult:
-    G = gram(ctx, 10)
-    try:
-        np.linalg.cholesky(G)
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
+    # the cached factor certified against a fresh Gram: L^{-1} G L^{-*} = I
+    # up to rounding, which also makes G positive definite
+    F = _orthonormal(ctx, 10)
+    orth = float(np.abs(F @ gram(ctx, 10) @ np.conj(F.T) - np.eye(11)).max())
     vals = _density_residuals(ctx, 0.5, 8)
     mono = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(8))
-    ok = pd and mono and vals[-1] >= DENSITY_FLOOR
+    ok = orth <= 1e-12 and mono and vals[-1] >= DENSITY_FLOOR
     return CheckResult("gram_and_density", bool(ok),
-                       f"gram PD: {pd}, density monotone: {mono}, "
-                       f"res(8) = {vals[-1]:.3e}")
+                       f"orthonormality {orth:.3e} (bound 1e-12), density "
+                       f"monotone: {mono}, res(8) = {vals[-1]:.3e}")
 
 
 def _rank_one_shift_identity(ctx, rng) -> CheckResult:

@@ -7,11 +7,16 @@ from dbrov import (
     CPoly,
     caratheodory,
     cyclicity,
+    gram,
     is_outer,
+    kernel,
+    make_context,
     point_eval_residual,
     spectrum_crosscheck,
 )
 from dbrov.errors import InconclusiveGap, ValidationError, ZeroFunction
+
+from test_random_rows import random_row
 
 
 class TestIsOuter:
@@ -142,3 +147,88 @@ class TestSpectrumCrosscheck:
     def test_order_guard(self, ctx_row2):
         with pytest.raises(ValidationError):
             spectrum_crosscheck(ctx_row2, 2)
+
+
+def distance_to_multiples(ctx, f, N):
+    """dist^2(1, f P_{N - deg f}) in the space, by least squares.
+
+    gram(ctx, N)[j, k] = <z^j, z^k> is linear in the first slot, so a
+    polynomial with coefficients c has squared norm c* H c with H = G^T
+    (c* G c is wrong on complex rows).  With H = C*C, the distance is the
+    least-squares residual of C e_0 against the columns C M, M the matrix
+    of multiplication by f on P_{N - deg f}.
+    """
+    c = np.asarray(f, dtype=complex)
+    cols = N - (c.shape[0] - 1)
+    M = np.zeros((N + 1, cols + 1), dtype=complex)
+    for j in range(cols + 1):
+        M[j : j + c.shape[0], j] = c
+    C = np.conj(np.linalg.cholesky(gram(ctx, N).T).T)
+    e = np.eye(N + 1, 1)[:, 0]
+    x = np.linalg.lstsq(C @ M, C @ e, rcond=None)[0]
+    r = C @ (e - M @ x)
+    return float(np.vdot(r, r).real)
+
+
+@pytest.fixture(scope="module")
+def ctx_complex_touching():
+    # complex coefficients, d = 2, q = 4, one simple member of Lambda
+    return make_context(random_row(np.random.default_rng(1), 2, 4, 1.0))
+
+
+class TestCyclicityByDistance:
+    """The paper's cyclic-vector theorem as an oracle for `cyclicity`:
+    f is cyclic exactly when dist(1, f P_N) -> 0.  The rates, not one
+    threshold, tell the verdicts apart: a zero on Lambda or in the disk
+    pins the distance at or above 1/K_zeta(zeta) at every order, a circle
+    zero off Lambda lets it fall like 1/N, and an exterior zero
+    geometrically."""
+
+    ORDERS = (10, 40, 160)
+
+    def distances(self, ctx, f):
+        return np.array([distance_to_multiples(ctx, f, N) for N in self.ORDERS])
+
+    def test_row2_verdicts(self, ctx_row2):
+        floor = 1.0 / kernel(ctx_row2, 1.0).norm_sq  # 4/5
+        w = 0.5
+        inner = (1.0 - abs(w) ** 2) / (1.0 - (np.abs(ctx_row2.B(w)) ** 2).sum())
+        # a simple zero on Lambda: 4/5 at every order
+        assert not cyclicity(ctx_row2, CPoly([1, -1])).verdict
+        assert np.abs(self.distances(ctx_row2, [1, -1]) - floor).max() <= 1e-10
+        # an interior zero: 1/K_w(w) = 12/11 from above, geometrically
+        assert not cyclicity(ctx_row2, CPoly([w, -1])).verdict
+        excess = self.distances(ctx_row2, [w, -1]) - inner
+        assert np.all(excess >= -1e-12)
+        assert excess[0] <= 1e-6 and np.all(excess[1:] <= 1e-12)
+        # a double zero on Lambda: above 4/5, the excess falling like 1/N
+        f = [1, -2, 1]
+        assert not cyclicity(ctx_row2, CPoly(f)).verdict
+        excess = self.distances(ctx_row2, f) - floor
+        assert np.all(excess > 0.0)
+        assert np.all((0.15 < excess[1:] / excess[:-1])
+                      & (excess[1:] / excess[:-1] < 0.4))
+        # a circle zero off Lambda: cyclic, the distance falling like 1/N
+        f = [1, 1]
+        assert cyclicity(ctx_row2, CPoly(f)).verdict
+        d = self.distances(ctx_row2, f)
+        assert np.all((0.2 < d[1:] / d[:-1]) & (d[1:] / d[:-1] < 0.4))
+        assert np.all((1.0 < d * self.ORDERS) & (d * self.ORDERS < 3.0))
+        # an exterior zero: cyclic, geometric
+        f = [2, -1]
+        assert cyclicity(ctx_row2, CPoly(f)).verdict
+        d = self.distances(ctx_row2, f)
+        assert d[0] < 1e-3 and d[1] < 1e-20
+
+    def test_complex_touching_row_verdicts(self, ctx_complex_touching):
+        ctx = ctx_complex_touching
+        (lam, mult), = ctx.Lambda
+        assert mult == 1
+        f = [-lam, 1]
+        assert not cyclicity(ctx, CPoly(f)).verdict
+        floor = 1.0 / kernel(ctx, lam).norm_sq  # 0.5864
+        assert np.abs(self.distances(ctx, f) - floor).max() <= 1e-10
+        f = [2, -1]
+        assert cyclicity(ctx, CPoly(f)).verdict
+        d = self.distances(ctx, f)
+        assert d[0] < 1e-3 and d[1] < 1e-20

@@ -260,6 +260,16 @@ class TestCli:
         err = float(check["detail"].split()[1])
         assert 0.0 < err < 1e-12
 
+    def test_verify_gram_detail_shows_orthonormality(self, capsys):
+        # the cached orthonormal rows against a fresh Gram at order 10
+        code, out = self.run(["verify", "--fixture", "TRUNC(8)"], capsys)
+        assert code == 0
+        check, = (c for c in json.loads(out)["checks"]
+                  if c["name"] == "gram_and_density")
+        assert check["detail"].startswith("orthonormality ")
+        assert "(bound 1e-12), density monotone: True" in check["detail"]
+        assert float(check["detail"].split()[1]) < 1e-14
+
     def test_verify_honours_flags(self, capsys):
         code, out = self.run(
             ["verify", "--fixture", "TRUNC(8)", "--max-iter", "1"], capsys)
@@ -536,6 +546,49 @@ def test_raw_spec_ends_typed(command, text):
     if code == 2:
         assert json.loads(out.getvalue())["error"] in ("MalformedJSON",
                                                         "ValidationError")
+
+
+# ---------------------------------------------------------------------------
+# the two sweep commands: a valid spec with one field corrupted ends typed
+
+_ON_CIRCLE = st.floats(0.0, 2.0 * np.pi).map(lambda t: [np.cos(t), np.sin(t)]) \
+    | st.sampled_from([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])
+_OUTSIDE = st.tuples(st.floats(1.0, 1e3), st.floats(0.0, 2.0 * np.pi)).map(
+    lambda p: [p[0] * np.cos(p[1]), p[0] * np.sin(p[1])])
+_NON_FINITE = st.sampled_from([[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.5]])
+_CORRUPT = {  # kind: (field, value)
+    "negative N": ("N", st.integers(-50, -1)),
+    "huge N": ("N", st.sampled_from([10 ** 9, 10 ** 21])),
+    "w on the circle": ("w", _ON_CIRCLE),
+    "w outside the circle": ("w", _OUTSIDE),
+    "non-finite w": ("w", _NON_FINITE),
+}
+
+
+@st.composite
+def _sweep_spec(draw):
+    """Spec text for a `density` or `crosscheck` run: a row, an interior w
+    and an order N, then one of N and w replaced by a corrupt value."""
+    r, t = draw(st.floats(0.0, 0.95)), draw(st.floats(0.0, 2.0 * np.pi))
+    spec = {"B": draw(_row()), "w": [r * np.cos(t), r * np.sin(t)],
+            "N": draw(st.integers(0, 40))}
+    field, value = _CORRUPT[draw(st.sampled_from(sorted(_CORRUPT)))]
+    spec[field] = draw(value)
+    return json.dumps(spec)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(command=st.sampled_from(["density", "crosscheck"]), text=_sweep_spec())
+def test_corrupt_sweep_spec_ends_typed(command, text):
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out):
+        code = main([command])
+    assert code in (0, 2, 3)
+    if code:
+        error = json.loads(out.getvalue())["error"]
+        assert issubclass(getattr(dbrov.errors, error), DbrovError)
+        assert (code == 2) == (error == "ValidationError")
 
 
 # ---------------------------------------------------------------------------

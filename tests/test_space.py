@@ -25,9 +25,9 @@ from dbrov import space
 from dbrov.errors import BoundaryNotRegular, DomainError, \
     IllConditionedConstant, NumericsError, ValidationError
 from dbrov.space import SpaceContext, _density_residuals, _extend_generator, \
-    _generator, _pair_bounds, _point_residuals, _section_kernels
-from dbrov.verify import rand_poly, rank_one_identity_defect, \
-    reproducing_error, shift_defects, toeplitz_defects
+    _generator, _orthonormal, _pair_bounds, _point_residuals, _section_kernels
+from dbrov.verify import _gram_and_density, rand_poly, \
+    rank_one_identity_defect, reproducing_error, shift_defects, toeplitz_defects
 
 from conftest import assert_close
 from test_random_rows import random_row
@@ -390,17 +390,28 @@ class TestGramAndResiduals:
             point_eval_residual(ctx_row2, 0.5, 10)
 
     def test_huge_order_refused_before_any_allocation(self, ctx_row2):
-        # the Gram's size check refuses before the (N+1)-row power matrix
-        with pytest.raises(DomainError):
-            density_residual(ctx_row2, 0.5, 10 ** 21)
-        with pytest.raises(DomainError):
-            point_eval_residual(ctx_row2, 1j, 10 ** 21)
+        # the size check comes before the generator, the Gram, the factor
+        # and the (N+1)-row power matrix, on a cold context and a warm one
+        cold, warm = fresh(ctx_row2), fresh(ctx_row2)
+        _point_residuals(warm, [1.0], 40)
+        h, linv = warm._h, warm._linv
+        for ctx in (cold, warm):
+            with pytest.raises(DomainError):
+                density_residual(ctx, 0.5, 10 ** 21)
+            with pytest.raises(DomainError):
+                point_eval_residual(ctx, 1j, 10 ** 21)
+        assert cold._h.shape[0] == 0 and cold._linv.shape == (0, 0)
+        assert warm._h is h and warm._linv is linv
 
     def test_failed_gram_cholesky_is_typed(self, ctx_row2, monkeypatch):
-        # no jitter retry: a Gram that is not positive definite ends the sweep
+        # no jitter retry: a Gram that is not positive definite ends the
+        # sweep in its first block, and the context caches nothing; a cold
+        # context, since a warm one reads its cached factor and no Gram
+        ctx = fresh(ctx_row2)
         monkeypatch.setattr(space, "gram", lambda ctx, N: -np.eye(N + 1))
-        with pytest.raises(NumericsError, match="order 6"):
-            density_residual(ctx_row2, 0.5, 6)
+        with pytest.raises(NumericsError, match="orders 0 .. 31"):
+            density_residual(ctx, 0.5, 6)
+        assert ctx._linv.shape == (0, 0)
 
 
 def fancy_index_gram(ctx, N):
@@ -449,8 +460,10 @@ class TestGeneratorGram:
 
     def test_gram_back_substitutes_one_column(self, ctx_row2, monkeypatch):
         # the generator is computed once and continued on demand: a Gram of
-        # order 160 computes 161 rows, lower orders, monomial embeddings and
-        # sweeps up to 160 compute none, and order 200 adds the 40 missing
+        # order 160 computes 161 rows, lower orders and monomial embeddings
+        # compute none, sweeps up to 160 add the 31 up to the 32-row block
+        # boundary of the cached factor (192 rows), and order 200 adds the
+        # 9 missing
         ctx = fresh(ctx_row2)
         rows = []
 
@@ -464,11 +477,12 @@ class TestGeneratorGram:
         gram(ctx, 40)
         for k in range(161):
             embed(ctx, monomial(k))
+        assert rows == [161]
         _density_residuals(ctx, 0.5, 160)
         point_eval_residual(ctx, 1j, 160)
-        assert rows == [161]
+        assert rows == [161, 31]
         gram(ctx, 200)
-        assert rows == [161, 40]
+        assert rows == [161, 31, 9]
         assert ctx._h.shape == (201, ctx.dim)
 
     @pytest.mark.parametrize("name", ["ROW2", "TRUNC(8)", "touching"])
@@ -600,6 +614,7 @@ class TestSweeps:
         want = 8.0 / (N * np.abs(1.0 - lams) ** 2 + 10.0)
         got = _point_residuals(ctx_row2, lams, N)
         assert np.abs(got / want - 1.0).max() <= 1e-11
+        assert np.abs(got - want).max() <= 1e-13
 
     def test_density_values_pinned(self, all_contexts):
         # criterion 7 values at w = 0.5 as computed with one Gram and one
@@ -620,6 +635,117 @@ class TestSweeps:
                 assert abs(point_eval_residual(ctx_row2, lam, N) - want) <= 1e-14
         for lam in (1.0, -1.0, 1j, -1j):
             assert abs(point_eval_residual(ctx_zero, lam, 120) - 1 / 121) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["ROW2", "SARASON", "TRUNC(8)", "touching"])
+    def test_sweeps_match_bordered_cholesky(self, gram_contexts, name):
+        # density and point residuals against a sweep that factors the
+        # bordered Gram afresh at the requested order and caches nothing
+        ctx = gram_contexts[name]
+        lams = [1.0, -1.0, 1j, np.exp(2.5j)]
+        for N in (40, 160, 640):
+            for w in (0.5, 0.3 + 0.6j):
+                got = _density_residuals(ctx, w, N)
+                kww = (1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2)
+                want = kww - bordered_section_kernels(ctx, [w], N)[:, 0]
+                assert np.abs(got - want).max() <= 1e-14, (N, w)
+            got = _point_residuals(ctx, lams, N)
+            want = 1.0 / bordered_section_kernels(ctx, lams, N)[-1]
+            assert np.abs(got - want).max() <= 1e-14, N
+
+    @pytest.mark.parametrize("name", ["ROW2", "TRUNC(8)", "touching"])
+    def test_sweep_bytes_do_not_depend_on_call_order(self, gram_contexts, name):
+        # cold, after a larger sweep, and after an ascending per-order sweep:
+        # the cached factor grows in fixed blocks, so its rows, and every
+        # sweep read from them, are the same bytes whatever ran before
+        ctx = gram_contexts[name]
+        big, swept = fresh(ctx), fresh(ctx)
+        _point_residuals(big, [1.0], 200)
+        for n in range(161):
+            density_residual(swept, 0.5, n)
+        lams = [1.0, -1.0, 1j, np.exp(2.5j)]
+        for N in (0, 31, 32, 40, 100, 160):
+            sweeps = [(_density_residuals(c, 0.5, N).tobytes(),
+                       _density_residuals(c, 0.3 + 0.6j, N).tobytes(),
+                       _point_residuals(c, lams, N).tobytes())
+                      for c in (fresh(ctx), big, swept)]
+            assert sweeps[1] == sweeps[0] and sweeps[2] == sweeps[0], N
+
+    def test_warm_sweeps_build_no_gram(self, ctx_row2, monkeypatch):
+        # a sweep builds one Gram, at the order rounded up to a 32-row
+        # block, only when the cached factor is too short; the Gram is not
+        # kept, so the context holds the factor as its one sweep array
+        ctx = fresh(ctx_row2)
+        orders = []
+
+        def spy(ctx, N):
+            orders.append(N)
+            return gram(ctx, N)
+
+        monkeypatch.setattr(space, "gram", spy)
+        _density_residuals(ctx, 0.5, 100)
+        assert orders == [127]
+        for n in range(128):
+            density_residual(ctx, 0.5, n)
+        _point_residuals(ctx, [1.0, 1j], 127)
+        assert orders == [127]
+        point_eval_residual(ctx, 1.0, 128)
+        assert orders == [127, 159]
+        assert ctx._linv.shape == (160, 160)
+        arrays = {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"_astar", "_h", "_linv"}
+
+    @pytest.mark.parametrize("name", ["ROW2", "SARASON", "TRUNC(8)", "touching"])
+    def test_orthonormal_rows(self, gram_contexts, name):
+        # L^{-1} is lower triangular with exact zeros above the diagonal and
+        # a positive diagonal, and its rows are orthonormal in the space
+        ctx = gram_contexts[name]
+        F = _orthonormal(ctx, 160)
+        assert not np.triu(F, 1).any()
+        assert np.all(F.diagonal().real > 0.0) and not F.diagonal().imag.any()
+        err = np.abs(F @ gram(ctx, 160) @ np.conj(F.T) - np.eye(161)).max()
+        assert err <= 1e-12
+
+    def test_verify_certifies_the_cached_factor(self, ctx_row2):
+        # a cached row off by a relative 1e-9 fails `dbrov verify`'s check
+        ctx = fresh(ctx_row2)
+        assert _gram_and_density(ctx, None).passed
+        F = ctx._linv.copy()
+        F[7] *= 1.0 + 1e-9
+        ctx._linv = F
+        result = _gram_and_density(ctx, None)
+        assert not result.passed, result.detail
+
+    def test_failed_block_caches_nothing(self, ctx_row2, monkeypatch):
+        # a Gram whose second block is not positive definite: the growth
+        # names that block and keeps the 32 rows cached before it
+        ctx = fresh(ctx_row2)
+        density_residual(ctx, 0.5, 10)
+        cached = ctx._linv
+
+        def broken(ctx, N):
+            G = gram(ctx, N)
+            G[32:, 32:] = -np.eye(N - 31)
+            return G
+
+        monkeypatch.setattr(space, "gram", broken)
+        with pytest.raises(NumericsError, match="orders 32 .. 63"):
+            density_residual(ctx, 0.5, 40)
+        assert ctx._linv is cached and cached.shape == (32, 32)
+
+
+def bordered_section_kernels(ctx, zetas, N):
+    """K^n_zeta(zeta), n = 0 .. N, from the Cholesky factor of the bordered
+    matrix [[G_N, E], [E*, c I]], c = 1 + ||E||_F^2, at the requested order:
+    its last rows are (L^{-1} E)*, L the factor of G_N.  The reference for
+    the cached orthonormal rows, sharing no factor with them."""
+    G = gram(ctx, N)
+    E = np.asarray(zetas, dtype=complex)[None, :] ** np.arange(N + 1)[:, None]
+    n, m = E.shape
+    M = np.zeros((n + m, n + m), dtype=complex)
+    M[:n, :n], M[:n, n:], M[n:, :n] = G, E, np.conj(E.T)
+    M[n:, n:] = (1.0 + np.vdot(E, E).real) * np.eye(m)
+    Y = np.linalg.cholesky(M)[n:, :n].T
+    return np.cumsum(np.abs(Y) ** 2, axis=0)
 
 
 DENSITY_AT_HALF = {
