@@ -177,10 +177,9 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
         _check_size(n * phi.dim ** 2, f"factorization grid of {n} points")
         if n == n0:
             A1 = _coarse_start(phi1, n, max_iter, trace)
-        a_grid = _wilson_grid(phi1, n, max_iter, min(tol_factor, _GRID_TOL), trace,
-                              start=A1)
+        A1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL),
+                        16 * np.finfo(float).eps, trace, start=A1)[0]
         iterations = len(trace)
-        A1 = _finish(a_grid, phi1.half_degree, phi.dim)
         factor = _reinflate(A1, splits, m)
         resid = factor_residual(factor, phi)
         stalled = best[0] <= BEST_FACTOR_TOL and resid >= best[0]
@@ -322,13 +321,13 @@ def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
 def _coarse_start(phi: LaurentHerm, n: int, max_iter: int, trace: list[float]):
     """The start of a cold matrix run on n points, or None for the Cholesky one.
 
-    A matrix run (d >= 2) first iterates on n_c = max(64, 4m + 2) points,
-    rounded up to a power of two, from the Cholesky factor of the mean of
-    phi, to a residual of _WARM_REL times the scale of phi; a step there
-    costs a fraction of one on n.  That pass converges to the factor of the
-    sampled density, which differs from the degree-m factor by the aliasing
-    of its inverse's tail.  Its coefficients 0..m start the run on n, which
-    then takes one or two steps instead of five or six (three from 2m + 2
+    A matrix run (d >= 2) first makes a `_grid_pass` on n_c = max(64, 4m + 2)
+    points, rounded up to a power of two, from the Cholesky start, to a
+    residual of _WARM_REL times the scale of phi; a step there costs a
+    fraction of one on n.  That pass converges to the factor of the sampled
+    density, which differs from the degree-m factor by the aliasing of its
+    inverse's tail.  Its coefficients 0..m start the run on n, which then
+    takes one or two steps instead of five or six (three from 2m + 2
     points).  A pass that meets a singular iterate or stops above that
     residual leaves the Cholesky start.  A scalar run (d = 1) keeps it
     anyway: its steps cost about the same on 32 points as on 256.
@@ -337,48 +336,37 @@ def _coarse_start(phi: LaurentHerm, n: int, max_iter: int, trace: list[float]):
     if phi.dim == 1 or n_c >= n:
         return None
     try:
-        vals, scale = _density_grid(phi, n_c)
-        a_grid, resid = _newton_grid(vals, _cholesky_start(vals), max_iter,
-                                     _WARM_REL * scale, trace)
-        return _finish(a_grid, phi.half_degree, phi.dim) \
-            if resid <= _WARM_REL * scale else None
+        A1, resid, scale = _grid_pass(phi, n_c, max_iter, 0.0, _WARM_REL, trace)
     except SingularIterate:
         return None
+    return A1 if resid <= _WARM_REL * scale else None
 
 
-def _wilson_grid(phi: LaurentHerm, n: int, max_iter: int, tol_factor: float,
-                 trace: list[float], start: MatPoly | None = None) -> np.ndarray:
-    """Run the grid iteration on n points; returns the grid values.
+def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float, rel: float,
+               trace: list[float], start: MatPoly | None = None):
+    """One Newton pass on n points: the finished factor, its grid residual
+    and the scale of phi there.
 
-    It starts from the factor `start` of a coarser grid when one is given,
-    and from the Cholesky factor of the grid mean of phi otherwise.  Each
-    step appends its residual to trace.
+    phi is tabulated on the half-sample offset grid (an identically singular
+    one raises SingularIterate), and `_newton_grid` runs from the factor
+    `start` of a coarser grid, or else the Cholesky factor of the grid mean
+    of phi, to a residual of max(tol, rel * scale), each step's on trace.
     """
-    vals, scale = _density_grid(phi, n)
-    a_grid = _cholesky_start(vals) if start is None \
-        else _grid_values(start.coeffs, n, 0.5)
-    return _newton_grid(vals, a_grid, max_iter,
-                        max(tol_factor, 16 * np.finfo(float).eps * scale), trace)[0]
-
-
-def _density_grid(phi: LaurentHerm, n: int):
-    """Hermitian values of phi on the half-sample offset n-point grid, and
-    their scale, which the singular test and the residual floors use."""
     vals = _grid_values(phi.coeffs, n, 0.5, -phi.half_degree)
     vals = 0.5 * (vals + np.conj(vals).transpose(1, 0, 2))
     scale = np.abs(vals).max()
     if np.abs(grid_det(vals)).max() <= 1e-13 * scale ** phi.dim:
         raise SingularIterate("density is identically singular on the circle")
-    return vals, scale
-
-
-def _cholesky_start(vals: np.ndarray) -> np.ndarray:
-    """The constant grid factor C* with C C* the grid mean of the density."""
-    try:
-        chol = np.linalg.cholesky(vals.mean(axis=-1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularIterate("mean density is not positive definite") from exc
-    return np.conj(chol).T[:, :, None] * np.ones(vals.shape[-1])
+    if start is not None:
+        a_grid = _grid_values(start.coeffs, n, 0.5)
+    else:
+        try:
+            chol = np.linalg.cholesky(vals.mean(axis=-1))
+        except np.linalg.LinAlgError as exc:
+            raise SingularIterate("mean density is not positive definite") from exc
+        a_grid = np.conj(chol).T[:, :, None] * np.ones(n)
+    a_grid, resid = _newton_grid(vals, a_grid, max_iter, max(tol, rel * scale), trace)
+    return _finish(a_grid, phi.half_degree, phi.dim), resid, scale
 
 
 def _newton_grid(vals: np.ndarray, a_grid: np.ndarray, max_iter: int, floor: float,

@@ -351,13 +351,15 @@ def toeplitz_conj_hb(ctx: SpaceContext, phi: CPoly, F: HBElement) -> HBElement:
     """Conjugate-analytic Toeplitz operator acting on an embedded pair.
 
     Acts coefficientwise on both components; the plus part of the image is
-    the image of the plus part, so the result is re-verified as a pair.
+    the image of the plus part, so the result is re-verified as a pair.  A
+    dropped tail maps to norm at most sum |phi_j| times F's tail_bound.
     """
     phi = _as_cpoly(phi)
     f, f_plus = toeplitz_conj(phi, F.f), toeplitz_conj(phi, F.f_plus)
     _check_pairs(ctx, *_pair_bounds(ctx, f.coeffs[:, None],
                                     f_plus.coeffs[:, :, None])[:, -1])
-    return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq())
+    return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq(),
+                     float(np.abs(phi.coeffs).sum()) * F.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +392,8 @@ def gram(ctx: SpaceContext, N: int) -> np.ndarray:
     return G
 
 
-# rows per growth step of the cached orthonormal polynomials, and columns
-# per chunk of the products in a step
-_BLOCK, _CHUNK = 32, 128
+# rows per growth step of the cached orthonormal polynomials
+_BLOCK = 32
 
 
 def _orthonormal(ctx: SpaceContext, N: int) -> np.ndarray:
@@ -403,9 +404,8 @@ def _orthonormal(ctx: SpaceContext, N: int) -> np.ndarray:
     rows that start at multiples of _BLOCK, so each row's bits do not depend
     on the order of the calls.  With G = [[G11, G21*], [G21, G22]] and the
     cached rows F = L11^{-1}: Y = F G21* (= X*, X = G21 L11^{-*}),
-    L22 = chol(G22 - Y*Y), and the new rows are L22^{-1} [-Y*F, I].  Both
-    products skip the zero blocks of the triangular F, in chunks of _CHUNK
-    columns, which halves their cost at large orders.  One Gram, of the
+    L22 = chol(G22 - Y*Y), and the new rows are L22^{-1} [-Y*F, I], from
+    two plain products with the s cached rows of F.  One Gram, of the
     block-rounded order, serves a growth and is not kept; a failure caches
     nothing.
     """
@@ -421,10 +421,7 @@ def _orthonormal(ctx: SpaceContext, N: int) -> np.ndarray:
     F[: old.shape[0], : old.shape[0]] = old
     for s in range(old.shape[0], m, _BLOCK):
         e = s + _BLOCK
-        chunks = [(a, min(a + _CHUNK, s)) for a in range(0, s, _CHUNK)]
-        Y = np.zeros((s, _BLOCK), dtype=complex)
-        for a, z in chunks:
-            Y[a:z] = F[a:z, :z] @ G[:z, s:e]
+        Y = F[:s, :s] @ G[:s, s:e]
         Yh = np.conj(Y.T)
         try:
             L = np.linalg.cholesky(G[s:e, s:e] - Yh @ Y)
@@ -435,9 +432,7 @@ def _orthonormal(ctx: SpaceContext, N: int) -> np.ndarray:
         for i in range(_BLOCK):
             R[i, i] = 1.0 / L[i, i]
             R[i, :i] = -(L[i, :i] @ R[:i, :i]) * R[i, i]
-        W = np.zeros((_BLOCK, s), dtype=complex)
-        for a, z in chunks:
-            W[:, a:z] = Yh[:, a:] @ F[a:s, a:z]
+        W = Yh @ F[:s, :s]
         F[s:e, :s] = R @ -W
         F[s:e, s:e] = R
     ctx._linv = F
@@ -470,8 +465,8 @@ def density_residual(ctx: SpaceContext, w, N: int) -> float:
 def _density_residuals(ctx: SpaceContext, w, N: int) -> np.ndarray:
     """`density_residual` at every order 0 .. N from one sweep."""
     w = complex(w)
-    if not abs(w) < 1.0:
-        raise DomainError("density residual needs an interior point")
+    if not abs(w) < 1.0 or on_circle(w):  # K_w(w) is rounding over rounding there
+        raise DomainError("density residual needs an interior point off the circle")
     kww = float((1.0 - (np.abs(ctx.B(w)) ** 2).sum()) / (1.0 - abs(w) ** 2))
     vals = kww - _section_kernels(ctx, [w], N)[:, 0]
     if vals.min() < DENSITY_FLOOR:

@@ -5,9 +5,12 @@ import pytest
 
 from dbrov import (
     CPoly,
+    RowSchur,
     caratheodory,
     cyclicity,
+    fixture,
     gram,
+    hb_inner,
     is_outer,
     kernel,
     make_context,
@@ -16,6 +19,7 @@ from dbrov import (
 )
 from dbrov.errors import InconclusiveGap, ValidationError, ZeroFunction
 
+from conftest import assert_close
 from test_random_rows import random_row
 
 
@@ -149,14 +153,16 @@ class TestSpectrumCrosscheck:
             spectrum_crosscheck(ctx_row2, 2)
 
 
-def distance_to_multiples(ctx, f, N):
-    """dist^2(1, f P_{N - deg f}) in the space, by least squares.
+def complement_gram(ctx, f, N, k=1):
+    """The Gram, in the space, of the projections of 1, z, ..., z^{k-1} onto
+    the complement of f P_{N - deg f} in P_N, by least squares.
 
     gram(ctx, N)[j, k] = <z^j, z^k> is linear in the first slot, so a
     polynomial with coefficients c has squared norm c* H c with H = G^T
-    (c* G c is wrong on complex rows).  With H = C*C, the distance is the
-    least-squares residual of C e_0 against the columns C M, M the matrix
-    of multiplication by f on P_{N - deg f}.
+    (c* G c is wrong on complex rows).  With H = C*C, the projections are
+    the least-squares residuals R of C E, E the first k columns of I,
+    against the columns C M, M the matrix of multiplication by f on
+    P_{N - deg f}; their Gram is R*R, entry (j, l) = <P z^l, P z^j>.
     """
     c = np.asarray(f, dtype=complex)
     cols = N - (c.shape[0] - 1)
@@ -164,10 +170,14 @@ def distance_to_multiples(ctx, f, N):
     for j in range(cols + 1):
         M[j : j + c.shape[0], j] = c
     C = np.conj(np.linalg.cholesky(gram(ctx, N).T).T)
-    e = np.eye(N + 1, 1)[:, 0]
-    x = np.linalg.lstsq(C @ M, C @ e, rcond=None)[0]
-    r = C @ (e - M @ x)
-    return float(np.vdot(r, r).real)
+    E = np.eye(N + 1, k)
+    R = C @ (E - M @ np.linalg.lstsq(C @ M, C @ E, rcond=None)[0])
+    return np.conj(R.T) @ R
+
+
+def distance_to_multiples(ctx, f, N):
+    """dist^2(1, f P_{N - deg f}) in the space."""
+    return float(complement_gram(ctx, f, N)[0, 0].real)
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +242,53 @@ class TestCyclicityByDistance:
         assert cyclicity(ctx, CPoly(f)).verdict
         d = self.distances(ctx, f)
         assert d[0] < 1e-3 and d[1] < 1e-20
+
+
+class TestCodimensionOfMateMultiples:
+    """The paper's hypothesis dim (aH^2)^perp < oo as an oracle for Lambda.
+
+    For rational b, H(b) = aH^2 + P_{m-1}, m the circle zeros of a with
+    multiplicity (Costara & Ransford), and each K_lam, lam in Lambda, is
+    orthogonal to aH^2: <ap, K_lam> = a(lam) p(lam) = 0.  So C_N, the Gram
+    of the projections of 1, ..., z^{k-1} onto the complement of a P_N in
+    P_{N + deg a}, tends to F W^{-1} F* with W_ij = <K_lam_j, K_lam_i> and
+    F_ji = conj(lam_i)^j, of rank |Lambda|; the other eigenvalues come from
+    the zeros of a off the circle and decay geometrically.  This checks
+    Lambda, its points and its count, and `kernel` on Lambda against the
+    Gram alone.
+    """
+
+    # name, row, k, {N: bound on max |C_N - F W^-1 F*|}, the nonzero
+    # eigenvalues of the limit in closed form (None: not known)
+    CASES = [
+        ("ROW2", fixture("ROW2").B, 4, {10: 1e-14, 40: 1e-14, 160: 1e-14}, [3.2]),
+        ("SARASON", fixture("SARASON").B, 4, {10: 1e-14, 40: 5e-14, 160: 5e-14},
+         [8.0]),
+        ("(1 + z^2)/2", RowSchur(np.array([[0.5], [0.0], [0.5]])), 4,
+         {10: 1e-14, 40: 1e-14, 160: 5e-14}, [4.0, 4.0]),
+        ("seed 1 (2, 4)", random_row(np.random.default_rng(1), 2, 4, 1.0), 6,
+         {10: 2e-2, 40: 2e-13, 160: 1e-14}, None),
+        ("seed 3 (3, 6)", random_row(np.random.default_rng(3), 3, 6, 1.0), 6,
+         {10: 2e-2, 40: 5e-12, 160: 1e-14}, None),
+        ("TRUNC(3)", fixture("TRUNC(3)").B, 4, {10: 2e-6, 40: 1e-20}, []),
+    ]
+
+    @pytest.mark.parametrize("name,B,k,bounds,eigs", CASES, ids=[c[0] for c in CASES])
+    def test_complement_tends_to_boundary_kernels(self, name, B, k, bounds, eigs):
+        ctx = make_context(B)
+        lams = [lam for lam, _ in ctx.Lambda]
+        assert all(mult == 1 for _, mult in ctx.Lambda)
+        K = [kernel(ctx, lam) for lam in lams]
+        W = np.array([[hb_inner(ctx, Kj, Ki) for Kj in K] for Ki in K])
+        F = np.conj(np.array(lams))[None, :] ** np.arange(k)[:, None]
+        limit = F @ np.linalg.solve(W.reshape(len(K), len(K)), np.conj(F.T))
+        if eigs is not None:
+            assert len(lams) == len(eigs)
+            assert_close(np.linalg.eigvalsh(limit)[k - len(eigs):], eigs, 1e-12, name)
+        for N, bound in bounds.items():
+            C = complement_gram(ctx, ctx.a.coeffs, N + ctx.a.degree, k)
+            assert np.abs(C - limit).max() <= bound, (name, N)
+            # rank |Lambda|: the rest of the spectrum is within the bound of 0
+            ev = np.linalg.eigvalsh(C)
+            assert np.all(np.abs(ev[: k - len(lams)]) <= 2 * bound), (name, N)
+            assert np.all(ev[k - len(lams):] > 1.0), (name, N)

@@ -17,7 +17,7 @@ import dbrov.factor as factor_mod
 import dbrov.space as space_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
     MateUndefined, NotPositive, SingularIterate
-from dbrov.factor import _grid_inv, _grid_mul, _jensen_gap, _wilson_grid, \
+from dbrov.factor import _grid_inv, _grid_mul, _grid_pass, _jensen_gap, \
     factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import grid_det
@@ -157,7 +157,7 @@ class TestWilson:
     def test_grid_residuals_non_increasing(self, name):
         _, matrix = defect_laurent(fixture(name).B)
         trace = []
-        _wilson_grid(matrix, 256, 200, 1e-13, trace)
+        _grid_pass(matrix, 256, 200, 1e-13, 16 * np.finfo(float).eps, trace)
         tail = trace[3:]
         assert all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
 
@@ -302,7 +302,7 @@ class TestGridKernels:
         start = MatPoly(np.diag([0.0] + [1.0] * (d - 1))[None])
         phi = LaurentHerm(np.eye(d, dtype=complex)[None])
         with pytest.raises(SingularIterate):
-            _wilson_grid(phi, 64, 10, 1e-14, [], start=start)
+            _grid_pass(phi, 64, 10, 1e-14, 16 * np.finfo(float).eps, [], start=start)
 
 
 class TestDensityScale:
@@ -326,13 +326,14 @@ def test_stalled_run_stops_at_first_idle_enlargement(monkeypatch):
     # BEST_FACTOR_TOL, an enlargement that does not lower it ends the run
     # (the mate grew to 2^16 points and the matrix factor to 2^17 before)
     grids = []
-    real = factor_mod._wilson_grid
+    real = factor_mod._grid_pass
 
-    def counting(phi, n, *args, **kwargs):
-        grids.append((phi.dim, n))
-        return real(phi, n, *args, **kwargs)
+    def counting(phi, n, max_iter, tol, rel, *args, **kwargs):
+        if rel != factor_mod._WARM_REL:  # full grids only, not the coarse pass
+            grids.append((phi.dim, n))
+        return real(phi, n, max_iter, tol, rel, *args, **kwargs)
 
-    monkeypatch.setattr(factor_mod, "_wilson_grid", counting)
+    monkeypatch.setattr(factor_mod, "_grid_pass", counting)
     ctx = make_context(random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9))
     assert ctx.reports["factor_fallback"] == 1.0
     assert ctx.reports["factor_residual_sup"] <= BEST_FACTOR_TOL
@@ -471,15 +472,16 @@ def test_cold_matrix_run_starts_coarse(B, steps, monkeypatch):
     # three: det A nearly vanishes at z = 1 (the defect is 2^-10 there), so
     # the sampled density's factor aliases more
     calls = []
-    real = factor_mod._wilson_grid
+    real = factor_mod._grid_pass
 
-    def spying(phi, n, max_iter, tol, trace, start=None):
+    def spying(phi, n, max_iter, tol, rel, trace, start=None):
         before = len(trace)
-        out = real(phi, n, max_iter, tol, trace, start=start)
-        calls.append((phi.dim, start is not None, len(trace) - before))
+        out = real(phi, n, max_iter, tol, rel, trace, start=start)
+        if rel != factor_mod._WARM_REL:  # full grids only, not the coarse pass
+            calls.append((phi.dim, start is not None, len(trace) - before))
         return out
 
-    monkeypatch.setattr(factor_mod, "_wilson_grid", spying)
+    monkeypatch.setattr(factor_mod, "_grid_pass", spying)
     ctx = make_context(B)
     # the first grid of the matrix run is the one that starts cold
     _, coarse, took = next(c for c in calls if c[0] > 1)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dbrov
 from dbrov.cli import COMMANDS, main
@@ -17,7 +17,7 @@ from dbrov.errors import DbrovError, MateUndefined, ValidationError
 from dbrov.fixtures import fixture
 from dbrov.rowschur import RowSchur
 from dbrov.schema import ProblemSpec, parse_problem, serialize_problem
-from dbrov.space import density_residual
+from dbrov.space import density_residual, make_context, spectrum_member
 from dbrov.tolerances import Tolerances
 
 from conftest import assert_close
@@ -332,6 +332,14 @@ class TestCli:
         assert code == 3
         assert json.loads(out)["error"] == "DomainError"
 
+    def test_density_near_the_circle_exit_code(self, capsys):
+        # |w| = 1 - 1.1e-16: inside the disk, but in the circle's 1e-10 band
+        code, out = self.run(["density", "--fixture", "ROW2", "--payload",
+                              '{"w": [0.6215512170042193, 0.783373528171953]}'],
+                             capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == "DomainError"
+
     @pytest.mark.parametrize("extra", [
         ["--grid-log2", "-1"],
         ["--grid-log2", "3"],
@@ -549,39 +557,64 @@ def test_raw_spec_ends_typed(command, text):
 
 
 # ---------------------------------------------------------------------------
-# the two sweep commands: a valid spec with one field corrupted ends typed
+# per command: a valid spec with one field corrupted ends typed
 
-_ON_CIRCLE = st.floats(0.0, 2.0 * np.pi).map(lambda t: [np.cos(t), np.sin(t)]) \
-    | st.sampled_from([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])
-_OUTSIDE = st.tuples(st.floats(1.0, 1e3), st.floats(0.0, 2.0 * np.pi)).map(
-    lambda p: [p[0] * np.cos(p[1]), p[0] * np.sin(p[1])])
+
+def _polar(radius, angle):
+    return st.tuples(radius, angle).map(
+        lambda p: [p[0] * np.cos(p[1]), p[0] * np.sin(p[1])])
+
+
+_ANGLE = st.floats(0.0, 2.0 * np.pi)
+_INTERIOR = _polar(st.floats(0.0, 0.95), _ANGLE)
+# cos/sin of an angle can land just inside the circle: the sampled
+# [cos, sin] of 0.900075 has modulus 1 - 1.1e-16
+_NEAR_INSIDE = [0.6215512170042193, 0.783373528171953]
+_ON_CIRCLE = _polar(st.just(1.0), _ANGLE) \
+    | st.sampled_from([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], _NEAR_INSIDE])
+# within the 1e-10 band in which points count as on the circle
+_BAND = _polar(st.floats(1.0 - 9e-11, 1.0 + 9e-11), _ANGLE) | st.just(_NEAR_INSIDE)
+_OUTSIDE = _polar(st.floats(1.0, 1e3), _ANGLE)
+_BEYOND_BAND = _polar(st.floats(0.0, 1.0 - 1e-9) | st.floats(1.0 + 1e-9, 1e3), _ANGLE)
 _NON_FINITE = st.sampled_from([[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.5]])
-_CORRUPT = {  # kind: (field, value)
+_HUGE_N = st.sampled_from([10 ** 9, 10 ** 21])
+# kind: (field, value), per command
+_SWEEP_CORRUPT = {
     "negative N": ("N", st.integers(-50, -1)),
-    "huge N": ("N", st.sampled_from([10 ** 9, 10 ** 21])),
+    "huge N": ("N", _HUGE_N),
     "w on the circle": ("w", _ON_CIRCLE),
     "w outside the circle": ("w", _OUTSIDE),
     "non-finite w": ("w", _NON_FINITE),
 }
+_KERNEL_CORRUPT = {
+    "huge N": ("N", _HUGE_N),
+    "w in the circle band": ("w", _BAND),
+    "w outside the circle": ("w", _polar(st.floats(1.0 + 1e-9, 1e3), _ANGLE)),
+    "non-finite w": ("w", _NON_FINITE),
+}
+_CARATHEODORY_CORRUPT = {
+    "lambda off the circle": ("lambda", _BEYOND_BAND),
+    "non-finite lambda": ("lambda", _NON_FINITE),
+}
 
 
 @st.composite
-def _sweep_spec(draw):
-    """Spec text for a `density` or `crosscheck` run: a row, an interior w
-    and an order N, then one of N and w replaced by a corrupt value."""
-    r, t = draw(st.floats(0.0, 0.95)), draw(st.floats(0.0, 2.0 * np.pi))
-    spec = {"B": draw(_row()), "w": [r * np.cos(t), r * np.sin(t)],
-            "N": draw(st.integers(0, 40))}
-    field, value = _CORRUPT[draw(st.sampled_from(sorted(_CORRUPT)))]
+def _corrupt_spec(draw, valid, corrupt):
+    """(kind, spec): a row and the valid fields drawn, then one field
+    replaced by a corrupt value of the drawn kind."""
+    spec = {"B": draw(_row())}
+    spec.update({key: draw(value) for key, value in valid.items()})
+    kind = draw(st.sampled_from(sorted(corrupt)))
+    field, value = corrupt[kind]
     spec[field] = draw(value)
-    return json.dumps(spec)
+    return kind, spec
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(command=st.sampled_from(["density", "crosscheck"]), text=_sweep_spec())
-def test_corrupt_sweep_spec_ends_typed(command, text):
+def _run_typed(command, spec):
+    """The exit code of `dbrov command` on the spec; an error is typed, and
+    ends in 2 exactly when it is a ValidationError."""
     out = io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(spec))), \
             contextlib.redirect_stdout(out):
         code = main([command])
     assert code in (0, 2, 3)
@@ -589,6 +622,37 @@ def test_corrupt_sweep_spec_ends_typed(command, text):
         error = json.loads(out.getvalue())["error"]
         assert issubclass(getattr(dbrov.errors, error), DbrovError)
         assert (code == 2) == (error == "ValidationError")
+    return code
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(command=st.sampled_from(["density", "crosscheck"]),
+       case=_corrupt_spec({"w": _INTERIOR, "N": st.integers(0, 40)}, _SWEEP_CORRUPT))
+@example(command="density",  # ROW2 read 4.3e14 at every order here
+         case=("w on the circle", {"B": ROW2_SPEC["B"], "w": _NEAR_INSIDE, "N": 4}))
+def test_corrupt_sweep_spec_ends_typed(command, case):
+    code = _run_typed(command, case[1])
+    # crosscheck reads no w; every corrupt density spec is refused
+    assert code or command == "crosscheck"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=_corrupt_spec({"w": _INTERIOR, "N": st.integers(0, 40)}, _KERNEL_CORRUPT))
+def test_corrupt_kernel_spec_ends_typed(case):
+    kind, spec = case
+    if kind == "w in the circle band":  # off the boundary spectrum
+        try:
+            ctx = make_context(parse_problem(spec).B)
+            assume(spectrum_member(ctx.Lambda, complex(*spec["w"])) is None)
+        except DbrovError:
+            pass
+    assert _run_typed("kernel", spec) in (2, 3)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=_corrupt_spec({"lambda": _ON_CIRCLE}, _CARATHEODORY_CORRUPT))
+def test_corrupt_caratheodory_spec_ends_typed(case):
+    assert _run_typed("caratheodory", case[1]) in (2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,7 @@ class TestConjToeplitz:
         L = backward_shift(ctx_row2, F)
         assert_close(G.f.coeffs, L.f.coeffs, 1e-15)
         assert_close(G.f_plus.coeffs, L.f_plus.coeffs, 1e-15)
+        assert G.tail_bound == L.tail_bound == 0.0  # an exact element stays exact
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2"])
     def test_two_route_identity(self, all_contexts, name):
@@ -293,6 +294,16 @@ class TestConjToeplitz:
         for _ in range(15):
             gap, _ = toeplitz_defects(ctx, ctx.a, rand_poly(rng, 10))
             assert gap <= 1e-10
+
+    @pytest.mark.parametrize("phi,factor", [([0, 1.0], 1.0), ([0, 3.0], 3.0),
+                                            ([0.5, -2j, 1.5], 4.0)])
+    def test_tail_bound_carried(self, ctx_row2, phi, factor):
+        # ||T_conj(phi)|| <= sum |phi_j|, so a truncated kernel's dropped tail
+        # maps to at most that multiple of its bound; T_z* is the backward shift
+        K = kernel(ctx_row2, 0.9)
+        shifted = backward_shift(ctx_row2, K).tail_bound
+        assert shifted == K.tail_bound > 1e-9
+        assert toeplitz_conj_hb(ctx_row2, CPoly(phi), K).tail_bound == factor * shifted
 
     def test_contraction_rescaled(self, ctx_row2):
         rng = np.random.default_rng(7)
@@ -384,6 +395,16 @@ class TestGramAndResiduals:
     def test_negative_gram_order_refused(self, ctx_row2):
         with pytest.raises(DomainError):
             gram(ctx_row2, -1)
+
+    @pytest.mark.parametrize("w", [
+        0.6215512170042193 + 0.783373528171953j,  # cos/sin 0.900075: 1 - 1.1e-16
+        (1 - 5e-11) * np.exp(2.5j), 1.0, 1.0 + 1e-12, 2.0])
+    def test_density_refused_on_the_circle_band(self, ctx_row2, w):
+        # within 1e-10 of the circle, where `kernel` takes its boundary
+        # branch, 1 - |B(w)|^2 and 1 - |w|^2 are both rounding: ROW2 read
+        # 4.3e14 at every order at the first point
+        with pytest.raises(DomainError):
+            density_residual(ctx_row2, w, 12)
 
     def test_point_eval_needs_unimodular_point(self, ctx_row2):
         with pytest.raises(DomainError):
