@@ -1,21 +1,22 @@
 """Spectral factorization of boundary defects.
 
-One engine, `wilson_report`, factors both defects: the scalar 1 - BB* into
-the mate a and the matrix I - B*B into the analytic outer factor A with
-A(0) Hermitian positive definite.  Every zero of the density's determinant
-on or just outside the circle is split off as an elementary factor
-I - (z / w) vv*, and the strictly positive remainder is factored by a
-Newton iteration on FFT grids.  A run that stalls at a residual of at most
-BEST_FACTOR_TOL returns its best factor with fallback set; any other failed
-run raises FactorizationDiverged.  For d >= 2 the two runs are kept apart,
-so that det A = a compares two factorizations; for d = 1 the two defects
-are the same (2q+1, 1, 1) stack and one run gives both (the mate's
-independent check is the 50-digit Fejér-Riesz oracle of the tests).
-Outerness is certified without roots, by Jensen's formula.
+One engine, `wilson_report`, factors the scalar defect 1 - BB* into the mate
+a (and, for tests and as a general tool, any Hermitian Laurent density into
+its outer factor with A(0) Hermitian positive definite).  Every zero of the
+density's determinant on or just outside the circle is split off as an
+elementary factor I - (z / w) vv*, and the strictly positive remainder is
+factored by a Newton iteration on FFT grids.  A run that stalls at a
+residual of at most BEST_FACTOR_TOL returns its best factor with fallback
+set; any other failed run raises FactorizationDiverged.  The matrix outer
+factor A of I - B*B needs no second run: for d >= 2, `_completion` reads it
+off the lossless row (a, B) by degree-one sections, a unitary completion and
+Blaschke-Potapov flips; for d = 1 it is a itself.  Outerness is certified by
+Jensen's formula on a grid, with the split points divided out.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,10 +31,10 @@ from .errors import (
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_eval, grid_adjugate, grid_det, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
-from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK
+from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL
 
 ZERO_DEFECT_TOL = 1e-12
-# Newton steps per grid: the budget of every run, mate and matrix factor alike
+# Newton steps per grid: the budget of every run
 MAX_ITER = 600
 
 
@@ -65,18 +66,16 @@ def mate_report(B: RowSchur) -> FactorReport:
     `wilson_report`.
     """
     scalar = defect_laurent(B)[0]
-    search = _defect_zeros(scalar, PSD_SLACK)[0]
+    search = _defect_zeros(scalar, PSD_SLACK)
     return _as_mate(B, wilson_report(scalar, ENGINE_TOL, search=search))
 
 
 def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
-    """The (zeros, null floor) searches of 1 - BB* and I - B*B, from one on
-    1 - BB* that also tests positivity to min(tol_psd, PSD_SLACK): det(I - B*B)
-    = 1 - BB*, and I - B*B has top eigenvalue 1 for d >= 2 (rank-one B*B)."""
+    """The (zeros, null floor) search of 1 - BB*, which also tests
+    positivity to min(tol_psd, PSD_SLACK)."""
     if np.abs(scalar.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
-    zeros, floor = _boundary_zeros(scalar, -min(tol_psd, PSD_SLACK))
-    return (zeros, floor), (zeros, _NULL_REL)
+    return _boundary_zeros(scalar, -min(tol_psd, PSD_SLACK))
 
 
 def _as_mate(B: RowSchur, rep: FactorReport) -> FactorReport:
@@ -86,6 +85,117 @@ def _as_mate(B: RowSchur, rep: FactorReport) -> FactorReport:
     bb = (np.abs(circle_eval(B.coeffs, n)) ** 2).sum(axis=-1)
     resid = float(np.abs(np.abs(circle_eval(a.coeffs, n)) ** 2 + bb - 1.0).max())
     return replace(rep, factor=a, residual_sup=resid)
+
+
+def _completion(B: RowSchur, rep: FactorReport, phi: LaurentHerm) -> FactorReport:
+    """The outer factor A of phi = I - B*B from the mate run's report rep
+    (factor: the mate a) by the lossless completion of p = (a, B), pp* = 1.
+
+    Sections: p <- p (I - uu* + uu* / z), u the top eigenvector of
+    p_q* p_q - p_0* p_0 (p_0 p_q* = 0), lower deg p from q to 0.  Completion:
+    a unitary with the unit row left as its first row, times the inverse
+    sections in reverse order, is paraunitary with first row p (Vaidyanathan,
+    Multirate Systems and Filter Banks, ch. 14); its lower-right block A has
+    A*A = phi and det A = c z^q conj(a(1 / conj(z))).  Flips: each zero z0 of
+    det A in the disk (1 / conj(w) for each zero w of a off the closed disk:
+    the run's split points within _NEAR, `poly_roots` for the rest; and 0 to
+    order q - deg a), nearest the circle first and Newton-polished on det A
+    (`_flip_points`), goes out by A <- (I - xx* + xx* (1 - conj(z0) z) /
+    (z - z0)) A with x* A(z0) = 0 (Youla-Kazanjian).
+    The zeros on the circle stay, but q sections leave them only to
+    rounding, which sweeps to high order amplify: each is seated as an exact
+    factor I - (z / w) vv* (`_reinflate`).  `_polar` makes A(0) positive
+    definite.  The report keeps the run's iterations, grid, splits and
+    fallback, with A's residual and the Jensen gap of det A, split points
+    divided out, on _GRID_BUDGET points.
+    """
+    a, d = rep.factor.coeffs, B.dim
+    p = np.zeros((max(B.degree + 1, a.shape[0]), d + 1), dtype=complex)
+    p[: a.shape[0], 0] = a
+    p[: B.coeffs.shape[0], 1:] = B.coeffs
+    q = p.shape[0] - 1
+    sections = []
+    for _ in range(q):
+        ends = p[[-1, 0]]
+        u = np.linalg.eigh((np.conj(ends).T * [1, -1]) @ ends)[1][:, -1]
+        pu = p @ u
+        p = p[:-1] + np.outer(pu[1:] - pu[:-1], np.conj(u))
+        sections.append(u)
+    # QR puts r* in column 0 of Q, up to a phase: the others give the rows
+    U = np.zeros((q + 1, d, d + 1), dtype=complex)
+    U[0] = np.conj(np.linalg.qr(np.conj(p[0])[:, None], mode="complete")[0][:, 1:].T)
+    for k, u in enumerate(reversed(sections)):
+        xu = (U[: k + 1] @ u)[..., None] * np.conj(u)
+        U[: k + 1] -= xu
+        U[1 : k + 2] += xu
+    A = U[:, :, 1:]
+
+    rest = a
+    for w in rep.splits:
+        rest = _divide_one_minus(rest, 1 / w)
+    outside = Counter(w for w in rep.splits if abs(w) - 1 > UNIMODULAR_TOL)
+    if rest.shape[0] > 1:
+        outside.update({r: k for r, k in poly_roots(CPoly(rest)) if abs(r) > 1})
+    points = _flip_points(A, 1 / np.conj(np.array(list(outside), dtype=complex)),
+                          np.array(list(outside.values())))
+    ks = np.arange(q + 1)
+    lag = np.maximum(ks[None, :] - ks[:-1, None] - 1, -1)
+    for z0, k in sorted(points, key=lambda t: -abs(t[0])) + [(0j, q + 1 - a.shape[0])]:
+        for j in range(k):
+            u, sing, _ = np.linalg.svd(_values(A, np.array([z0]))[0])
+            if z0 and sing[-1] > 1e-14 * sing[0]:
+                # the zeros of a cluster (a multiple zero of a, split by
+                # rounding) move as its first flips are made: polish again
+                z0 = _flip_points(A, np.array([z0]), np.array([k - j]))[0][0]
+                u = np.linalg.svd(_values(A, np.array([z0]))[0])[0]
+            x = u[:, -1]
+            down = np.append(z0 ** ks[:-1], 0)[lag]
+            h = np.conj(x) @ A
+            g = down @ h  # h / (z - z0) from the top down, stable for |z0| < 1
+            h = -h
+            h[:-1] += g
+            h[1:] -= np.conj(z0) * g
+            A = A + x[:, None] * h[:, None, :]
+    seated = []
+    for w in rep.splits:
+        if abs(w) - 1 <= UNIMODULAR_TOL:
+            v = np.conj(np.linalg.svd(_values(A, np.array([w]))[0])[2][-1])
+            av = A @ v
+            A = A - av[..., None] * np.conj(v)
+            A[:-1] += _divide_one_minus(av, 1 / w)[..., None] * np.conj(v)
+            seated.append((w, v))
+    A = _polar(_reinflate(MatPoly(A, dim=d), seated, phi.half_degree).coeffs, d)
+    det = A.det_poly().coeffs
+    for w in rep.splits:
+        det = _divide_one_minus(det, 1 / w)
+    return replace(rep, factor=A, residual_sup=factor_residual(A, phi),
+                   outer_gap=_jensen_gap(det, _GRID_BUDGET))
+
+
+def _flip_points(A: np.ndarray, z: np.ndarray, mult: np.ndarray):
+    """(z, multiplicity) pairs, each z polished by two Newton steps
+    z <- z - mult / tr(A(z)^{-1} A'(z)) on det A, kept if all stay in the
+    disk: a flip at an inexact zero drops x* A(z0) from A."""
+    z1, ks = z, np.arange(A.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(2 if z.size else 0):
+            try:
+                trace = np.trace(np.linalg.solve(_values(A, z1),
+                                                 _values(A, z1, ks / z1[:, None])),
+                                 axis1=1, axis2=2)
+            except np.linalg.LinAlgError:
+                break
+            z1 = z1 - mult / trace
+    return list(zip(z1 if np.all(np.isfinite(z1) & (np.abs(z1) < 1)) else z, mult))
+
+
+def _values(A: np.ndarray, z: np.ndarray, weights=1) -> np.ndarray:
+    """sum_k weights A_k z^k at each point of z, for a (k, d, d) stack, as a
+    (len(z), d, d) stack: one product with the powers, where `horner` would
+    loop over the q coefficients once per flip."""
+    ks = np.arange(A.shape[0])
+    return ((weights * z[:, None] ** ks) @ A.reshape(A.shape[0], -1)).reshape(
+        z.shape + A.shape[1:])
 
 
 def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
@@ -113,8 +223,8 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
 # 4), and finer grids are tried while the factor's residual stays above it
 _GRID_TOL = 1e-14
 # a factor with a residual of at most this fraction of the scale of phi
-# starts a finer grid (a grid enlargement, or the full grid after a coarse
-# pass): no zero of its determinant can have crossed the circle
+# starts the enlarged grid: no zero of its determinant can have crossed the
+# circle
 _WARM_REL = 1e-8
 # a singular value of phi(w) below this fraction of the largest eigenvalue
 # of phi on the circle is a null direction
@@ -141,9 +251,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     ([.]_+ keeps the analytic half, constant term halved) factors the
     strictly positive phi1 with quadratic convergence (Wilson).
     A = A1 E_k ... E_1, trimmed to degree m, keeps A(0) = A1(0) Hermitian
-    positive definite since E(0) = I, so det A = a exactly.  A matrix run
-    starts its first grid from a Newton pass on a coarse grid (see
-    `_coarse_start`), whose steps count in the iterations.  The residual
+    positive definite since E(0) = I, so det A = a exactly.  The residual
     is checked against phi; the grid grows four-fold, warm-started, while
     it is above tol_factor, or above rounding level and still falling.
 
@@ -175,8 +283,6 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     n, prev, A1 = n0, np.inf, None
     while True:
         _check_size(n * phi.dim ** 2, f"factorization grid of {n} points")
-        if n == n0:
-            A1 = _coarse_start(phi1, n, max_iter, trace)
         A1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL),
                         16 * np.finfo(float).eps, trace, start=A1)[0]
         iterations = len(trace)
@@ -191,7 +297,8 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
         done = best[0] <= tol_factor and settled
         if done or last:
             report = None if best[1] is None else FactorReport(
-                best[1], best[0], _jensen_gap(best[2], max(best[3], _GRID_BUDGET)),
+                best[1], best[0],
+                _jensen_gap(best[2].det_poly().coeffs, max(best[3], _GRID_BUDGET)),
                 iterations, best[3], tuple(w for w, _ in splits),
                 fallback=not done)
             if done or best[0] <= BEST_FACTOR_TOL:
@@ -206,9 +313,9 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
         A1 = A1 if resid <= _WARM_REL * scale else None
 
 
-def _jensen_gap(A1: MatPoly, n: int) -> float:
-    """|log|det A1(0)| - mean of log|det A1| over n circle points|."""
-    det = A1.det_poly().coeffs
+def _jensen_gap(det: np.ndarray, n: int) -> float:
+    """|log|det(0)| - mean of log|det| over n circle points|, for the
+    coefficients of a determinant."""
     vals = circle_eval(det, max(n, det.shape[0]))
     with np.errstate(divide="ignore"):
         return float(abs(np.log(abs(det[0])) - np.log(np.abs(vals)).mean()))
@@ -318,30 +425,6 @@ def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
     return MatPoly(coeffs[: m + 1], dim=A1.dim)
 
 
-def _coarse_start(phi: LaurentHerm, n: int, max_iter: int, trace: list[float]):
-    """The start of a cold matrix run on n points, or None for the Cholesky one.
-
-    A matrix run (d >= 2) first makes a `_grid_pass` on n_c = max(64, 4m + 2)
-    points, rounded up to a power of two, from the Cholesky start, to a
-    residual of _WARM_REL times the scale of phi; a step there costs a
-    fraction of one on n.  That pass converges to the factor of the sampled
-    density, which differs from the degree-m factor by the aliasing of its
-    inverse's tail.  Its coefficients 0..m start the run on n, which then
-    takes one or two steps instead of five or six (three from 2m + 2
-    points).  A pass that meets a singular iterate or stops above that
-    residual leaves the Cholesky start.  A scalar run (d = 1) keeps it
-    anyway: its steps cost about the same on 32 points as on 256.
-    """
-    n_c = max(64, pow2_at_least(4 * phi.half_degree + 2))
-    if phi.dim == 1 or n_c >= n:
-        return None
-    try:
-        A1, resid, scale = _grid_pass(phi, n_c, max_iter, 0.0, _WARM_REL, trace)
-    except SingularIterate:
-        return None
-    return A1 if resid <= _WARM_REL * scale else None
-
-
 def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float, rel: float,
                trace: list[float], start: MatPoly | None = None):
     """One Newton pass on n points: the finished factor, its grid residual
@@ -438,12 +521,18 @@ def _grid_inv(a: np.ndarray) -> np.ndarray:
 def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
     """Coefficients 0..m of half-sample offset grid values, A(0) made PD.
 
-    The constant coefficient is rotated to its polar part: A <- U A with U
-    unitary, so that A(0) is Hermitian positive definite and A*A unchanged.
+    The constant coefficient is rotated to its polar part (`_polar`): A <- U A
+    with U unitary, so that A(0) is Hermitian positive definite and A*A
+    unchanged.
     """
     n = a_grid.shape[-1]
     coeffs = np.moveaxis(np.fft.fft(a_grid, axis=-1)[..., : m + 1] / n
                          * np.exp(-1j * np.pi * np.arange(m + 1) / n), -1, 0)
+    return _polar(coeffs, d)
+
+
+def _polar(coeffs: np.ndarray, d: int) -> MatPoly:
+    """A <- U A for the unitary U that makes A(0) its polar part."""
     a0 = coeffs[0]
     w, v = np.linalg.eigh(np.conj(a0).T @ a0)
     if w.min() <= 0:

@@ -408,17 +408,17 @@ def poly_roots(p: CPoly):
         companion = np.diag(np.ones(n - 1, dtype=complex), -1)
         companion[:, -1] = -c[:-1] / c[-1]
         found = np.linalg.eigvals(companion)
-        for center, mult in _merge_clusters(found, c, dc):
-            center = _polish_multiple(c, dc, center, mult)
-            resid = float(abs(horner(c, center)))
-            # sum_j |c_j| |z|^j, the natural backward-error scale at z
-            scale = float(horner(np.abs(c), abs(center)))
-            if resid > 100 * (n + 1) * TOL_ROOT * max(scale, 1e-300):
+        centers, mults = _merge_clusters(found, c, dc)
+        centers, resid = _polish_multiple(c, dc, centers, mults)
+        # sum_j |c_j| |z|^j, the natural backward-error scale at z
+        scale = horner(np.abs(c), np.abs(centers))
+        for center, mult, r, sc in zip(centers, mults, resid, scale):
+            if r > 100 * (n + 1) * TOL_ROOT * max(sc, 1e-300):
                 raise RootFindingFailed(
-                    f"residual {resid:.3e} too large at root {center}",
-                    best_residuals=[resid],
+                    f"residual {r:.3e} too large at root {center}",
+                    best_residuals=[float(r)],
                 )
-            out.append((center, mult))
+            out.append((complex(center), int(mult)))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
@@ -428,11 +428,12 @@ def _merge_clusters(roots: np.ndarray, c: np.ndarray, dc: np.ndarray):
 
     A multiple root computed in floating point scatters into a cluster of
     radius about eps**(1/m); the Newton correction p/p' is of that same order
-    there, so it sets a reliable per-root merge radius.
+    there, so it sets a reliable per-root merge radius.  Returns the cluster
+    centers (means) and sizes.
     """
     k = roots.shape[0]
     if k == 0:
-        return []
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
     pv, dv = horner(c, roots), horner(dc, roots)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(dv != 0, np.abs(pv / np.where(dv == 0, 1, dv)), np.inf)
@@ -446,36 +447,40 @@ def _merge_clusters(roots: np.ndarray, c: np.ndarray, dc: np.ndarray):
             i = parent[i]
         return i
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(roots[i] - roots[j]) <= radii[i] + radii[j]:
-                parent[find(i)] = find(j)
+    close = np.abs(roots[:, None] - roots[None, :]) <= radii[:, None] + radii[None, :]
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
-    return [(complex(np.mean(roots[idx])), len(idx)) for idx in groups.values()]
+    return (np.array([np.mean(roots[idx]) for idx in groups.values()], dtype=complex),
+            np.array([len(idx) for idx in groups.values()]))
 
 
-def _polish_multiple(c: np.ndarray, dc: np.ndarray, center: complex,
-                     mult: int) -> complex:
-    """Newton polish x -> x - m p/p', quadratic for multiplicity-m roots.
+def _polish_multiple(c: np.ndarray, dc: np.ndarray, centers: np.ndarray,
+                     mults: np.ndarray):
+    """Newton polish x -> x - m p/p' of every center at once, quadratic for
+    multiplicity-m roots; returns the polished centers and their |p|.
 
-    Keeps the best point seen: near the rounding floor the correction is
-    noise-dominated and a step can move away from the root.
+    Keeps the best point seen for each: near the rounding floor the
+    correction is noise-dominated and a step can move away from the root.
+    A center stops at a zero derivative, a non-finite or negligible step,
+    or after four steps.
     """
-    z = center
-    best = (abs(horner(c, z)), z)
+    z = centers
+    pv = horner(c, z)
+    best_r, best_z = np.abs(pv), z
+    active = np.ones(z.shape, dtype=bool)
     for _ in range(4):
-        pv, dv = horner(c, z), horner(dc, z)
-        if dv == 0:
+        dv = horner(dc, z)
+        active &= dv != 0
+        step = mults * pv / np.where(active, dv, 1)
+        active &= np.isfinite(step)
+        z = np.where(active, z - step, z)
+        pv = horner(c, z)
+        better = active & (np.abs(pv) < best_r)
+        best_r, best_z = np.where(better, np.abs(pv), best_r), np.where(better, z, best_z)
+        active &= ~(np.abs(step) <= 1e-16 * (1.0 + np.abs(z)))
+        if not active.any():
             break
-        step = mult * pv / dv
-        if not np.isfinite(step):
-            break
-        z = z - step
-        resid = abs(horner(c, z))
-        if resid < best[0]:
-            best = (resid, z)
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return complex(best[1])
+    return best_z, best_r

@@ -25,7 +25,7 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import MAX_ITER, _as_mate, _defect_zeros, wilson_report
+from .factor import MAX_ITER, _as_mate, _completion, _defect_zeros, wilson_report
 from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
     _divide_one_minus, _trim, circle_eval, grid_det, horner, pow2_at_least, \
     toeplitz_conj
@@ -98,29 +98,23 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    For d >= 2 the mate and the matrix factor come from two
-    `wilson_report` runs sharing one boundary-zero search and the same
-    min(tol_factor, ENGINE_TOL), max_iter and grid_log2.  For d = 1 the two
-    defects are the same Laurent polynomial, and a second run would repeat
-    the first bit for bit, so one run gives both: A = a, and the mate's
-    independent check is the Fejér-Riesz test suite.  The boundary spectrum
-    is read off the unimodular split points of the mate's run, with
-    multiplicity the number of splits at each; no polynomial roots are
-    found.  The matrix factorization is pushed well below tol_factor when
-    possible; boundary-degenerate densities that stall are accepted down to
-    1e-8, since regularizing them would perturb the boundary spectrum.
+    One `wilson_report` run, on 1 - BB* with min(tol_factor, ENGINE_TOL),
+    max_iter and grid_log2, gives the mate a; a run that stalls is accepted
+    down to 1e-8, since regularizing a boundary-degenerate defect would
+    perturb the boundary spectrum.  For d = 1, A = a.  For d >= 2 the
+    lossless completion of (a, B) gives A (`_completion`), with no second
+    run; the reports of the engine (iterations, grid, deflations, fallback)
+    are then the mate run's for every d, and A has its own residual and
+    outer gap.  The boundary spectrum is read off the unimodular split
+    points of the run, with multiplicity the number of splits at each.
     """
     tol = tol or Tolerances()
     scalar_defect, matrix_defect = defect_laurent(B)
-    mate_search, matrix_search = _defect_zeros(scalar_defect, tol.tol_psd)
-    if grid_log2 is not None:  # refuse the matrix run's grid before either run
-        n = 1 << grid_log2
-        _check_size(n * B.dim ** 2, f"factorization grid of {n} points")
-    run = (min(tol.tol_factor, ENGINE_TOL), max_iter, grid_log2)
-    w_rep = wilson_report(scalar_defect, *run, search=mate_search)
+    w_rep = wilson_report(scalar_defect, min(tol.tol_factor, ENGINE_TOL), max_iter,
+                          grid_log2, search=_defect_zeros(scalar_defect, tol.tol_psd))
     m_rep = _as_mate(B, w_rep)
     if B.dim > 1:
-        w_rep = wilson_report(matrix_defect, *run, search=matrix_search)
+        w_rep = _completion(B, m_rep, matrix_defect)
     a, A = m_rep.factor, w_rep.factor
     lam = Counter(w / abs(w) for w in m_rep.splits
                   if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)

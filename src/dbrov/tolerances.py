@@ -8,7 +8,7 @@ from dataclasses import dataclass
 # positivity slack: a row passes with sup |B| <= 1 + PSD_SLACK, and a defect
 # may dip to -PSD_SLACK on the circle before it is NotPositive
 PSD_SLACK = 1e-8
-# residual target of the mate run, and the tightest one of the matrix run
+# residual target of the engine run, the one per context (on the mate)
 ENGINE_TOL = 1e-12
 # a tabulated density (Clark density, density residual) below this is negative
 DENSITY_FLOOR = -1e-9
@@ -23,7 +23,7 @@ BEST_FACTOR_TOL = 1e-8
 @dataclass(frozen=True)
 class Tolerances:
     """The tolerances a caller sets for a context.  tol_factor only tightens:
-    both engine runs use min(tol_factor, ENGINE_TOL), so every value at or
+    the engine run uses min(tol_factor, ENGINE_TOL), so every value at or
     above 1e-12, the default 1e-10 included, builds the same context."""
 
     tol_psd: float = PSD_SLACK

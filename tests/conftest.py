@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -80,3 +81,109 @@ def trunc_limit_slope(radial: bool = False) -> float:
     # derivative of (1+z)/4 + z^2/(4-2z) at z = 1
     z = 1.0
     return float(0.25 + (8.0 * z - 2.0 * z * z) / (4.0 - 2.0 * z) ** 2)
+
+
+# 50-digit references: the mate by Fejer-Riesz, A by the lossless completion
+
+
+def fejer_riesz_mate(B, dps: int = 50):
+    """The mate's coefficients and zeros, from the roots of z^m (1 - BB*)
+    found to dps digits (mpmath numbers, for use inside workdps(dps)).
+
+    An oracle apart from the factorization engine: the defect coefficients
+    c_k = delta_k0 - sum_j <B_{j+k}, B_j> are formed in mpmath, and of each
+    circle-reflected root pair the one outside is kept.  Rounding the input
+    to floats splits a double root on the circle by about sqrt(eps), so the
+    two roots within 1e-6 of the circle (at most one such pair here) are
+    merged into their mean, which is accurate to O(eps), put on the circle.
+    Then a = a0 prod (1 - z / r) with a0^2 = |c_m| prod |r|.
+    """
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpc(complex(x)) for x in row] for row in B.coeffs]
+        q = len(rows) - 1
+        c = [int(k == 0) - mpmath.fsum(
+            rows[j + k][i] * mpmath.conj(rows[j][i])
+            for j in range(q + 1 - k) for i in range(B.dim))
+            for k in range(q + 1)]
+        m = max(k for k in range(q + 1) if k == 0 or abs(c[k]) > 1e-30)
+        desc = c[m:0:-1] + [c[0]] + [mpmath.conj(x) for x in c[1 : m + 1]]
+        roots = mpmath.polyroots(desc, maxsteps=400, extraprec=4 * dps) \
+            if m else []
+        near = [r for r in roots if abs(abs(r) - 1) < 1e-6]
+        outside = [r for r in roots if abs(r) >= 1 + 1e-6]
+        if near:
+            assert len(near) == 2
+            outside.append((near[0] + near[1]) / abs(near[0] + near[1]))
+        assert len(outside) == m
+        poly = [mpmath.sqrt(abs(c[m]) * mpmath.fprod(abs(r) for r in outside))]
+        for r in outside:
+            poly = [x - (poly[j - 1] / r if j else 0)
+                    for j, x in enumerate(poly + [0])]
+        return poly, outside
+
+
+def completion_oracle(B, a, zeros, dps: int = 50) -> np.ndarray:
+    """The outer factor A of I - B*B, (q+1, d, d), by the lossless
+    completion of the row (a, B) run in mpmath at dps digits.
+
+    a holds the mate's coefficients and zeros its zeros, as mpmath numbers
+    (`fejer_riesz_mate`).  The same steps as the library's completion, with
+    no grid and no Newton: degree-one sections p <- p (I - uu* + uu* / z),
+    u = p_q* / |p_q|; a unitary completion of the unit row left, times the
+    inverse sections; a flip at 1 / conj(w) for each zero w of a off the
+    circle and at 0 to order q - deg a, with x* A(z0) = 0 from an mpmath
+    SVD; and the polar rotation that makes A(0) positive definite.
+    """
+    mp, conj = mpmath.mp, mpmath.conj
+    with mpmath.workdps(dps):
+        q, d = B.coeffs.shape[0] - 1, B.dim
+        p = [[a[k] if k < len(a) else mpmath.mpc(0)]
+             + [mpmath.mpc(complex(x)) for x in row] for k, row in enumerate(B.coeffs)]
+        sections = []
+        for _ in range(q):
+            norm = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in p[-1]))
+            u = [conj(x) / norm for x in p[-1]]
+            pu = [mpmath.fsum(x * y for x, y in zip(row, u)) for row in p]
+            p = [[x + (pu[k + 1] - pu[k]) * conj(y) for x, y in zip(p[k], u)]
+                 for k in range(len(p) - 1)]
+            sections.append(u)
+        # Gram-Schmidt of the unit vectors least aligned with r, against r
+        r = p[0]
+        basis = [r]
+        for j in sorted(range(d + 1), key=lambda j: abs(r[j]))[:d]:
+            e = [mpmath.mpc(int(i == j)) for i in range(d + 1)]
+            for b in basis:
+                t = mpmath.fsum(x * conj(y) for x, y in zip(e, b))
+                e = [x - t * y for x, y in zip(e, b)]
+            norm = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in e))
+            basis.append([x / norm for x in e])
+        U = [[row for row in basis[1:]]]
+        for u in reversed(sections):
+            uu = [[x * conj(y) for y in u] for x in u]
+            out = [[[mpmath.mpc(0)] * (d + 1) for _ in range(d)] for _ in range(len(U) + 1)]
+            for k, Uk in enumerate(U):
+                for i in range(d):
+                    s = [mpmath.fsum(Uk[i][l] * uu[l][j] for l in range(d + 1))
+                         for j in range(d + 1)]
+                    for j in range(d + 1):
+                        out[k][i][j] += Uk[i][j] - s[j]
+                        out[k + 1][i][j] += s[j]
+            U = out
+        A = [mp.matrix([[Uk[i][j + 1] for j in range(d)] for i in range(d)]) for Uk in U]
+        points = [1 / conj(w) for w in zeros if abs(w) - 1 > mpmath.mpf(10) ** (-dps // 2)]
+        points += [mpmath.mpc(0)] * (q + 1 - len(a))
+        for z0 in points:
+            x = mp.svd_c(sum((Ak * z0 ** k for k, Ak in enumerate(A)), mp.zeros(d)))[0]
+            x = x[:, d - 1]
+            h = [x.H * Ak for Ak in A]
+            g = [None] * q
+            g[q - 1] = h[q]
+            for k in range(q - 1, 0, -1):
+                g[k - 1] = h[k] + z0 * g[k]
+            for k in range(q + 1):
+                new = (g[k] if k < q else 0 * h[k]) - (conj(z0) * g[k - 1] if k else 0 * h[k])
+                A[k] = A[k] + x * (new - h[k])
+        W, _, V = mp.svd_c(A[0])
+        turn = V.H * W.H
+        return np.array([[[complex(v) for v in (turn * Ak).tolist()[i]] for i in range(d)]
+                         for Ak in A])

@@ -25,7 +25,8 @@ from dbrov.rowschur import defect_laurent
 from dbrov.tolerances import BEST_FACTOR_TOL
 from dbrov.verify import run_checks
 
-from conftest import assert_close, circle_grid
+from conftest import assert_close, circle_grid, completion_oracle, fejer_riesz_mate
+from test_boundary import DOUBLE_B
 from test_random_rows import NEAR_ROWS, random_row
 
 SQ8 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -64,39 +65,9 @@ class TestMate:
             assert abs(a(0).imag) < 1e-14
 
 
-def _fejer_riesz_mate(B: RowSchur, dps: int = 50) -> np.ndarray:
-    """The mate from the roots of z^m (1 - BB*), found to dps digits.
-
-    An oracle apart from the factorization engine: the defect coefficients
-    c_k = delta_k0 - sum_j <B_{j+k}, B_j> are formed in mpmath, and of each
-    circle-reflected root pair the one outside is kept.  Rounding the input
-    to floats splits a double root on the circle by about sqrt(eps), so the
-    two roots within 1e-6 of the circle (at most one such pair here) are
-    merged into their mean, which is accurate to O(eps), put on the circle.
-    Then a = a0 prod (1 - z / r) with a0^2 = |c_m| prod |r|.
-    """
-    with mpmath.workdps(dps):
-        rows = [[mpmath.mpc(complex(x)) for x in row] for row in B.coeffs]
-        q = len(rows) - 1
-        c = [int(k == 0) - mpmath.fsum(
-            rows[j + k][i] * mpmath.conj(rows[j][i])
-            for j in range(q + 1 - k) for i in range(B.dim))
-            for k in range(q + 1)]
-        m = max(k for k in range(q + 1) if k == 0 or abs(c[k]) > 1e-30)
-        desc = c[m:0:-1] + [c[0]] + [mpmath.conj(x) for x in c[1 : m + 1]]
-        roots = mpmath.polyroots(desc, maxsteps=400, extraprec=4 * dps) \
-            if m else []
-        near = [r for r in roots if abs(abs(r) - 1) < 1e-6]
-        outside = [r for r in roots if abs(r) >= 1 + 1e-6]
-        if near:
-            assert len(near) == 2
-            outside.append((near[0] + near[1]) / abs(near[0] + near[1]))
-        assert len(outside) == m
-        poly = [mpmath.sqrt(abs(c[m]) * mpmath.fprod(abs(r) for r in outside))]
-        for r in outside:
-            poly = [x - (poly[j - 1] / r if j else 0)
-                    for j, x in enumerate(poly + [0])]
-        return np.array([complex(x) for x in poly])
+def _fejer_riesz_mate(B: RowSchur) -> np.ndarray:
+    """The 50-digit Fejér-Riesz mate (`conftest.fejer_riesz_mate`), rounded."""
+    return np.array([complex(x) for x in fejer_riesz_mate(B)[0]])
 
 
 MATE_ORACLE_ROWS = [pytest.param(fixture(name).B, id=name)
@@ -189,8 +160,8 @@ class TestJensenGap:
     @pytest.mark.parametrize("coeffs", [[-0.5, 1.0], [1.0, 0.3, -0.2j],
                                         [0.2, 1.0, 0.5 + 0.5j], [2.0, -1.0]])
     def test_matches_roots(self, coeffs):
-        A = MatPoly(np.array(coeffs, dtype=complex)[:, None, None])
-        assert abs(_jensen_gap(A, 4096) - outer_check(CPoly(coeffs))) <= 1e-12
+        det = np.array(coeffs, dtype=complex)
+        assert abs(_jensen_gap(det, 4096) - outer_check(CPoly(coeffs))) <= 1e-12
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
     def test_engine_factors_are_outer(self, name):
@@ -322,30 +293,31 @@ class TestDensityScale:
 
 
 def test_stalled_run_stops_at_first_idle_enlargement(monkeypatch):
-    # both runs stall near 2e-12: once the best residual is below
+    # the mate run stalls near 2e-12: once the best residual is below
     # BEST_FACTOR_TOL, an enlargement that does not lower it ends the run
-    # (the mate grew to 2^16 points and the matrix factor to 2^17 before)
+    # (it grew to 2^16 points before); the matrix factor runs no grid
     grids = []
     real = factor_mod._grid_pass
 
-    def counting(phi, n, max_iter, tol, rel, *args, **kwargs):
-        if rel != factor_mod._WARM_REL:  # full grids only, not the coarse pass
-            grids.append((phi.dim, n))
-        return real(phi, n, max_iter, tol, rel, *args, **kwargs)
+    def counting(phi, n, *args, **kwargs):
+        grids.append((phi.dim, n))
+        return real(phi, n, *args, **kwargs)
 
     monkeypatch.setattr(factor_mod, "_grid_pass", counting)
     ctx = make_context(random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9))
     assert ctx.reports["factor_fallback"] == 1.0
     assert ctx.reports["factor_residual_sup"] <= BEST_FACTOR_TOL
     assert len([n for d, n in grids if d == 1]) <= 3
-    assert len([n for d, n in grids if d == 2]) <= 2
+    assert len([n for d, n in grids if d == 2]) == 0
     assert max(n for _, n in grids) <= 4096
 
 
-def _splits_match(got, want):
-    assert len(got) == len(want)
-    for w in want:
-        assert min(abs(np.asarray(got) - w)) <= 1e-10
+def _padded_gap(A, C):
+    """Largest coefficient difference of two (k, d, d) stacks, the shorter
+    padded with zeros."""
+    n = max(A.shape[0], C.shape[0])
+    pad = [np.concatenate([X, np.zeros((n - X.shape[0],) + X.shape[1:])]) for X in (A, C)]
+    return float(np.abs(pad[0] - pad[1]).max())
 
 
 ZERO_REUSE_ROWS = [pytest.param(fixture(name).B, id=name)
@@ -357,39 +329,29 @@ ZERO_REUSE_ROWS = [pytest.param(fixture(name).B, id=name)
 
 
 @pytest.mark.parametrize("B", ZERO_REUSE_ROWS)
-def test_matrix_run_reuses_mate_zeros(B, monkeypatch):
-    # make_context hands the mate run's zeros to the matrix run; a
-    # standalone run on I - B*B searches them itself and splits the same
-    reports = []
-    real = space_mod.wilson_report
-
-    def recording(phi, *run, search):
-        reports.append(real(phi, *run, search=search))
-        return reports[-1]
-
-    monkeypatch.setattr(space_mod, "wilson_report", recording)
+def test_matrix_run_reuses_mate_zeros(B):
+    # the context's A comes from the mate's zeros by the completion; a
+    # standalone engine run on I - B*B, which searches its zeros itself,
+    # is the independent reference for it
     ctx = make_context(B)
     alone = wilson_report(defect_laurent(B)[1], tol_factor=1e-12, max_iter=600)
-    assert len(reports) == 2  # the mate run, then the matrix run
-    _splits_match(reports[1].splits, alone.splits)
     assert ctx.reports["boundary_deflations"] == len(alone.splits)
-    assert np.abs(ctx.A.coeffs - alone.factor.coeffs).max() <= 1e-10
+    assert _padded_gap(ctx.A.coeffs, alone.factor.coeffs) <= 1e-10
 
 
-def test_both_runs_take_the_engine_settings(monkeypatch):
-    # the mate run of a d >= 2 row gets make_context's settings, as the
-    # matrix run does
+def test_the_engine_run_takes_the_settings(monkeypatch):
+    # make_context runs the engine once, for the mate, with its settings
     runs = []
     real = factor_mod.wilson_report
 
     def recording(phi, *run, search):
-        runs.append(run)
+        runs.append((phi.dim,) + run)
         return real(phi, *run, search=search)
 
     monkeypatch.setattr(factor_mod, "wilson_report", recording)
     monkeypatch.setattr(space_mod, "wilson_report", recording)
     make_context(fixture("ROW2").B, max_iter=7, grid_log2=12)
-    assert runs == [(1e-12, 7, 12), (1e-12, 7, 12)]
+    assert runs == [(1, 1e-12, 7, 12)]
 
 
 @pytest.mark.parametrize("B", [fixture(n).B for n in ("ZERO", "SARASON", "ROW2",
@@ -437,15 +399,15 @@ def test_one_zero_search_per_context(B, monkeypatch):
 
 
 def test_oversized_grid_refused_before_any_run(monkeypatch):
-    # at d = 8 the matrix run's first grid of 2^20 points needs 2^26 entries:
-    # make_context refuses it before the mate run's 2^20-point grid
+    # the mate run's grid of 2^25 points is one stack of more than 2^24
+    # entries: its size check refuses it, typed, before any Newton pass (the
+    # matrix factor needs no grid, so d does not enter)
     def refused(*args, **kwargs):
-        raise AssertionError("wilson_report ran")
+        raise AssertionError("a grid pass ran")
 
-    monkeypatch.setattr(space_mod, "wilson_report", refused)
-    monkeypatch.setattr(factor_mod, "wilson_report", refused)
-    with pytest.raises(DomainError, match="factorization grid of 1048576 points"):
-        make_context(fixture("TRUNC(8)").B, grid_log2=20)
+    monkeypatch.setattr(factor_mod, "_grid_pass", refused)
+    with pytest.raises(DomainError, match="factorization grid of 33554432 points"):
+        make_context(fixture("TRUNC(8)").B, grid_log2=25)
 
 
 def test_mate_run_errors_come_first():
@@ -456,68 +418,63 @@ def test_mate_run_errors_come_first():
         make_context(RowSchur(np.array([[0.8, 0.0], [0.0, 0.7]]), tol_psd=1.0))
 
 
-COLD_ROWS = [pytest.param(fixture(name).B, 2, id=name)
-             for name in ("ROW2", "TRUNC(8)")] \
-    + [pytest.param(fixture("TRUNC(10)").B, 3, id="TRUNC(10)")] \
-    + [pytest.param(random_row(np.random.default_rng(seed), d, q, sup), 2,
+COMPLETION_ROWS = [pytest.param(fixture(name).B, id=name)
+                   for name in ("ROW2", "TRUNC(8)", "TRUNC(10)")] \
+    + [pytest.param(random_row(np.random.default_rng(seed), d, q, sup),
                     id=f"seed{seed}-d{d}-q{q}-sup{sup}")
        for seed, d, q in [(1, 2, 16), (2, 3, 8), (3, 4, 12), (4, 8, 4)]
        for sup in (0.9, 1.0, 1.0 - 1e-9)]
 
 
-@pytest.mark.parametrize("B,steps", COLD_ROWS)
-def test_cold_matrix_run_starts_coarse(B, steps, monkeypatch):
-    # the coarse pass hands the first grid a start one or two Newton steps
-    # from the factor (five or six from the Cholesky start).  TRUNC(10) needs
-    # three: det A nearly vanishes at z = 1 (the defect is 2^-10 there), so
-    # the sampled density's factor aliases more
-    calls = []
-    real = factor_mod._grid_pass
-
-    def spying(phi, n, max_iter, tol, rel, trace, start=None):
-        before = len(trace)
-        out = real(phi, n, max_iter, tol, rel, trace, start=start)
-        if rel != factor_mod._WARM_REL:  # full grids only, not the coarse pass
-            calls.append((phi.dim, start is not None, len(trace) - before))
-        return out
-
-    monkeypatch.setattr(factor_mod, "_grid_pass", spying)
+@pytest.mark.parametrize("B", COMPLETION_ROWS)
+def test_completion_is_outer_and_verified(B):
+    # the completed and flipped factor passes every check, A(0) is Hermitian
+    # positive definite, and det A has no zero in the disk: by its Jensen
+    # gap, and by the roots of det A (TRUNC(10)'s det A nearly vanishes at
+    # z = 1, where the defect is 2^-10)
     ctx = make_context(B)
-    # the first grid of the matrix run is the one that starts cold
-    _, coarse, took = next(c for c in calls if c[0] > 1)
-    assert coarse and took <= steps
     assert [r.name for r in run_checks(ctx) if not r.passed] == []
     a0 = ctx.A.coeffs[0]
     assert np.abs(a0 - np.conj(a0).T).max() <= 1e-12
     assert np.linalg.eigvalsh(a0).min() > 0
     assert ctx.reports["det_gap_sup"] <= 1e-10
+    assert ctx.reports["outer_gap_factor"] <= 1e-12
+    assert outer_check(ctx.A) <= 1e-8
 
 
-@pytest.mark.parametrize("failure", ["raises", "above bound"])
-@pytest.mark.parametrize("B", [fixture("TRUNC(8)").B,
-                               random_row(np.random.default_rng(5), 4, 6, 1.0)])
-def test_failed_coarse_pass_keeps_cholesky_start(B, failure, monkeypatch):
-    # a coarse pass that meets a singular iterate, or stops above the warm
-    # bound, leaves the run exactly as without a coarse pass
-    _, matrix = defect_laurent(B)
-    monkeypatch.setattr(factor_mod, "_coarse_start", lambda *args: None)
-    want = wilson_report(matrix, 1e-12, 600)
-    monkeypatch.undo()
-    real = factor_mod._newton_grid
+def _row_with_mate(a):
+    """(b, b) / sqrt 2 with b the outer partner of the row (a): its mate is a."""
+    b = mate_report(RowSchur(np.asarray(a)[:, None])).factor.coeffs
+    return RowSchur(np.column_stack([b, b]) / np.sqrt(2.0))
 
-    def failing(vals, a_grid, max_iter, floor, trace):
-        if vals.shape[-1] < 256:  # the coarse pass: 64 points, then 256
-            if failure == "raises":
-                raise SingularIterate("forced")
-            return real(vals, a_grid, max_iter, floor, trace)[0], np.inf
-        return real(vals, a_grid, max_iter, floor, trace)
 
-    monkeypatch.setattr(factor_mod, "_newton_grid", failing)
-    got = wilson_report(matrix, 1e-12, 600)
-    assert np.array_equal(got.factor.coeffs, want.factor.coeffs)
-    assert got.residual_sup == want.residual_sup
-    extra = got.iterations - want.iterations
-    assert extra == 0 if failure == "raises" else extra > 0
+# forward-error bounds from measured values: <= 1.4e-15 at sup 0.9 and 1,
+# and <= 4.5e-13 at sup 1 - 1e-9, where the mate's zeros sit about 3e-5 off
+# the circle; the mate 0.3 (1 - z / 2)^2, whose double zero rounding splits
+# by about 1e-7, reads 1.3e-15
+COMPLETION_ORACLE_ROWS = [pytest.param(fixture(name).B, None, 1e-14, id=name)
+                          for name in ("ROW2", "TRUNC(3)")] \
+    + [pytest.param(RowSchur(np.column_stack([DOUBLE_B] * 2) / np.sqrt(2.0)),
+                    ([0.125, -0.25, 0.125], [1, 1]), 1e-14, id="double-member-d2"),
+       pytest.param(_row_with_mate([0.3, -0.3, 0.075]), ([0.3, -0.3, 0.075], [2, 2]),
+                    1e-14, id="double-exterior-zero-d2")] \
+    + [pytest.param(random_row(np.random.default_rng(seed), d, q, sup), None,
+                    2e-12 if sup == 1.0 - 1e-9 else 1e-14,
+                    id=f"seed{seed}-d{d}-q{q}-sup{sup}")
+       for seed, d, q in [(32, 2, 4), (33, 2, 6), (34, 3, 3), (35, 3, 6)]
+       for sup in (0.9, 1.0, 1.0 - 1e-9)]
+
+
+@pytest.mark.parametrize("B,mate,bound", COMPLETION_ORACLE_ROWS)
+def test_factor_against_completion_oracle(B, mate, bound):
+    # forward error of A against the completion run in mpmath at 50 digits
+    # on the Fejér-Riesz mate, or on the closed form where a multiple zero
+    # of the defect makes its roots ill-conditioned
+    with mpmath.workdps(50):
+        a, zeros = fejer_riesz_mate(B) if mate is None \
+            else ([mpmath.mpf(x) for x in mate[0]], [mpmath.mpf(w) for w in mate[1]])
+        want = completion_oracle(B, a, zeros)
+    assert _padded_gap(make_context(B).A.coeffs, want) <= bound
 
 
 @pytest.mark.parametrize("B", [fixture("SARASON").B, fixture("ZERO").B]
