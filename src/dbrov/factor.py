@@ -10,8 +10,10 @@ residual of at most BEST_FACTOR_TOL returns its best factor with fallback
 set; any other failed run raises FactorizationDiverged.  The matrix outer
 factor A of I - B*B needs no second run: for d >= 2, `_completion` reads it
 off the lossless row (a, B) by degree-one sections, a unitary completion and
-Blaschke-Potapov flips; for d = 1 it is a itself.  Outerness is certified by
-Jensen's formula on a grid, with the split points divided out.
+Blaschke-Potapov flips; for d = 1 it is a itself.  `_identities` certifies
+the built row from one circle evaluation of B, a and A: |a|^2 + BB* = 1,
+A*A + B*B = I, det A = a, and the outerness of det A by Jensen's formula,
+with the split points divided out.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .errors import (
     SingularIterate,
 )
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
-    angle_derivatives, circle_eval, grid_adjugate, grid_det, poly_roots, pow2_at_least
+    angle_derivatives, circle_eval, det_coeffs, grid_adjugate, grid_det, poly_roots, \
+    pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL
 
@@ -61,13 +64,13 @@ def mate_report(B: RowSchur) -> FactorReport:
     The zeros of the defect on the circle, or within the split radius
     _NEAR = 36 / 4096 outside it, are split off as factors 1 - z / w; the
     unimodular split points are the zeros of a on the circle, once per
-    split.  outer_gap is the Jensen gap of the grid factor a1, which every
-    split factor leaves unchanged, and a stalled run is handled as in
-    `wilson_report`.
+    split.  residual_sup is the run's |a|^2 - (1 - BB*), outer_gap the
+    Jensen gap of the grid factor a1, which every split factor leaves
+    unchanged, and a stalled run is handled as in `wilson_report`.
     """
     scalar = defect_laurent(B)[0]
-    search = _defect_zeros(scalar, PSD_SLACK)
-    return _as_mate(B, wilson_report(scalar, ENGINE_TOL, search=search))
+    rep = wilson_report(scalar, ENGINE_TOL, search=_defect_zeros(scalar, PSD_SLACK))
+    return replace(rep, factor=CPoly(rep.factor.coeffs[:, 0, 0]))
 
 
 def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
@@ -78,38 +81,49 @@ def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
     return _boundary_zeros(scalar, -min(tol_psd, PSD_SLACK))
 
 
-def _as_mate(B: RowSchur, rep: FactorReport) -> FactorReport:
-    """A run on 1 - BB* read as the mate a, with residual |a|^2 + BB* - 1."""
-    a = CPoly(rep.factor.coeffs[:, 0, 0])
-    n = max(512, pow2_at_least(4 * max(B.degree, a.degree) + 1))
-    bb = (np.abs(circle_eval(B.coeffs, n)) ** 2).sum(axis=-1)
-    resid = float(np.abs(np.abs(circle_eval(a.coeffs, n)) ** 2 + bb - 1.0).max())
-    return replace(rep, factor=a, residual_sup=resid)
+def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
+    """(sup ||a|^2 + BB* - 1|, sup |A*A + B*B - I|, sup |det A - a|, Jensen
+    gap of det A) from one evaluation of B, a and A on n = max(512,
+    4 d max(deg A, deg B, 1) + 1) circle points, rounded up to a power of 2.
+    det A is one FFT of its grid values (n > d deg A: nothing aliases) by
+    `det_coeffs`; the split points, of gap 0, are divided out of it, and its
+    gap is taken on _GRID_BUDGET points."""
+    d = B.dim
+    n = max(512, pow2_at_least(4 * d * max(A.degree, B.degree, 1) + 1))
+    bt, av = circle_eval(B.coeffs, n).T, circle_eval(a.coeffs, n)
+    Av = _grid_values(A.coeffs, n)
+    mate = np.abs(np.abs(av) ** 2 + (np.abs(bt) ** 2).sum(axis=0) - 1.0).max()
+    ident = _grid_mul(np.conj(Av).transpose(1, 0, 2), Av) \
+        + np.conj(bt)[:, None] * bt - np.eye(d)[:, :, None]
+    dets = grid_det(Av)
+    det = det_coeffs(Av, dets, d * max(A.degree, 0) + 1)
+    for w in splits:
+        det = _divide_one_minus(det, 1 / w)
+    return (float(mate), float(np.abs(ident).max()), float(np.abs(dets - av).max()),
+            _jensen_gap(det, _GRID_BUDGET))
 
 
-def _completion(B: RowSchur, rep: FactorReport, phi: LaurentHerm) -> FactorReport:
-    """The outer factor A of phi = I - B*B from the mate run's report rep
-    (factor: the mate a) by the lossless completion of p = (a, B), pp* = 1.
+def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
+    """The outer factor A of I - B*B from the mate a and the split points
+    of its run by the lossless completion of p = (a, B), pp* = 1.
 
     Sections: p <- p (I - uu* + uu* / z), u the top eigenvector of
     p_q* p_q - p_0* p_0 (p_0 p_q* = 0), lower deg p from q to 0.  Completion:
     a unitary with the unit row left as its first row, times the inverse
     sections in reverse order, is paraunitary with first row p (Vaidyanathan,
     Multirate Systems and Filter Banks, ch. 14); its lower-right block A has
-    A*A = phi and det A = c z^q conj(a(1 / conj(z))).  Flips: each zero z0 of
-    det A in the disk (1 / conj(w) for each zero w of a off the closed disk:
-    the run's split points within _NEAR, `poly_roots` for the rest; and 0 to
+    A*A = I - B*B and det A = c z^q conj(a(1 / conj(z))).  Flips: each zero
+    z0 of det A in the disk (1 / conj(w) for each zero w of a off the closed
+    disk: the split points within _NEAR, `poly_roots` for the rest; and 0 to
     order q - deg a), nearest the circle first and Newton-polished on det A
     (`_flip_points`), goes out by A <- (I - xx* + xx* (1 - conj(z0) z) /
     (z - z0)) A with x* A(z0) = 0 (Youla-Kazanjian).
     The zeros on the circle stay, but q sections leave them only to
     rounding, which sweeps to high order amplify: each is seated as an exact
     factor I - (z / w) vv* (`_reinflate`).  `_polar` makes A(0) positive
-    definite.  The report keeps the run's iterations, grid, splits and
-    fallback, with A's residual and the Jensen gap of det A, split points
-    divided out, on _GRID_BUDGET points.
+    definite.  A has degree at most q; `_identities` certifies it.
     """
-    a, d = rep.factor.coeffs, B.dim
+    a, d = a.coeffs, B.dim
     p = np.zeros((max(B.degree + 1, a.shape[0]), d + 1), dtype=complex)
     p[: a.shape[0], 0] = a
     p[: B.coeffs.shape[0], 1:] = B.coeffs
@@ -131,9 +145,9 @@ def _completion(B: RowSchur, rep: FactorReport, phi: LaurentHerm) -> FactorRepor
     A = U[:, :, 1:]
 
     rest = a
-    for w in rep.splits:
+    for w in splits:
         rest = _divide_one_minus(rest, 1 / w)
-    outside = Counter(w for w in rep.splits if abs(w) - 1 > UNIMODULAR_TOL)
+    outside = Counter(w for w in splits if abs(w) - 1 > UNIMODULAR_TOL)
     if rest.shape[0] > 1:
         outside.update({r: k for r, k in poly_roots(CPoly(rest)) if abs(r) > 1})
     points = _flip_points(A, 1 / np.conj(np.array(list(outside), dtype=complex)),
@@ -157,19 +171,14 @@ def _completion(B: RowSchur, rep: FactorReport, phi: LaurentHerm) -> FactorRepor
             h[1:] -= np.conj(z0) * g
             A = A + x[:, None] * h[:, None, :]
     seated = []
-    for w in rep.splits:
+    for w in splits:
         if abs(w) - 1 <= UNIMODULAR_TOL:
             v = np.conj(np.linalg.svd(_values(A, np.array([w]))[0])[2][-1])
             av = A @ v
             A = A - av[..., None] * np.conj(v)
             A[:-1] += _divide_one_minus(av, 1 / w)[..., None] * np.conj(v)
             seated.append((w, v))
-    A = _polar(_reinflate(MatPoly(A, dim=d), seated, phi.half_degree).coeffs, d)
-    det = A.det_poly().coeffs
-    for w in rep.splits:
-        det = _divide_one_minus(det, 1 / w)
-    return replace(rep, factor=A, residual_sup=factor_residual(A, phi),
-                   outer_gap=_jensen_gap(det, _GRID_BUDGET))
+    return _polar(_reinflate(MatPoly(A, dim=d), seated, q).coeffs, d)
 
 
 def _flip_points(A: np.ndarray, z: np.ndarray, mult: np.ndarray):

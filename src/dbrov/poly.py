@@ -278,18 +278,21 @@ class MatPoly(_Poly):
         return VecPoly(out, dim=self.dim)
 
     def det_poly(self) -> CPoly:
-        """Determinant as a scalar polynomial, via FFT interpolation.
-
-        Trailing coefficients at the rounding level of the values, d eps
-        times their Hadamard bound prod_i |A(z) e_i|, are dropped as noise.
-        """
+        """Determinant as a scalar polynomial, by `det_coeffs`."""
         n = self.dim * max(self.degree, 0) + 1
         vals = circle_eval(self.coeffs, pow2_at_least(max(2 * n, 8))).transpose(1, 2, 0)
-        coeffs = np.fft.fft(grid_det(vals))[:n] / vals.shape[-1]
-        hadamard = np.prod(np.linalg.norm(vals, axis=0), axis=0).max()
-        noise = self.dim * np.finfo(float).eps * hadamard
-        keep = np.nonzero(np.abs(coeffs) > noise)[0]
-        return CPoly(coeffs[: keep[-1] + 1] if keep.size else coeffs[:0])
+        return CPoly(det_coeffs(vals, grid_det(vals), n))
+
+
+def det_coeffs(vals: np.ndarray, dets: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0 .. n-1 of det A by one FFT of its values dets on the
+    (d, d, N) `circle_eval` stack vals of A, N >= n.  Trailing ones below d eps
+    times the values' Hadamard bound prod_i |A(z) e_i| are dropped as noise."""
+    coeffs = np.fft.fft(dets)[:n] / vals.shape[-1]
+    noise = vals.shape[0] * np.finfo(float).eps \
+        * np.prod(np.linalg.norm(vals, axis=0), axis=0).max()
+    keep = np.nonzero(np.abs(coeffs) > noise)[0]
+    return coeffs[: keep[-1] + 1] if keep.size else coeffs[:0]
 
 
 class LaurentHerm:

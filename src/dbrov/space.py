@@ -25,10 +25,9 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import MAX_ITER, _as_mate, _completion, _defect_zeros, wilson_report
+from .factor import MAX_ITER, _completion, _defect_zeros, _identities, wilson_report
 from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
-    _divide_one_minus, _trim, circle_eval, grid_det, horner, pow2_at_least, \
-    toeplitz_conj
+    _divide_one_minus, _trim, horner, toeplitz_conj
 from .rowschur import RowSchur, defect_laurent
 from .tolerances import BEST_FACTOR_TOL, DENSITY_FLOOR, ENGINE_TOL, UNIMODULAR_TOL, \
     Tolerances
@@ -101,50 +100,42 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     One `wilson_report` run, on 1 - BB* with min(tol_factor, ENGINE_TOL),
     max_iter and grid_log2, gives the mate a; a run that stalls is accepted
     down to 1e-8, since regularizing a boundary-degenerate defect would
-    perturb the boundary spectrum.  For d = 1, A = a.  For d >= 2 the
-    lossless completion of (a, B) gives A (`_completion`), with no second
-    run; the reports of the engine (iterations, grid, deflations, fallback)
-    are then the mate run's for every d, and A has its own residual and
-    outer gap.  The boundary spectrum is read off the unimodular split
-    points of the run, with multiplicity the number of splits at each.
+    perturb the boundary spectrum.  A = a for d = 1; for d >= 2 the lossless
+    completion of (a, B) gives it (`_completion`), with no second run.  The
+    run's reports (iterations, grid, deflations, fallbacks, the mate's outer
+    gap) hold for every d; `_identities` gives the residuals of a, A and
+    det A = a and the outer gap of det A.  The boundary spectrum is the
+    run's unimodular split points, multiplicity the number of splits at each.
     """
     tol = tol or Tolerances()
-    scalar_defect, matrix_defect = defect_laurent(B)
-    w_rep = wilson_report(scalar_defect, min(tol.tol_factor, ENGINE_TOL), max_iter,
-                          grid_log2, search=_defect_zeros(scalar_defect, tol.tol_psd))
-    m_rep = _as_mate(B, w_rep)
-    if B.dim > 1:
-        w_rep = _completion(B, m_rep, matrix_defect)
-    a, A = m_rep.factor, w_rep.factor
-    lam = Counter(w / abs(w) for w in m_rep.splits
-                  if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
+    scalar_defect = defect_laurent(B)[0]
+    rep = wilson_report(scalar_defect, min(tol.tol_factor, ENGINE_TOL), max_iter,
+                        grid_log2, search=_defect_zeros(scalar_defect, tol.tol_psd))
+    a = CPoly(rep.factor.coeffs[:, 0, 0])
+    A = _completion(B, a, rep.splits) if B.dim > 1 else rep.factor
+    lam = Counter(w / abs(w) for w in rep.splits if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
 
     a0_cond = float(np.linalg.cond(A.coeffs[0]))
     if a0_cond > 1e8:
         raise IllConditionedConstant(f"cond(A(0)) = {a0_cond:.3e}")
+    mate_sup, factor_sup, det_sup, outer_gap = _identities(B, a, A, rep.splits)
     reports = {
-        "mate_residual_sup": m_rep.residual_sup,
-        "factor_residual_sup": w_rep.residual_sup,
-        "outer_gap_mate": m_rep.outer_gap,
-        "outer_gap_factor": w_rep.outer_gap,
-        "factor_iterations": w_rep.iterations,
-        "factor_grid": w_rep.grid,
-        "boundary_deflations": len(w_rep.splits),
-        "factor_fallback": float(w_rep.fallback),
-        "mate_fallback": float(m_rep.fallback),
+        "mate_residual_sup": mate_sup,
+        "factor_residual_sup": factor_sup,
+        "outer_gap_mate": rep.outer_gap,
+        "outer_gap_factor": outer_gap,
+        "factor_iterations": rep.iterations,
+        "factor_grid": rep.grid,
+        "boundary_deflations": len(rep.splits),
+        "factor_fallback": float(rep.fallback),
+        "mate_fallback": float(rep.fallback),
         "A0_cond": a0_cond,
-        "det_gap_sup": _det_gap(A, a),
+        "det_gap_sup": det_sup,
     }
     ctx = SpaceContext(B, a, A, sorted(lam.items(), key=lambda t: np.angle(t[0])),
                        tol, reports)
     _verify_context(ctx)
     return ctx
-
-
-def _det_gap(A: MatPoly, a: CPoly) -> float:
-    n = max(512, pow2_at_least(4 * A.dim * max(A.degree, 1) + 1))
-    det = grid_det(np.moveaxis(circle_eval(A.coeffs, n), 0, -1))
-    return float(np.abs(det - circle_eval(a.coeffs, n)).max())
 
 
 def _verify_context(ctx: SpaceContext) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import ClarkMeasure, caratheodory, clark
+from .factor import _identities
 from .poly import CPoly, VecPoly, circle_eval, toeplitz_conj
 from .space import (
     SpaceContext,
@@ -109,7 +110,8 @@ def shift_defects(ctx: SpaceContext, f) -> tuple[float, bool]:
 
 def toeplitz_defects(ctx: SpaceContext, phi: CPoly, f) -> tuple[float, float]:
     """(largest plus-part gap between T_phi* acting on embed(f) and the
-    embedding of T_phi* f, norm excess of T_phi* for phi scaled to sup 1)."""
+    embedding of T_phi* f, norm excess of T_phi* for phi scaled to sup 1
+    over max(1, ||f||^2), the scale of the norms' rounding)."""
     if phi.is_zero:
         return 0.0, 0.0
     F = embed(ctx, f)
@@ -121,7 +123,8 @@ def toeplitz_defects(ctx: SpaceContext, phi: CPoly, f) -> tuple[float, float]:
     diff[: via_embed.f_plus.coeffs.shape[0]] -= via_embed.f_plus.coeffs
     sup = float(np.abs(circle_eval(phi.coeffs, 256)).max())
     scaled = toeplitz_conj_hb(ctx, (1.0 / sup) * phi, F)
-    return float(np.abs(diff).max(initial=0.0)), scaled.norm_sq - F.norm_sq
+    return (float(np.abs(diff).max(initial=0.0)),
+            (scaled.norm_sq - F.norm_sq) / max(1.0, F.norm_sq))
 
 
 def containment_excess(ctx: SpaceContext, p: CPoly, h: CPoly) -> float:
@@ -158,14 +161,7 @@ def _context_build(ctx, rng) -> CheckResult:
 
 
 def _factorization_identities(ctx, rng) -> CheckResult:
-    bv, av, a = (circle_eval(p.coeffs, 512) for p in (ctx.B, ctx.A, ctx.a))
-    ident = np.conj(av).transpose(0, 2, 1) @ av \
-        + np.einsum("ni,nj->nij", np.conj(bv), bv) - np.eye(ctx.dim)
-    worst = max(
-        float(np.abs(ident).max()),
-        float(np.abs(np.abs(a) ** 2 + (np.abs(bv) ** 2).sum(axis=-1) - 1.0).max()),
-        float(np.abs(np.linalg.det(av) - a).max()),
-    )
+    worst = max(_identities(ctx.B, ctx.a, ctx.A)[:3])
     return _result("factorization_identities", worst, 1e-8)
 
 
@@ -206,7 +202,7 @@ def _conjugate_toeplitz(ctx, rng) -> CheckResult:
     ok = worst_id <= 1e-10 and worst_norm <= 1e-9
     return CheckResult("conjugate_toeplitz", bool(ok),
                        f"plus-part identity {worst_id:.3e}, "
-                       f"contraction excess {worst_norm:.3e}")
+                       f"relative contraction excess {worst_norm:.3e}")
 
 
 def _multiplier_containments(ctx, rng) -> CheckResult:

@@ -16,12 +16,13 @@ from dbrov import (
 import dbrov.factor as factor_mod
 import dbrov.space as space_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
-    MateUndefined, NotPositive, SingularIterate
-from dbrov.factor import _grid_inv, _grid_mul, _grid_pass, _jensen_gap, \
+    MateUndefined, NotPositive, NumericsError, SingularIterate
+from dbrov.factor import _grid_inv, _grid_mul, _grid_pass, _identities, _jensen_gap, \
     factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import grid_det
 from dbrov.rowschur import defect_laurent
+from dbrov.space import SpaceContext, _verify_context
 from dbrov.tolerances import BEST_FACTOR_TOL
 from dbrov.verify import run_checks
 
@@ -70,21 +71,28 @@ def _fejer_riesz_mate(B: RowSchur) -> np.ndarray:
     return np.array([complex(x) for x in fejer_riesz_mate(B)[0]])
 
 
-MATE_ORACLE_ROWS = [pytest.param(fixture(name).B, id=name)
+# forward-error bounds per sup level from measured values: at q = 12 and 16
+# (d = 1 .. 4, seeds 7 .. 12) at most 1.4e-14 at sup 1 and 1.3e-12 at sup
+# 1 - 1e-9, where the mate's zeros sit about 1e-5 off the circle
+MATE_ORACLE_ROWS = [pytest.param(fixture(name).B, 1e-10, id=name)
                     for name in ("SARASON", "ROW2", "TRUNC(3)")] \
-    + [pytest.param(random_row(np.random.default_rng(seed), d, q, 0.9),
+    + [pytest.param(random_row(np.random.default_rng(seed), d, q, 0.9), 1e-10,
                     id=f"seed{seed}-d{d}-q{q}")
        for seed, d, q in [(1, 1, 4), (2, 1, 8), (3, 2, 5), (4, 2, 8),
-                          (5, 3, 3), (6, 3, 8)]]
+                          (5, 3, 3), (6, 3, 8)]] \
+    + [pytest.param(random_row(np.random.default_rng(seed), d, q, sup), bound,
+                    id=f"seed{seed}-d{d}-q{q}-sup{sup}")
+       for seed, d, q in [(8, 2, 12), (12, 4, 16)]
+       for sup, bound in [(1.0, 2e-14), (1.0 - 1e-9, 2e-12)]]
 
 
-@pytest.mark.parametrize("B", MATE_ORACLE_ROWS)
-def test_mate_against_fejer_riesz_oracle(B):
+@pytest.mark.parametrize("B,bound", MATE_ORACLE_ROWS)
+def test_mate_against_fejer_riesz_oracle(B, bound):
     a = mate_report(B).factor.coeffs
     want = _fejer_riesz_mate(B)
     n = max(a.shape[0], want.shape[0])
     assert np.abs(np.pad(a, (0, n - a.shape[0]))
-                  - np.pad(want, (0, n - want.shape[0]))).max() <= 1e-10
+                  - np.pad(want, (0, n - want.shape[0]))).max() <= bound
     with mpmath.workdps(50):
         roots = mpmath.polyroots([mpmath.mpc(complex(x)) for x in a[::-1]],
                                  maxsteps=400, extraprec=200) \
@@ -440,6 +448,52 @@ def test_completion_is_outer_and_verified(B):
     assert ctx.reports["det_gap_sup"] <= 1e-10
     assert ctx.reports["outer_gap_factor"] <= 1e-12
     assert outer_check(ctx.A) <= 1e-8
+
+
+def _unitary_with_det(phase):
+    """A constant 2 x 2 unitary, not diagonal, with determinant e^(i phase)."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    V = np.array([[c, -s], [s, c]])
+    return V @ np.diag([np.exp(1j * phase), 1.0]) @ V.T
+
+
+def _times_z_along(A, x):
+    """(I - xx* + z xx*) A: unitary on the circle, so A*A is unchanged, and
+    det A gains the zero 0."""
+    P = np.outer(x, np.conj(x))
+    out = np.zeros((A.shape[0] + 1,) + A.shape[1:], dtype=complex)
+    out[:-1] = A - P @ A
+    out[1:] += P @ A
+    return out
+
+
+# each corruption of ROW2's built (a, A), the _identities entry it moves and
+# the _verify_context check that must then fail
+CORRUPTIONS = [
+    pytest.param(lambda a, A: (a * (1 + 1e-6), A), 0, "mate residual", id="a-scaled"),
+    pytest.param(lambda a, A: (a, A * (1 + 1e-6)), 1, "factorization residual",
+                 id="A-scaled"),
+    pytest.param(lambda a, A: (a, _unitary_with_det(0.1) @ A), 2, "det A vs mate",
+                 id="A-rotated"),
+    pytest.param(lambda a, A: (a, _times_z_along(A, np.array([0.6, 0.8j]))), 3,
+                 "factor outer gap", id="A-times-z"),
+]
+
+
+@pytest.mark.parametrize("corrupt,entry,check", CORRUPTIONS)
+def test_certificates_catch_corrupt_factors(corrupt, entry, check):
+    ctx = make_context(fixture("ROW2").B)
+    a, A = corrupt(ctx.a.coeffs, ctx.A.coeffs)
+    a, A = CPoly(a), MatPoly(A, dim=2)
+    splits = tuple(lam for lam, mult in ctx.Lambda for _ in range(mult))
+    values = _identities(ctx.B, a, A, splits)
+    names = ("mate_residual_sup", "factor_residual_sup", "det_gap_sup",
+             "outer_gap_factor")
+    reports = {**ctx.reports, **dict(zip(names, values))}
+    bound = {0: BEST_FACTOR_TOL, 1: BEST_FACTOR_TOL, 2: 1e-7, 3: ctx.tol.tol_outer}
+    assert values[entry] > bound[entry]
+    with pytest.raises(NumericsError, match=f"'{check}' failed"):
+        _verify_context(SpaceContext(ctx.B, a, A, ctx.Lambda, ctx.tol, reports))
 
 
 def _row_with_mate(a):

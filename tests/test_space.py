@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from dbrov import (
     spectrum_crosscheck,
     toeplitz_conj_hb,
 )
-from dbrov import space
+from dbrov import space, verify
 from dbrov.errors import BoundaryNotRegular, DomainError, \
     IllConditionedConstant, NumericsError, ValidationError
 from dbrov.space import SpaceContext, _density_residuals, _extend_generator, \
     _generator, _orthonormal, _pair_bounds, _point_residuals, _section_kernels
-from dbrov.verify import _gram_and_density, rand_poly, \
+from dbrov.verify import _conjugate_toeplitz, _gram_and_density, rand_poly, \
     rank_one_identity_defect, reproducing_error, shift_defects, toeplitz_defects
 
 from conftest import assert_close
@@ -313,6 +314,26 @@ class TestConjToeplitz:
                 continue
             _, excess = toeplitz_defects(ctx_row2, phi, rand_poly(rng, 10))
             assert excess <= 1e-9
+
+    def test_near_unimodular_row_passes(self):
+        # |B|^2 = 1 - 1.28e-9 and cond A(0) = 2.8e4: norms reach about 1e9,
+        # so an absolute excess bound of 1e-9 failed on rounding (3.6e-7)
+        ctx = make_context(RowSchur([[0.6, 0.7999999992]]))
+        result = _conjugate_toeplitz(ctx, np.random.default_rng(0))
+        assert result.passed, result.detail
+
+    @pytest.mark.parametrize("row", [RowSchur([[0.6, 0.7999999992]]),
+                                     fixture("ROW2").B])
+    def test_real_excess_fails(self, monkeypatch, row):
+        # an operator that grows every norm by 1e-6 ||f||^2 is no contraction
+        ctx = make_context(row)
+        real = verify.toeplitz_conj_hb
+
+        def growing(ctx, phi, F):
+            return replace(real(ctx, phi, F), norm_sq=F.norm_sq * (1 + 1e-6))
+
+        monkeypatch.setattr(verify, "toeplitz_conj_hb", growing)
+        assert not _conjugate_toeplitz(ctx, np.random.default_rng(0)).passed
 
 
 class TestGramAndResiduals:
