@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +16,9 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
-from .poly import CPoly, circle_eval
+from .poly import CPoly, _divide_one_minus, circle_eval, horner, poly_roots, pow2_at_least
 from .space import SpaceContext, hb_inner, kernel, on_circle, spectrum_member
 from .tolerances import DENSITY_FLOOR, UNIMODULAR_TOL
-
-# circle points of the tabulated Clark density
-CLARK_GRID = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -45,16 +43,17 @@ class BoundaryReport:
 class ClarkMeasure:
     """Positive measure in the Herglotz representation of (1 + b)/(1 - b).
 
-    b(z) = B(z) xi^* is the scalar symbol; point_masses sit at the members
-    of the boundary spectrum where b = 1, and density tabulates the
-    absolutely continuous part (1 - |b|^2)/|1 - b|^2 on an equispaced circle
-    grid (removable points filled with their limit).
+    b(z) = B(z) xi^* is the scalar symbol; the partial fractions of the
+    rational 2/(1 - b) are the measure.  The atoms (lam, m) of point_masses
+    have principal parts 2 m lam/(lam - z); poles holds each other zero w of
+    1 - b, outside the closed disk, with the coefficients (c_1, ..., c_k) of
+    its principal part P_w(z) = sum_j c_j (z - w)^-j.
     """
 
     xi: np.ndarray
     symbol: CPoly
     point_masses: tuple
-    density_values: np.ndarray
+    poles: tuple
     total_mass: float
     imag_const: float
 
@@ -65,6 +64,13 @@ class ClarkMeasure:
     def mass_at(self, lam: complex) -> float:
         atom = spectrum_member(self.point_masses, lam)
         return 0.0 if atom is None else atom[1]
+
+    def density(self, zeta) -> np.ndarray:
+        """Absolutely continuous density at unimodular points zeta (its limit
+        at an atom): (1 - |b|^2)/|1 - b|^2 = Re 2/(1 - b) - 1, in which each
+        atom's part is m, so ac mass + Re sum_w (P_w(zeta) - P_w(0))."""
+        return self.ac_mass + (_principal_sum(self.poles, zeta)
+                               - _principal_sum(self.poles, 0j)).real
 
 
 def caratheodory(ctx: SpaceContext, lam) -> BoundaryReport:
@@ -118,9 +124,9 @@ def clark(ctx: SpaceContext, xi) -> ClarkMeasure:
 
     On the circle |b| <= |B| |xi| <= 1 for b = B xi^*, so b(lam) = 1 forces
     |B(lam)| = 1: every point mass sits at a member lam of the boundary
-    spectrum with b(lam) = 1, with mass 1/(lam b'(lam)).  The density
-    (1 - |b|^2)/|1 - b|^2 is tabulated on the CLARK_GRID circle points, and
-    the Herglotz reconstruction is re-verified at eight interior points.
+    spectrum with b(lam) = 1, with mass 1/(lam b'(lam)).  The other zeros
+    of 1 - b, found with the atoms divided out, are the density's poles; the
+    partial fractions of 2/(1 - b) are checked at eight interior points.
     """
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.shape[0] != ctx.dim:
@@ -128,96 +134,91 @@ def clark(ctx: SpaceContext, xi) -> ClarkMeasure:
     if not np.linalg.norm(xi) <= 1.0 + 1e-10:
         raise ValidationError("xi must lie in the closed unit ball")
     b = ctx.B.pair(xi)
-    if (1.0 - b).is_zero:
+    one_minus = 1.0 - b
+    if one_minus.is_zero:
         raise DegenerateSymbol("symbol is identically one")
     db = b.derivative()
 
     masses = []
+    rest = one_minus.coeffs
     for lam, _ in ctx.Lambda:
         if abs(1.0 - b(lam)) > UNIMODULAR_TOL:
             continue
         masses.append((complex(lam), _point_mass(lam * db(lam), lam)))
+        rest = _divide_one_minus(rest, 1.0 / lam)
     # by (real, imag), with real parts that tie up to rounding (conjugate
     # atoms) ordered by imag
     masses.sort(key=lambda lm: (round(lm[0].real, 9), lm[0].imag))
 
-    n = CLARK_GRID
-    bz = circle_eval(b.coeffs, n)
-    num = 1.0 - np.abs(bz) ** 2
-    den = np.abs(1.0 - bz) ** 2
-    fill = den < 1e-13
-    density = np.divide(num, den, where=~fill, out=np.empty(n))
-    if fill.any():
-        # at b(z) = 1 the ratio of the two second angle derivatives, with
-        # s = z b'(z) and c = z^2 b''(z)
-        zf = np.exp(2j * np.pi * np.nonzero(fill)[0] / n)
-        s = _slope(zf * db(zf))
-        c = zf ** 2 * db.derivative()(zf)
-        density[fill] = ((s + c).real - np.abs(s) ** 2) / np.abs(s) ** 2
-    if density.min() < DENSITY_FLOOR:
-        raise NotPositive(f"Clark density dips to {density.min():.3e}")
+    roots = poly_roots(CPoly(rest))
+    for w, k in roots:
+        # a zero in the closed disk that is no atom fails as an atom would (a
+        # multiple zero on the circle, split by rounding when its slope
+        # vanishes), or is a lost member of the spectrum
+        if abs(w) <= 1.0 + (UNIMODULAR_TOL if k > 1 else 0.0):
+            _point_mass(w * db(w) if k == 1 else 0.0, w)
+            raise BoundaryNotRegular(f"b = 1 at {w}, which is not in the boundary spectrum")
+    # 1 - |b|^2 has the density's sign off the atoms
+    n = pow2_at_least(max(4 * b.degree + 1, 64))
+    dip = float((1.0 - np.abs(circle_eval(b.coeffs, n)) ** 2).min())
+    if dip < DENSITY_FLOOR:
+        raise NotPositive(f"Clark density is negative: 1 - |b|^2 dips to {dip:.3e}")
+    poles = tuple((w, _principal_part(one_minus.coeffs, w, k)) for w, k in roots)
 
     h0 = (1.0 + b(0)) / (1.0 - b(0))
-    total = sum(m for _, m in masses) + float(density.mean())
-    measure = ClarkMeasure(xi, b, tuple(masses), density, total,
-                           float(h0.imag))
-    _verify_herglotz(measure, h0)
-    return measure
+    # 2/(1 - b) has a constant part only when 1 - b is constant
+    const = 2.0 / one_minus.coeffs[0] if one_minus.degree == 0 else 0.0
+    z = _PROBE_POINTS
+    lhs, rhs = 2.0 / (1.0 - b(z)), const + _principal_sum(poles, z)
+    for lam, m in masses:
+        rhs += 2.0 * m * lam / (lam - z)
+    err = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
+    if err > 1e-6:
+        raise NumericsError(f"partial fractions of 2/(1 - b) off by {err:.3e}")
+    total = -1.0 + 2.0 * sum(m for _, m in masses) + (const + _principal_sum(poles, 0j)).real
+    return ClarkMeasure(xi, b, tuple(masses), poles, float(total), float(h0.imag))
 
 
 def _point_mass(s, lam) -> float:
-    """Clark mass 1/s at a point lam where b(lam) = 1, for s = lam b'(lam)."""
-    mass = 1.0 / _slope(s)
+    """Clark mass 1/s at a point lam where b(lam) = 1, for s = lam b'(lam).
+
+    |1 - b|^2 has second angle derivative 2|s|^2 there, and a vanishing one
+    is a higher-order zero.
+    """
+    if 2.0 * abs(s) ** 2 < 1e-14:
+        raise HigherOrderBoundaryZero("1 - b vanishes beyond first order on the circle")
+    mass = 1.0 / s
     if abs(mass.imag) > 1e-9 * max(1.0, abs(mass)) or mass.real <= 0:
         raise NonpositiveMass(f"mass {mass} at {lam} is not positive")
     return float(mass.real)
 
 
-def _slope(s):
-    """s = z b'(z) at zeros of 1 - b on the circle; |1 - b|^2 has second
-    angle derivative 2|s|^2 there, and a vanishing one is a higher-order
-    zero."""
-    if np.any(2.0 * np.abs(s) ** 2 < 1e-14):
-        raise HigherOrderBoundaryZero(
-            "1 - b vanishes beyond first order on the circle"
-        )
-    return s
+def _principal_part(p: np.ndarray, w: complex, k: int) -> np.ndarray:
+    """Coefficients c_1..c_k of the principal part of 2/p at its zero w of
+    order k: c_j = t_{k-j}, t the Taylor coefficients at w of 2/g for g =
+    p/(z - w)^k, whose own are p's, sum_i C(i, j) p_i w^(i-j), from j = k."""
+    s = [horner(p[j:] * [math.comb(i, j) for i in range(j, p.shape[0])], w)
+         for j in range(k, 2 * k)]
+    t = [2.0 / s[0]]
+    for j in range(1, k):
+        t.append(-sum(s[i] * t[j - i] for i in range(1, j + 1)) / s[0])
+    return np.array(t[::-1])
 
 
+def _principal_sum(poles, z) -> np.ndarray:
+    """The sum of the principal parts P_w(z) over the poles."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    for w, c in poles:
+        u = 1.0 / (z - w)
+        out += u * horner(c, u)
+    return out
+
+
+# interior points at which the partial fractions are checked
 _PROBE_POINTS = np.array([
     0.23 * np.exp(0.7j), 0.23 * np.exp(2.9j),
     0.41 * np.exp(1.3j), 0.41 * np.exp(-2.1j),
     0.57 * np.exp(0.4j), 0.57 * np.exp(-1.7j),
     0.73 * np.exp(2.2j), 0.73 * np.exp(-0.9j),
 ])
-# terms of the density's power series summed at the probes
-_HERGLOTZ_TERMS = 128
-
-
-def _herglotz_rhs(measure: ClarkMeasure, h0: complex) -> np.ndarray:
-    """(1 - conj h0)/2 + sum of m/(1 - z conj(lam)) over the atoms + the
-    mean of rho_j/(1 - z conj(t_j)) over the grid t_j, at every probe z.
-
-    The grid mean is exactly sum_k rho^_(k mod n) z^k, with rho^ the
-    discrete Fourier coefficients of the tabulated density (one real FFT).
-    The series is summed to R = _HERGLOTZ_TERMS terms; since |rho^_r| <=
-    mean |rho| and |z| <= 0.73, the dropped tail is at most
-    mean |rho| 0.73^R / 0.27 < 1.2e-17 mean |rho|.
-    """
-    z = _PROBE_POINTS
-    rho = measure.density_values
-    spec = np.fft.rfft(rho)[:_HERGLOTZ_TERMS] / rho.shape[0]
-    rhs = (1.0 - np.conj(h0)) / 2.0 + (z[:, None] ** np.arange(_HERGLOTZ_TERMS)) @ spec
-    for lam, m in measure.point_masses:
-        rhs += m / (1.0 - z * np.conj(lam))
-    return rhs
-
-
-def _verify_herglotz(measure: ClarkMeasure, h0: complex):
-    """Check the Cauchy-transform reconstruction of (1 - b)^{-1}."""
-    lhs = 1.0 / (1.0 - measure.symbol(_PROBE_POINTS))
-    err = np.abs(lhs - _herglotz_rhs(measure, h0))
-    bad = np.nonzero(err > 1e-6 * np.maximum(1.0, np.abs(lhs)))[0]
-    if bad.size:
-        raise NumericsError(f"Herglotz reconstruction off by {err[bad[0]]:.3e} "
-                            f"at {_PROBE_POINTS[bad[0]]}")

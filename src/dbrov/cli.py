@@ -156,8 +156,6 @@ def _dispatch(args, spec: ProblemSpec):
             "ac_mass": mu.ac_mass,
             "imag_const": mu.imag_const,
             "herglotz_re0": float(h0.real),
-            "density_min": float(mu.density_values.min()),
-            "grid_size": int(mu.density_values.shape[0]),
         }
     if cmd == "caratheodory":
         rep = caratheodory(ctx, _require(spec, "lam", cmd))

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 PSD_SLACK = 1e-8
 # residual target of the engine run, the one per context (on the mate)
 ENGINE_TOL = 1e-12
-# a tabulated density (Clark density, density residual) below this is negative
+# a density residual, or 1 - |b|^2 of a Clark symbol (the sign of its
+# density), below this is negative
 DENSITY_FLOOR = -1e-9
 # a point within this of a unimodular point (spectrum members, Clark atoms,
 # |B| = 1, outer roots) is taken to be that point

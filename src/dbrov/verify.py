@@ -110,8 +110,9 @@ def shift_defects(ctx: SpaceContext, f) -> tuple[float, bool]:
 
 def toeplitz_defects(ctx: SpaceContext, phi: CPoly, f) -> tuple[float, float]:
     """(largest plus-part gap between T_phi* acting on embed(f) and the
-    embedding of T_phi* f, norm excess of T_phi* for phi scaled to sup 1
-    over max(1, ||f||^2), the scale of the norms' rounding)."""
+    embedding of T_phi* f over the embedded pair's scale 1 + max |coefficient|
+    (as in the pair check), norm excess of T_phi* for phi scaled to sup 1 over
+    max(1, ||f||^2), the scale of the norms' rounding)."""
     if phi.is_zero:
         return 0.0, 0.0
     F = embed(ctx, f)
@@ -121,9 +122,11 @@ def toeplitz_defects(ctx: SpaceContext, phi: CPoly, f) -> tuple[float, float]:
     diff = np.zeros((n, ctx.dim), dtype=complex)
     diff[: via_pair.f_plus.coeffs.shape[0]] += via_pair.f_plus.coeffs
     diff[: via_embed.f_plus.coeffs.shape[0]] -= via_embed.f_plus.coeffs
+    pair = (via_embed.f.coeffs, via_embed.f_plus.coeffs)
+    scale = 1.0 + max(np.abs(c).max(initial=0.0) for c in pair)
     sup = float(np.abs(circle_eval(phi.coeffs, 256)).max())
     scaled = toeplitz_conj_hb(ctx, (1.0 / sup) * phi, F)
-    return (float(np.abs(diff).max(initial=0.0)),
+    return (float(np.abs(diff).max(initial=0.0)) / scale,
             (scaled.norm_sq - F.norm_sq) / max(1.0, F.norm_sq))
 
 
@@ -217,11 +220,7 @@ def _clark_mass_balance(ctx, rng) -> CheckResult:
     for _ in range(3):
         v = rng.normal(size=ctx.dim) + 1j * rng.normal(size=ctx.dim)
         xis.append(0.9 * rng.uniform(0.2, 1.0) * v / np.linalg.norm(v))
-    worst = 0.0
-    for xi in xis:
-        # mu lives until the next one is built; freeing it first costs 20%
-        mu = clark(ctx, xi)
-        worst = max(worst, clark_imbalance(mu))
+    worst = _worst(clark_imbalance(clark(ctx, xi)) for xi in xis)
     return _result("clark_mass_balance", worst, 1e-6)
 
 

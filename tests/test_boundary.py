@@ -16,7 +16,6 @@ from dbrov import (
 from dbrov import boundary
 from dbrov.errors import (
     BoundaryNotRegular,
-    DbrovError,
     DegenerateSymbol,
     DomainError,
     HigherOrderBoundaryZero,
@@ -27,6 +26,7 @@ from dbrov.errors import (
 )
 from dbrov.space import SpaceContext
 from dbrov.tolerances import UNIMODULAR_TOL
+from dbrov.verify import clark_imbalance
 
 from conftest import assert_close, circle_grid, trunc_limit_pairing, trunc_limit_slope
 from test_random_rows import random_row, sup_angle
@@ -149,7 +149,9 @@ class TestClark:
         lam, mass = mu.point_masses[0]
         assert abs(lam - 1.0) < 1e-10
         assert abs(mass - 2.0) < 1e-9
-        assert_close(mu.density_values, np.ones_like(mu.density_values), 1e-6)
+        # measured exactly 1, next to the atom too
+        zeta = np.concatenate([circle_grid(64), np.exp(1j * np.array([1e-3, -1e-6]))])
+        assert_close(mu.density(zeta), np.ones(66), 1e-15)
         assert abs(mu.total_mass - 3.0) < 1e-6
         assert mu.imag_const == 0.0
 
@@ -157,7 +159,7 @@ class TestClark:
         mu = clark(ctx_row2, ctx_row2.B(1.0))
         assert abs(mu.mass_at(1.0) - 0.8) < 1e-9
         assert abs(mu.total_mass - 5.0 / 3.0) < 1e-6
-        assert abs(mu.ac_mass - 13.0 / 15.0) < 1e-6
+        assert abs(mu.ac_mass - 13.0 / 15.0) < 1e-15  # measured 1.1e-16
 
     @pytest.mark.parametrize("xi", [[np.nan, 0.0], [0.5, np.inf]])
     def test_non_finite_direction_rejected(self, ctx_row2, xi):
@@ -167,7 +169,7 @@ class TestClark:
     def test_zero_direction_is_lebesgue(self, ctx_row2):
         mu = clark(ctx_row2, [0.0, 0.0])
         assert mu.point_masses == ()
-        assert_close(mu.density_values, np.ones_like(mu.density_values), 1e-12)
+        assert_close(mu.density(circle_grid(16)), np.ones(16), 1e-12)
         assert abs(mu.total_mass - 1.0) < 1e-12
 
     def test_long_direction_rejected(self, ctx_row2):
@@ -209,22 +211,32 @@ class TestClark:
             clark(ctx, [1.0])
 
 
-def _herglotz_rhs_by_loop(mu, h0):
-    """The Herglotz right-hand side at each probe by a direct sum over the
-    grid: the reference for the series of `boundary._herglotz_rhs`."""
-    t = circle_grid(mu.density_values.shape[0])
-    out = []
-    for z in boundary._PROBE_POINTS:
-        rhs = (1.0 - np.conj(h0)) / 2.0
-        for lam, m in mu.point_masses:
-            rhs += m / (1.0 - z * np.conj(lam))
-        out.append(rhs + np.mean(mu.density_values / (1.0 - z * np.conj(t))))
-    return np.array(out)
+def _herglotz_transform(mu, z):
+    """i Im h(0) plus the Herglotz integral of (zeta + z)/(zeta - z) against
+    mu, at each z: an atom gives m (lam + z)/(lam - z), and the density,
+    Re F on the circle for F = ac mass + sum_w (P_w - P_w(0)) analytic on
+    the closed disk and real at 0, gives F(z)."""
+    out = 1j * mu.imag_const + mu.ac_mass + np.zeros_like(z)
+    for lam, m in mu.point_masses:
+        out += m * (lam + z) / (lam - z)
+    for w, c in mu.poles:
+        for j, cj in enumerate(c, 1):
+            out += cj * ((z - w) ** -j - (-w) ** -j)
+    return out
+
+
+def _herglotz_error(mu, z):
+    """Largest error of the Herglotz transform against (1 + b)/(1 - b),
+    relative to the latter."""
+    b = mu.symbol(z)
+    want = (1.0 + b) / (1.0 - b)
+    return float(np.max(np.abs(_herglotz_transform(mu, z) - want) / np.abs(want)))
 
 
 @pytest.mark.parametrize("name", ["ZERO", "SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)",
                                   "touching (3, 6)", "contractive (4, 8)"])
 def test_herglotz_series_matches_grid_loop(name, all_contexts):
+    # measured worst 1.1e-15
     if name in all_contexts:
         ctx = all_contexts[name]
     else:
@@ -236,11 +248,7 @@ def test_herglotz_series_matches_grid_loop(name, all_contexts):
         v = rng.normal(size=ctx.dim) + 1j * rng.normal(size=ctx.dim)
         xis.append(rng.uniform(0.1, 0.97) * v / np.linalg.norm(v))
     for xi in xis:
-        mu = clark(ctx, xi)
-        h0 = (1.0 + mu.symbol(0)) / (1.0 - mu.symbol(0))
-        want = _herglotz_rhs_by_loop(mu, h0)
-        got = boundary._herglotz_rhs(mu, h0)
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
+        assert _herglotz_error(clark(ctx, xi), boundary._PROBE_POINTS) <= 1e-13, name
 
 
 def _compose(B: RowSchur, k: int) -> RowSchur:
@@ -265,6 +273,36 @@ def _clark_atoms_50_digits(b: CPoly):
                 mass = mpmath.conj(r) / mpmath.polyval(db, r)
                 atoms.append((complex(r), complex(mass)))
     return sorted(atoms, key=lambda t: _atom_order(t[0]))
+
+
+def _sup_direction(B: RowSchur):
+    """B/|B| at the angle where |B| attains its sup."""
+    v = B(np.exp(1j * sup_angle(B.coeffs)))
+    return v / np.linalg.norm(v)
+
+
+def _density_50_digits(c, thetas):
+    """(1 - |b|^2)/|1 - b|^2 and |1 - b|^2 at exp(i theta) in 50 digits, for
+    b with the ascending mpmath coefficients c."""
+    with mpmath.workdps(50):
+        out = []
+        for t in thetas:
+            v = mpmath.polyval(c[::-1], mpmath.expjpi(mpmath.mpf(float(t)) / mpmath.pi))
+            out.append((float((1 - abs(v) ** 2) / abs(1 - v) ** 2), float(abs(1 - v) ** 2)))
+    return np.array(out).T
+
+
+def _symbol_50_digits(B: RowSchur, xi):
+    """The coefficients of B xi^*, summed in 50 digits."""
+    with mpmath.workdps(50):
+        return [mpmath.fsum(mpmath.mpc(complex(bi)) * mpmath.conj(mpmath.mpc(complex(x)))
+                            for bi, x in zip(row, xi)) for row in B.coeffs]
+
+
+# (seed, d, q, eps): rows touching within eps, with a density peak about eps
+# wide at the sup angle
+NEAR_TOUCH_ROWS = [(seed, d, q, eps) for eps in (1e-8, 1e-9, 1e-10) for d in (1, 2, 4)
+                   for q in (4, 8, 16) for seed in (1, 2)]
 
 
 class TestClarkOracles:
@@ -303,15 +341,89 @@ class TestClarkOracles:
         # the true measure has no atom here, only a narrow peak near the
         # point where |B| comes within eps of 1
         B = random_row(np.random.default_rng(seed), d, q, 1.0 - eps)
-        v = B(np.exp(1j * sup_angle(B.coeffs)))
-        try:
-            ctx = make_context(B)
-            mu = clark(ctx, v / np.linalg.norm(v))
-        except DbrovError:
-            return
+        ctx = make_context(B)
+        mu = clark(ctx, _sup_direction(B))
         for point, _ in mu.point_masses:
             gap = min((abs(point - lam) for lam, _ in ctx.Lambda), default=np.inf)
             assert gap <= UNIMODULAR_TOL
+
+
+    @pytest.mark.parametrize("seed,d,q,eps", NEAR_TOUCH_ROWS)
+    def test_near_touch_peaks_in_closed_form(self, seed, d, q, eps):
+        # measured worst: transform 1.4e-13, total mass 1.3e-15
+        B = random_row(np.random.default_rng(seed), d, q, 1.0 - eps)
+        mu = clark(make_context(B), _sup_direction(B))
+        peaks = np.array([w / abs(w) for w, _ in mu.poles if abs(w) < 1.0 + 1e-6])
+        assert peaks.size
+        z = np.concatenate([boundary._PROBE_POINTS, 0.999 * circle_grid(8),
+                            0.99 * peaks, 0.999 * peaks])
+        assert _herglotz_error(mu, z) <= 1e-12
+        assert clark_imbalance(mu) <= 1e-12
+
+    @pytest.mark.parametrize("seed,d,q,eps", [(1, 2, 4, 1e-11), (7, 1, 4, 1e-11),
+                                              (7, 2, 8, 1e-11), (7, 1, 4, 1e-12)])
+    def test_spectrum_directions_touching_within_1e_11(self, seed, d, q, eps):
+        # b(lam) = 1 - delta with delta = 2 eps, inside UNIMODULAR_TOL, so the
+        # atom at lam stands in for a peak about delta wide, and the total
+        # mass misses Re h(0) by about delta (measured 1.2 delta)
+        ctx = make_context(random_row(np.random.default_rng(seed), d, q, 1.0 - eps))
+        (lam, _), = ctx.Lambda
+        mu = clark(ctx, ctx.B(lam))
+        assert [point for point, _ in mu.point_masses] == [lam]
+        delta = abs(1.0 - mu.symbol(lam))
+        assert delta <= 3 * eps
+        assert clark_imbalance(mu) <= 1e-12 + 2 * delta
+
+    @pytest.mark.parametrize("coeffs,xi", [([[0.7], [0.3], [-0.075]], [1.0]),
+                                           ([[0.7, 0.0], [0.3, 0.1], [-0.075, 0.0]],
+                                            [1.0, 0.0])])
+    def test_double_exterior_pole(self, coeffs, xi):
+        # 1 - b = 0.075 (z - 2)^2, so 2/(1 - b) = (80/3)/(z - 2)^2 and the
+        # measure is absolutely continuous with mass Re h(0) = 17/3
+        mu = clark(make_context(RowSchur(coeffs)), xi)
+        assert mu.point_masses == ()
+        (w, c), = mu.poles
+        assert abs(w - 2.0) <= 1e-12
+        assert_close(c, [0.0, 80.0 / 3.0], 1e-12)
+        assert abs(mu.total_mass - 17.0 / 3.0) <= 1e-12
+        assert _herglotz_error(mu, boundary._PROBE_POINTS) <= 1e-13
+
+    @pytest.mark.parametrize("case", ["SARASON", "ROW2", (1, 1, 4, 1e-10),
+                                      (2, 2, 8, 1e-10), (1, 4, 16, 1e-9)])
+    def test_density_against_50_digits(self, case):
+        # next to an atom the density is exact to rounding (measured 2.5e-16).
+        # Near a peak the density Re 2/(1 - b) - 1 moves by |2 db/(1 - b)^2|
+        # under a rounding db of b, so its error is measured in units of
+        # 1/|1 - b|^2: at most 1.4e-15 of them, as for the ratio evaluated in
+        # double (1.2e-15)
+        if case == "SARASON":
+            ctx, xi, c = make_context(fixture(case).B), [1.0], [mpmath.mpf(0.5)] * 2
+        elif case == "ROW2":
+            # B(1) B(1)^* = 1 exactly: b = (1 + z)/4 + z^2/2
+            ctx = make_context(fixture(case).B)
+            xi, c = ctx.B(1.0), [mpmath.mpf(1) / 4, mpmath.mpf(1) / 4, mpmath.mpf(1) / 2]
+        else:
+            seed, d, q, eps = case
+            B = random_row(np.random.default_rng(seed), d, q, 1.0 - eps)
+            ctx, xi = make_context(B), _sup_direction(B)
+            c = _symbol_50_digits(B, xi)
+        mu = clark(ctx, xi)
+        step = 2 * np.pi / 16384
+        near = step * np.array([-3, -2, -1, 1, 2, 3, -1e-2, 1e-2, -10, 10])
+        centers = [(lam, 0.0) for lam, _ in mu.point_masses]
+        centers += [(w, abs(w) - 1.0) for w, _ in mu.poles if abs(w) < 1.0 + 1e-6]
+        assert centers
+        for w, width in centers:
+            offsets = near if not width else np.concatenate(
+                [near, width * np.array([0.0, -10, -1, -0.1, 0.1, 1, 10])])
+            theta = np.angle(w) + offsets
+            zeta = np.exp(1j * theta)
+            want, gap = _density_50_digits(c, theta)
+            err = np.abs(mu.density(zeta) - want)
+            if not width:
+                assert np.max(err / want) <= 1e-15, case
+            else:
+                assert np.max(err * gap) <= 1e-14, case
 
 
 class TestTruncLimit:

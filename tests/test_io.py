@@ -163,7 +163,7 @@ class TestCli:
         doc = json.loads(out)
         assert doc["masses"] == []
         assert doc["total_mass"] == pytest.approx(1.0, abs=1e-12)
-        assert doc["density_min"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["ac_mass"] == pytest.approx(1.0, abs=1e-12)
 
     def test_kernel_boundary(self, capsys):
         code, out = self.run(
@@ -370,14 +370,18 @@ class TestCli:
             grids.append(json.loads(out)["reports"]["factor_grid"])
         assert grids == [256, 64]
 
-    def test_clark_grid_is_fixed(self, capsys):
-        # --grid-log2 sets the factorization grid only; on 16 points the
-        # Clark density could not pass the Herglotz check
-        code, out = self.run(["clark", "--fixture", "ROW2", "--payload",
-                              '{"xi": [[0.5, 0], [0, 0]]}', "--grid-log2", "4"],
-                             capsys)
-        assert code == 0
-        assert json.loads(out)["grid_size"] == 16384
+    def test_clark_ignores_grid_log2(self, capsys):
+        # --grid-log2 sets the factorization grid only; the Clark measure is
+        # the partial fractions of 2/(1 - b) and uses no grid
+        docs = []
+        for extra in ([], ["--grid-log2", "4"]):
+            code, out = self.run(["clark", "--fixture", "ROW2", "--payload",
+                                  '{"xi": [[0.5, 0], [0, 0]]}', *extra], capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0] == docs[1]
+        assert docs[1]["masses"] == []
+        assert abs(docs[1]["total_mass"] - docs[1]["herglotz_re0"]) <= 1e-12
 
     def test_missing_spec_file(self, tmp_path, capsys):
         code, out = self.run(["analyze", "--spec", str(tmp_path / "missing.json")],
@@ -619,12 +623,15 @@ def _corrupt_spec(draw, valid, corrupt):
     then one field replaced by a corrupt value of that kind.  The kind comes
     first because a draw after the row gets what the row's draws leave of
     the choice sequence, and under derandomize=True one kind then takes
-    most of the examples."""
+    most of the examples.  A value may also be a function of the row's
+    dimension d that returns the strategy."""
     kind = draw(st.sampled_from(sorted(corrupt)))
     spec = {"B": draw(_row())}
-    spec.update({key: draw(value) for key, value in valid.items()})
+    d = spec["B"]["d"]
+    pick = lambda value: draw(value(d) if callable(value) else value)
+    spec.update({key: pick(value) for key, value in valid.items()})
     field, value = corrupt[kind]
-    spec[field] = draw(value)
+    spec[field] = pick(value)
     return kind, spec
 
 
@@ -711,6 +718,28 @@ def test_corrupt_norm_spec_ends_typed(case):
     **_F_CORRUPT, "zero f": ("f", st.lists(st.just([0.0, 0.0]), min_size=1, max_size=4))}))
 def test_corrupt_cyclic_spec_ends_typed(case):
     assert _run_typed("cyclic", case[1]) in (2, 3)
+
+
+def _xi_with(entry):
+    """xi of length d: interior entries, one of them (at a drawn index)
+    replaced by a value from entry."""
+    return lambda d: st.tuples(st.lists(_INTERIOR, min_size=d, max_size=d), entry,
+                               st.integers(0, d - 1)).map(
+        lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2] + 1:])
+
+
+_CLARK_CORRUPT = {
+    "xi of the wrong length": ("xi", lambda d: st.lists(_INTERIOR, max_size=5).filter(
+        lambda xi: len(xi) != d)),
+    "non-finite xi": ("xi", _xi_with(_NON_FINITE)),
+    "xi outside the ball": ("xi", _xi_with(_polar(st.floats(1.001, 1e3), _ANGLE))),
+}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_corrupt_spec({}, _CLARK_CORRUPT))
+def test_corrupt_clark_spec_ends_typed(case):
+    assert _run_typed("clark", case[1]) in (2, 3)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

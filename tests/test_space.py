@@ -317,10 +317,13 @@ class TestConjToeplitz:
 
     def test_near_unimodular_row_passes(self):
         # |B|^2 = 1 - 1.28e-9 and cond A(0) = 2.8e4: norms reach about 1e9,
-        # so an absolute excess bound of 1e-9 failed on rounding (3.6e-7)
-        ctx = make_context(RowSchur([[0.6, 0.7999999992]]))
-        result = _conjugate_toeplitz(ctx, np.random.default_rng(0))
-        assert result.passed, result.detail
+        # so an absolute excess bound of 1e-9 failed on rounding (3.6e-7);
+        # at |B|^2 = 1 - 1.28e-12 (cond A(0) = 8.8e5) an absolute plus-part
+        # bound of 1e-10 failed the same way (3.3e-10)
+        for y in (0.7999999992, 0.7999999999992):
+            ctx = make_context(RowSchur([[0.6, y]]))
+            result = _conjugate_toeplitz(ctx, np.random.default_rng(0))
+            assert result.passed, result.detail
 
     @pytest.mark.parametrize("row", [RowSchur([[0.6, 0.7999999992]]),
                                      fixture("ROW2").B])
@@ -333,6 +336,20 @@ class TestConjToeplitz:
             return replace(real(ctx, phi, F), norm_sq=F.norm_sq * (1 + 1e-6))
 
         monkeypatch.setattr(verify, "toeplitz_conj_hb", growing)
+        assert not _conjugate_toeplitz(ctx, np.random.default_rng(0)).passed
+
+    @pytest.mark.parametrize("row", [RowSchur([[0.6, 0.7999999999992]]),
+                                     fixture("ROW2").B])
+    def test_real_plus_part_gap_fails(self, monkeypatch, row):
+        # a plus part off by 1e-6 of its coefficients is no rounding
+        ctx = make_context(row)
+        real = verify.toeplitz_conj_hb
+
+        def skewed(ctx, phi, F):
+            out = real(ctx, phi, F)
+            return replace(out, f_plus=VecPoly(out.f_plus.coeffs * (1 + 1e-6)))
+
+        monkeypatch.setattr(verify, "toeplitz_conj_hb", skewed)
         assert not _conjugate_toeplitz(ctx, np.random.default_rng(0)).passed
 
 
