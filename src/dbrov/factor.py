@@ -59,7 +59,9 @@ class FactorReport:
 
 
 def mate_report(B: RowSchur) -> FactorReport:
-    """The mate as the d = 1 case of `wilson_report`, on 1 - BB*.
+    """The mate as the d = 1 case of `wilson_report`, on 1 - BB*: the
+    stack of `defect_laurent`, as in `make_context`, so the two mates agree
+    bit for bit.
 
     The zeros of the defect on the circle, or within the split radius
     _NEAR = 36 / 4096 outside it, are split off as factors 1 - z / w; the
@@ -68,7 +70,7 @@ def mate_report(B: RowSchur) -> FactorReport:
     Jensen gap of the grid factor a1, which every split factor leaves
     unchanged, and a stalled run is handled as in `wilson_report`.
     """
-    scalar = defect_laurent(B)[0]
+    scalar = defect_laurent(B)
     rep = wilson_report(scalar, ENGINE_TOL, search=_defect_zeros(scalar, PSD_SLACK))
     return replace(rep, factor=CPoly(rep.factor.coeffs[:, 0, 0]))
 
@@ -324,10 +326,14 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
 
 def _jensen_gap(det: np.ndarray, n: int) -> float:
     """|log|det(0)| - mean of log|det| over n circle points|, for the
-    coefficients of a determinant."""
-    vals = circle_eval(det, max(n, det.shape[0]))
+    coefficients of a determinant: the mean of log|det|^2 / 2, with |det|^2
+    on max(n, 2 deg + 1) points (nothing aliases) from one real inverse FFT
+    of its autocorrelation."""
+    m = det.shape[0] - 1
+    sq = np.fft.irfft(np.correlate(det, det, "full")[m:], max(n, 2 * m + 1),
+                      norm="forward")
     with np.errstate(divide="ignore"):
-        return float(abs(np.log(abs(det[0])) - np.log(np.abs(vals)).mean()))
+        return float(abs(np.log(abs(det[0])) - 0.5 * np.log(np.abs(sq)).mean()))
 
 
 def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
@@ -467,6 +473,9 @@ def _newton_grid(vals: np.ndarray, a_grid: np.ndarray, max_iter: int, floor: flo
     floor or stalls; returns the best grid factor and its residual."""
     n = vals.shape[-1]
     eye = np.eye(vals.shape[0])[:, :, None]
+    # [.]_+ on the spectrum: the analytic half, constant and Nyquist halved
+    half = np.where(np.arange(n) < n // 2, 1.0, 0.0)
+    half[[0, n // 2]] = 0.5
     best = (np.inf, a_grid)
     stall = 0
     for _ in range(max_iter):
@@ -475,13 +484,9 @@ def _newton_grid(vals: np.ndarray, a_grid: np.ndarray, max_iter: int, floor: flo
         except np.linalg.LinAlgError as exc:
             raise SingularIterate("singular iterate on the grid") from exc
         g = _grid_mul(_grid_mul(np.conj(inv).transpose(1, 0, 2), vals), inv) + eye
-        spec = np.fft.fft(g, axis=-1)
-        spec[..., 0] *= 0.5
-        spec[..., n // 2] *= 0.5
-        spec[..., n // 2 + 1 :] = 0.0
         # for the A*A convention the projection multiplies from the left
         # (mirror image of the classical rho rho* update)
-        a_grid = _grid_mul(np.fft.ifft(spec, axis=-1), a_grid)
+        a_grid = _grid_mul(np.fft.ifft(np.fft.fft(g, axis=-1) * half, axis=-1), a_grid)
         resid = float(np.abs(
             _grid_mul(np.conj(a_grid).transpose(1, 0, 2), a_grid) - vals).max())
         trace.append(resid)
@@ -515,13 +520,13 @@ def _grid_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _grid_inv(a: np.ndarray) -> np.ndarray:
-    """Pointwise inverses: adjugate over determinant up to d = 3 (five times
-    cheaper than LAPACK at d = 3), LAPACK above.  They only steer Newton:
-    the residual A*A - phi certifies the factor."""
+    """Pointwise inverses: 1 / a for d = 1, adjugate over determinant up to
+    d = 3 (five times cheaper than LAPACK at d = 3), LAPACK above.  They only
+    steer Newton: the residual A*A - phi certifies the factor."""
     if a.shape[0] > 3:
         inv = np.linalg.inv(a.transpose(2, 0, 1)).transpose(1, 2, 0)
         return np.ascontiguousarray(inv) if a.shape[0] <= 4 else inv
-    adj, det = grid_adjugate(a)
+    adj, det = (1.0, a) if a.shape[0] == 1 else grid_adjugate(a)
     if not np.all(det):
         raise np.linalg.LinAlgError("singular matrix on the grid")
     return adj / det

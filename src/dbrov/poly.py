@@ -48,11 +48,17 @@ def circle_eval(coeffs: np.ndarray, n: int, offset: float = 0.0,
                 low: int = 0) -> np.ndarray:
     """sum_k coeffs[k] z^(k + low) at z_j = exp(2 pi i (j + offset) / n), j < n,
     by one FFT along the first axis.  z_j^k depends on k only modulo n once
-    the offset phase is in the coefficients, so any n works (they alias)."""
+    the offset phase is in the coefficients, so any n works: coefficients
+    alias (are summed) only when there are more of them than points."""
     ks = np.arange(coeffs.shape[0]) + low
-    phase = np.exp(2j * np.pi * offset * ks / n)
+    if offset:
+        coeffs = coeffs * np.exp(2j * np.pi * offset * ks / n).reshape(
+            (-1,) + (1,) * (coeffs.ndim - 1))
     spec = np.zeros((n,) + coeffs.shape[1:], dtype=complex)
-    np.add.at(spec, ks % n, coeffs * phase.reshape((-1,) + (1,) * (coeffs.ndim - 1)))
+    if ks.shape[0] > n:
+        np.add.at(spec, ks % n, coeffs)
+    else:
+        spec[ks % n] = coeffs
     return np.fft.ifft(spec, axis=0, norm="forward")
 
 
@@ -109,21 +115,6 @@ def horner(coeffs: np.ndarray, z) -> np.ndarray:
     out = np.zeros(z.shape + coeffs.shape[1:], dtype=np.result_type(coeffs, z))
     for c in coeffs[::-1]:
         out = out * zz + c
-    return out
-
-
-def autocorrelation(c: np.ndarray) -> np.ndarray:
-    """Coefficients sum_j c_j^* c_{j+k} for k = -q..q, stored at index k + q.
-
-    The c_j are scalars or rows of C^d (then c_j^* c_{j+k} is a d x d
-    matrix); on the unit circle sum_k out[k + q] z^k = c(z)^* c(z).
-    """
-    q = c.shape[0] - 1
-    out = np.zeros((2 * q + 1,) + c.shape[1:] + c.shape[1:], dtype=complex)
-    for k in range(q + 1):
-        s = np.conj(c[: q + 1 - k]).T @ c[k:]
-        out[q + k] = s
-        out[q - k] = np.conj(s).T
     return out
 
 
@@ -278,7 +269,10 @@ class MatPoly(_Poly):
         return VecPoly(out, dim=self.dim)
 
     def det_poly(self) -> CPoly:
-        """Determinant as a scalar polynomial, by `det_coeffs`."""
+        """Determinant as a scalar polynomial: the entry of a 1 x 1 stack,
+        else by `det_coeffs`."""
+        if self.dim == 1:
+            return CPoly(self.coeffs[:, 0, 0])
         n = self.dim * max(self.degree, 0) + 1
         vals = circle_eval(self.coeffs, pow2_at_least(max(2 * n, 8))).transpose(1, 2, 0)
         return CPoly(det_coeffs(vals, grid_det(vals), n))
@@ -432,16 +426,19 @@ def _merge_clusters(roots: np.ndarray, c: np.ndarray, dc: np.ndarray):
     A multiple root computed in floating point scatters into a cluster of
     radius about eps**(1/m); the Newton correction p/p' is of that same order
     there, so it sets a reliable per-root merge radius.  Returns the cluster
-    centers (means) and sizes.
+    centers (means, from one reduction) and sizes: the roots themselves, each
+    of size 1, when no two are within merge distance.
     """
     k = roots.shape[0]
-    if k == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
     pv, dv = horner(c, roots), horner(dc, roots)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(dv != 0, np.abs(pv / np.where(dv == 0, 1, dv)), np.inf)
     corr = np.where(np.isfinite(corr), corr, np.abs(roots) + 1.0)
     radii = np.maximum(CLUSTER_TOL * (1.0 + np.abs(roots)), 3.0 * corr)
+    close = np.abs(roots[:, None] - roots[None, :]) <= radii[:, None] + radii[None, :]
+    pairs = np.nonzero(np.triu(close, 1))
+    if not pairs[0].size:
+        return roots, np.ones(k, dtype=int)
     parent = list(range(k))
 
     def find(i):
@@ -450,14 +447,13 @@ def _merge_clusters(roots: np.ndarray, c: np.ndarray, dc: np.ndarray):
             i = parent[i]
         return i
 
-    close = np.abs(roots[:, None] - roots[None, :]) <= radii[:, None] + radii[None, :]
-    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+    for i, j in zip(*pairs):
         parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return (np.array([np.mean(roots[idx]) for idx in groups.values()], dtype=complex),
-            np.array([len(idx) for idx in groups.values()]))
+    _, group, mults = np.unique([find(i) for i in range(k)], return_inverse=True,
+                                return_counts=True)
+    sums = np.zeros(mults.shape[0], dtype=complex)
+    np.add.at(sums, group, roots)
+    return sums / mults, mults
 
 
 def _polish_multiple(c: np.ndarray, dc: np.ndarray, centers: np.ndarray,

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .poly import CPoly, LaurentHerm, VecPoly, _Poly, autocorrelation, circle_eval, \
-    pow2_at_least
+from .poly import CPoly, LaurentHerm, VecPoly, _Poly, circle_eval, pow2_at_least
 from .tolerances import PSD_SLACK
 
 
@@ -56,22 +55,17 @@ class RowSchur(_Poly):
         return float(np.sqrt((np.abs(vals) ** 2).sum(axis=-1)).max())
 
 
-def defect_laurent(B: RowSchur) -> tuple[LaurentHerm, LaurentHerm]:
-    """Boundary defects of B as Hermitian Laurent polynomials.
-
-    Returns (scalar, matrix): the (2q+1, 1, 1) stack of 1 - B(z)B(z)^* and
-    the (2q+1, d, d) stack of I - B(z)^*B(z) on the unit circle,
+def defect_laurent(B: RowSchur) -> LaurentHerm:
+    """Boundary defect 1 - B(z)B(z)^* of B on the unit circle, as the
+    (2q+1, 1, 1) stack of a Hermitian Laurent polynomial,
 
         c_k = delta_{k0} - sum_j <B_{j+k}, B_j>,
-        C_k = delta_{k0} I - sum_j B_j^* B_{j+k};
 
-    for d = 1 the two are the same stack.
+    from one correlation of the flattened coefficient rows, read at the lags
+    that are multiples of d.  For d = 1 it is also I - B*B; the one run of
+    `make_context` and `mate_report` factors it.
     """
-    q = B.degree
-    # 0 - x, not -x: zeros stay +0 as in the trace (same bytes for d = 1)
-    matrix = 0.0 - autocorrelation(B.coeffs)
-    # sum_j <B_{j+k}, B_j> is the trace of the matrix coefficient
-    scalar = np.trace(matrix, axis1=1, axis2=2)
-    scalar[q] += 1.0
-    matrix[q] += np.eye(B.dim)
-    return LaurentHerm(scalar[:, None, None]), LaurentHerm(matrix)
+    flat = B.coeffs.ravel()
+    scalar = -np.correlate(flat, flat, "full")[B.dim - 1 :: B.dim]
+    scalar[B.degree] += 1.0
+    return LaurentHerm(scalar[:, None, None])

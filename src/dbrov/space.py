@@ -68,17 +68,19 @@ class SpaceContext:
     generator (`_generator`, (N+1) x d entries) and the orthonormal
     polynomials L^{-1}, G = LL* the monomial Gram (`_orthonormal`, read by
     every density and point sweep), with (ceil((N+1)/32) * 32)^2 entries
-    after a sweep of order N.  No Gram is kept.
+    after a sweep of order N.  No Gram is kept.  `splits` holds the zero w
+    of each factor the engine run split off, once per split.
     """
 
     def __init__(self, B: RowSchur, a: CPoly, A: MatPoly, Lambda, tol: Tolerances,
-                 reports: dict):
+                 reports: dict, splits=()):
         self.B = B
         self.a = a
         self.A = A
         self.Lambda = tuple(Lambda)
         self.tol = tol
         self.reports = dict(reports)
+        self._splits = tuple(splits)
         self._astar = np.conj(A.coeffs).transpose(0, 2, 1)
         self._h = np.zeros((0, self.dim), dtype=complex)
         self._linv = np.zeros((0, 0), dtype=complex)
@@ -86,6 +88,10 @@ class SpaceContext:
     @property
     def dim(self) -> int:
         return self.B.dim
+
+    @property
+    def splits(self) -> tuple:
+        return self._splits
 
     def __repr__(self):
         return (f"SpaceContext(d={self.dim}, deg B={self.B.degree}, "
@@ -97,18 +103,19 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    One `wilson_report` run, on 1 - BB* with min(tol_factor, ENGINE_TOL),
-    max_iter and grid_log2, gives the mate a; a run that stalls is accepted
-    down to 1e-8, since regularizing a boundary-degenerate defect would
-    perturb the boundary spectrum.  A = a for d = 1; for d >= 2 the lossless
+    One `wilson_report` run, on 1 - BB* (`defect_laurent`) with
+    min(tol_factor, ENGINE_TOL), max_iter and grid_log2, gives the mate a; a
+    run that stalls is accepted down to 1e-8, since regularizing a
+    boundary-degenerate defect would perturb the boundary spectrum.  A = a for d = 1; for d >= 2 the lossless
     completion of (a, B) gives it (`_completion`), with no second run.  The
     run's reports (iterations, grid, deflations, fallbacks, the mate's outer
     gap) hold for every d; `_identities` gives the residuals of a, A and
     det A = a and the outer gap of det A.  The boundary spectrum is the
-    run's unimodular split points, multiplicity the number of splits at each.
+    run's unimodular split points, multiplicity the number of splits at each;
+    the context keeps all of the run's split points.
     """
     tol = tol or Tolerances()
-    scalar_defect = defect_laurent(B)[0]
+    scalar_defect = defect_laurent(B)
     rep = wilson_report(scalar_defect, min(tol.tol_factor, ENGINE_TOL), max_iter,
                         grid_log2, search=_defect_zeros(scalar_defect, tol.tol_psd))
     a = CPoly(rep.factor.coeffs[:, 0, 0])
@@ -133,7 +140,7 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
         "det_gap_sup": det_sup,
     }
     ctx = SpaceContext(B, a, A, sorted(lam.items(), key=lambda t: np.angle(t[0])),
-                       tol, reports)
+                       tol, reports, rep.splits)
     _verify_context(ctx)
     return ctx
 

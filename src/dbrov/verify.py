@@ -72,10 +72,12 @@ def _worst(values) -> float:
 
 
 def pair_residual(ctx: SpaceContext, f) -> float:
-    """Largest coefficient of the analytic part of B*f + A*f+ for embed(f)."""
+    """Largest coefficient of the analytic part of B*f + A*f+ for embed(f),
+    over the pair's scale 1 + max |coefficient| (as in the pair check)."""
     el = embed(ctx, f)
-    return float(_pair_bounds(ctx, el.f.coeffs[:, None],
-                              el.f_plus.coeffs[:, :, None])[0, -1, 0])
+    worst, scale = _pair_bounds(ctx, el.f.coeffs[:, None],
+                                el.f_plus.coeffs[:, :, None])[:, -1, 0]
+    return float(worst / scale)
 
 
 def complement_product(ctx: SpaceContext, f, h: VecPoly) -> float:
@@ -164,8 +166,10 @@ def _context_build(ctx, rng) -> CheckResult:
 
 
 def _factorization_identities(ctx, rng) -> CheckResult:
-    worst = max(_identities(ctx.B, ctx.a, ctx.A)[:3])
-    return _result("factorization_identities", worst, 1e-8)
+    *residuals, gap = _identities(ctx.B, ctx.a, ctx.A, ctx.splits)
+    res = _result("factorization_identities", max(residuals), 1e-8)
+    return CheckResult(res.name, res.passed and gap <= ctx.tol.tol_outer,
+                       f"{res.detail}, outer gap {gap:.3e} (bound {ctx.tol.tol_outer:.1e})")
 
 
 def _embedding_residual(ctx, rng) -> CheckResult:

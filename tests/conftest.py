@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dbrov import fixture, make_context
+from dbrov import LaurentHerm, fixture, make_context
 from dbrov.boundary import radial_extrapolate
 from dbrov.errors import DomainError
 
@@ -47,6 +47,19 @@ def circle_grid(n):
     """n equispaced points exp(2 pi i j / n) on the unit circle: the tests'
     own grid, evaluated by Horner as a reference independent of the FFT."""
     return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def matrix_defect(B):
+    """I - B(z)^*B(z) on the circle as a (2q+1, d, d) Laurent stack,
+    C_k = delta_{k0} I - sum_j B_j^* B_{j+k}, entry (r, s) one correlation of
+    the columns s and r.  The library builds A from the mate and never
+    forms this density; the tests factor it by standalone engine runs.
+    For d = 1 it is `defect_laurent`'s stack, byte for byte."""
+    c, q = B.coeffs, B.degree
+    out = np.array([[-np.correlate(c[:, s], c[:, r], "full") for s in range(B.dim)]
+                    for r in range(B.dim)]).transpose(2, 0, 1)
+    out[q] += np.eye(B.dim)
+    return LaurentHerm(out)
 
 
 def assert_close(actual, expected, tol, label=""):

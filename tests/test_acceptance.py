@@ -29,7 +29,6 @@ from dbrov import (
 )
 from dbrov.errors import MateUndefined
 from dbrov.fixtures import fixture
-from dbrov.rowschur import defect_laurent
 from dbrov.verify import (
     CHECKS,
     clark_imbalance,
@@ -43,7 +42,7 @@ from dbrov.verify import (
     toeplitz_defects,
 )
 
-from conftest import circle_grid, trunc_limit_slope
+from conftest import circle_grid, matrix_defect, trunc_limit_slope
 
 SQ8 = 1.0 / (2.0 * np.sqrt(2.0))
 FIXTURE_NAMES = ("ZERO", "SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)")
@@ -127,7 +126,7 @@ def test_criterion_1_mate_construction():
 def test_criterion_2_factorization_identities():
     # on the fixtures: the factorization_identities check
     failures = []
-    _, scalar_as_matrix = defect_laurent(fixture("SARASON").B)
+    scalar_as_matrix = matrix_defect(fixture("SARASON").B)
     rank1 = wilson_report(scalar_as_matrix).factor.coeffs.ravel()
     gap = np.abs(rank1
                  - mate_report(fixture("SARASON").B).factor.coeffs).max()

@@ -18,15 +18,16 @@ import dbrov.space as space_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
     MateUndefined, NotPositive, NumericsError, SingularIterate
 from dbrov.factor import _grid_inv, _grid_mul, _grid_pass, _identities, _jensen_gap, \
-    factor_residual
+    _polar, factor_residual
 from dbrov.fixtures import fixture
-from dbrov.poly import grid_det
+from dbrov.poly import circle_eval, grid_adjugate, grid_det
 from dbrov.rowschur import defect_laurent
 from dbrov.space import SpaceContext, _verify_context
 from dbrov.tolerances import BEST_FACTOR_TOL
-from dbrov.verify import run_checks
+from dbrov.verify import _factorization_identities, run_checks
 
-from conftest import assert_close, circle_grid, completion_oracle, fejer_riesz_mate
+from conftest import assert_close, circle_grid, completion_oracle, fejer_riesz_mate, \
+    matrix_defect
 from test_boundary import DOUBLE_B
 from test_random_rows import NEAR_ROWS, random_row
 
@@ -108,21 +109,21 @@ class TestWilson:
 
     def test_rank_one_reproduces_mate(self):
         B = fixture("SARASON").B
-        _, matrix = defect_laurent(B)
+        matrix = matrix_defect(B)
         rep = wilson_report(matrix)
         assert_close(rep.factor.coeffs.ravel(), mate_report(B).factor.coeffs,
                      1e-8)
 
     def test_row2_determinant_identity(self):
         B = fixture("ROW2").B
-        _, matrix = defect_laurent(B)
+        matrix = matrix_defect(B)
         rep = wilson_report(matrix)
         z = circle_grid(512)
         det = np.linalg.det(rep.factor(z))
         assert np.abs(det - mate_report(B).factor(z)).max() <= 1e-8
 
     def test_constant_coefficient_hermitian_pd(self):
-        _, matrix = defect_laurent(fixture("ROW2").B)
+        matrix = matrix_defect(fixture("ROW2").B)
         a0 = wilson_report(matrix).factor.coeffs[0]
         assert np.abs(a0 - np.conj(a0).T).max() < 1e-12
         assert np.linalg.eigvalsh(a0).min() > 0
@@ -134,7 +135,7 @@ class TestWilson:
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
     def test_grid_residuals_non_increasing(self, name):
-        _, matrix = defect_laurent(fixture(name).B)
+        matrix = matrix_defect(fixture(name).B)
         trace = []
         _grid_pass(matrix, 256, 200, 1e-13, 16 * np.finfo(float).eps, trace)
         tail = trace[3:]
@@ -171,9 +172,21 @@ class TestJensenGap:
         det = np.array(coeffs, dtype=complex)
         assert abs(_jensen_gap(det, 4096) - outer_check(CPoly(coeffs))) <= 1e-12
 
+    def test_zero_just_outside(self):
+        # zeros at 0.5 and 0.01 outside the circle: |p|^2 from the
+        # autocorrelation against the log-mean of the complex values and
+        # the root formula, whose gap is -log 0.5
+        p = CPoly.from_roots([0.5, 1.01 * np.exp(0.7j)])
+        vals = circle_eval(p.coeffs, 4096)
+        log_mean = abs(np.log(abs(p.coeffs[0])) - np.log(np.abs(vals)).mean())
+        gap = _jensen_gap(p.coeffs, 4096)
+        assert abs(gap - log_mean) <= 1e-13
+        assert abs(gap - outer_check(p)) <= 1e-12
+        assert abs(gap - np.log(2.0)) <= 1e-12
+
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
     def test_engine_factors_are_outer(self, name):
-        _, matrix = defect_laurent(fixture(name).B)
+        matrix = matrix_defect(fixture(name).B)
         rep = wilson_report(matrix)
         assert rep.outer_gap <= 1e-12
         assert outer_check(rep.factor) <= 1e-8
@@ -181,7 +194,7 @@ class TestJensenGap:
 
 def test_wilson_defect_residual_tight():
     for name in ("SARASON", "ROW2", "TRUNC(3)"):
-        _, matrix = defect_laurent(fixture(name).B)
+        matrix = matrix_defect(fixture(name).B)
         rep = wilson_report(matrix)
         assert factor_residual(rep.factor, matrix) <= 1e-12
 
@@ -268,6 +281,11 @@ class TestGridKernels:
         det, want_det = grid_det(a), np.linalg.det(at)
         assert np.abs(det - want_det).max() <= rel * np.abs(want_det).max()
 
+    def test_scalar_inverse_is_the_adjugate_quotient(self):
+        # d = 1 skips the cofactors: 1 / a, the same bytes as adj / det
+        a, _ = _stack(np.random.default_rng(30), 1, 64)
+        assert np.array_equal(_grid_inv(a), np.divide(*grid_adjugate(a)))
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_singular_point_is_refused(self, d):
         a, _ = _stack(np.random.default_rng(20 + d), d, 16)
@@ -282,6 +300,27 @@ class TestGridKernels:
         phi = LaurentHerm(np.eye(d, dtype=complex)[None])
         with pytest.raises(SingularIterate):
             _grid_pass(phi, 64, 10, 1e-14, 16 * np.finfo(float).eps, [], start=start)
+
+
+class TestPolar:
+    """A <- U A with U unitary and U A(0) Hermitian positive definite."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_constant_becomes_positive_and_gram_stays(self, d):
+        rng = np.random.default_rng(40 + d)
+        c = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        c[0] += 3.0 * np.eye(d)
+        A = _polar(c, d).coeffs
+        assert np.abs(A[0] - np.conj(A[0]).T).max() <= 1e-15 * np.abs(A[0]).max()
+        assert np.linalg.eigvalsh(A[0]).min() > 0
+        before, after = circle_eval(c, 16), circle_eval(A, 16)
+        gram = [np.conj(v).transpose(0, 2, 1) @ v for v in (before, after)]
+        assert np.abs(gram[1] - gram[0]).max() <= 1e-15 * np.abs(gram[0]).max()
+
+    def test_singular_constant_is_refused(self):
+        c = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
+        with pytest.raises(SingularIterate):
+            _polar(c, 2)
 
 
 class TestDensityScale:
@@ -342,7 +381,7 @@ def test_matrix_run_reuses_mate_zeros(B):
     # standalone engine run on I - B*B, which searches its zeros itself,
     # is the independent reference for it
     ctx = make_context(B)
-    alone = wilson_report(defect_laurent(B)[1], tol_factor=1e-12, max_iter=600)
+    alone = wilson_report(matrix_defect(B), tol_factor=1e-12, max_iter=600)
     assert ctx.reports["boundary_deflations"] == len(alone.splits)
     assert _padded_gap(ctx.A.coeffs, alone.factor.coeffs) <= 1e-10
 
@@ -376,7 +415,7 @@ def test_stalled_run_returns_best_factor():
     # one stall policy: a public run that stalls near 2e-12 returns its best
     # factor with fallback set, as the runs of make_context do
     B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
-    rep = wilson_report(defect_laurent(B)[1], 1e-12, 600)
+    rep = wilson_report(matrix_defect(B), 1e-12, 600)
     assert rep.fallback
     assert 1e-12 < rep.residual_sup <= BEST_FACTOR_TOL
 
@@ -385,7 +424,7 @@ def test_run_above_best_factor_bound_raises():
     # a run whose best residual stays above BEST_FACTOR_TOL has no fallback
     B = fixture("TRUNC(8)").B
     for build in (lambda: make_context(B, max_iter=1),
-                  lambda: wilson_report(defect_laurent(B)[1], 1e-12, 1)):
+                  lambda: wilson_report(matrix_defect(B), 1e-12, 1)):
         with pytest.raises(FactorizationDiverged) as info:
             build()
         assert info.value.best.residual_sup > BEST_FACTOR_TOL
@@ -494,6 +533,32 @@ def test_certificates_catch_corrupt_factors(corrupt, entry, check):
     assert values[entry] > bound[entry]
     with pytest.raises(NumericsError, match=f"'{check}' failed"):
         _verify_context(SpaceContext(ctx.B, a, A, ctx.Lambda, ctx.tol, reports))
+
+
+@pytest.mark.parametrize("shift_mate", [False, True])
+def test_verify_checks_the_outer_gap(shift_mate):
+    # (I - xx* + z xx*) A keeps A*A and gains the zero 0 in det A; with the
+    # mate shifted to z a as well, every residual holds and only the outer
+    # gap, taken with the context's split points divided out, sees it
+    ctx = make_context(fixture("ROW2").B)
+    A = MatPoly(_times_z_along(ctx.A.coeffs, np.array([0.6, 0.8j])), dim=2)
+    a = CPoly(np.append(0.0, ctx.a.coeffs)) if shift_mate else ctx.a
+    bad = SpaceContext(ctx.B, a, A, ctx.Lambda, ctx.tol, ctx.reports, ctx.splits)
+    result = _factorization_identities(bad, None)
+    words = result.detail.split()
+    assert not result.passed
+    assert float(words[6]) > 10.0  # -log of the rounding left at z = 0
+    assert (float(words[1]) <= 1e-8) == shift_mate
+
+
+def test_context_keeps_the_split_points():
+    # ROW2's defect vanishes at 1 to order 2: one split, read-only
+    ctx = make_context(fixture("ROW2").B)
+    assert len(ctx.splits) == ctx.reports["boundary_deflations"] == 1
+    assert abs(ctx.splits[0] - 1.0) <= 1e-8
+    assert _factorization_identities(ctx, None).passed
+    with pytest.raises(AttributeError):
+        ctx.splits = ()
 
 
 def _row_with_mate(a):
@@ -608,7 +673,7 @@ def test_screened_zeros_match_companion_roots(B):
     # grid minima screened off before the angle Newton lose no zero within
     # _NEAR of the circle, for the scalar defect and for I - B*B
     want = _defect_roots_near_circle(B)
-    for phi in defect_laurent(B):
+    for phi in (defect_laurent(B), matrix_defect(B)):
         got, _ = factor_mod._boundary_zeros(phi)
         assert len(got) == len(want)
         for w in want:

@@ -51,12 +51,12 @@ class TestFixtures:
 
     def test_trunc3_defect_at_one(self):
         from dbrov.rowschur import defect_laurent
-        scalar, _ = defect_laurent(fixture("TRUNC(3)").B)
+        scalar = defect_laurent(fixture("TRUNC(3)").B)
         assert abs(scalar(1.0) - 0.125) < 1e-12
 
     def test_row2_defect_vanishes_at_one(self):
         from dbrov.rowschur import defect_laurent
-        scalar, _ = defect_laurent(fixture("ROW2").B)
+        scalar = defect_laurent(fixture("ROW2").B)
         assert abs(scalar(1.0)) < 1e-12
 
     def test_flat_fails_downstream(self):

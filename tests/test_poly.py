@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from dbrov import CPoly, LaurentHerm, MatPoly, VecPoly, poly_roots, toeplitz_conj
 from dbrov.errors import DomainError, RootFindingFailed, ValidationError
 from dbrov.fixtures import fixture
-from dbrov.poly import circle_eval, horner
+from dbrov.poly import _merge_clusters, circle_eval, det_coeffs, grid_det, horner
 from dbrov.rowschur import RowSchur, defect_laurent
 
-from conftest import assert_close
+from conftest import assert_close, matrix_defect
 
 
 class TestEvaluation:
@@ -24,17 +24,18 @@ class TestEvaluation:
         assert p(0.0) == 0.5
 
     def test_row2_defect_at_i(self):
-        scalar, _ = defect_laurent(fixture("ROW2").B)
+        scalar = defect_laurent(fixture("ROW2").B)
         # boundary formula gives 1/2 - |1+i|^2/8 = 1/4
         assert abs(scalar(1j) - 0.25) < 1e-14
 
     def test_laurent_at_zero_rejected(self):
-        scalar, _ = defect_laurent(fixture("SARASON").B)
+        scalar = defect_laurent(fixture("SARASON").B)
         with pytest.raises(DomainError):
             scalar(0.0)
 
     def test_laurent_hermitian_values(self):
-        scalar, matrix = defect_laurent(fixture("ROW2").B)
+        B = fixture("ROW2").B
+        scalar, matrix = defect_laurent(B), matrix_defect(B)
         z = np.exp(0.7j)
         assert abs(scalar(z).imag) < 1e-14
         m = matrix(z)
@@ -46,6 +47,14 @@ class TestEvaluation:
         assert_close(A(z), np.eye(2) + z * np.array([[0, 1], [0, 0]]), 1e-15)
         det = A.det_poly()
         assert_close(det.coeffs, [1.0], 1e-12, "det of unipotent")
+
+    def test_det_poly_of_one_by_one_is_its_entry(self):
+        # the entry itself, and the circle evaluation it skips agrees
+        rng = np.random.default_rng(4)
+        c = rng.normal(size=(5, 1, 1)) + 1j * rng.normal(size=(5, 1, 1))
+        assert np.array_equal(MatPoly(c).det_poly().coeffs, c[:, 0, 0])
+        vals = circle_eval(c, 16).transpose(1, 2, 0)
+        assert_close(det_coeffs(vals, grid_det(vals), 5), c[:, 0, 0], 1e-15)
 
     @pytest.mark.parametrize("c", [10.0, 1e2, 1e4])
     def test_det_poly_drops_interpolation_noise(self, c):
@@ -114,6 +123,32 @@ class TestCircleEval:
         want = horner(c, z) * (z ** -4)[:, None, None]
         assert_close(circle_eval(c, n, offset, low=-4), want, 1e-13, "values")
 
+    @pytest.mark.parametrize("k,n,offset,low", [(12, 5, 0.0, 0), (9, 16, 0.0, -4),
+                                                (9, 16, 0.5, 0), (12, 5, 0.5, -4)],
+                             ids=["alias", "negative", "offset", "all"])
+    def test_general_cases_match_horner(self, k, n, offset, low):
+        # more coefficients than points, negative powers, the half-sample
+        # offset: within k eps of Horner relative to sum |c_k|, the order of
+        # Horner's own rounding
+        rng = np.random.default_rng(k + n)
+        c = rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
+        z = np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+        want = horner(c, z) * (z ** low)[:, None]
+        err = np.abs(circle_eval(c, n, offset, low) - want).max()
+        assert err <= k * np.finfo(float).eps * np.abs(c).sum(axis=0).max()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=["scalar", "row", "matrix"])
+    def test_plain_grid_is_the_phase_weighted_scatter(self, shape):
+        # no offset and no alias: the coefficients are copied in, the same
+        # bytes as the scatter-add of phase-weighted coefficients it skips
+        rng = np.random.default_rng(len(shape))
+        c = rng.normal(size=(9,) + shape) + 1j * rng.normal(size=(9,) + shape)
+        ks = np.arange(9)
+        spec = np.zeros((16,) + shape, dtype=complex)
+        phase = np.exp(2j * np.pi * 0.0 * ks / 16).reshape((-1,) + (1,) * len(shape))
+        np.add.at(spec, ks % 16, c * phase)
+        assert np.array_equal(circle_eval(c, 16), np.fft.ifft(spec, axis=0, norm="forward"))
+
     def test_empty_coefficients_vanish(self):
         assert_close(circle_eval(np.zeros((0, 2)), 8), np.zeros((8, 2)), 0.0)
 
@@ -124,6 +159,27 @@ class TestRoots:
         roots = poly_roots(CPoly([3, -1, -2]))
         assert_close([r for r, _ in roots], [-1.5, 1.0], 1e-12)
         assert [m for _, m in roots] == [1, 1]
+
+    def test_separated_roots_skip_the_merge(self):
+        # the general path, run on the same roots plus a double root far
+        # off, returns them bit for bit as the path with no close pair does
+        rng = np.random.default_rng(5)
+        roots = rng.normal(size=6) + 1j * rng.normal(size=6)
+        c = CPoly.from_roots(roots).coeffs
+        centers, mults = _merge_clusters(roots, c, c[1:] * np.arange(1, 7))
+        assert np.array_equal(centers, roots) and mults.tolist() == [1] * 6
+        pair = np.array([9.0, 9.0 + 1e-9])
+        c = CPoly.from_roots(np.concatenate([roots, [9.0, 9.0]])).coeffs
+        centers, mults = _merge_clusters(np.concatenate([roots, pair]), c,
+                                         c[1:] * np.arange(1, 9))
+        assert np.array_equal(centers[:6], roots) and mults.tolist() == [1] * 6 + [2]
+        assert centers[6] == pair.mean()
+
+    def test_mate_double_zero_merges(self):
+        # 0.3 (1 - z / 2)^2, the mate of the double exterior zero
+        roots = poly_roots(CPoly([0.3, -0.3, 0.075]))
+        assert len(roots) == 1 and roots[0][1] == 2
+        assert abs(roots[0][0] - 2.0) < 1e-8
 
     def test_double_root(self):
         roots = poly_roots(CPoly([1, -2, 1]))
@@ -292,22 +348,23 @@ def test_toeplitz_conj_refuses_shapes_that_do_not_compose(phi, g):
 
 class TestDefects:
     def test_zero_row(self):
-        scalar, matrix = defect_laurent(fixture("ZERO").B)
+        B = fixture("ZERO").B
+        scalar, matrix = defect_laurent(B), matrix_defect(B)
         assert_close(scalar.coeffs[:, 0, 0], [1.0], 1e-15)
         assert_close(matrix.coeffs, np.eye(1)[None], 1e-15)
 
     def test_sarason_coefficients(self):
-        scalar, _ = defect_laurent(fixture("SARASON").B)
+        scalar = defect_laurent(fixture("SARASON").B)
         assert_close(scalar.coeffs[:, 0, 0], [-0.25, 0.5, -0.25], 1e-15)
 
     def test_row2_coefficients(self):
-        scalar, _ = defect_laurent(fixture("ROW2").B)
+        scalar = defect_laurent(fixture("ROW2").B)
         assert_close(scalar.coeffs[:, 0, 0], [-0.125, 0.25, -0.125], 1e-15)
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(5)"])
     def test_circle_identity(self, name):
         B = fixture(name).B
-        scalar, matrix = defect_laurent(B)
+        scalar, matrix = defect_laurent(B), matrix_defect(B)
         z = np.exp(2j * np.pi * np.arange(64) / 64)
         bv = B(z)
         direct = 1.0 - (np.abs(bv) ** 2).sum(axis=-1)
@@ -333,7 +390,7 @@ class TestDefects:
             matrix[q - k] = np.conj(matrix[q + k]).T
         scalar[q] += 1.0
         matrix[q] += np.eye(d)
-        got_s, got_m = defect_laurent(B)
+        got_s, got_m = defect_laurent(B), matrix_defect(B)
         assert_close(got_s.coeffs[:, 0, 0], scalar, 1e-15, "scalar defect")
         assert_close(got_m.coeffs, matrix, 1e-15, "matrix defect")
 
@@ -341,7 +398,8 @@ class TestDefects:
     @pytest.mark.parametrize("offset", [0.0, 0.5])
     def test_circle_values_by_fft(self, n, offset):
         # n = 7 < 2m + 1 aliases the coefficients; both must match the sum
-        for phi in defect_laurent(fixture("TRUNC(5)").B):
+        B = fixture("TRUNC(5)").B
+        for phi in (defect_laurent(B), matrix_defect(B)):
             z = np.exp(2j * np.pi * (np.arange(n) + offset) / n)
             assert_close(circle_eval(phi.coeffs, n, offset, -phi.half_degree),
                          phi(z), 1e-14, "grid values")
@@ -351,7 +409,7 @@ class TestDefects:
         # for d = 1, 1 - BB* and I - B*B are one density in one storage form
         c = np.random.default_rng(q).normal(size=(q + 1, 1))
         B = RowSchur(0.9 * c / np.abs(c).sum())
-        scalar, matrix = defect_laurent(B)
+        scalar, matrix = defect_laurent(B), matrix_defect(B)
         assert scalar.coeffs.shape == matrix.coeffs.shape == (2 * q + 1, 1, 1)
         assert scalar.coeffs.tobytes() == matrix.coeffs.tobytes()
 

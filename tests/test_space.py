@@ -27,8 +27,9 @@ from dbrov.errors import BoundaryNotRegular, DomainError, \
     IllConditionedConstant, NumericsError, ValidationError
 from dbrov.space import SpaceContext, _density_residuals, _extend_generator, \
     _generator, _orthonormal, _pair_bounds, _point_residuals, _section_kernels
-from dbrov.verify import _conjugate_toeplitz, _gram_and_density, rand_poly, \
-    rank_one_identity_defect, reproducing_error, shift_defects, toeplitz_defects
+from dbrov.verify import _conjugate_toeplitz, _embedding_residual, _gram_and_density, \
+    rand_poly, rank_one_identity_defect, reproducing_error, run_checks, shift_defects, \
+    toeplitz_defects
 
 from conftest import assert_close
 from test_random_rows import random_row
@@ -351,6 +352,40 @@ class TestConjToeplitz:
 
         monkeypatch.setattr(verify, "toeplitz_conj_hb", skewed)
         assert not _conjugate_toeplitz(ctx, np.random.default_rng(0)).passed
+
+
+NEAR12 = RowSchur([[0.6, 0.7999999999992]])
+
+
+class TestEmbeddingResidual:
+    """`verify`'s pair residual over the pair's scale 1 + max |coefficient|,
+    the scale of `embed`'s own pair check."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_unimodular_row_passes_every_check(self, seed):
+        # |B|^2 = 1 - 1.28e-12, cond A(0) = 8.8e5: plus parts reach about
+        # 1e6, and the absolute bound 1e-10 failed seed 9 on rounding
+        # (1.009e-10)
+        failed = [(r.name, r.detail) for r in run_checks(make_context(NEAR12), seed)
+                  if not r.passed]
+        assert failed == []
+
+    @pytest.mark.parametrize("row", [NEAR12, fixture("ROW2").B])
+    def test_real_pair_skew_fails(self, monkeypatch, row):
+        # a plus part whose coordinates mix by 1e-6 is no rounding.  (On
+        # NEAR12 a plus part rescaled by 1 + 1e-6 stays below the bound: it
+        # lies along the small singular direction of A(0)*, where the
+        # residual it leaves, 1e-6 |B* f|, is 1e-12 of the scale 8e5.)
+        ctx = make_context(row)
+        real = verify.embed
+
+        def skewed(ctx, f):
+            out = real(ctx, f)
+            P = out.f_plus.coeffs
+            return replace(out, f_plus=VecPoly(P + 1e-6 * P[:, ::-1]))
+
+        monkeypatch.setattr(verify, "embed", skewed)
+        assert not _embedding_residual(ctx, np.random.default_rng(0)).passed
 
 
 class TestGramAndResiduals:
