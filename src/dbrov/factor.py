@@ -260,7 +260,8 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     is the (zeros, null floor) of `_boundary_zeros`, run here if not given.
     The Newton iteration A1 <- A1 [A1^{-*} phi1 A1^{-1} + I]_+ on an FFT grid
     ([.]_+ keeps the analytic half, constant term halved) factors the
-    strictly positive phi1 with quadratic convergence (Wilson).
+    strictly positive phi1 with quadratic convergence (Wilson); a cold d = 1
+    run starts at its cepstral factor exp [log phi1]_+ (Kolmogorov).
     A = A1 E_k ... E_1, trimmed to degree m, keeps A(0) = A1(0) Hermitian
     positive definite since E(0) = I, so det A = a exactly.  The residual
     is checked against phi; the grid grows four-fold, warm-started, while
@@ -447,17 +448,17 @@ def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float, rel: float,
 
     phi is tabulated on the half-sample offset grid (an identically singular
     one raises SingularIterate), and `_newton_grid` runs from the factor
-    `start` of a coarser grid, or else the Cholesky factor of the grid mean
-    of phi, to a residual of max(tol, rel * scale), each step's on trace.
+    `start` of a coarser grid, or else the cepstral factor for d = 1 and the
+    Cholesky factor of the grid mean of phi for d >= 2, to a residual of
+    max(tol, rel * scale), each step's on trace.
     """
     vals = _grid_values(phi.coeffs, n, 0.5, -phi.half_degree)
     vals = 0.5 * (vals + np.conj(vals).transpose(1, 0, 2))
     scale = np.abs(vals).max()
     if np.abs(grid_det(vals)).max() <= 1e-13 * scale ** phi.dim:
         raise SingularIterate("density is identically singular on the circle")
-    if start is not None:
-        a_grid = _grid_values(start.coeffs, n, 0.5)
-    else:
+    a_grid = None if start is None else _grid_values(start.coeffs, n, 0.5)
+    if a_grid is None and phi.dim > 1:
         try:
             chol = np.linalg.cholesky(vals.mean(axis=-1))
         except np.linalg.LinAlgError as exc:
@@ -467,15 +468,20 @@ def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float, rel: float,
     return _finish(a_grid, phi.half_degree, phi.dim), resid, scale
 
 
-def _newton_grid(vals: np.ndarray, a_grid: np.ndarray, max_iter: int, floor: float,
+def _newton_grid(vals: np.ndarray, a_grid: np.ndarray | None, max_iter: int, floor: float,
                  trace: list[float]):
     """Newton steps on the grid from a_grid until the residual is at most
-    floor or stalls; returns the best grid factor and its residual."""
+    floor or stalls; returns the best grid factor and its residual.  a_grid
+    None (d = 1) starts at exp [log phi]_+ with the one [.]_+ mask, phi
+    clamped to eps times its scale where the remainder reads <= 0."""
     n = vals.shape[-1]
     eye = np.eye(vals.shape[0])[:, :, None]
     # [.]_+ on the spectrum: the analytic half, constant and Nyquist halved
     half = np.where(np.arange(n) < n // 2, 1.0, 0.0)
     half[[0, n // 2]] = 0.5
+    if a_grid is None:
+        logs = np.log(np.maximum(vals.real, np.finfo(float).eps * np.abs(vals).max()))
+        a_grid = np.exp(np.fft.ifft(np.fft.fft(logs, axis=-1) * half, axis=-1))
     best = (np.inf, a_grid)
     stall = 0
     for _ in range(max_iter):
@@ -546,8 +552,10 @@ def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
 
 
 def _polar(coeffs: np.ndarray, d: int) -> MatPoly:
-    """A <- U A for the unitary U that makes A(0) its polar part."""
+    """A <- U A, U unitary, making A(0) its polar part: |a0| / a0 for d = 1."""
     a0 = coeffs[0]
+    if d == 1 and a0[0, 0]:
+        return MatPoly(coeffs * (abs(a0[0, 0]) / a0[0, 0]), dim=1)
     w, v = np.linalg.eigh(np.conj(a0).T @ a0)
     if w.min() <= 0:
         raise SingularIterate("constant coefficient of the factor is singular")

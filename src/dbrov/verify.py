@@ -219,8 +219,11 @@ def _multiplier_containments(ctx, rng) -> CheckResult:
 
 
 def _clark_mass_balance(ctx, rng) -> CheckResult:
+    """Clark mass balance at 0, at three random points of the ball and at
+    B(lam) for each member lam, scaled into the ball: Lambda admits
+    ||B(lam)|| up to 1 + UNIMODULAR_TOL, which `clark` refuses."""
     xis = [np.zeros(ctx.dim)]
-    xis += [ctx.B(lam) for lam, _ in ctx.Lambda]
+    xis += [xi / max(1.0, np.linalg.norm(xi)) for xi in (ctx.B(lam) for lam, _ in ctx.Lambda)]
     for _ in range(3):
         v = rng.normal(size=ctx.dim) + 1j * rng.normal(size=ctx.dim)
         xis.append(0.9 * rng.uniform(0.2, 1.0) * v / np.linalg.norm(v))

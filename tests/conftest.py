@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import dbrov.factor as factor_mod
 from dbrov import LaurentHerm, fixture, make_context
 from dbrov.boundary import radial_extrapolate
 from dbrov.errors import DomainError
@@ -47,6 +48,21 @@ def circle_grid(n):
     """n equispaced points exp(2 pi i j / n) on the unit circle: the tests'
     own grid, evaluated by Horner as a reference independent of the FFT."""
     return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+@pytest.fixture
+def constant_start(monkeypatch):
+    """Cold scalar Newton runs start from the square root of the grid mean of
+    phi, as matrix runs start from its Cholesky factor: one step no longer
+    finishes a run, as it does from the cepstral factor."""
+    real = factor_mod._newton_grid
+
+    def start(vals, a_grid, *args):
+        if a_grid is None:
+            a_grid = np.sqrt(vals.mean(axis=-1, keepdims=True)) * np.ones(vals.shape[-1])
+        return real(vals, a_grid, *args)
+
+    monkeypatch.setattr(factor_mod, "_newton_grid", start)
 
 
 def matrix_defect(B):

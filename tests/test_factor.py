@@ -318,9 +318,11 @@ class TestPolar:
         assert np.abs(gram[1] - gram[0]).max() <= 1e-15 * np.abs(gram[0]).max()
 
     def test_singular_constant_is_refused(self):
-        c = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
-        with pytest.raises(SingularIterate):
-            _polar(c, 2)
+        # a singular A(0): rank one for d = 2, and a0 = 0 for d = 1
+        for c in (np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex),
+                  np.array([[[0.0]], [[1.0]]], dtype=complex)):
+            with pytest.raises(SingularIterate):
+                _polar(c, c.shape[1])
 
 
 class TestDensityScale:
@@ -420,8 +422,9 @@ def test_stalled_run_returns_best_factor():
     assert 1e-12 < rep.residual_sup <= BEST_FACTOR_TOL
 
 
-def test_run_above_best_factor_bound_raises():
-    # a run whose best residual stays above BEST_FACTOR_TOL has no fallback
+def test_run_above_best_factor_bound_raises(constant_start):
+    # a run whose best residual stays above BEST_FACTOR_TOL has no fallback;
+    # the mate's run starts from a constant, which one step cannot finish
     B = fixture("TRUNC(8)").B
     for build in (lambda: make_context(B, max_iter=1),
                   lambda: wilson_report(matrix_defect(B), 1e-12, 1)):
@@ -565,6 +568,39 @@ def _row_with_mate(a):
     """(b, b) / sqrt 2 with b the outer partner of the row (a): its mate is a."""
     b = mate_report(RowSchur(np.asarray(a)[:, None])).factor.coeffs
     return RowSchur(np.column_stack([b, b]) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("B,mate", [
+    pytest.param(random_row(np.random.default_rng(seed), d, q, 0.9), None,
+                 id=f"seed{seed}-d{d}-q{q}")
+    for seed, d, q in [(1, 1, 3), (2, 2, 2), (3, 3, 5), (4, 4, 4)]]
+    + [pytest.param(_row_with_mate([0.1, -0.15, 0.075, -0.0125]),
+                    [0.1, -0.15, 0.075, -0.0125], id="partner-triple-zero")])
+def test_cold_scalar_run_takes_one_step(B, mate):
+    # from the cepstral factor exp [log phi]_+ one Newton step reaches the
+    # floor on the 256-point grid; forward errors measured: <= 1.2e-16 on
+    # the contractive rows, 1.2e-14 on the partner row of 0.1 (1 - z / 2)^3
+    with mpmath.workdps(50):
+        want = [complex(x) for x in (fejer_riesz_mate(B)[0] if mate is None else mate)]
+    rep = mate_report(B)
+    assert (rep.iterations, rep.grid) == (1, 256)
+    assert _padded_gap(rep.factor.coeffs[:, None, None], np.array(want)[:, None, None]) \
+        <= (1e-15 if mate is None else 5e-14)
+
+
+# a = 0.1 (1 - z / w)^3, a triple zero near the circle: from a constant start
+# the mate's run diverged at a residual of 4.2e-4; from the cepstral factor
+# it takes one step.  Forward errors of a measured: 1.4e-12 and 1.6e-12 at
+# w = 1.2i, 9.5e-12 (d = 1) and 5.5e-11 (d = 2) at w = 1.1
+@pytest.mark.parametrize("w,bound", [(1.2j, 1e-11), (1.1, 2e-10)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_triple_zero_near_circle_mate(w, bound, d):
+    a = 0.1 * np.array([1, -3 / w, 3 / w ** 2, -1 / w ** 3])
+    b = mate_report(RowSchur(a[:, None])).factor.coeffs
+    ctx = make_context(RowSchur(np.column_stack([b] * d) / np.sqrt(d)))
+    assert ctx.reports["factor_fallback"] == 0.0
+    _verify_context(ctx)
+    assert _padded_gap(ctx.a.coeffs[:, None, None], a[:, None, None]) <= bound
 
 
 # forward-error bounds from measured values: <= 1.4e-15 at sup 0.9 and 1,

@@ -125,3 +125,13 @@ def test_rows_touching_within_1e_9(d, q, seed):
         return
     assert (d, q, seed) in NEAR_BUILT
     assert [r.name for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("d,q,seed", NEAR_ROWS)
+def test_rows_above_one_within_1e_9_verify(d, q, seed):
+    # sup 1 + 1e-9: validation admits members with ||B(lam)|| - 1 up to
+    # UNIMODULAR_TOL, and the Clark check scales each B(lam) into the ball
+    results = run_checks(make_context(random_row(np.random.default_rng(seed), d, q,
+                                                 1.0 + 1e-9)))
+    assert len(results) == 12
+    assert [r.name for r in results if not r.passed] == []
