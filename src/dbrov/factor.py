@@ -1,25 +1,24 @@
 """Spectral factorization of boundary defects.
 
 One engine, `wilson_report`, factors the scalar defect 1 - BB* into the mate
-a (and, for tests and as a general tool, any Hermitian Laurent density into
-its outer factor with A(0) Hermitian positive definite).  Every zero of the
-density's determinant on or just outside the circle is split off as an
-elementary factor I - (z / w) vv*, and the strictly positive remainder is
-factored by a Newton iteration on FFT grids.  A run that stalls at a
-residual of at most BEST_FACTOR_TOL returns its best factor with fallback
-set; any other failed run raises FactorizationDiverged.  The matrix outer
-factor A of I - B*B needs no second run: for d >= 2, `_completion` reads it
-off the lossless row (a, B) by degree-one sections, a unitary completion and
-Blaschke-Potapov flips; for d = 1 it is a itself.  `_identities` certifies
-the built row from one circle evaluation of B, a and A: |a|^2 + BB* = 1,
-A*A + B*B = I, det A = a, and the outerness of det A by Jensen's formula,
-with the split points divided out.
+a (and, as a general tool, any nonnegative Hermitian Laurent polynomial into
+its outer factor with a(0) > 0).  Every zero of the density on or just
+outside the circle is split off as an elementary factor 1 - z / w, and the
+strictly positive remainder is factored by a Newton iteration on FFT grids.
+A run that stalls at a residual of at most BEST_FACTOR_TOL returns its best
+factor with fallback set; any other failed run raises FactorizationDiverged.
+The matrix outer factor A of I - B*B needs no second run: for d >= 2,
+`_completion` reads it off the lossless row (a, B) by degree-one sections, a
+unitary completion and Blaschke-Potapov flips; for d = 1 it is a itself.
+`_identities` certifies the built row from one circle evaluation of B, a and
+A: |a|^2 + BB* = 1, A*A + B*B = I, det A = a, and the outerness of det A by
+Jensen's formula, with the split points divided out.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .errors import (
     SingularIterate,
 )
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
-    angle_derivatives, circle_eval, det_coeffs, grid_adjugate, grid_det, poly_roots, \
-    pow2_at_least
+    angle_derivatives, circle_eval, det_coeffs, grid_det, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL
 
@@ -49,7 +47,7 @@ class FactorReport:
     once per split; fallback says the best factor of a stalled run was taken.
     """
 
-    factor: CPoly | MatPoly
+    factor: CPoly
     residual_sup: float
     outer_gap: float
     iterations: int
@@ -59,9 +57,8 @@ class FactorReport:
 
 
 def mate_report(B: RowSchur) -> FactorReport:
-    """The mate as the d = 1 case of `wilson_report`, on 1 - BB*: the
-    stack of `defect_laurent`, as in `make_context`, so the two mates agree
-    bit for bit.
+    """The mate by `wilson_report` on 1 - BB* (`defect_laurent`), as in
+    `make_context`, so the two mates agree bit for bit.
 
     The zeros of the defect on the circle, or within the split radius
     _NEAR = 36 / 4096 outside it, are split off as factors 1 - z / w; the
@@ -71,8 +68,7 @@ def mate_report(B: RowSchur) -> FactorReport:
     unchanged, and a stalled run is handled as in `wilson_report`.
     """
     scalar = defect_laurent(B)
-    rep = wilson_report(scalar, ENGINE_TOL, search=_defect_zeros(scalar, PSD_SLACK))
-    return replace(rep, factor=CPoly(rep.factor.coeffs[:, 0, 0]))
+    return wilson_report(scalar, ENGINE_TOL, search=_defect_zeros(scalar, PSD_SLACK))
 
 
 def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
@@ -180,7 +176,7 @@ def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
             A = A - av[..., None] * np.conj(v)
             A[:-1] += _divide_one_minus(av, 1 / w)[..., None] * np.conj(v)
             seated.append((w, v))
-    return _polar(_reinflate(MatPoly(A, dim=d), seated, q).coeffs, d)
+    return _polar(_reinflate(MatPoly(A, dim=d), seated, q).coeffs)
 
 
 def _flip_points(A: np.ndarray, z: np.ndarray, mult: np.ndarray):
@@ -237,10 +233,10 @@ _GRID_TOL = 1e-14
 # starts the enlarged grid: no zero of its determinant can have crossed the
 # circle
 _WARM_REL = 1e-8
-# a singular value of phi(w) below this fraction of the largest eigenvalue
-# of phi on the circle is a null direction
+# phi(w) below this fraction of the largest value of phi on the circle is a
+# zero
 _NULL_REL = 1e-8
-# a grid of n points resolves a zero of det phi at |w| - 1 = delta once
+# a grid of n points resolves a zero of phi at |w| - 1 = delta once
 # n >= 36 / delta ((1 + delta)^-n < 2e-16); zeros nearer the circle than
 # what the budget resolves are split off, and the Jensen mean uses a grid of
 # at least the budget
@@ -250,30 +246,30 @@ _NEAR = 36.0 / _GRID_BUDGET
 
 def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = MAX_ITER,
                   grid_log2: int | None = None, *, search=None) -> FactorReport:
-    """Outer factor A with A*A = phi: split circle zeros off, grid the rest.
+    """Outer factor a with |a|^2 = phi: split circle zeros off, grid the rest.
 
-    At each zero w of det phi on the circle or within the split radius
-    _NEAR = 36 / 4096 outside it, with null vector v of phi(w), the
-    elementary factor E(z) = I - (z / w) vv* is split off: phi = E* phi1 E
-    with phi1 = E^{-*} phi E^{-1} again Hermitian Laurent of half-degree
-    <= m (Youla-Kazanjian), repeated while phi1(w) stays singular; search
-    is the (zeros, null floor) of `_boundary_zeros`, run here if not given.
-    The Newton iteration A1 <- A1 [A1^{-*} phi1 A1^{-1} + I]_+ on an FFT grid
-    ([.]_+ keeps the analytic half, constant term halved) factors the
-    strictly positive phi1 with quadratic convergence (Wilson); a cold d = 1
-    run starts at its cepstral factor exp [log phi1]_+ (Kolmogorov).
-    A = A1 E_k ... E_1, trimmed to degree m, keeps A(0) = A1(0) Hermitian
-    positive definite since E(0) = I, so det A = a exactly.  The residual
-    is checked against phi; the grid grows four-fold, warm-started, while
-    it is above tol_factor, or above rounding level and still falling.
+    At each zero w of phi on the circle or within the split radius
+    _NEAR = 36 / 4096 outside it, the factor 1 - z / w is split off:
+    phi = |1 - z / w|^2 phi1 with phi1 again Hermitian Laurent, of
+    half-degree one less (Youla-Kazanjian), repeated while |phi1(w)| stays
+    at the null floor; search is the (zeros, null floor) of
+    `_boundary_zeros`, run here if not given.  The Newton iteration
+    a1 <- [phi1 / |a1|^2 + 1]_+ a1 on an FFT grid ([.]_+ keeps the analytic
+    half, constant term halved) factors the strictly positive phi1 with
+    quadratic convergence (Wilson), from its cepstral factor exp [log phi1]_+
+    (Kolmogorov) on a cold grid.  a = a1 (1 - z / w_1) ... (1 - z / w_k),
+    trimmed to degree m, keeps a(0) = a1(0) > 0.  The residual is checked
+    against phi.  The first grid holds the coefficients of a1 (grid_log2
+    sets it when that is enough); it grows four-fold, warm-started, while
+    the residual is above tol_factor, or above rounding level and still
+    falling.
 
-    outer_gap is the Jensen gap of det A = det A1 prod (1 - z / w_k): each
-    factor with |w_k| >= 1 has gap 0, so it is
-    |log|det A1(0)| - mean of log|det A1| over the circle|, which det A1,
-    zero-free within _NEAR of the circle, gives to rounding on a grid of
-    _GRID_BUDGET points.  A failed run whose best residual is at most
-    BEST_FACTOR_TOL returns that best factor with fallback set, at once when
-    an enlargement does not lower it; any other failed run raises
+    outer_gap is the Jensen gap of a1: each factor 1 - z / w_k with
+    |w_k| >= 1 has gap 0, and a1, zero-free within _NEAR of the circle,
+    gives |log|a1(0)| - mean of log|a1| over the circle| to rounding on a
+    grid of _GRID_BUDGET points.  A failed run whose best residual is at
+    most BEST_FACTOR_TOL returns that best factor with fallback set, at once
+    when an enlargement does not lower it; any other failed run raises
     FactorizationDiverged with the report of its best factor.
     """
     zeros, floor = _boundary_zeros(phi) if search is None else search
@@ -281,38 +277,37 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     scale = float(np.abs(phi.coeffs).max(initial=0.0))
     phi1, splits = phi, []
     for w in zeros:
-        # det phi has 2 d m zeros, so no more than d m factors can split off
-        while phi1.half_degree > 0 and len(splits) < phi.dim * m:
-            _, sing, vh = np.linalg.svd(phi1(w))
-            if sing[-1] > floor:
-                break
-            splits.append((w, np.conj(vh[-1])))
-            phi1 = _split_off(phi1, *splits[-1])
-    n0 = (1 << grid_log2) if grid_log2 is not None \
-        else max(pow2_at_least(8 * max(phi1.half_degree, 1) + 1), 256)
+        # each split lowers the half-degree: at most m factors split off
+        while phi1.half_degree > 0 and abs(phi1(w)) <= floor:
+            splits.append(w)
+            phi1 = _split_off(phi1, w)
+    m1 = phi1.half_degree
+    n0 = max(1 << grid_log2, pow2_at_least(m1 + 1)) if grid_log2 is not None \
+        else max(pow2_at_least(8 * max(m1, 1) + 1), 256)
     trace: list[float] = []  # one residual per Newton step, on every grid
     best: tuple = (np.inf, None, None, n0)
-    n, prev, A1 = n0, np.inf, None
+    n, prev, a1 = n0, np.inf, None
     while True:
-        _check_size(n * phi.dim ** 2, f"factorization grid of {n} points")
-        A1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL),
-                        16 * np.finfo(float).eps, trace, start=A1)[0]
+        _check_size(n, f"factorization grid of {n} points")
+        a1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL),
+                        16 * np.finfo(float).eps, trace, start=a1)[0]
         iterations = len(trace)
-        factor = _reinflate(A1, splits, m)
+        coeffs = a1.coeffs
+        for w in reversed(splits):
+            coeffs = np.append(coeffs, 0) - np.append(0, coeffs) / w
+        factor = CPoly(coeffs[: m + 1])
         resid = factor_residual(factor, phi)
         stalled = best[0] <= BEST_FACTOR_TOL and resid >= best[0]
         if resid < best[0]:
-            best = (resid, factor, A1, n)
+            best = (resid, factor, a1, n)
         last = n >= max(1 << 16, 8 * n0) or iterations >= 4 * max_iter or stalled
         # a coarse grid aliases the factor: enlarge it while that pays off
         settled = resid <= _GRID_TOL * scale or resid > prev / 4 or last
         done = best[0] <= tol_factor and settled
         if done or last:
             report = None if best[1] is None else FactorReport(
-                best[1], best[0],
-                _jensen_gap(best[2].det_poly().coeffs, max(best[3], _GRID_BUDGET)),
-                iterations, best[3], tuple(w for w, _ in splits),
-                fallback=not done)
+                best[1], best[0], _jensen_gap(best[2].coeffs, max(best[3], _GRID_BUDGET)),
+                iterations, best[3], tuple(splits), fallback=not done)
             if done or best[0] <= BEST_FACTOR_TOL:
                 return report
             raise FactorizationDiverged(
@@ -322,7 +317,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
                 best=report,
             )
         n, prev = 4 * n, resid
-        A1 = A1 if resid <= _WARM_REL * scale else None
+        a1 = a1 if resid <= _WARM_REL * scale else None
 
 
 def _jensen_gap(det: np.ndarray, n: int) -> float:
@@ -338,38 +333,35 @@ def _jensen_gap(det: np.ndarray, n: int) -> float:
 
 
 def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
-    """Zeros w of det phi on or near the circle, and the floor for nulls.
+    """Zeros w of phi on or near the circle, and the floor for nulls.
 
-    det phi is a nonnegative trigonometric polynomial.  A grid minimum,
-    refined by Newton on the angle, that vanishes at rounding scale is a
-    zero on the circle; a positive one comes from zeros w, 1/conj(w) about
+    phi is a nonnegative trigonometric polynomial.  A grid minimum, refined
+    by Newton on the angle, that vanishes at rounding scale is a zero on the
+    circle; a positive one comes from zeros w, 1/conj(w) about
     sqrt(2 value / curvature) off the circle, and when that is below _NEAR
     Newton in the plane finds the w with |w| > 1.  A minimum whose parabola
     through its three grid values puts that pair twice _NEAR off the circle
     skips the angle Newton.  The null floor is relative to the largest
-    eigenvalue of phi on the circle, so that it holds for d = 1 too.  An
-    eigenvalue below dip on the grid (of at least 1024 points) raises
-    NotPositive first.
+    value of phi on the circle.  A value below dip on the grid (of at least
+    1024 points) raises NotPositive first.
     """
-    dm = phi.dim * phi.half_degree
-    n = pow2_at_least(max(4 * (2 * dm) + 1, 1024))
-    vals = circle_eval(phi.coeffs, n, low=-phi.half_degree)
-    eigs = np.linalg.eigvalsh(vals) if phi.dim > 1 else vals.real[:, 0]
-    if eigs.min() < dip:
-        raise NotPositive(f"density dips to {eigs.min():.3e} on the circle")
-    floor = _NULL_REL * float(eigs.max())
-    dets = eigs.prod(axis=1)
-    top = float(dets.max())
+    m = phi.half_degree
+    n = pow2_at_least(max(8 * m + 1, 1024))
+    vals = circle_eval(phi.coeffs, n, low=-m).real
+    if vals.min() < dip:
+        raise NotPositive(f"density dips to {vals.min():.3e} on the circle")
+    top = float(vals.max())
+    floor = _NULL_REL * top
     if top <= 0:
         return [], floor
-    spec = np.fft.fft(dets) / n
-    lau = np.concatenate([spec[n - dm :], spec[: dm + 1]])
+    spec = np.fft.fft(vals) / n
+    lau = np.concatenate([spec[n - m :], spec[: m + 1]])
     out: list[complex] = []
-    minima = (dets < np.roll(dets, 1)) & (dets < np.roll(dets, -1))
+    minima = (vals < np.roll(vals, 1)) & (vals < np.roll(vals, -1))
     for j in np.nonzero(minima)[0]:
         # parabola v + c x^2 / 2 through the grid values at j - 1, j, j + 1:
         # its zero pair sits sqrt(2 v / c) off the circle
-        lo, mid, hi = dets[j - 1], dets[j], dets[(j + 1) % n]
+        lo, mid, hi = vals[j - 1], vals[j], vals[(j + 1) % n]
         bend = lo - 2 * mid + hi
         c = bend * (n / (2 * np.pi)) ** 2
         v = mid - (hi - lo) ** 2 / (8 * bend)
@@ -390,44 +382,28 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
 
 
 def _zero_off_circle(phi: LaurentHerm, z: complex) -> complex:
-    """Newton z <- z - 1 / tr(phi(z)^{-1} phi'(z)) on det phi; root |w| > 1."""
+    """Newton z <- z - phi(z) / phi'(z) on phi; the root with |w| > 1."""
     c = phi.coeffs
     ks = np.arange(c.shape[0]) - phi.half_degree
     for _ in range(50):
         zk = z ** ks
-        val = np.tensordot(zk, c, axes=1)
-        der = np.tensordot(ks * zk / z, c, axes=1)
-        try:
-            step = 1.0 / np.trace(np.linalg.solve(val, der))
-        except np.linalg.LinAlgError:
-            break
+        step = (zk @ c) / ((ks * zk / z) @ c)
         z -= step
         if not abs(step) > 1e-15 * abs(z):
             break
     return z if abs(z) >= 1 else 1 / np.conj(z)
 
 
-def _split_off(phi: LaurentHerm, w: complex, v: np.ndarray) -> LaurentHerm:
-    """E^{-*} phi E^{-1} for E(z) = I - (z / w) vv*, with phi(w) v = 0.
+def _split_off(phi: LaurentHerm, w: complex) -> LaurentHerm:
+    """phi / |1 - z / w|^2, with phi(w) = 0.
 
-    With P = I - vv* and g = phi v / (1 - z / w), on the circle
-
-        E^{-*} phi E^{-1} = P phi P + P g v* + v g* P + t vv*,
-        t = v* g / (1 - 1 / (conj(w) z)),
-
-    and both divisions are exact: phi v vanishes at w, and v* g at
-    1/conj(w), because phi(1/conj(w)) = phi(w)* there.
+    On the circle |1 - z / w|^2 = (1 - z / w) (1 - 1 / (conj(w) z)), and
+    both divisions are exact: phi vanishes at w, and phi / (1 - z / w) at
+    1/conj(w), because phi(1/conj(w)) = conj(phi(w)) there.
     """
-    c = phi.coeffs
-    P = np.eye(phi.dim) - np.outer(v, np.conj(v))
-    g = _divide_one_minus(c @ v, 1 / w)  # powers -m .. m-1
+    g = _divide_one_minus(phi.coeffs, 1 / w)  # powers -m .. m-1
     # 1 - 1/(conj(w) z) = -(1 - conj(w) z) / (conj(w) z): powers -m+1 .. m-1
-    t = -np.conj(w) * _divide_one_minus(g @ np.conj(v), np.conj(w))
-    out = P @ c @ P
-    out[:-1] += (g @ P.T)[:, :, None] * np.conj(v)
-    out[1:] += v[:, None] * (np.conj(g) @ P)[::-1, None, :]
-    out[1:-1] += np.multiply.outer(t, np.outer(v, np.conj(v)))
-    return LaurentHerm(out)
+    return LaurentHerm(-np.conj(w) * _divide_one_minus(g, np.conj(w)))
 
 
 def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
@@ -442,59 +418,47 @@ def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
 
 
 def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float, rel: float,
-               trace: list[float], start: MatPoly | None = None):
+               trace: list[float], start: CPoly | None = None):
     """One Newton pass on n points: the finished factor, its grid residual
     and the scale of phi there.
 
-    phi is tabulated on the half-sample offset grid (an identically singular
-    one raises SingularIterate), and `_newton_grid` runs from the factor
-    `start` of a coarser grid, or else the cepstral factor for d = 1 and the
-    Cholesky factor of the grid mean of phi for d >= 2, to a residual of
-    max(tol, rel * scale), each step's on trace.
+    phi is tabulated on the half-sample offset grid (one that vanishes
+    identically raises SingularIterate), and `_newton_grid` runs from the
+    factor `start` of a coarser grid, or else the cepstral factor, to a
+    residual of max(tol, rel * scale), each step's on trace.
     """
-    vals = _grid_values(phi.coeffs, n, 0.5, -phi.half_degree)
-    vals = 0.5 * (vals + np.conj(vals).transpose(1, 0, 2))
+    vals = circle_eval(phi.coeffs, n, 0.5, -phi.half_degree).real
     scale = np.abs(vals).max()
-    if np.abs(grid_det(vals)).max() <= 1e-13 * scale ** phi.dim:
-        raise SingularIterate("density is identically singular on the circle")
-    a_grid = None if start is None else _grid_values(start.coeffs, n, 0.5)
-    if a_grid is None and phi.dim > 1:
-        try:
-            chol = np.linalg.cholesky(vals.mean(axis=-1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularIterate("mean density is not positive definite") from exc
-        a_grid = np.conj(chol).T[:, :, None] * np.ones(n)
+    if not scale:
+        raise SingularIterate("density vanishes identically on the circle")
+    a_grid = None if start is None else circle_eval(start.coeffs, n, 0.5)
     a_grid, resid = _newton_grid(vals, a_grid, max_iter, max(tol, rel * scale), trace)
-    return _finish(a_grid, phi.half_degree, phi.dim), resid, scale
+    return _finish(a_grid, phi.half_degree), resid, scale
 
 
 def _newton_grid(vals: np.ndarray, a_grid: np.ndarray | None, max_iter: int, floor: float,
                  trace: list[float]):
-    """Newton steps on the grid from a_grid until the residual is at most
-    floor or stalls; returns the best grid factor and its residual.  a_grid
-    None (d = 1) starts at exp [log phi]_+ with the one [.]_+ mask, phi
-    clamped to eps times its scale where the remainder reads <= 0."""
-    n = vals.shape[-1]
-    eye = np.eye(vals.shape[0])[:, :, None]
+    """Newton steps on the (n,) grid values of phi from a_grid until the
+    residual is at most floor or stalls; returns the best grid factor and
+    its residual.  a_grid None starts at exp [log phi]_+ with the one [.]_+
+    mask, phi clamped to eps times its scale where the remainder reads
+    <= 0."""
+    n = vals.shape[0]
     # [.]_+ on the spectrum: the analytic half, constant and Nyquist halved
     half = np.where(np.arange(n) < n // 2, 1.0, 0.0)
     half[[0, n // 2]] = 0.5
     if a_grid is None:
-        logs = np.log(np.maximum(vals.real, np.finfo(float).eps * np.abs(vals).max()))
-        a_grid = np.exp(np.fft.ifft(np.fft.fft(logs, axis=-1) * half, axis=-1))
+        logs = np.log(np.maximum(vals, np.finfo(float).eps * np.abs(vals).max()))
+        a_grid = np.exp(np.fft.ifft(np.fft.fft(logs) * half))
     best = (np.inf, a_grid)
     stall = 0
     for _ in range(max_iter):
-        try:
-            inv = _grid_inv(a_grid)
-        except np.linalg.LinAlgError as exc:
-            raise SingularIterate("singular iterate on the grid") from exc
-        g = _grid_mul(_grid_mul(np.conj(inv).transpose(1, 0, 2), vals), inv) + eye
-        # for the A*A convention the projection multiplies from the left
-        # (mirror image of the classical rho rho* update)
-        a_grid = _grid_mul(np.fft.ifft(np.fft.fft(g, axis=-1) * half, axis=-1), a_grid)
-        resid = float(np.abs(
-            _grid_mul(np.conj(a_grid).transpose(1, 0, 2), a_grid) - vals).max())
+        if not np.all(a_grid):
+            raise SingularIterate("singular iterate on the grid")
+        inv = 1.0 / a_grid
+        g = np.conj(inv) * vals * inv + 1.0
+        a_grid = np.fft.ifft(np.fft.fft(g) * half) * a_grid
+        resid = float(np.abs(np.conj(a_grid) * a_grid - vals).max())
         trace.append(resid)
         # Newton steps at least halve the residual until rounding stops them
         stall = stall + 1 if resid > 0.5 * best[0] else 0
@@ -525,51 +489,33 @@ def _grid_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.transpose(2, 0, 1) @ b.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
-def _grid_inv(a: np.ndarray) -> np.ndarray:
-    """Pointwise inverses: 1 / a for d = 1, adjugate over determinant up to
-    d = 3 (five times cheaper than LAPACK at d = 3), LAPACK above.  They only
-    steer Newton: the residual A*A - phi certifies the factor."""
-    if a.shape[0] > 3:
-        inv = np.linalg.inv(a.transpose(2, 0, 1)).transpose(1, 2, 0)
-        return np.ascontiguousarray(inv) if a.shape[0] <= 4 else inv
-    adj, det = (1.0, a) if a.shape[0] == 1 else grid_adjugate(a)
-    if not np.all(det):
-        raise np.linalg.LinAlgError("singular matrix on the grid")
-    return adj / det
+def _finish(a_grid: np.ndarray, m: int) -> CPoly:
+    """Coefficients 0..m of half-sample offset grid values, turned by the
+    phase |a0| / a0 so that a(0) > 0 with |a|^2 unchanged."""
+    n = a_grid.shape[0]
+    coeffs = np.fft.fft(a_grid)[: m + 1] / n * np.exp(-1j * np.pi * np.arange(m + 1) / n)
+    if not coeffs[0]:
+        raise SingularIterate("constant coefficient of the factor is singular")
+    return CPoly(coeffs * (abs(coeffs[0]) / coeffs[0]))
 
 
-def _finish(a_grid: np.ndarray, m: int, d: int) -> MatPoly:
-    """Coefficients 0..m of half-sample offset grid values, A(0) made PD.
-
-    The constant coefficient is rotated to its polar part (`_polar`): A <- U A
-    with U unitary, so that A(0) is Hermitian positive definite and A*A
-    unchanged.
-    """
-    n = a_grid.shape[-1]
-    coeffs = np.moveaxis(np.fft.fft(a_grid, axis=-1)[..., : m + 1] / n
-                         * np.exp(-1j * np.pi * np.arange(m + 1) / n), -1, 0)
-    return _polar(coeffs, d)
-
-
-def _polar(coeffs: np.ndarray, d: int) -> MatPoly:
-    """A <- U A, U unitary, making A(0) its polar part: |a0| / a0 for d = 1."""
+def _polar(coeffs: np.ndarray) -> MatPoly:
+    """A <- U A, U unitary, making A(0) its polar part."""
     a0 = coeffs[0]
-    if d == 1 and a0[0, 0]:
-        return MatPoly(coeffs * (abs(a0[0, 0]) / a0[0, 0]), dim=1)
     w, v = np.linalg.eigh(np.conj(a0).T @ a0)
     if w.min() <= 0:
         raise SingularIterate("constant coefficient of the factor is singular")
     h = (v * np.sqrt(w)) @ np.conj(v).T
     u = np.conj(a0 @ np.linalg.inv(h)).T
-    return MatPoly(np.einsum("ij,kjl->kil", u, coeffs), dim=d)
+    return MatPoly(np.einsum("ij,kjl->kil", u, coeffs))
 
 
-def factor_residual(A: MatPoly, phi: LaurentHerm) -> float:
-    """sup over the circle grid of |A(z)^*A(z) - phi(z)| entrywise."""
-    n = max(512, pow2_at_least(4 * max(A.degree, phi.half_degree) + 1))
-    av = _grid_values(A.coeffs, n)
-    pv = _grid_values(phi.coeffs, n, low=-phi.half_degree)
-    return float(np.abs(_grid_mul(np.conj(av).transpose(1, 0, 2), av) - pv).max())
+def factor_residual(a: CPoly, phi: LaurentHerm) -> float:
+    """sup over the circle grid of ||a(z)|^2 - phi(z)|."""
+    n = max(512, pow2_at_least(4 * max(a.degree, phi.half_degree) + 1))
+    av = circle_eval(a.coeffs, n)
+    pv = circle_eval(phi.coeffs, n, low=-phi.half_degree)
+    return float(np.abs(np.conj(av) * av - pv).max())
 
 
 def outer_check(A: MatPoly | CPoly) -> float:

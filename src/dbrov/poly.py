@@ -62,25 +62,20 @@ def circle_eval(coeffs: np.ndarray, n: int, offset: float = 0.0,
     return np.fft.ifft(spec, axis=0, norm="forward")
 
 
-def grid_adjugate(a: np.ndarray):
-    """Adjugates and determinants of a (d, d, n) stack, d <= 3, by cofactors."""
-    d = a.shape[0]
-    if d == 1:
-        cof = np.ones_like(a)
-    elif d == 2:
-        cof = np.array([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
-    else:  # cyclic index pairs give the signed 3 x 3 cofactors
-        r = ((1, 2), (2, 0), (0, 1))
-        cof = np.array([[a[i, j] * a[k, l] - a[i, l] * a[k, j] for j, l in r]
-                        for i, k in r])
-    return cof.transpose(1, 0, 2), (a[0] * cof[0]).sum(axis=0)
-
-
 def grid_det(a: np.ndarray) -> np.ndarray:
-    """Determinants of a (d, d, n) stack: cofactors up to d = 3, LAPACK above."""
-    if a.shape[0] > 3:
+    """Determinants of a (d, d, n) stack: expansion along the first row by
+    cofactors up to d = 3, LAPACK above."""
+    d = a.shape[0]
+    if d > 3:
         return np.linalg.det(a.transpose(2, 0, 1))
-    return grid_adjugate(a)[1]
+    if d == 1:
+        cof = np.ones_like(a[0])
+    elif d == 2:
+        cof = np.array([a[1, 1], -a[1, 0]])
+    else:  # cyclic column pairs give the signed first-row cofactors
+        cof = np.array([a[1, j] * a[2, l] - a[1, l] * a[2, j]
+                        for j, l in ((1, 2), (2, 0), (0, 1))])
+    return (a[0] * cof).sum(axis=0)
 
 
 def _divide_one_minus(h: np.ndarray, c: complex) -> np.ndarray:
@@ -290,42 +285,39 @@ def det_coeffs(vals: np.ndarray, dets: np.ndarray, n: int) -> np.ndarray:
 
 
 class LaurentHerm:
-    """Hermitian Laurent polynomial sum_{k=-m..m} C_k z^k with C_{-k} = C_k*.
+    """Hermitian Laurent polynomial sum_{k=-m..m} c_k z^k with c_{-k} = conj(c_k).
 
-    Coefficients are a (2m+1, d, d) stack, C_k at index k + m; a scalar
-    density is the d = 1 stack.  Construction symmetrizes, so values on the
-    unit circle are Hermitian by design.
+    Coefficients are a (2m+1,) array, c_k at index k + m.  Construction
+    symmetrizes, so values on the unit circle are real by design.
     """
 
-    __slots__ = ("coeffs", "half_degree", "dim")
+    __slots__ = ("coeffs", "half_degree")
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] % 2 != 1:
-            raise ValueError("Laurent coefficients must form a (2m+1, d, d) stack: "
-                             "an odd count, k = -m..m, of d x d matrices")
+        if arr.ndim != 1 or arr.shape[0] % 2 != 1:
+            raise ValueError("Laurent coefficients must form a flat array of odd "
+                             "length, k = -m..m")
         m = arr.shape[0] // 2
-        rev = np.conj(arr[::-1]).transpose(0, 2, 1)  # C_{-k}^*, at index k + m
-        sym = 0.5 * (arr + rev)
+        sym = 0.5 * (arr + np.conj(arr[::-1]))  # conj(c_{-k}), at index k + m
         # symmetric trim: drop matching +-k tail pairs that are negligible
-        mags = np.abs(sym).reshape(sym.shape[0], -1).max(axis=1)
+        mags = np.abs(sym)
         scale = mags.max()
         tiny = TRIM_REL * scale
         while m > 0 and scale > 0 and mags[0] <= tiny and mags[-1] <= tiny:
             sym, mags, m = sym[1:-1], mags[1:-1], m - 1
         self.coeffs = sym
         self.half_degree = m
-        self.dim = int(sym.shape[1])
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if np.any(z == 0):
             raise DomainError("Laurent polynomial cannot be evaluated at z = 0")
         # z^-m times the Horner value of the coefficients, stored from k = -m
-        return horner(self.coeffs, z) * (z ** -self.half_degree)[..., None, None]
+        return horner(self.coeffs, z) * z ** -self.half_degree
 
     def __repr__(self):
-        return f"LaurentHerm(m={self.half_degree}, dim={self.dim})"
+        return f"LaurentHerm(m={self.half_degree})"
 
 
 def _conj_band(adj: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -57,15 +57,15 @@ class RowSchur(_Poly):
 
 def defect_laurent(B: RowSchur) -> LaurentHerm:
     """Boundary defect 1 - B(z)B(z)^* of B on the unit circle, as the
-    (2q+1, 1, 1) stack of a Hermitian Laurent polynomial,
+    (2q+1,) coefficients of a Hermitian Laurent polynomial,
 
         c_k = delta_{k0} - sum_j <B_{j+k}, B_j>,
 
     from one correlation of the flattened coefficient rows, read at the lags
-    that are multiples of d.  For d = 1 it is also I - B*B; the one run of
+    that are multiples of d.  It is also det(I - B*B); the one run of
     `make_context` and `mate_report` factors it.
     """
     flat = B.coeffs.ravel()
     scalar = -np.correlate(flat, flat, "full")[B.dim - 1 :: B.dim]
     scalar[B.degree] += 1.0
-    return LaurentHerm(scalar[:, None, None])
+    return LaurentHerm(scalar)

@@ -118,8 +118,8 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     scalar_defect = defect_laurent(B)
     rep = wilson_report(scalar_defect, min(tol.tol_factor, ENGINE_TOL), max_iter,
                         grid_log2, search=_defect_zeros(scalar_defect, tol.tol_psd))
-    a = CPoly(rep.factor.coeffs[:, 0, 0])
-    A = _completion(B, a, rep.splits) if B.dim > 1 else rep.factor
+    a = rep.factor
+    A = _completion(B, a, rep.splits) if B.dim > 1 else MatPoly(a.coeffs[:, None, None])
     lam = Counter(w / abs(w) for w in rep.splits if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
 
     a0_cond = float(np.linalg.cond(A.coeffs[0]))

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 import dbrov.factor as factor_mod
-from dbrov import LaurentHerm, fixture, make_context
+from dbrov import fixture, make_context
 from dbrov.boundary import radial_extrapolate
 from dbrov.errors import DomainError
+from dbrov.poly import _divide_one_minus, circle_eval
+from dbrov.rowschur import defect_laurent
+from dbrov.tolerances import PSD_SLACK
 
 
 @pytest.fixture(scope="session")
@@ -52,14 +55,14 @@ def circle_grid(n):
 
 @pytest.fixture
 def constant_start(monkeypatch):
-    """Cold scalar Newton runs start from the square root of the grid mean of
-    phi, as matrix runs start from its Cholesky factor: one step no longer
+    """Cold Newton runs start from the square root of the grid mean of phi,
+    as `matrix_factor` starts from its Cholesky factor: one step no longer
     finishes a run, as it does from the cepstral factor."""
     real = factor_mod._newton_grid
 
     def start(vals, a_grid, *args):
         if a_grid is None:
-            a_grid = np.sqrt(vals.mean(axis=-1, keepdims=True)) * np.ones(vals.shape[-1])
+            a_grid = np.sqrt(vals.mean(keepdims=True)) * np.ones(vals.shape[0])
         return real(vals, a_grid, *args)
 
     monkeypatch.setattr(factor_mod, "_newton_grid", start)
@@ -67,15 +70,72 @@ def constant_start(monkeypatch):
 
 def matrix_defect(B):
     """I - B(z)^*B(z) on the circle as a (2q+1, d, d) Laurent stack,
-    C_k = delta_{k0} I - sum_j B_j^* B_{j+k}, entry (r, s) one correlation of
-    the columns s and r.  The library builds A from the mate and never
-    forms this density; the tests factor it by standalone engine runs.
-    For d = 1 it is `defect_laurent`'s stack, byte for byte."""
+    C_k = delta_{k0} I - sum_j B_j^* B_{j+k} at index k + q, entry (r, s) one
+    correlation of the columns s and r.  The library builds A from the mate
+    and never forms this density; `matrix_factor` factors it.  For d = 1 it
+    is `defect_laurent`'s coefficients, value for value."""
     c, q = B.coeffs, B.degree
     out = np.array([[-np.correlate(c[:, s], c[:, r], "full") for s in range(B.dim)]
                     for r in range(B.dim)]).transpose(2, 0, 1)
     out[q] += np.eye(B.dim)
-    return LaurentHerm(out)
+    return out
+
+
+def matrix_factor(B):
+    """The outer factor A of I - B*B, (q+1, d, d) with A(0) positive
+    definite, and its split points: the tests' reference for A apart from
+    the library's lossless completion, by Wilson's Newton iteration.
+
+    The zeros w of det(I - B*B) = 1 - BB* on or near the circle, and the
+    null floor, come from the library's scalar search (`_defect_zeros`).
+    While phi(w) has a singular value at the floor, E(z) = I - (z / w) vv*,
+    v its null vector, is split off: phi <- E^{-*} phi E^{-1} =
+    P phi P + P g v* + v g* P + t vv* with P = I - vv*, g = phi v / (1 - z / w)
+    and t = v* g / (1 - 1 / (conj(w) z)), both divisions exact
+    (Youla-Kazanjian).  The rest is factored on 4,096 half-sample offset
+    points by A1 <- [A1^{-*} phi A1^{-1} + I]_+ A1, one inverse per point,
+    from the Cholesky factor of the grid mean to a residual of 1e-13 (at
+    most 100 steps); then A = A1 E_k ... E_1, turned by an SVD polar.  No
+    grid enlargement, warm start or fallback.
+    """
+    q, d, n = B.degree, B.dim, 4096
+    phi = matrix_defect(B)
+    zeros, floor = factor_mod._defect_zeros(defect_laurent(B), PSD_SLACK)
+    splits = []
+    for w in zeros:
+        while len(splits) < q:
+            m = phi.shape[0] // 2
+            _, sing, vh = np.linalg.svd(np.tensordot(w ** np.arange(-m, m + 1), phi, 1))
+            if sing[-1] > floor:
+                break
+            v = np.conj(vh[-1])
+            P = np.eye(d) - np.outer(v, np.conj(v))
+            g = _divide_one_minus(phi @ v, 1 / w)
+            t = -np.conj(w) * _divide_one_minus(g @ np.conj(v), np.conj(w))
+            phi = P @ phi @ P
+            phi[:-1] += (g @ P.T)[:, :, None] * np.conj(v)
+            phi[1:] += v[:, None] * (np.conj(g) @ P)[::-1, None, :]
+            phi[1:-1] += np.multiply.outer(t, np.outer(v, np.conj(v)))
+            splits.append((w, v))
+    m = phi.shape[0] // 2
+    vals = circle_eval(phi, n, 0.5, -m)
+    vals = 0.5 * (vals + np.conj(vals).transpose(0, 2, 1))
+    half = np.where(np.arange(n) < n // 2, 1.0, 0.0)
+    half[[0, n // 2]] = 0.5
+    A = np.repeat(np.conj(np.linalg.cholesky(vals.mean(axis=0))).T[None], n, axis=0)
+    for _ in range(100):
+        inv = np.linalg.inv(A)
+        g = np.conj(inv).transpose(0, 2, 1) @ vals @ inv + np.eye(d)
+        A = np.fft.ifft(np.fft.fft(g, axis=0) * half[:, None, None], axis=0) @ A
+        if np.abs(np.conj(A).transpose(0, 2, 1) @ A - vals).max() <= 1e-13:
+            break
+    A = (np.fft.fft(A, axis=0)[: m + 1] / n
+         * np.exp(-1j * np.pi * np.arange(m + 1) / n)[:, None, None])
+    for w, v in reversed(splits):
+        A = np.concatenate([A, np.zeros((1, d, d))]) \
+            - np.concatenate([np.zeros((1, d, d)), (A @ v)[:, :, None] * np.conj(v) / w])
+    u, _, vh = np.linalg.svd(A[0])
+    return np.conj(u @ vh).T @ A[: q + 1], [w for w, _ in splits]
 
 
 def assert_close(actual, expected, tol, label=""):

@@ -25,7 +25,6 @@ from dbrov import (
     kernel,
     mate_report,
     point_eval_residual,
-    wilson_report,
 )
 from dbrov.errors import MateUndefined
 from dbrov.fixtures import fixture
@@ -42,7 +41,7 @@ from dbrov.verify import (
     toeplitz_defects,
 )
 
-from conftest import circle_grid, matrix_defect, trunc_limit_slope
+from conftest import circle_grid, matrix_factor, trunc_limit_slope
 
 SQ8 = 1.0 / (2.0 * np.sqrt(2.0))
 FIXTURE_NAMES = ("ZERO", "SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)")
@@ -126,8 +125,7 @@ def test_criterion_1_mate_construction():
 def test_criterion_2_factorization_identities():
     # on the fixtures: the factorization_identities check
     failures = []
-    scalar_as_matrix = matrix_defect(fixture("SARASON").B)
-    rank1 = wilson_report(scalar_as_matrix).factor.coeffs.ravel()
+    rank1 = matrix_factor(fixture("SARASON").B)[0].ravel()
     gap = np.abs(rank1
                  - mate_report(fixture("SARASON").B).factor.coeffs).max()
     if gap > 1e-8:

@@ -17,17 +17,17 @@ import dbrov.factor as factor_mod
 import dbrov.space as space_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
     MateUndefined, NotPositive, NumericsError, SingularIterate
-from dbrov.factor import _grid_inv, _grid_mul, _grid_pass, _identities, _jensen_gap, \
-    _polar, factor_residual
+from dbrov.factor import _grid_mul, _grid_pass, _identities, _jensen_gap, _polar, \
+    _split_off, factor_residual
 from dbrov.fixtures import fixture
-from dbrov.poly import circle_eval, grid_adjugate, grid_det
+from dbrov.poly import circle_eval, grid_det
 from dbrov.rowschur import defect_laurent
 from dbrov.space import SpaceContext, _verify_context
 from dbrov.tolerances import BEST_FACTOR_TOL
 from dbrov.verify import _factorization_identities, run_checks
 
 from conftest import assert_close, circle_grid, completion_oracle, fejer_riesz_mate, \
-    matrix_defect
+    matrix_factor
 from test_boundary import DOUBLE_B
 from test_random_rows import NEAR_ROWS, random_row
 
@@ -103,41 +103,38 @@ def test_mate_against_fejer_riesz_oracle(B, bound):
 
 class TestWilson:
     def test_identity_density(self):
-        rep = wilson_report(LaurentHerm(np.eye(2, dtype=complex)[None]))
+        rep = wilson_report(LaurentHerm([1.0]))
         assert rep.residual_sup <= 1e-14
-        assert_close(rep.factor.coeffs, np.eye(2)[None], 1e-14)
+        assert_close(rep.factor.coeffs, [1.0], 1e-14)
 
     def test_rank_one_reproduces_mate(self):
+        # for d = 1 the matrix reference factors the mate's own defect
         B = fixture("SARASON").B
-        matrix = matrix_defect(B)
-        rep = wilson_report(matrix)
-        assert_close(rep.factor.coeffs.ravel(), mate_report(B).factor.coeffs,
-                     1e-8)
+        assert_close(matrix_factor(B)[0].ravel(), mate_report(B).factor.coeffs, 1e-8)
 
     def test_row2_determinant_identity(self):
         B = fixture("ROW2").B
-        matrix = matrix_defect(B)
-        rep = wilson_report(matrix)
         z = circle_grid(512)
-        det = np.linalg.det(rep.factor(z))
+        det = np.linalg.det(MatPoly(matrix_factor(B)[0])(z))
         assert np.abs(det - mate_report(B).factor(z)).max() <= 1e-8
 
     def test_constant_coefficient_hermitian_pd(self):
-        matrix = matrix_defect(fixture("ROW2").B)
-        a0 = wilson_report(matrix).factor.coeffs[0]
+        a0 = make_context(fixture("ROW2").B).A.coeffs[0]
         assert np.abs(a0 - np.conj(a0).T).max() < 1e-12
         assert np.linalg.eigvalsh(a0).min() > 0
 
     def test_indefinite_density_rejected(self):
-        bad = LaurentHerm(np.array([[[0.6]], [[1.0]], [[0.6]]], dtype=complex))
+        bad = LaurentHerm([0.6, 1.0, 0.6])
         with pytest.raises(NotPositive):
             wilson_report(bad)
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
-    def test_grid_residuals_non_increasing(self, name):
-        matrix = matrix_defect(fixture(name).B)
+    def test_grid_residuals_non_increasing(self, name, constant_start):
+        # from a constant start, past the first steps, each Newton step on
+        # the unsplit defect lowers the residual
         trace = []
-        _grid_pass(matrix, 256, 200, 1e-13, 16 * np.finfo(float).eps, trace)
+        _grid_pass(defect_laurent(fixture(name).B), 256, 200, 1e-13,
+                   16 * np.finfo(float).eps, trace)
         tail = trace[3:]
         assert all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
 
@@ -186,17 +183,16 @@ class TestJensenGap:
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
     def test_engine_factors_are_outer(self, name):
-        matrix = matrix_defect(fixture(name).B)
-        rep = wilson_report(matrix)
+        rep = wilson_report(defect_laurent(fixture(name).B))
         assert rep.outer_gap <= 1e-12
         assert outer_check(rep.factor) <= 1e-8
 
 
 def test_wilson_defect_residual_tight():
     for name in ("SARASON", "ROW2", "TRUNC(3)"):
-        matrix = matrix_defect(fixture(name).B)
-        rep = wilson_report(matrix)
-        assert factor_residual(rep.factor, matrix) <= 1e-12
+        phi = defect_laurent(fixture(name).B)
+        rep = wilson_report(phi)
+        assert factor_residual(rep.factor, phi) <= 1e-12
 
 
 class TestBoundarySplitting:
@@ -256,8 +252,8 @@ def _stack(rng, d, n, cond=None):
 
 
 class TestGridKernels:
-    """The (d, d, n) products, inverses and determinants against numpy's
-    per-matrix `@`, `inv` and `det` on (n, d, d) stacks."""
+    """The (d, d, n) products and determinants against numpy's per-matrix
+    `@` and `det` on (n, d, d) stacks."""
 
     @pytest.mark.parametrize("cond", [None, 1e6])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -270,36 +266,20 @@ class TestGridKernels:
 
     @pytest.mark.parametrize("cond", [None, 1e6])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_inverse_and_determinant(self, d, cond):
+    def test_determinant(self, d, cond):
         a, at = _stack(np.random.default_rng(10 + d), d, 64, cond)
-        want = np.linalg.inv(at)
-        got = _grid_inv(a).transpose(2, 0, 1)
         # both are backward stable: forward errors scale with cond
         rel = 1e-13 * (cond or 1e3)
-        assert np.abs(got - want).max() <= rel * np.abs(want).max()
-        assert np.abs(got @ at - np.eye(d)).max() <= rel
         det, want_det = grid_det(a), np.linalg.det(at)
         assert np.abs(det - want_det).max() <= rel * np.abs(want_det).max()
 
-    def test_scalar_inverse_is_the_adjugate_quotient(self):
-        # d = 1 skips the cofactors: 1 / a, the same bytes as adj / det
-        a, _ = _stack(np.random.default_rng(30), 1, 64)
-        assert np.array_equal(_grid_inv(a), np.divide(*grid_adjugate(a)))
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_singular_point_is_refused(self, d):
-        a, _ = _stack(np.random.default_rng(20 + d), d, 16)
-        a[:, :, 5] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            _grid_inv(a)
-
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_singular_iterate_raises(self, d):
-        # a start that is singular at every grid point stops the iteration
-        start = MatPoly(np.diag([0.0] + [1.0] * (d - 1))[None])
-        phi = LaurentHerm(np.eye(d, dtype=complex)[None])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_singular_iterate_raises(self, m):
+        # a start that vanishes at every grid point stops the iteration
+        phi = LaurentHerm(np.correlate(_outer_poly(m), _outer_poly(m), "full"))
         with pytest.raises(SingularIterate):
-            _grid_pass(phi, 64, 10, 1e-14, 16 * np.finfo(float).eps, [], start=start)
+            _grid_pass(phi, 64, 10, 1e-14, 16 * np.finfo(float).eps, [],
+                       start=CPoly.zero())
 
 
 class TestPolar:
@@ -310,7 +290,7 @@ class TestPolar:
         rng = np.random.default_rng(40 + d)
         c = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
         c[0] += 3.0 * np.eye(d)
-        A = _polar(c, d).coeffs
+        A = _polar(c).coeffs
         assert np.abs(A[0] - np.conj(A[0]).T).max() <= 1e-15 * np.abs(A[0]).max()
         assert np.linalg.eigvalsh(A[0]).min() > 0
         before, after = circle_eval(c, 16), circle_eval(A, 16)
@@ -322,43 +302,65 @@ class TestPolar:
         for c in (np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex),
                   np.array([[[0.0]], [[1.0]]], dtype=complex)):
             with pytest.raises(SingularIterate):
-                _polar(c, c.shape[1])
+                _polar(c)
+
+
+def _outer_poly(m):
+    """(1 + z / 2)^m: outer, its zero of order m at -2."""
+    return CPoly.from_roots([-2.0] * m, leading=2.0 ** -m).coeffs
 
 
 class TestDensityScale:
-    """The singular-density check is relative to the scale of phi."""
+    """No absolute threshold in the engine: s |p|^2 factors to sqrt(s) p."""
 
     @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8])
-    @pytest.mark.parametrize("d", [1, 2, 4])
-    def test_scaled_identity(self, d, scale):
-        rep = wilson_report(LaurentHerm(scale * np.eye(d, dtype=complex)[None]))
-        assert_close(rep.factor.coeffs, np.sqrt(scale) * np.eye(d)[None],
-                     1e-14 * np.sqrt(scale), "sqrt(s) I")
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_scaled_identity(self, m, scale):
+        p = _outer_poly(m)
+        rep = wilson_report(LaurentHerm(scale * np.correlate(p, p, "full")))
+        assert_close(rep.factor.coeffs, np.sqrt(scale) * p,
+                     1e-14 * np.sqrt(scale) * np.abs(p).max(), "sqrt(s) p")
 
     @pytest.mark.parametrize("scale", [1.0, 1e-8])
     def test_rank_deficient_constant_density(self, scale):
-        with pytest.raises(SingularIterate):
-            wilson_report(LaurentHerm(scale * np.diag([1.0, 0.0, 1.0])[None]))
+        # a scalar constant density is rank deficient only when it vanishes:
+        # refused at any scale, with or without zero outer coefficients
+        for coeffs in ([0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(SingularIterate):
+                wilson_report(LaurentHerm(scale * np.array(coeffs)))
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.005])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_off_divides_exactly(seed, radius):
+    # psi = |p|^2 (deg p = 5) times |1 - z / w|^2, with w on the circle or
+    # just outside it: the two exact divisions give psi back
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=6) + 1j * rng.normal(size=6)
+    w = radius * np.exp(2j * np.pi * rng.random())
+    psi = np.correlate(p, p, "full")
+    e = np.array([-1 / np.conj(w), 1 + 1 / abs(w) ** 2, -1 / w])  # |1 - z/w|^2
+    got = _split_off(LaurentHerm(np.convolve(psi, e)), w).coeffs
+    assert np.abs(got - LaurentHerm(psi).coeffs).max() <= 1e-14 * np.abs(psi).max()
 
 
 def test_stalled_run_stops_at_first_idle_enlargement(monkeypatch):
     # the mate run stalls near 2e-12: once the best residual is below
     # BEST_FACTOR_TOL, an enlargement that does not lower it ends the run
-    # (it grew to 2^16 points before); the matrix factor runs no grid
+    # (it grew to 2^16 points before); it is the only run
     grids = []
     real = factor_mod._grid_pass
 
     def counting(phi, n, *args, **kwargs):
-        grids.append((phi.dim, n))
+        grids.append(n)
         return real(phi, n, *args, **kwargs)
 
     monkeypatch.setattr(factor_mod, "_grid_pass", counting)
     ctx = make_context(random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9))
     assert ctx.reports["factor_fallback"] == 1.0
     assert ctx.reports["factor_residual_sup"] <= BEST_FACTOR_TOL
-    assert len([n for d, n in grids if d == 1]) <= 3
-    assert len([n for d, n in grids if d == 2]) == 0
-    assert max(n for _, n in grids) <= 4096
+    assert 0 < len(grids) <= 3
+    assert max(grids) <= 4096
 
 
 def _padded_gap(A, C):
@@ -380,12 +382,24 @@ ZERO_REUSE_ROWS = [pytest.param(fixture(name).B, id=name)
 @pytest.mark.parametrize("B", ZERO_REUSE_ROWS)
 def test_matrix_run_reuses_mate_zeros(B):
     # the context's A comes from the mate's zeros by the completion; a
-    # standalone engine run on I - B*B, which searches its zeros itself,
-    # is the independent reference for it
+    # matrix Newton run on I - B*B (`matrix_factor`), with its own null
+    # vectors and grid, is the independent reference for it
     ctx = make_context(B)
-    alone = wilson_report(matrix_defect(B), tol_factor=1e-12, max_iter=600)
-    assert ctx.reports["boundary_deflations"] == len(alone.splits)
-    assert _padded_gap(ctx.A.coeffs, alone.factor.coeffs) <= 1e-10
+    A, splits = matrix_factor(B)
+    assert ctx.reports["boundary_deflations"] == len(splits)
+    assert _padded_gap(ctx.A.coeffs, A) <= 1e-10
+
+
+@pytest.mark.parametrize("grid_log2", [4, 5])
+@pytest.mark.parametrize("sup", [0.9, 1.0])
+@pytest.mark.parametrize("q", [16, 33])
+def test_first_grid_holds_the_factor(q, sup, grid_log2):
+    # a first grid of 2^grid_log2 points, fewer than the q + 1 coefficients
+    # of the mate, grows to hold them
+    B = random_row(np.random.default_rng(q), 2, q, sup)
+    ctx = make_context(B, grid_log2=grid_log2)
+    assert ctx.reports["factor_residual_sup"] <= 1e-12
+    assert ctx.reports["factor_grid"] > q
 
 
 def test_the_engine_run_takes_the_settings(monkeypatch):
@@ -394,13 +408,13 @@ def test_the_engine_run_takes_the_settings(monkeypatch):
     real = factor_mod.wilson_report
 
     def recording(phi, *run, search):
-        runs.append((phi.dim,) + run)
+        runs.append((phi.coeffs.shape,) + run)
         return real(phi, *run, search=search)
 
     monkeypatch.setattr(factor_mod, "wilson_report", recording)
     monkeypatch.setattr(space_mod, "wilson_report", recording)
     make_context(fixture("ROW2").B, max_iter=7, grid_log2=12)
-    assert runs == [(1, 1e-12, 7, 12)]
+    assert runs == [((3,), 1e-12, 7, 12)]
 
 
 @pytest.mark.parametrize("B", [fixture(n).B for n in ("ZERO", "SARASON", "ROW2",
@@ -417,7 +431,7 @@ def test_stalled_run_returns_best_factor():
     # one stall policy: a public run that stalls near 2e-12 returns its best
     # factor with fallback set, as the runs of make_context do
     B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
-    rep = wilson_report(matrix_defect(B), 1e-12, 600)
+    rep = wilson_report(defect_laurent(B), 1e-12, 600)
     assert rep.fallback
     assert 1e-12 < rep.residual_sup <= BEST_FACTOR_TOL
 
@@ -427,7 +441,7 @@ def test_run_above_best_factor_bound_raises(constant_start):
     # the mate's run starts from a constant, which one step cannot finish
     B = fixture("TRUNC(8)").B
     for build in (lambda: make_context(B, max_iter=1),
-                  lambda: wilson_report(matrix_defect(B), 1e-12, 1)):
+                  lambda: wilson_report(defect_laurent(B), 1e-12, 1)):
         with pytest.raises(FactorizationDiverged) as info:
             build()
         assert info.value.best.residual_sup > BEST_FACTOR_TOL
@@ -658,7 +672,8 @@ def test_scalar_row_runs_the_engine_once(B, monkeypatch):
 
 def _defect_roots_near_circle(B):
     """Roots w of z^q (1 - BB*) with 1 <= |w| < 1 + _NEAR, from the
-    companion matrix; det(I - B*B) = 1 - BB*, so they are det phi's too.
+    companion matrix; det(I - B*B) = 1 - BB*, so `matrix_factor` splits
+    I - B*B at them too.
 
     Rounding splits a double root on the circle into a pair about sqrt(eps)
     off it, so roots within 1e-6 of one another count once."""
@@ -707,13 +722,12 @@ PLACED_ROWS = [pytest.param(_row_with_zero_off_circle(
                  id=f"near-d{d}-q{q}-seed{seed}") for d, q, seed in NEAR_ROWS])
 def test_screened_zeros_match_companion_roots(B):
     # grid minima screened off before the angle Newton lose no zero within
-    # _NEAR of the circle, for the scalar defect and for I - B*B
+    # _NEAR of the circle
     want = _defect_roots_near_circle(B)
-    for phi in (defect_laurent(B), matrix_defect(B)):
-        got, _ = factor_mod._boundary_zeros(phi)
-        assert len(got) == len(want)
-        for w in want:
-            assert min(abs(np.asarray(got) - w)) <= 1e-6
+    got, _ = factor_mod._boundary_zeros(defect_laurent(B))
+    assert len(got) == len(want)
+    for w in want:
+        assert min(abs(np.asarray(got) - w)) <= 1e-6
 
 
 def _bauer_factor(B, N):

@@ -21,6 +21,7 @@ from dbrov.space import density_residual, make_context, spectrum_member
 from dbrov.tolerances import Tolerances
 
 from conftest import assert_close
+from test_random_rows import random_row
 
 ROW2_SPEC = {
     "schema_version": "1",
@@ -371,6 +372,19 @@ class TestCli:
             assert code == 0
             grids.append(json.loads(out)["reports"]["factor_grid"])
         assert grids == [256, 64]
+
+    def test_first_grid_below_the_degree(self, tmp_path, capsys):
+        # --grid-log2 4 is a 16-point first grid, fewer points than the 21
+        # coefficients of a d = 2, q = 20 row's mate: the grid grows to hold
+        # them
+        B = random_row(np.random.default_rng(20), 2, 20, 1.0)
+        path = tmp_path / "q20.json"
+        path.write_text(json.dumps({"B": {"d": 2, "coeffs": [
+            [[z.real, z.imag] for z in row] for row in B.coeffs]}}))
+        code, out = self.run(["analyze", "--spec", str(path), "--grid-log2", "4"],
+                             capsys)
+        assert code == 0
+        assert json.loads(out)["reports"]["factor_residual_sup"] <= 1e-12
 
     def test_clark_ignores_grid_log2(self, capsys):
         # --grid-log2 sets the factorization grid only; the Clark measure is
