@@ -47,7 +47,9 @@ class FactorizationDiverged(DbrovError):
 
 
 class SingularIterate(DbrovError):
-    """A grid-point solve inside the factorization was rank deficient."""
+    """The factorization met a zero it cannot divide by: a density that
+    vanishes identically, a grid iterate that vanishes, or a zero constant
+    coefficient."""
 
 
 class DegenerateDeterminant(DbrovError):

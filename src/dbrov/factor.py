@@ -229,10 +229,6 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
 # tol_factor (putting each split factor back can multiply its error by up to
 # 4), and finer grids are tried while the factor's residual stays above it
 _GRID_TOL = 1e-14
-# a factor with a residual of at most this fraction of the scale of phi
-# starts the enlarged grid: no zero of its determinant can have crossed the
-# circle
-_WARM_REL = 1e-8
 # phi(w) below this fraction of the largest value of phi on the circle is a
 # zero
 _NULL_REL = 1e-8
@@ -257,12 +253,12 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     a1 <- [phi1 / |a1|^2 + 1]_+ a1 on an FFT grid ([.]_+ keeps the analytic
     half, constant term halved) factors the strictly positive phi1 with
     quadratic convergence (Wilson), from its cepstral factor exp [log phi1]_+
-    (Kolmogorov) on a cold grid.  a = a1 (1 - z / w_1) ... (1 - z / w_k),
-    trimmed to degree m, keeps a(0) = a1(0) > 0.  The residual is checked
-    against phi.  The first grid holds the coefficients of a1 (grid_log2
-    sets it when that is enough); it grows four-fold, warm-started, while
-    the residual is above tol_factor, or above rounding level and still
-    falling.
+    (Kolmogorov) on every grid: a pass depends on phi1, n and max_iter
+    alone.  a = a1 (1 - z / w_1) ... (1 - z / w_k), trimmed to degree m,
+    keeps a(0) = a1(0) > 0.  The residual is checked against phi.  The
+    first grid holds the coefficients of a1 (grid_log2 sets it when that is
+    enough); it grows four-fold while the residual is above tol_factor, or
+    above rounding level and still falling.
 
     outer_gap is the Jensen gap of a1: each factor 1 - z / w_k with
     |w_k| >= 1 has gap 0, and a1, zero-free within _NEAR of the circle,
@@ -286,11 +282,10 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
         else max(pow2_at_least(8 * max(m1, 1) + 1), 256)
     trace: list[float] = []  # one residual per Newton step, on every grid
     best: tuple = (np.inf, None, None, n0)
-    n, prev, a1 = n0, np.inf, None
+    n, prev = n0, np.inf
     while True:
         _check_size(n, f"factorization grid of {n} points")
-        a1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL),
-                        16 * np.finfo(float).eps, trace, start=a1)[0]
+        a1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL), trace)
         iterations = len(trace)
         coeffs = a1.coeffs
         for w in reversed(splits):
@@ -317,7 +312,6 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
                 best=report,
             )
         n, prev = 4 * n, resid
-        a1 = a1 if resid <= _WARM_REL * scale else None
 
 
 def _jensen_gap(det: np.ndarray, n: int) -> float:
@@ -417,32 +411,28 @@ def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
     return MatPoly(coeffs[: m + 1], dim=A1.dim)
 
 
-def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float, rel: float,
-               trace: list[float], start: CPoly | None = None):
-    """One Newton pass on n points: the finished factor, its grid residual
-    and the scale of phi there.
-
-    phi is tabulated on the half-sample offset grid (one that vanishes
-    identically raises SingularIterate), and `_newton_grid` runs from the
-    factor `start` of a coarser grid, or else the cepstral factor, to a
-    residual of max(tol, rel * scale), each step's on trace.
-    """
+def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float,
+               trace: list[float]) -> CPoly:
+    """One Newton pass on n points from the cepstral factor: the finished
+    factor.  phi is tabulated on the half-sample offset grid (one that
+    vanishes identically raises SingularIterate), and `_newton_grid` runs
+    to a residual of max(tol, 16 eps scale), scale the largest value of phi
+    there, each step's on trace."""
     vals = circle_eval(phi.coeffs, n, 0.5, -phi.half_degree).real
     scale = np.abs(vals).max()
     if not scale:
         raise SingularIterate("density vanishes identically on the circle")
-    a_grid = None if start is None else circle_eval(start.coeffs, n, 0.5)
-    a_grid, resid = _newton_grid(vals, a_grid, max_iter, max(tol, rel * scale), trace)
-    return _finish(a_grid, phi.half_degree), resid, scale
+    floor = max(tol, 16 * np.finfo(float).eps * scale)
+    return _finish(_newton_grid(vals, None, max_iter, floor, trace), phi.half_degree)
 
 
 def _newton_grid(vals: np.ndarray, a_grid: np.ndarray | None, max_iter: int, floor: float,
-                 trace: list[float]):
+                 trace: list[float]) -> np.ndarray:
     """Newton steps on the (n,) grid values of phi from a_grid until the
-    residual is at most floor or stalls; returns the best grid factor and
-    its residual.  a_grid None starts at exp [log phi]_+ with the one [.]_+
-    mask, phi clamped to eps times its scale where the remainder reads
-    <= 0."""
+    residual is at most floor or stalls; returns the best grid factor.
+    a_grid None, as in every engine pass, starts at exp [log phi]_+ with the
+    one [.]_+ mask, phi clamped to eps times its scale where the remainder
+    reads <= 0; a given a_grid is the tests' seam for other starts."""
     n = vals.shape[0]
     # [.]_+ on the spectrum: the analytic half, constant and Nyquist halved
     half = np.where(np.arange(n) < n // 2, 1.0, 0.0)
@@ -466,14 +456,13 @@ def _newton_grid(vals: np.ndarray, a_grid: np.ndarray | None, max_iter: int, flo
             best = (resid, a_grid)
         if resid <= floor or stall >= 3:
             break
-    return best[1], best[0]
+    return best[1]
 
 
-def _grid_values(coeffs: np.ndarray, n: int, offset: float = 0.0,
-                 low: int = 0) -> np.ndarray:
-    """A (k, d, d) coefficient stack on a `circle_eval` grid, as a (d, d, n)
+def _grid_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """A (k, d, d) coefficient stack on n circle points, as a (d, d, n)
     stack in the memory order of `_grid_mul`."""
-    vals = circle_eval(coeffs, n, offset, low).transpose(1, 2, 0)
+    vals = circle_eval(coeffs, n).transpose(1, 2, 0)
     return np.ascontiguousarray(vals) if coeffs.shape[1] <= 4 else vals
 
 

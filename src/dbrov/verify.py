@@ -23,6 +23,7 @@ from .space import (
     _density_residuals,
     _orthonormal,
     _pair_bounds,
+    _pair_inner,
     backward_shift,
     embed,
     gram,
@@ -84,13 +85,8 @@ def complement_product(ctx: SpaceContext, f, h: VecPoly) -> float:
     """|<embed(f), (B h, A h)>|: the pairs are orthogonal to the range of
     (B, A) on vector polynomials h."""
     F = embed(ctx, f)
-    bh = ctx.B.row_dot(h)
-    ah = ctx.A.matvec_poly(h)
-    n = min(bh.coeffs.shape[0], F.f.coeffs.shape[0])
-    ip = np.vdot(bh.coeffs[:n], F.f.coeffs[:n])
-    n = min(ah.coeffs.shape[0], F.f_plus.coeffs.shape[0])
-    ip += np.vdot(ah.coeffs[:n], F.f_plus.coeffs[:n])
-    return abs(ip)
+    return abs(_pair_inner(F.f.coeffs, ctx.B.row_dot(h).coeffs)
+               + _pair_inner(F.f_plus.coeffs, ctx.A.matvec_poly(h).coeffs))
 
 
 def reproducing_error(ctx: SpaceContext, f: CPoly, w) -> float:

@@ -55,15 +55,13 @@ def circle_grid(n):
 
 @pytest.fixture
 def constant_start(monkeypatch):
-    """Cold Newton runs start from the square root of the grid mean of phi,
-    as `matrix_factor` starts from its Cholesky factor: one step no longer
-    finishes a run, as it does from the cepstral factor."""
+    """Every engine pass starts from the square root of the grid mean of
+    phi in place of its cepstral factor, as `matrix_factor` starts from its
+    Cholesky factor: one step no longer finishes a run."""
     real = factor_mod._newton_grid
 
     def start(vals, a_grid, *args):
-        if a_grid is None:
-            a_grid = np.sqrt(vals.mean(keepdims=True)) * np.ones(vals.shape[0])
-        return real(vals, a_grid, *args)
+        return real(vals, np.sqrt(vals.mean(keepdims=True)) * np.ones(vals.shape[0]), *args)
 
     monkeypatch.setattr(factor_mod, "_newton_grid", start)
 

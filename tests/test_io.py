@@ -110,6 +110,15 @@ class TestSchema:
         with pytest.raises(ValidationError, match="finite"):
             RowSchur([[0.5, 0.0], [bad, 0.0]])
 
+    @pytest.mark.parametrize("spec,message", [
+        ({**ROW2_SPEC, "schema_version": "2"}, "unsupported schema_version"),
+        ({"B": [1, 2]}, "'B' must be an object"),
+        ({"B": {"d": 1, "coeffs": []}}, "'B.coeffs' must be a nonempty list"),
+    ])
+    def test_malformed_spec_refused(self, spec, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_problem(spec)
+
     def test_fixture_override_conflict(self):
         with pytest.raises(ValidationError):
             parse_problem(ROW2_SPEC, B=fixture("ZERO").B)
@@ -362,6 +371,13 @@ class TestCli:
         code, out = self.run(["analyze", "--fixture", "ROW2", *extra], capsys)
         assert code == 2
         assert json.loads(out)["error"] == "ValidationError"
+
+    def test_payload_needs_a_fixture(self, capsys):
+        code, out = self.run(["analyze", "--payload", '{"w": [0, 0]}'], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "ValidationError"
+        assert doc["message"] == "--payload requires --fixture"
 
     def test_flag_overrides_payload(self, capsys):
         payload = '{"grid_log2": 8}'

@@ -479,6 +479,10 @@ class TestGramAndResiduals:
         with pytest.raises(DomainError):
             density_residual(ctx_row2, w, 12)
 
+    def test_negative_density_order_refused(self, ctx_row2):
+        with pytest.raises(DomainError, match="finite-section order must be nonnegative"):
+            density_residual(ctx_row2, 0.5, -1)
+
     def test_point_eval_needs_unimodular_point(self, ctx_row2):
         with pytest.raises(DomainError):
             point_eval_residual(ctx_row2, 0.5, 10)
