@@ -81,13 +81,17 @@ def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
 
 def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
     """(sup ||a|^2 + BB* - 1|, sup |A*A + B*B - I|, sup |det A - a|, Jensen
-    gap of det A) from one evaluation of B, a and A on n = max(512,
-    4 d max(deg A, deg B, 1) + 1) circle points, rounded up to a power of 2.
-    det A is one FFT of its grid values (n > d deg A: nothing aliases) by
-    `det_coeffs`; the split points, of gap 0, are divided out of it, and its
-    gap is taken on _GRID_BUDGET points."""
+    gap of det A) from one evaluation of B, a and A on n = 4 K + 1 circle
+    points rounded up to a power of 2, K = max(d deg A, deg a, deg B, 1).
+    A trigonometric polynomial of degree k < n / 2 has sup at most
+    sec(pi k / n) times its largest value on the grid (Ehlich & Zeller 1964;
+    cos k theta offset by half a step attains it when 2 k divides n), so each
+    grid maximum times that factor, k its residual's degree, is a bound, not
+    a sample.  det A is one FFT of its grid values (n > d deg A); the split
+    points are divided out of it, and its gap is taken on _GRID_BUDGET points."""
     d = B.dim
-    n = max(512, pow2_at_least(4 * d * max(A.degree, B.degree, 1) + 1))
+    ks = np.array([max(a.degree, B.degree), max(A.degree, B.degree), max(d * A.degree, a.degree)])
+    n = pow2_at_least(4 * max(ks.max(), 1) + 1)
     bt, av = circle_eval(B.coeffs, n).T, circle_eval(a.coeffs, n)
     Av = _grid_values(A.coeffs, n)
     mate = np.abs(np.abs(av) ** 2 + (np.abs(bt) ** 2).sum(axis=0) - 1.0).max()
@@ -97,8 +101,8 @@ def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
     det = det_coeffs(Av, dets, d * max(A.degree, 0) + 1)
     for w in splits:
         det = _divide_one_minus(det, 1 / w)
-    return (float(mate), float(np.abs(ident).max()), float(np.abs(dets - av).max()),
-            _jensen_gap(det, _GRID_BUDGET))
+    sups = np.array([mate, np.abs(ident).max(), np.abs(dets - av).max()])
+    return (*(sups / np.cos(np.pi * ks / n)).tolist(), _jensen_gap(det, _GRID_BUDGET))
 
 
 def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
@@ -500,7 +504,8 @@ def _polar(coeffs: np.ndarray) -> MatPoly:
 
 
 def factor_residual(a: CPoly, phi: LaurentHerm) -> float:
-    """sup over the circle grid of ||a(z)|^2 - phi(z)|."""
+    """max of ||a(z)|^2 - phi(z)| on at least 512 circle points: a sample, whose
+    floor stays because `wilson_report` picks its grids from these rounding-level values."""
     n = max(512, pow2_at_least(4 * max(a.degree, phi.half_degree) + 1))
     av = circle_eval(a.coeffs, n)
     pv = circle_eval(phi.coeffs, n, low=-phi.half_degree)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbrov import CPoly, RowSchur, hb_inner, kernel, make_context
 from dbrov.errors import DbrovError, NumericsError
+from dbrov.tolerances import BEST_FACTOR_TOL
 from dbrov.verify import reproducing_error, run_checks
 
 
@@ -135,3 +137,22 @@ def test_rows_above_one_within_1e_9_verify(d, q, seed):
                                                  1.0 + 1e-9)))
     assert len(results) == 12
     assert [r.name for r in results if not r.passed] == []
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(d=st.integers(1, 8), q=st.integers(0, 16),
+       sup=st.sampled_from([0.9, 1.0 - 1e-5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9]),
+       seed=st.integers(0, 1 << 16))
+def test_draws_near_the_circle_end_verified_or_typed(d, q, sup, seed):
+    # every drawn row builds with its four certificates within the context
+    # checks' bounds, or ends in a typed DbrovError (a constant row of norm
+    # 1 has no mate)
+    try:
+        ctx = make_context(random_row(np.random.default_rng(seed), d, q, sup))
+    except DbrovError:
+        return
+    rep = ctx.reports
+    assert rep["mate_residual_sup"] <= BEST_FACTOR_TOL
+    assert rep["factor_residual_sup"] <= BEST_FACTOR_TOL
+    assert rep["det_gap_sup"] <= 1e-7
+    assert rep["outer_gap_factor"] <= ctx.tol.tol_outer
