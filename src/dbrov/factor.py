@@ -30,7 +30,7 @@ from .errors import (
     SingularIterate,
 )
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
-    angle_derivatives, circle_eval, det_coeffs, grid_det, poly_roots, pow2_at_least
+    angle_derivatives, circle_eval, det_coeffs, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL
 
@@ -87,21 +87,21 @@ def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
     sec(pi k / n) times its largest value on the grid (Ehlich & Zeller 1964;
     cos k theta offset by half a step attains it when 2 k divides n), so each
     grid maximum times that factor, k its residual's degree, is a bound, not
-    a sample.  det A is one FFT of its grid values (n > d deg A); the split
-    points are divided out of it, and its gap is taken on _GRID_BUDGET points."""
+    a sample.  A 1 x 1 A is its own determinant: LAPACK's goes through the
+    log-determinant, and det A = a then holds exactly.  det A is one FFT of
+    its grid values (n > d deg A); the split points are divided out of it,
+    and its gap is taken on _GRID_BUDGET points."""
     d = B.dim
     ks = np.array([max(a.degree, B.degree), max(A.degree, B.degree), max(d * A.degree, a.degree)])
     n = pow2_at_least(4 * max(ks.max(), 1) + 1)
-    bt, av = circle_eval(B.coeffs, n).T, circle_eval(a.coeffs, n)
-    Av = _grid_values(A.coeffs, n)
-    mate = np.abs(np.abs(av) ** 2 + (np.abs(bt) ** 2).sum(axis=0) - 1.0).max()
-    ident = _grid_mul(np.conj(Av).transpose(1, 0, 2), Av) \
-        + np.conj(bt)[:, None] * bt - np.eye(d)[:, :, None]
-    dets = grid_det(Av)
+    bv, av, Av = (circle_eval(c, n) for c in (B.coeffs, a.coeffs, A.coeffs))
+    mate = np.abs(np.abs(av) ** 2 + (np.abs(bv) ** 2).sum(axis=1) - 1.0).max()
+    ident = np.conj(Av).swapaxes(1, 2) @ Av + np.conj(bv)[:, :, None] * bv[:, None, :]
+    dets = Av[:, 0, 0] if d == 1 else np.linalg.det(Av)
     det = det_coeffs(Av, dets, d * max(A.degree, 0) + 1)
     for w in splits:
         det = _divide_one_minus(det, 1 / w)
-    sups = np.array([mate, np.abs(ident).max(), np.abs(dets - av).max()])
+    sups = np.array([mate, np.abs(ident - np.eye(d)).max(), np.abs(dets - av).max()])
     return (*(sups / np.cos(np.pi * ks / n)).tolist(), _jensen_gap(det, _GRID_BUDGET))
 
 
@@ -461,25 +461,6 @@ def _newton_grid(vals: np.ndarray, a_grid: np.ndarray | None, max_iter: int, flo
         if resid <= floor or stall >= 3:
             break
     return best[1]
-
-
-def _grid_values(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """A (k, d, d) coefficient stack on n circle points, as a (d, d, n)
-    stack in the memory order of `_grid_mul`."""
-    vals = circle_eval(coeffs, n).transpose(1, 2, 0)
-    return np.ascontiguousarray(vals) if coeffs.shape[1] <= 4 else vals
-
-
-def _grid_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise products of (d, d, n) stacks: a few whole-array calls, not
-    one BLAS call per point.  Elementwise for d = 1, einsum up to d = 4 (ten
-    times cheaper than `@` at d = 2, n = 256) with n innermost in memory,
-    `@` above with n outermost; ufuncs and FFTs keep the order."""
-    if a.shape[0] == 1:
-        return a * b
-    if a.shape[0] <= 4:
-        return np.einsum("ijn,jkn->ikn", a, b)
-    return (a.transpose(2, 0, 1) @ b.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def _finish(a_grid: np.ndarray, m: int) -> CPoly:

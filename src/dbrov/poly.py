@@ -62,22 +62,6 @@ def circle_eval(coeffs: np.ndarray, n: int, offset: float = 0.0,
     return np.fft.ifft(spec, axis=0, norm="forward")
 
 
-def grid_det(a: np.ndarray) -> np.ndarray:
-    """Determinants of a (d, d, n) stack: expansion along the first row by
-    cofactors up to d = 3, LAPACK above."""
-    d = a.shape[0]
-    if d > 3:
-        return np.linalg.det(a.transpose(2, 0, 1))
-    if d == 1:
-        cof = np.ones_like(a[0])
-    elif d == 2:
-        cof = np.array([a[1, 1], -a[1, 0]])
-    else:  # cyclic column pairs give the signed first-row cofactors
-        cof = np.array([a[1, j] * a[2, l] - a[1, l] * a[2, j]
-                        for j, l in ((1, 2), (2, 0), (0, 1))])
-    return (a[0] * cof).sum(axis=0)
-
-
 def _divide_one_minus(h: np.ndarray, c: complex) -> np.ndarray:
     """Quotient g with h = (1 - c z) g, for h vanishing at 1/c.
 
@@ -265,21 +249,21 @@ class MatPoly(_Poly):
 
     def det_poly(self) -> CPoly:
         """Determinant as a scalar polynomial: the entry of a 1 x 1 stack,
-        else by `det_coeffs`."""
+        else `det_coeffs` of the batched `np.linalg.det` of its circle values."""
         if self.dim == 1:
             return CPoly(self.coeffs[:, 0, 0])
         n = self.dim * max(self.degree, 0) + 1
-        vals = circle_eval(self.coeffs, pow2_at_least(max(2 * n, 8))).transpose(1, 2, 0)
-        return CPoly(det_coeffs(vals, grid_det(vals), n))
+        vals = circle_eval(self.coeffs, pow2_at_least(max(2 * n, 8)))
+        return CPoly(det_coeffs(vals, np.linalg.det(vals), n))
 
 
 def det_coeffs(vals: np.ndarray, dets: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0 .. n-1 of det A by one FFT of its values dets on the
-    (d, d, N) `circle_eval` stack vals of A, N >= n.  Trailing ones below d eps
-    times the values' Hadamard bound prod_i |A(z) e_i| are dropped as noise."""
-    coeffs = np.fft.fft(dets)[:n] / vals.shape[-1]
-    noise = vals.shape[0] * np.finfo(float).eps \
-        * np.prod(np.linalg.norm(vals, axis=0), axis=0).max()
+    (N, d, d) `circle_eval` stack vals of A, N >= n.  Trailing ones below d eps
+    times the values' Hadamard bound prod_j |A(z) e_j| are dropped as noise."""
+    coeffs = np.fft.fft(dets)[:n] / vals.shape[0]
+    noise = vals.shape[1] * np.finfo(float).eps \
+        * np.prod(np.linalg.norm(vals, axis=1), axis=1).max()
     keep = np.nonzero(np.abs(coeffs) > noise)[0]
     return coeffs[: keep[-1] + 1] if keep.size else coeffs[:0]
 

@@ -106,13 +106,14 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     One `wilson_report` run, on 1 - BB* (`defect_laurent`) with
     min(tol_factor, ENGINE_TOL), max_iter and grid_log2, gives the mate a; a
     run that stalls is accepted down to 1e-8, since regularizing a
-    boundary-degenerate defect would perturb the boundary spectrum.  A = a for d = 1; for d >= 2 the lossless
-    completion of (a, B) gives it (`_completion`), with no second run.  The
-    run's reports (iterations, grid, deflations, fallbacks, the mate's outer
-    gap) hold for every d; `_identities` gives the residuals of a, A and
-    det A = a and the outer gap of det A.  The boundary spectrum is the
-    run's unimodular split points, multiplicity the number of splits at each;
-    the context keeps all of the run's split points.
+    boundary-degenerate defect would perturb the boundary spectrum.  A = a
+    for d = 1; for d >= 2 the lossless completion of (a, B) gives it
+    (`_completion`), with no second run.  The run's reports (iterations,
+    grid, deflations, fallbacks, the mate's outer gap) hold for every d;
+    `_identities` gives the residuals of a, A and det A = a and the outer
+    gap of det A.  The boundary spectrum is the run's unimodular split
+    points, multiplicity the number of splits at each; the context keeps
+    all of the run's split points.
     """
     tol = tol or Tolerances()
     scalar_defect = defect_laurent(B)

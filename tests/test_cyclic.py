@@ -20,6 +20,7 @@ from dbrov import (
 from dbrov.errors import InconclusiveGap, ValidationError, ZeroFunction
 
 from conftest import assert_close
+from test_boundary import DOUBLE_B
 from test_random_rows import random_row
 
 
@@ -292,3 +293,53 @@ class TestCodimensionOfMateMultiples:
             ev = np.linalg.eigvalsh(C)
             assert np.all(np.abs(ev[: k - len(lams)]) <= 2 * bound), (name, N)
             assert np.all(ev[k - len(lams):] > 1.0), (name, N)
+
+
+@pytest.fixture(scope="module")
+def ctx_double_member():
+    # the d = 1 row of `TestDoubleMember`: a = (1 - z)^2 / 8, Lambda = {1: 2}
+    return make_context(RowSchur(DOUBLE_B[:, None]))
+
+
+class TestCodimensionOfInvariantSubspaces:
+    """The paper's z-invariant subspaces as an oracle: for rational b with
+    dim (aH^2)^perp < oo, [f] is cut out by conditions at the zeros of f in
+    the disk and on Lambda (Costara & Ransford; Fricain, Hartmann & Ross), so
+    codim [f] = sum_D mult_f(w) + sum_Lambda min(mult_f(lam), mult_Lambda(lam)).
+    The complement Gram of 1, ..., z^{deg f} against f P_{N - deg f} has that
+    many persistent eigenvalues: its other modes decay like 1/N (a circle
+    zero off Lambda, or the excess of a zero's order over its member's) or
+    sit at rounding."""
+
+    ORDERS = (40, 160, 640)
+
+    @staticmethod
+    def codimension(roots, Lambda):
+        inside = sum(abs(r) < 1 - 1e-9 for r in roots)
+        return inside + sum(min(sum(abs(r - lam) <= 1e-9 for r in roots), mult)
+                            for lam, mult in Lambda)
+
+    @pytest.mark.parametrize("row,roots,want", [
+        pytest.param(row, roots, want, id=f"{row}-{'-'.join(map(str, roots))}")
+        for row, roots, want in (
+            ("ROW2", (0.5, 1), 2),
+            ("ROW2", (0.5, -1), 1),
+            ("ROW2", (0.5, 0.5, 1), 3),
+            ("ROW2", (0.3j, 2, 1, 1), 2),
+            ("double", (1,), 1),
+            ("double", (1, 1), 2),
+            ("double", (1, 1, 1), 2),
+            ("double", (0.5, 1, 1), 3))])
+    def test_persistent_modes_count_the_codimension(self, row, roots, want, request):
+        ctx = request.getfixturevalue("ctx_row2" if row == "ROW2" else "ctx_double_member")
+        assert self.codimension(roots, ctx.Lambda) == want
+        f = CPoly.from_roots(roots).coeffs
+        ev = np.array([np.linalg.eigvalsh(complement_gram(ctx, f, N, len(roots) + 1))
+                       for N in self.ORDERS])
+        # modes at rounding (below 1e-12 of the top at N = 640) are dropped
+        live = ev[-1] > 1e-12 * ev[-1].max()
+        steps = ev[1:, live] / ev[:-1, live]
+        persistent = steps[-1] > 0.8
+        one_over_n = np.all((0.15 < steps) & (steps < 0.4), axis=0)
+        assert np.all(persistent | one_over_n), (roots, ev)
+        assert persistent.sum() == want, (roots, ev)

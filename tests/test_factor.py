@@ -17,10 +17,10 @@ import dbrov.factor as factor_mod
 import dbrov.space as space_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
     MateUndefined, NotPositive, NumericsError, SingularIterate
-from dbrov.factor import _grid_mul, _grid_pass, _identities, _jensen_gap, _polar, \
+from dbrov.factor import _grid_pass, _identities, _jensen_gap, _polar, \
     _split_off, factor_residual
 from dbrov.fixtures import fixture
-from dbrov.poly import circle_eval, grid_det, pow2_at_least
+from dbrov.poly import circle_eval, horner, pow2_at_least
 from dbrov.rowschur import defect_laurent
 from dbrov.space import SpaceContext, _verify_context
 from dbrov.tolerances import BEST_FACTOR_TOL
@@ -239,38 +239,44 @@ def test_reports_show_the_factorization():
         assert rep["factor_grid"] >= 256
 
 
-def _stack(rng, d, n, cond=None):
-    """(d, d, n) random complex stack; with cond, each matrix U diag V* has
-    singular values spread log-evenly from 1 down to 1 / cond."""
-    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
-    if cond is not None:
-        u, _, vh = np.linalg.svd(a)
-        sing = np.logspace(0, -np.log10(cond), d)
-        a = (u * sing[None, None, :]) @ vh
-    return np.ascontiguousarray(a.transpose(1, 2, 0)), a
+def _identities_per_point(B, a, A):
+    """The first three `_identities` entries from `horner` values on its
+    grid, with one product and one `np.linalg.det` per point."""
+    d = B.dim
+    ks = np.array([max(a.degree, B.degree), max(A.degree, B.degree),
+                   max(d * A.degree, a.degree)])
+    n = pow2_at_least(4 * max(ks.max(), 1) + 1)
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    sups = np.zeros(3)
+    for b, s, M in zip(horner(B.coeffs, z), horner(a.coeffs, z), horner(A.coeffs, z)):
+        sups = np.maximum(sups, [abs(abs(s) ** 2 + np.vdot(b, b).real - 1),
+                                 np.abs(np.conj(M).T @ M + np.outer(np.conj(b), b)
+                                        - np.eye(d)).max(),
+                                 abs(np.linalg.det(M) - s)])
+    return sups / np.cos(np.pi * ks / n)
+
+
+# cond A(0) = 1.8e4: B = (0.6, 0.7999999992 z) is 1.28e-9 from unimodular
+NEAR_UNIMODULAR = RowSchur([[0.6, 0], [0, 0.7999999992]])
+
+
+@pytest.mark.parametrize("B", [
+    *(pytest.param(fixture(name).B, id=name)
+      for name in ("SARASON", "TRUNC(2)", "TRUNC(3)", "TRUNC(4)", "TRUNC(5)")),
+    pytest.param(NEAR_UNIMODULAR, id="near-unimodular")])
+def test_certificates_match_a_per_point_reference(B):
+    # the batched (n, d, d) evaluation against a point-by-point one:
+    # measured |difference| at most 3.4e-16 (the near-unimodular row's mate
+    # residual), the residuals at most 2.7e-15 (TRUNC(5))
+    ctx = make_context(B)
+    got = _identities(ctx.B, ctx.a, ctx.A, ctx.splits)
+    want = _identities_per_point(ctx.B, ctx.a, ctx.A)
+    assert np.abs(np.array(got[:3]) - want).max() <= 1e-15
+    assert max(want) <= 1e-14
 
 
 class TestGridKernels:
-    """The (d, d, n) products and determinants against numpy's per-matrix
-    `@` and `det` on (n, d, d) stacks."""
-
-    @pytest.mark.parametrize("cond", [None, 1e6])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_product(self, d, cond):
-        rng = np.random.default_rng(d)
-        (a, at), (b, bt) = _stack(rng, d, 64, cond), _stack(rng, d, 64, cond)
-        want = at @ bt
-        got = _grid_mul(a, b).transpose(2, 0, 1)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-    @pytest.mark.parametrize("cond", [None, 1e6])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_determinant(self, d, cond):
-        a, at = _stack(np.random.default_rng(10 + d), d, 64, cond)
-        # both are backward stable: forward errors scale with cond
-        rel = 1e-13 * (cond or 1e3)
-        det, want_det = grid_det(a), np.linalg.det(at)
-        assert np.abs(det - want_det).max() <= rel * np.abs(want_det).max()
+    """The engine's grid pass."""
 
     @pytest.mark.parametrize("m", [2, 5])
     def test_singular_iterate_raises(self, m, monkeypatch):
@@ -548,19 +554,21 @@ CORRUPTIONS = [
 
 
 def _grid_sizes(monkeypatch):
-    """The grid size of every `_identities` evaluation from here on."""
-    sizes, real = [], factor_mod._grid_values
+    """The grid size of every `_identities` evaluation from here on: the n of
+    each `circle_eval` of a (k, d, d) stack, which only A's is."""
+    sizes, real = [], factor_mod.circle_eval
 
-    def spy(coeffs, n):
-        sizes.append(n)
-        return real(coeffs, n)
+    def spy(coeffs, n, *args, **kwargs):
+        if coeffs.ndim == 3:
+            sizes.append(n)
+        return real(coeffs, n, *args, **kwargs)
 
-    monkeypatch.setattr(factor_mod, "_grid_values", spy)
+    monkeypatch.setattr(factor_mod, "circle_eval", spy)
     return sizes
 
 
-# ROW2 (d = 2, cofactor det, einsum product) on 32 points; TRUNC(4)
-# (LAPACK det, einsum) and TRUNC(5) (LAPACK det, `@` product) on 128
+# ROW2 (d = 2) on 32 points, TRUNC(4) and TRUNC(5) on 128: the batched `@`
+# and `np.linalg.det` of the (n, d, d) values at d = 2, 4 and 5
 @pytest.mark.parametrize("name,corrupt,entry,check,grid", [
     pytest.param(name, corrupt, entry, check, grid,
                  id=label if name == "ROW2" else f"{name}-{label}")

@@ -155,4 +155,6 @@ def test_draws_near_the_circle_end_verified_or_typed(d, q, sup, seed):
     assert rep["mate_residual_sup"] <= BEST_FACTOR_TOL
     assert rep["factor_residual_sup"] <= BEST_FACTOR_TOL
     assert rep["det_gap_sup"] <= 1e-7
+    if d == 1:  # a 1 x 1 A is its own determinant
+        assert rep["det_gap_sup"] == 0.0
     assert rep["outer_gap_factor"] <= ctx.tol.tol_outer

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from dbrov import (
@@ -888,3 +889,29 @@ def test_lincomb_matches_embedding(ctx_row2):
     want = stacked(direct, 3, 2)
     assert_close(combo[:3], want[:3], 1e-14)
     assert_close(combo[3:], want[3:], 1e-12)
+
+
+@pytest.fixture(scope="module")
+def linear_contexts(all_contexts, ctx_touching):
+    return {**all_contexts, "touching": ctx_touching}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(["ZERO", "SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)", "touching"]),
+       max_degs=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+       weights=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 2 * np.pi)),
+                        min_size=2, max_size=2),
+       seed=st.integers(0, 1 << 16))
+def test_embed_is_linear(linear_contexts, name, max_degs, weights, seed):
+    # embed(alpha f + beta g) = alpha embed(f) + beta embed(g) to rounding
+    # of the pair's scale 1 + max |coefficient|: measured at most 8.8e-16
+    # of it over 3,000 seeded draws (SARASON), so the bound is 4e-15
+    ctx = linear_contexts[name]
+    rng = np.random.default_rng(seed)
+    f, g = (rand_poly(rng, k) for k in max_degs)
+    alpha, beta = (r * np.exp(1j * t) for r, t in weights)
+    n = max(max_degs) + 1
+    F, G = stacked(embed(ctx, f), n, ctx.dim), stacked(embed(ctx, g), n, ctx.dim)
+    both = embed(ctx, CPoly(alpha * F[:n] + beta * G[:n]))
+    want = alpha * F + beta * G
+    assert np.abs(stacked(both, n, ctx.dim) - want).max() <= 4e-15 * (1 + np.abs(want).max())
