@@ -8,8 +8,10 @@ strictly positive remainder is factored by a Newton iteration on FFT grids.
 A run that stalls at a residual of at most BEST_FACTOR_TOL returns its best
 factor with fallback set; any other failed run raises FactorizationDiverged.
 The matrix outer factor A of I - B*B needs no second run: for d >= 2,
-`_completion` reads it off the lossless row (a, B) by degree-one sections, a
-unitary completion and Blaschke-Potapov flips; for d = 1 it is a itself.
+`_completion` reads it off the reversed lossless row
+(z^q conj(a(1 / conj(z))), B) by degree-one sections and a unitary
+completion, whose lower-right block has determinant c a and so is outer;
+for d = 1 it is a itself.
 `_identities` certifies the built row from one circle evaluation of B, a and
 A: |a|^2 + BB* = 1, A*A + B*B = I, det A = a, and the outerness of det A by
 Jensen's formula, with the split points divided out.
@@ -17,7 +19,6 @@ Jensen's formula, with the split points divided out.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     SingularIterate,
 )
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
-    angle_derivatives, circle_eval, det_coeffs, poly_roots, pow2_at_least
+    angle_derivatives, circle_eval, det_coeffs, horner, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL
 
@@ -107,33 +108,31 @@ def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
 
 def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
     """The outer factor A of I - B*B from the mate a and the split points
-    of its run by the lossless completion of p = (a, B), pp* = 1.
+    of its run by the lossless completion of the reversed row p = (a~, B),
+    a~(z) = z^q conj(a(1 / conj(z))), pp* = 1.
 
-    Sections: p <- p (I - uu* + uu* / z), u the top eigenvector of
-    p_q* p_q - p_0* p_0 (p_0 p_q* = 0), lower deg p from q to 0.  Completion:
-    a unitary with the unit row left as its first row, times the inverse
-    sections in reverse order, is paraunitary with first row p (Vaidyanathan,
-    Multirate Systems and Filter Banks, ch. 14); its lower-right block A has
-    A*A = I - B*B and det A = c z^q conj(a(1 / conj(z))).  Flips: each zero
-    z0 of det A in the disk (1 / conj(w) for each zero w of a off the closed
-    disk: the split points within _NEAR, `poly_roots` for the rest; and 0 to
-    order q - deg a), nearest the circle first and Newton-polished on det A
-    (`_flip_points`), goes out by A <- (I - xx* + xx* (1 - conj(z0) z) /
-    (z - z0)) A with x* A(z0) = 0 (Youla-Kazanjian).
+    Sections: p <- p (I - uu* + uu* / z), u = p_q* / |p_q|, the top
+    eigenvector of p_q* p_q - p_0* p_0 (p_0 p_q* = 0), lower deg p from q to
+    0.  |p_q| starts at |(a(0), B_q)| >= a(0) > 0 and never falls: the next
+    top p_{q-1} (I - uu*) + |p_q| u* is the sum of two orthogonal parts.
+    Completion: a unitary with the unit row left as its first row, times
+    the inverse sections in reverse order, is paraunitary with first row p
+    (Vaidyanathan, Multirate Systems and Filter Banks, ch. 14); its
+    lower-right block A has A*A = I - B*B and, on the circle,
+    det A = c z^q conj(a~) = c a, so A is outer as it stands.
     The zeros on the circle stay, but q sections leave them only to
     rounding, which sweeps to high order amplify: each is seated as an exact
     factor I - (z / w) vv* (`_reinflate`).  `_polar` makes A(0) positive
     definite.  A has degree at most q; `_identities` certifies it.
     """
     a, d = a.coeffs, B.dim
-    p = np.zeros((max(B.degree + 1, a.shape[0]), d + 1), dtype=complex)
-    p[: a.shape[0], 0] = a
+    q = max(B.degree, a.shape[0] - 1)
+    p = np.zeros((q + 1, d + 1), dtype=complex)
+    p[q + 1 - a.shape[0] :, 0] = np.conj(a[::-1])
     p[: B.coeffs.shape[0], 1:] = B.coeffs
-    q = p.shape[0] - 1
     sections = []
     for _ in range(q):
-        ends = p[[-1, 0]]
-        u = np.linalg.eigh((np.conj(ends).T * [1, -1]) @ ends)[1][:, -1]
+        u = np.conj(p[-1]) / np.linalg.norm(p[-1])
         pu = p @ u
         p = p[:-1] + np.outer(pu[1:] - pu[:-1], np.conj(u))
         sections.append(u)
@@ -145,68 +144,15 @@ def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
         U[: k + 1] -= xu
         U[1 : k + 2] += xu
     A = U[:, :, 1:]
-
-    rest = a
-    for w in splits:
-        rest = _divide_one_minus(rest, 1 / w)
-    outside = Counter(w for w in splits if abs(w) - 1 > UNIMODULAR_TOL)
-    if rest.shape[0] > 1:
-        outside.update({r: k for r, k in poly_roots(CPoly(rest)) if abs(r) > 1})
-    points = _flip_points(A, 1 / np.conj(np.array(list(outside), dtype=complex)),
-                          np.array(list(outside.values())))
-    ks = np.arange(q + 1)
-    lag = np.maximum(ks[None, :] - ks[:-1, None] - 1, -1)
-    for z0, k in sorted(points, key=lambda t: -abs(t[0])) + [(0j, q + 1 - a.shape[0])]:
-        for j in range(k):
-            u, sing, _ = np.linalg.svd(_values(A, np.array([z0]))[0])
-            if z0 and sing[-1] > 1e-14 * sing[0]:
-                # the zeros of a cluster (a multiple zero of a, split by
-                # rounding) move as its first flips are made: polish again
-                z0 = _flip_points(A, np.array([z0]), np.array([k - j]))[0][0]
-                u = np.linalg.svd(_values(A, np.array([z0]))[0])[0]
-            x = u[:, -1]
-            down = np.append(z0 ** ks[:-1], 0)[lag]
-            h = np.conj(x) @ A
-            g = down @ h  # h / (z - z0) from the top down, stable for |z0| < 1
-            h = -h
-            h[:-1] += g
-            h[1:] -= np.conj(z0) * g
-            A = A + x[:, None] * h[:, None, :]
     seated = []
     for w in splits:
         if abs(w) - 1 <= UNIMODULAR_TOL:
-            v = np.conj(np.linalg.svd(_values(A, np.array([w]))[0])[2][-1])
+            v = np.conj(np.linalg.svd(horner(A, w))[2][-1])
             av = A @ v
             A = A - av[..., None] * np.conj(v)
             A[:-1] += _divide_one_minus(av, 1 / w)[..., None] * np.conj(v)
             seated.append((w, v))
     return _polar(_reinflate(MatPoly(A, dim=d), seated, q).coeffs)
-
-
-def _flip_points(A: np.ndarray, z: np.ndarray, mult: np.ndarray):
-    """(z, multiplicity) pairs, each z polished by two Newton steps
-    z <- z - mult / tr(A(z)^{-1} A'(z)) on det A, kept if all stay in the
-    disk: a flip at an inexact zero drops x* A(z0) from A."""
-    z1, ks = z, np.arange(A.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(2 if z.size else 0):
-            try:
-                trace = np.trace(np.linalg.solve(_values(A, z1),
-                                                 _values(A, z1, ks / z1[:, None])),
-                                 axis1=1, axis2=2)
-            except np.linalg.LinAlgError:
-                break
-            z1 = z1 - mult / trace
-    return list(zip(z1 if np.all(np.isfinite(z1) & (np.abs(z1) < 1)) else z, mult))
-
-
-def _values(A: np.ndarray, z: np.ndarray, weights=1) -> np.ndarray:
-    """sum_k weights A_k z^k at each point of z, for a (k, d, d) stack, as a
-    (len(z), d, d) stack: one product with the powers, where `horner` would
-    loop over the q coefficients once per flip."""
-    ks = np.arange(A.shape[0])
-    return ((weights * z[:, None] ** ks) @ A.reshape(A.shape[0], -1)).reshape(
-        z.shape + A.shape[1:])
 
 
 def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:

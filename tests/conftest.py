@@ -214,12 +214,16 @@ def completion_oracle(B, a, zeros, dps: int = 50) -> np.ndarray:
     completion of the row (a, B) run in mpmath at dps digits.
 
     a holds the mate's coefficients and zeros its zeros, as mpmath numbers
-    (`fejer_riesz_mate`).  The same steps as the library's completion, with
-    no grid and no Newton: degree-one sections p <- p (I - uu* + uu* / z),
+    (`fejer_riesz_mate`).  A path apart from the library's, which completes
+    the reversed row (z^q conj(a(1 / conj(z))), B) and flips nothing: this
+    one completes the forward row, whose block has det c z^q conj(a(1 /
+    conj(z))), and moves that determinant's zeros out of the disk.  With no
+    grid and no Newton: degree-one sections p <- p (I - uu* + uu* / z),
     u = p_q* / |p_q|; a unitary completion of the unit row left, times the
-    inverse sections; a flip at 1 / conj(w) for each zero w of a off the
-    circle and at 0 to order q - deg a, with x* A(z0) = 0 from an mpmath
-    SVD; and the polar rotation that makes A(0) positive definite.
+    inverse sections; a Blaschke-Potapov flip at 1 / conj(w) for each zero
+    w of a off the circle and at 0 to order q - deg a, with x* A(z0) = 0
+    from an mpmath SVD; and the polar rotation that makes A(0) positive
+    definite.
     """
     mp, conj = mpmath.mp, mpmath.conj
     with mpmath.workdps(dps):

@@ -502,10 +502,10 @@ COMPLETION_ROWS = [pytest.param(fixture(name).B, id=name)
 
 @pytest.mark.parametrize("B", COMPLETION_ROWS)
 def test_completion_is_outer_and_verified(B):
-    # the completed and flipped factor passes every check, A(0) is Hermitian
-    # positive definite, and det A has no zero in the disk: by its Jensen
-    # gap, and by the roots of det A (TRUNC(10)'s det A nearly vanishes at
-    # z = 1, where the defect is 2^-10)
+    # the completed factor, outer as built, passes every check, A(0) is
+    # Hermitian positive definite, and det A has no zero in the disk: by its
+    # Jensen gap, and by the roots of det A (TRUNC(10)'s det A nearly
+    # vanishes at z = 1, where the defect is 2^-10)
     ctx = make_context(B)
     assert [r.name for r in run_checks(ctx) if not r.passed] == []
     a0 = ctx.A.coeffs[0]
@@ -782,6 +782,29 @@ COMPLETION_ORACLE_ROWS = [pytest.param(fixture(name).B, None, 1e-14, id=name)
                     id=f"seed{seed}-d{d}-q{q}-sup{sup}")
        for seed, d, q in [(32, 2, 4), (33, 2, 6), (34, 3, 3), (35, 3, 6)]
        for sup in (0.9, 1.0, 1.0 - 1e-9)]
+
+
+@pytest.mark.parametrize("B", [
+    pytest.param(fixture("ROW2").B, id="ROW2"),
+    pytest.param(fixture("TRUNC(5)").B, id="TRUNC(5)"),
+    pytest.param(_row_with_mate([0.3, -0.3, 0.075]), id="double-exterior-zero-d2"),
+    pytest.param(_row_with_mate(0.1 * np.array([1, -3 / 1.2j, 3 / 1.2j ** 2, -1 / 1.2j ** 3])),
+                 id="triple-zero-1.2i-d2")])
+def test_completion_finds_no_zeros(B, monkeypatch):
+    # the reversed row's block has det c a, outer as built: no root of a is
+    # sought, and the certificates read rounding
+    calls = []
+    real = factor_mod.poly_roots
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(factor_mod, "poly_roots", spy)
+    ctx = make_context(B)
+    assert calls == []
+    assert ctx.reports["det_gap_sup"] <= 1e-12
+    assert ctx.reports["outer_gap_factor"] <= 1e-12
 
 
 @pytest.mark.parametrize("B,mate,bound", COMPLETION_ORACLE_ROWS)
