@@ -36,7 +36,7 @@ class OddBoundaryMultiplicity(DbrovError):
 class FactorizationDiverged(DbrovError):
     """Spectral factorization residuals stopped improving above tolerance.
 
-    best is the report of the best factor seen (residual, Jensen outer gap,
+    best is the report of the best factor seen (residual, outer gap,
     grid, splits), or None when no factor was finished.
     """
 

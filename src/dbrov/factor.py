@@ -13,8 +13,8 @@ The matrix outer factor A of I - B*B needs no second run: for d >= 2,
 completion, whose lower-right block has determinant c a and so is outer;
 for d = 1 it is a itself.
 `_identities` certifies the built row from one circle evaluation of B, a and
-A: |a|^2 + BB* = 1, A*A + B*B = I, det A = a, and the outerness of det A by
-Jensen's formula, with the split points divided out.
+A: |a|^2 + BB* = 1, A*A + B*B = I, det A = a, and the outerness of det A
+with the split points divided out, by a Schur-Cohn count (`_outer_gap`).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def mate_report(B: RowSchur) -> FactorReport:
     _NEAR = 36 / 4096 outside it, are split off as factors 1 - z / w; the
     unimodular split points are the zeros of a on the circle, once per
     split.  residual_sup is the run's |a|^2 - (1 - BB*), outer_gap the
-    Jensen gap of the grid factor a1, which every split factor leaves
+    count's gap of the grid factor a1, which every split factor leaves
     unchanged, and a stalled run is handled as in `wilson_report`.
     """
     scalar = defect_laurent(B)
@@ -81,7 +81,7 @@ def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
 
 
 def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
-    """(sup ||a|^2 + BB* - 1|, sup |A*A + B*B - I|, sup |det A - a|, Jensen
+    """(sup ||a|^2 + BB* - 1|, sup |A*A + B*B - I|, sup |det A - a|, outer
     gap of det A) from one evaluation of B, a and A on n = 4 K + 1 circle
     points rounded up to a power of 2, K = max(d deg A, deg a, deg B, 1).
     A trigonometric polynomial of degree k < n / 2 has sup at most
@@ -91,7 +91,7 @@ def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
     a sample.  A 1 x 1 A is its own determinant: LAPACK's goes through the
     log-determinant, and det A = a then holds exactly.  det A is one FFT of
     its grid values (n > d deg A); the split points are divided out of it,
-    and its gap is taken on _GRID_BUDGET points."""
+    and `_outer_gap` counts its zeros in the closed disk."""
     d = B.dim
     ks = np.array([max(a.degree, B.degree), max(A.degree, B.degree), max(d * A.degree, a.degree)])
     n = pow2_at_least(4 * max(ks.max(), 1) + 1)
@@ -103,7 +103,7 @@ def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
     for w in splits:
         det = _divide_one_minus(det, 1 / w)
     sups = np.array([mate, np.abs(ident - np.eye(d)).max(), np.abs(dets - av).max()])
-    return (*(sups / np.cos(np.pi * ks / n)).tolist(), _jensen_gap(det, _GRID_BUDGET))
+    return (*(sups / np.cos(np.pi * ks / n)).tolist(), _outer_gap(det))
 
 
 def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
@@ -184,10 +184,8 @@ _GRID_TOL = 1e-14
 _NULL_REL = 1e-8
 # a grid of n points resolves a zero of phi at |w| - 1 = delta once
 # n >= 36 / delta ((1 + delta)^-n < 2e-16); zeros nearer the circle than
-# what the budget resolves are split off, and the Jensen mean uses a grid of
-# at least the budget
-_GRID_BUDGET = 1 << 12
-_NEAR = 36.0 / _GRID_BUDGET
+# what 4096 points resolve are split off
+_NEAR = 36.0 / 4096
 
 
 def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = MAX_ITER,
@@ -210,10 +208,9 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     enough); it grows four-fold while the residual is above tol_factor, or
     above rounding level and still falling.
 
-    outer_gap is the Jensen gap of a1: each factor 1 - z / w_k with
-    |w_k| >= 1 has gap 0, and a1, zero-free within _NEAR of the circle,
-    gives |log|a1(0)| - mean of log|a1| over the circle| to rounding on a
-    grid of _GRID_BUDGET points.  A failed run whose best residual is at
+    outer_gap is the outer gap of a1 (`_outer_gap`), exactly 0.0 when
+    a1 has no zero in the closed disk: each factor 1 - z / w_k with
+    |w_k| >= 1 has gap 0.  A failed run whose best residual is at
     most BEST_FACTOR_TOL returns that best factor with fallback set, at once
     when an enlargement does not lower it; any other failed run raises
     FactorizationDiverged with the report of its best factor.
@@ -251,7 +248,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
         done = best[0] <= tol_factor and settled
         if done or last:
             report = None if best[1] is None else FactorReport(
-                best[1], best[0], _jensen_gap(best[2].coeffs, max(best[3], _GRID_BUDGET)),
+                best[1], best[0], _outer_gap(best[2].coeffs),
                 iterations, best[3], tuple(splits), fallback=not done)
             if done or best[0] <= BEST_FACTOR_TOL:
                 return report
@@ -264,16 +261,27 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
         n, prev = 4 * n, resid
 
 
-def _jensen_gap(det: np.ndarray, n: int) -> float:
-    """|log|det(0)| - mean of log|det| over n circle points|, for the
-    coefficients of a determinant: the mean of log|det|^2 / 2, with |det|^2
-    on max(n, 2 deg + 1) points (nothing aliases) from one real inverse FFT
-    of its autocorrelation."""
-    m = det.shape[0] - 1
-    sq = np.fft.irfft(np.correlate(det, det, "full")[m:], max(n, 2 * m + 1),
-                      norm="forward")
-    with np.errstate(divide="ignore"):
-        return float(abs(np.log(abs(det[0])) - 0.5 * np.log(np.abs(sq)).mean()))
+def _outer_gap(p: np.ndarray) -> float:
+    """Jensen's gap |log|p(0)| - mean of log|p| on the circle| by a count:
+    the Schur-Cohn step p <- p - k p~, k = p_m / conj(p_0), p~ = conj(p[::-1]),
+    drops the top coefficient and keeps the count of zeros in the closed
+    disk while |k| < 1 (Rouche; |p~| = |p| on the circle): every |k| < 1
+    exactly when p has none there, and then the gap is 0.0 (Schur, Cohn).
+    Else `_roots_gap`; inf when p(0) = 0 or p is not finite.  Top
+    coefficients at or below 1e-14 max |p| are trimmed first (det A's
+    beyond deg a are rounding).  O(m^2) flops on Python scalars."""
+    top = float(np.abs(p).max())
+    q = c = p.tolist()  # q shares the trim; the steps rebind it
+    while len(c) > 1 and abs(c[-1]) <= 1e-14 * top:
+        c.pop()
+    if not (c[0] and np.isfinite(top)):
+        return float("inf")
+    while len(q) > 1:
+        if abs(q[-1]) >= abs(q[0]):
+            return _roots_gap(CPoly(c))
+        k = q[-1] / q[0].conjugate()
+        q = [x - k * y.conjugate() for x, y in zip(q[:-1], reversed(q[1:]))]
+    return 0.0
 
 
 def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
@@ -440,15 +448,11 @@ def factor_residual(a: CPoly, phi: LaurentHerm) -> float:
 
 
 def outer_check(A: MatPoly | CPoly) -> float:
-    """Outerness gap: |log|det A(0)| - circle mean of log|det A||.
-
-    For a polynomial determinant the circle mean of log|det A| is evaluated
-    exactly through the roots (the mean of log|z - r| over the circle is
-    log max(|r|, 1)), so the gap reduces to -sum_{|r|<1} log|r|; an
-    equispaced grid with singular points excluded would carry an O(log N / N)
-    bias far above the tolerances used here.  The grid is still swept to
-    detect degenerate determinants.
-    """
+    """Outerness gap of det A through its roots (`_roots_gap`): the circle
+    mean of log|z - r| is log max(|r|, 1), so Jensen's gap is
+    -sum_{|r|<1} log|r| exactly.  The tests' independent oracle for
+    `_outer_gap`; a determinant that vanishes identically, or at more than
+    a tenth of its grid points, raises DegenerateDeterminant."""
     det = A if isinstance(A, CPoly) else A.det_poly()
     if det.is_zero:
         raise DegenerateDeterminant("determinant vanishes identically")
@@ -456,16 +460,12 @@ def outer_check(A: MatPoly | CPoly) -> float:
     vals = np.abs(circle_eval(det.coeffs, n))
     excluded = int((vals < 1e-13 * max(1.0, vals.max())).sum())
     if excluded > 0.10 * n:
-        raise DegenerateDeterminant(
-            f"{excluded}/{n} circle points have vanishing determinant"
-        )
-    if det.degree == 0:
-        return 0.0
-    gap = 0.0
-    for r, mult in poly_roots(det):
-        ar = abs(r)
-        if ar < 1.0:
-            if ar == 0.0:
-                return float("inf")
-            gap -= mult * np.log(ar)
-    return float(gap)
+        raise DegenerateDeterminant(f"{excluded}/{n} circle points have vanishing determinant")
+    return _roots_gap(det)
+
+
+def _roots_gap(det: CPoly) -> float:
+    """-sum_{|r|<1} log|r| over the roots r of det, with multiplicity; inf
+    when det(0) = 0."""
+    with np.errstate(divide="ignore"):
+        return float(-sum(m * np.log(abs(r)) for r, m in poly_roots(det) if abs(r) < 1))

@@ -17,7 +17,7 @@ import dbrov.factor as factor_mod
 import dbrov.space as space_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
     MateUndefined, NotPositive, NumericsError, SingularIterate
-from dbrov.factor import _grid_pass, _identities, _jensen_gap, _polar, \
+from dbrov.factor import _grid_pass, _identities, _outer_gap, _polar, \
     _split_off, factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_eval, horner, pow2_at_least
@@ -56,7 +56,7 @@ class TestMate:
         B = fixture(name).B
         rep = mate_report(B)
         assert rep.residual_sup <= 1e-9
-        assert rep.outer_gap <= 1e-6
+        assert rep.outer_gap == 0.0
         for r, _ in poly_roots(rep.factor):
             assert abs(r) >= 1.0 - 1e-8
 
@@ -160,30 +160,93 @@ class TestOuterCheck:
 
 
 class TestJensenGap:
-    """The root-free outer gap against the one `outer_check` gets from roots."""
+    """The Schur-Cohn count `_outer_gap`: exactly 0.0 on a polynomial with no
+    zero in the closed disk, else the roots' gap that `outer_check` gives.
+    It replaces `_jensen_gap`, a mean of log|p| over 4096 circle points."""
 
-    @pytest.mark.parametrize("coeffs", [[-0.5, 1.0], [1.0, 0.3, -0.2j],
-                                        [0.2, 1.0, 0.5 + 0.5j], [2.0, -1.0]])
-    def test_matches_roots(self, coeffs):
-        det = np.array(coeffs, dtype=complex)
-        assert abs(_jensen_gap(det, 4096) - outer_check(CPoly(coeffs))) <= 1e-12
+    # replaces the 4096-point mean against `outer_check` on the same four
+    # polynomials: the count reads 0.0 on the two outer ones, and the other
+    # two take the roots' path
+    @pytest.mark.parametrize("coeffs,outer", [([-0.5, 1.0], False), ([1.0, 0.3, -0.2j], True),
+                                              ([0.2, 1.0, 0.5 + 0.5j], False),
+                                              ([2.0, -1.0], True)],
+                             ids=[f"coeffs{i}" for i in range(4)])
+    def test_matches_roots(self, coeffs, outer):
+        gap = _outer_gap(np.array(coeffs, dtype=complex))
+        assert abs(gap - outer_check(CPoly(coeffs))) <= 1e-12
+        assert (gap == 0.0) == outer
 
+    # replaces the mean's agreement with the log-mean of the complex values
+    # at a zero 0.01 outside: the zero at 0.5 alone sets the gap, -log 0.5
     def test_zero_just_outside(self):
-        # zeros at 0.5 and 0.01 outside the circle: |p|^2 from the
-        # autocorrelation against the log-mean of the complex values and
-        # the root formula, whose gap is -log 0.5
         p = CPoly.from_roots([0.5, 1.01 * np.exp(0.7j)])
-        vals = circle_eval(p.coeffs, 4096)
-        log_mean = abs(np.log(abs(p.coeffs[0])) - np.log(np.abs(vals)).mean())
-        gap = _jensen_gap(p.coeffs, 4096)
-        assert abs(gap - log_mean) <= 1e-13
+        gap = _outer_gap(p.coeffs)
         assert abs(gap - outer_check(p)) <= 1e-12
         assert abs(gap - np.log(2.0)) <= 1e-12
+
+    # new: the 4096-point mean read these outer polynomials as 1.1e-16,
+    # 2.0e-6, 8.9e-5, 1.27e-4, 1.32e-4, 1.32e-4 and 1.32e-4 for delta =
+    # 1e-2 .. 1e-8, above tol_outer = 1e-6 from delta = 1e-3 on
+    @pytest.mark.parametrize("delta", [10.0 ** -e for e in range(2, 9)])
+    def test_zero_at_one_plus_delta_reads_zero(self, delta):
+        p = CPoly.from_roots([(1 + delta) * np.exp(0.7j), -2.0])
+        assert _outer_gap(p.coeffs) == 0.0
+
+    # new: a zero inside at 1 - delta gives the roots' gap, -log(1 - delta)
+    # up to the rounding of the zero itself
+    @pytest.mark.parametrize("delta", [10.0 ** -e for e in range(2, 9)])
+    def test_zero_at_one_minus_delta_matches_roots(self, delta):
+        p = CPoly.from_roots([(1 - delta) * np.exp(0.7j), -2.0])
+        want = outer_check(p)
+        assert abs(_outer_gap(p.coeffs) - want) <= 1e-12 * want
+        assert abs(want + np.log1p(-delta)) <= 1e-15
+
+    # new: p(0) = 0, the identically zero polynomial among them
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 0.0, 0.5j], [0.0], [0.0, 0.0]])
+    def test_zero_at_the_origin_reads_inf(self, coeffs):
+        assert _outer_gap(np.array(coeffs, dtype=complex)) == np.inf
+
+    # new: constants, and top coefficients at or below 1e-14 max |p|, which
+    # the trim removes before the count or the roots: the roots' path sees
+    # degree 1 below the trim and degree 3 above it
+    @pytest.mark.parametrize("top,degree", [(1e-17, 1), (1e-14, 1), (1e-13, 3)])
+    def test_constants_and_rounding_top(self, top, degree, monkeypatch):
+        for c in ([3.0], [0.5j], [1.0, 1e-17], [2.0, -1e-14 * 2.0]):
+            assert _outer_gap(np.array(c, dtype=complex)) == 0.0
+        seen, real = [], factor_mod.poly_roots
+        monkeypatch.setattr(factor_mod, "poly_roots",
+                            lambda p: seen.append(p.degree) or real(p))
+        outer = np.array([1.0, -0.5, top * 1j, top], dtype=complex)
+        assert _outer_gap(outer) == 0.0
+        inner = np.array([-0.5, 1.0, top * 1j, top], dtype=complex)
+        assert abs(_outer_gap(inner) - np.log(2.0)) <= 1e-12
+        assert seen == [degree]
+
+    # new: seeded draws of degree 1 to 12 with roots 10^(u +- 1e-3) from the
+    # origin, u drawn in (0, 0.5) for every other draw (outer) and in
+    # (-0.5, 0.5) for the rest (mostly not)
+    def test_random_polynomials_agree_with_outer_check(self):
+        rng = np.random.default_rng(36)
+        outer = inner = 0
+        for i in range(300):
+            m = int(rng.integers(1, 13))
+            u = rng.uniform(-0.5 * (i % 2), 0.5, m)
+            mod = 10.0 ** (u + np.where(u >= 0, 1e-3, -1e-3))
+            p = CPoly.from_roots(mod * np.exp(2j * np.pi * rng.random(m)),
+                                 leading=complex(*rng.normal(size=2)))
+            gap, want = _outer_gap(p.coeffs), outer_check(p)
+            if want == 0.0:
+                outer += 1
+                assert gap == 0.0
+            else:
+                inner += 1
+                assert abs(gap - want) <= 1e-12 * want
+        assert outer >= 100 and inner >= 100
 
     @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
     def test_engine_factors_are_outer(self, name):
         rep = wilson_report(defect_laurent(fixture(name).B))
-        assert rep.outer_gap <= 1e-12
+        assert rep.outer_gap == 0.0
         assert outer_check(rep.factor) <= 1e-8
 
 
@@ -503,8 +566,8 @@ COMPLETION_ROWS = [pytest.param(fixture(name).B, id=name)
 @pytest.mark.parametrize("B", COMPLETION_ROWS)
 def test_completion_is_outer_and_verified(B):
     # the completed factor, outer as built, passes every check, A(0) is
-    # Hermitian positive definite, and det A has no zero in the disk: by its
-    # Jensen gap, and by the roots of det A (TRUNC(10)'s det A nearly
+    # Hermitian positive definite, and det A has no zero in the disk: by the
+    # Schur-Cohn count, and by the roots of det A (TRUNC(10)'s det A nearly
     # vanishes at z = 1, where the defect is 2^-10)
     ctx = make_context(B)
     assert [r.name for r in run_checks(ctx) if not r.passed] == []
@@ -512,7 +575,7 @@ def test_completion_is_outer_and_verified(B):
     assert np.abs(a0 - np.conj(a0).T).max() <= 1e-12
     assert np.linalg.eigvalsh(a0).min() > 0
     assert ctx.reports["det_gap_sup"] <= 1e-10
-    assert ctx.reports["outer_gap_factor"] <= 1e-12
+    assert ctx.reports["outer_gap_factor"] == 0.0
     assert outer_check(ctx.A) <= 1e-8
 
 
@@ -804,7 +867,7 @@ def test_completion_finds_no_zeros(B, monkeypatch):
     ctx = make_context(B)
     assert calls == []
     assert ctx.reports["det_gap_sup"] <= 1e-12
-    assert ctx.reports["outer_gap_factor"] <= 1e-12
+    assert ctx.reports["outer_gap_factor"] == 0.0
 
 
 @pytest.mark.parametrize("B,mate,bound", COMPLETION_ORACLE_ROWS)

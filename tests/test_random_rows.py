@@ -98,10 +98,25 @@ def test_large_degree_rows(q, seed, sup):
 
 def test_stalled_factor_fallback_is_root_free():
     # both runs stall near 2e-12 here; the best factor is taken with the
-    # Jensen gap of its run, not an outer check through roots
+    # Schur-Cohn count of its run, which finds no roots
     ctx = make_context(random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9))
     assert ctx.reports["factor_fallback"] == 1.0
-    assert ctx.reports["outer_gap_factor"] <= 1e-12
+    assert ctx.reports["outer_gap_factor"] == 0.0
+
+
+def test_mate_zero_just_outside_the_circle_builds():
+    # a = (0.1828, 0.0707 + 0.1685i) has its one zero 2.7e-4 outside the
+    # circle (|k| = 0.99973 < 1): outer by the count, where the 4096-point
+    # Jensen mean read a gap of 9.2e-5 and the row raised NumericsError.  It
+    # builds as a fallback, with no split and a mate residual near 5e-9
+    ctx = make_context(random_row(np.random.default_rng(707), 8, 1, 1 + 1e-9))
+    assert ctx.reports["outer_gap_mate"] == 0.0
+    assert ctx.reports["outer_gap_factor"] == 0.0
+    assert ctx.reports["mate_fallback"] == 1.0
+    assert ctx.splits == ()
+    assert ctx.reports["mate_residual_sup"] <= 1e-8
+    zero = -ctx.a.coeffs[0] / ctx.a.coeffs[1]
+    assert 2e-4 < abs(zero) - 1 < 4e-4
 
 
 NEAR_ROWS = [(d, q, seed) for d in (1, 2, 4, 8) for q in (4, 8, 12, 16)
