@@ -1,9 +1,10 @@
 """Spectral factorization of boundary defects.
 
-One engine, `wilson_report`, factors the scalar defect 1 - BB* into the mate
-a (and, as a general tool, any nonnegative Hermitian Laurent polynomial into
-its outer factor with a(0) > 0).  Every zero of the density on or just
-outside the circle is split off as an elementary factor 1 - z / w, and the
+One engine, `wilson_report`, factors any nonnegative Hermitian Laurent
+polynomial into its outer factor with a(0) > 0; `mate_report` is its one
+run on the scalar defect 1 - BB*, the mate a, and `make_context`'s only way
+in.  Every zero of the density on or just outside the circle, found on its
+own coefficients, is split off as an elementary factor 1 - z / w, and the
 strictly positive remainder is factored by a Newton iteration on FFT grids.
 A run that stalls at a residual of at most BEST_FACTOR_TOL returns its best
 factor with fallback set; any other failed run raises FactorizationDiverged.
@@ -11,7 +12,7 @@ The matrix outer factor A of I - B*B needs no second run: for d >= 2,
 `_completion` reads it off the reversed lossless row
 (z^q conj(a(1 / conj(z))), B) by degree-one sections and a unitary
 completion, whose lower-right block has determinant c a and so is outer;
-for d = 1 it is a itself.
+for d = 1 it is a itself.  Circle zeros of A are seated in place.
 `_identities` certifies the built row from one circle evaluation of B, a and
 A: |a|^2 + BB* = 1, A*A + B*B = I, det A = a, and the outerness of det A
 with the split points divided out, by a Schur-Cohn count (`_outer_gap`).
@@ -33,7 +34,7 @@ from .errors import (
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_eval, det_coeffs, horner, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
-from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL
+from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL, Tolerances
 
 ZERO_DEFECT_TOL = 1e-12
 # Newton steps per grid: the budget of every run
@@ -57,27 +58,21 @@ class FactorReport:
     fallback: bool = False
 
 
-def mate_report(B: RowSchur) -> FactorReport:
-    """The mate by `wilson_report` on 1 - BB* (`defect_laurent`), as in
-    `make_context`, so the two mates agree bit for bit.
-
-    The zeros of the defect on the circle, or within the split radius
-    _NEAR = 36 / 4096 outside it, are split off as factors 1 - z / w; the
-    unimodular split points are the zeros of a on the circle, once per
-    split.  residual_sup is the run's |a|^2 - (1 - BB*), outer_gap the
-    count's gap of the grid factor a1, which every split factor leaves
-    unchanged, and a stalled run is handled as in `wilson_report`.
+def mate_report(B: RowSchur, tol: Tolerances | None = None, max_iter: int = MAX_ITER,
+                grid_log2: int | None = None) -> FactorReport:
+    """The mate a by the one `wilson_report` run on 1 - BB* (`defect_laurent`),
+    `make_context`'s, with min(tol_factor, ENGINE_TOL), max_iter, grid_log2
+    and dip = -min(tol_psd, PSD_SLACK); a defect that vanishes identically
+    raises MateUndefined.  The unimodular split points are the zeros of a on
+    the circle, once per split; residual_sup is |a|^2 - (1 - BB*), outer_gap
+    the gap of the grid factor a1, which the split factors leave unchanged.
     """
-    scalar = defect_laurent(B)
-    return wilson_report(scalar, ENGINE_TOL, search=_defect_zeros(scalar, PSD_SLACK))
-
-
-def _defect_zeros(scalar: LaurentHerm, tol_psd: float):
-    """The (zeros, null floor) search of 1 - BB*, which also tests
-    positivity to min(tol_psd, PSD_SLACK)."""
-    if np.abs(scalar.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
+    tol = tol or Tolerances()
+    defect = defect_laurent(B)
+    if np.abs(defect.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
-    return _boundary_zeros(scalar, -min(tol_psd, PSD_SLACK))
+    return wilson_report(defect, min(tol.tol_factor, ENGINE_TOL), max_iter, grid_log2,
+                         dip=-min(tol.tol_psd, PSD_SLACK))
 
 
 def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
@@ -121,9 +116,10 @@ def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
     lower-right block A has A*A = I - B*B and, on the circle,
     det A = c z^q conj(a~) = c a, so A is outer as it stands.
     The zeros on the circle stay, but q sections leave them only to
-    rounding, which sweeps to high order amplify: each is seated as an exact
-    factor I - (z / w) vv* (`_reinflate`).  `_polar` makes A(0) positive
-    definite.  A has degree at most q; `_identities` certifies it.
+    rounding, which sweeps to high order amplify: each is seated in place,
+    Av <- (1 - z / w) g with g = Av / (1 - z / w) and v the null vector of
+    A(w), so A(w) v = 0 exactly.  `_polar` makes A(0) positive definite.
+    A has degree at most q; `_identities` certifies it.
     """
     a, d = a.coeffs, B.dim
     q = max(B.degree, a.shape[0] - 1)
@@ -144,15 +140,15 @@ def _completion(B: RowSchur, a: CPoly, splits) -> MatPoly:
         U[: k + 1] -= xu
         U[1 : k + 2] += xu
     A = U[:, :, 1:]
-    seated = []
     for w in splits:
         if abs(w) - 1 <= UNIMODULAR_TOL:
             v = np.conj(np.linalg.svd(horner(A, w))[2][-1])
             av = A @ v
-            A = A - av[..., None] * np.conj(v)
-            A[:-1] += _divide_one_minus(av, 1 / w)[..., None] * np.conj(v)
-            seated.append((w, v))
-    return _polar(_reinflate(MatPoly(A, dim=d), seated, q).coeffs)
+            g = _divide_one_minus(av, 1 / w)
+            A -= av[..., None] * np.conj(v)
+            A[:-1] += g[..., None] * np.conj(v)
+            A[1:] -= (g / w)[..., None] * np.conj(v)
+    return _polar(A)
 
 
 def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
@@ -189,15 +185,15 @@ _NEAR = 36.0 / 4096
 
 
 def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = MAX_ITER,
-                  grid_log2: int | None = None, *, search=None) -> FactorReport:
+                  grid_log2: int | None = None, *, dip: float = -PSD_SLACK) -> FactorReport:
     """Outer factor a with |a|^2 = phi: split circle zeros off, grid the rest.
 
     At each zero w of phi on the circle or within the split radius
     _NEAR = 36 / 4096 outside it, the factor 1 - z / w is split off:
     phi = |1 - z / w|^2 phi1 with phi1 again Hermitian Laurent, of
     half-degree one less (Youla-Kazanjian), repeated while |phi1(w)| stays
-    at the null floor; search is the (zeros, null floor) of
-    `_boundary_zeros`, run here if not given.  The Newton iteration
+    at the null floor, both from `_boundary_zeros`, which raises
+    NotPositive where phi dips below dip on the circle.  The Newton iteration
     a1 <- [phi1 / |a1|^2 + 1]_+ a1 on an FFT grid ([.]_+ keeps the analytic
     half, constant term halved) factors the strictly positive phi1 with
     quadratic convergence (Wilson), from its cepstral factor exp [log phi1]_+
@@ -215,7 +211,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     when an enlargement does not lower it; any other failed run raises
     FactorizationDiverged with the report of its best factor.
     """
-    zeros, floor = _boundary_zeros(phi) if search is None else search
+    zeros, floor = _boundary_zeros(phi, dip)
     m = phi.half_degree
     scale = float(np.abs(phi.coeffs).max(initial=0.0))
     phi1, splits = phi, []
@@ -267,14 +263,15 @@ def _outer_gap(p: np.ndarray) -> float:
     drops the top coefficient and keeps the count of zeros in the closed
     disk while |k| < 1 (Rouche; |p~| = |p| on the circle): every |k| < 1
     exactly when p has none there, and then the gap is 0.0 (Schur, Cohn).
-    Else `_roots_gap`; inf when p(0) = 0 or p is not finite.  Top
-    coefficients at or below 1e-14 max |p| are trimmed first (det A's
-    beyond deg a are rounding).  O(m^2) flops on Python scalars."""
-    top = float(np.abs(p).max())
+    Else `_roots_gap`; inf when p(0) = 0, p is empty (the zero polynomial)
+    or p is not finite.  Top coefficients at or below 1e-14 max |p| are
+    trimmed first (det A's beyond deg a are rounding).  O(m^2) flops on
+    Python scalars."""
+    top = float(np.abs(p).max(initial=0.0))
     q = c = p.tolist()  # q shares the trim; the steps rebind it
     while len(c) > 1 and abs(c[-1]) <= 1e-14 * top:
         c.pop()
-    if not (c[0] and np.isfinite(top)):
+    if not (c and c[0] and np.isfinite(top)):
         return float("inf")
     while len(q) > 1:
         if abs(q[-1]) >= abs(q[0]):
@@ -306,8 +303,6 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
     floor = _NULL_REL * top
     if top <= 0:
         return [], floor
-    spec = np.fft.fft(vals) / n
-    lau = np.concatenate([spec[n - m :], spec[: m + 1]])
     out: list[complex] = []
     minima = (vals < np.roll(vals, 1)) & (vals < np.roll(vals, -1))
     for j in np.nonzero(minima)[0]:
@@ -319,8 +314,8 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
         v = mid - (hi - lo) ** 2 / (8 * bend)
         if v > 1e-10 * top and 2 * v >= 4 * _NEAR ** 2 * c:
             continue
-        theta = _refine_boundary_angle(lau, 2.0 * np.pi * j / n)
-        value, _, curv = angle_derivatives(lau, theta)
+        theta = _refine_boundary_angle(phi.coeffs, 2.0 * np.pi * j / n)
+        value, _, curv = angle_derivatives(phi.coeffs, theta)
         w = complex(np.exp(1j * theta))
         if value > 1e-10 * top:
             if curv <= 0 or 2 * value >= _NEAR ** 2 * curv:
@@ -356,17 +351,6 @@ def _split_off(phi: LaurentHerm, w: complex) -> LaurentHerm:
     g = _divide_one_minus(phi.coeffs, 1 / w)  # powers -m .. m-1
     # 1 - 1/(conj(w) z) = -(1 - conj(w) z) / (conj(w) z): powers -m+1 .. m-1
     return LaurentHerm(-np.conj(w) * _divide_one_minus(g, np.conj(w)))
-
-
-def _reinflate(A1: MatPoly, splits, m: int) -> MatPoly:
-    """A1 E_k ... E_1 trimmed to degree m, with E(z) = I - (z / w) vv*."""
-    coeffs = A1.coeffs
-    for w, v in reversed(splits):
-        out = np.zeros((coeffs.shape[0] + 1,) + coeffs.shape[1:], dtype=complex)
-        out[:-1] = coeffs
-        out[1:] -= (coeffs @ v)[:, :, None] * np.conj(v) / w
-        coeffs = out
-    return MatPoly(coeffs[: m + 1], dim=A1.dim)
 
 
 def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float,

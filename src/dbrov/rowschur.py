@@ -62,8 +62,8 @@ def defect_laurent(B: RowSchur) -> LaurentHerm:
         c_k = delta_{k0} - sum_j <B_{j+k}, B_j>,
 
     from one correlation of the flattened coefficient rows, read at the lags
-    that are multiples of d.  It is also det(I - B*B); the one run of
-    `make_context` and `mate_report` factors it.
+    that are multiples of d.  It is also det(I - B*B); `mate_report`, the
+    one engine run of `make_context`, factors it.
     """
     flat = B.coeffs.ravel()
     scalar = -np.correlate(flat, flat, "full")[B.dim - 1 :: B.dim]

@@ -25,12 +25,11 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import MAX_ITER, _completion, _defect_zeros, _identities, wilson_report
+from .factor import MAX_ITER, _completion, _identities, mate_report
 from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
     _divide_one_minus, _trim, horner, toeplitz_conj
-from .rowschur import RowSchur, defect_laurent
-from .tolerances import BEST_FACTOR_TOL, DENSITY_FLOOR, ENGINE_TOL, UNIMODULAR_TOL, \
-    Tolerances
+from .rowschur import RowSchur
+from .tolerances import BEST_FACTOR_TOL, DENSITY_FLOOR, UNIMODULAR_TOL, Tolerances
 
 
 def on_circle(w):
@@ -103,22 +102,19 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    One `wilson_report` run, on 1 - BB* (`defect_laurent`) with
-    min(tol_factor, ENGINE_TOL), max_iter and grid_log2, gives the mate a; a
-    run that stalls is accepted down to 1e-8, since regularizing a
-    boundary-degenerate defect would perturb the boundary spectrum.  A = a
-    for d = 1; for d >= 2 the lossless completion of (a, B) gives it
-    (`_completion`), with no second run.  The run's reports (iterations,
-    grid, deflations, fallbacks, the mate's outer gap) hold for every d;
-    `_identities` gives the residuals of a, A and det A = a and the outer
-    gap of det A.  The boundary spectrum is the run's unimodular split
-    points, multiplicity the number of splits at each; the context keeps
-    all of the run's split points.
+    One engine run, `mate_report` with tol, max_iter and grid_log2, gives
+    the mate a; a run that stalls is accepted down to 1e-8, since
+    regularizing a boundary-degenerate defect would perturb the boundary
+    spectrum.  A = a for d = 1; for d >= 2 the lossless completion of
+    (a, B) gives it (`_completion`), with no second run.  The run's reports
+    (iterations, grid, deflations, fallbacks, the mate's outer gap) hold for
+    every d; `_identities` gives the residuals of a, A and det A = a and
+    the outer gap of det A.  The boundary spectrum is the run's unimodular
+    split points, multiplicity the number of splits at each; the context
+    keeps all of the run's split points.
     """
     tol = tol or Tolerances()
-    scalar_defect = defect_laurent(B)
-    rep = wilson_report(scalar_defect, min(tol.tol_factor, ENGINE_TOL), max_iter,
-                        grid_log2, search=_defect_zeros(scalar_defect, tol.tol_psd))
+    rep = mate_report(B, tol, max_iter, grid_log2)
     a = rep.factor
     A = _completion(B, a, rep.splits) if B.dim > 1 else MatPoly(a.coeffs[:, None, None])
     lam = Counter(w / abs(w) for w in rep.splits if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
@@ -193,6 +189,8 @@ def embed(ctx: SpaceContext, f) -> HBElement:
 
 def _generator(ctx: SpaceContext, N: int) -> np.ndarray:
     """Rows h_0 .. h_N (N+1, d) of the embedding's Toeplitz generator."""
+    if ctx.A.is_zero:
+        raise IllConditionedConstant("A(0)* solve is singular: A vanishes identically")
     if ctx.reports["A0_cond"] > 1e6:
         raise IllConditionedConstant(f"A(0)* solve would lose more than 6 digits "
                                      f"(cond = {ctx.reports['A0_cond']:.3e})")

@@ -85,7 +85,7 @@ def matrix_factor(B):
     the library's lossless completion, by Wilson's Newton iteration.
 
     The zeros w of det(I - B*B) = 1 - BB* on or near the circle, and the
-    null floor, come from the library's scalar search (`_defect_zeros`).
+    null floor, come from the library's scalar search (`_boundary_zeros`).
     While phi(w) has a singular value at the floor, E(z) = I - (z / w) vv*,
     v its null vector, is split off: phi <- E^{-*} phi E^{-1} =
     P phi P + P g v* + v g* P + t vv* with P = I - vv*, g = phi v / (1 - z / w)
@@ -98,7 +98,7 @@ def matrix_factor(B):
     """
     q, d, n = B.degree, B.dim, 4096
     phi = matrix_defect(B)
-    zeros, floor = factor_mod._defect_zeros(defect_laurent(B), PSD_SLACK)
+    zeros, floor = factor_mod._boundary_zeros(defect_laurent(B), -PSD_SLACK)
     splits = []
     for w in zeros:
         while len(splits) < q:

@@ -14,16 +14,15 @@ from dbrov import (
     wilson_report,
 )
 import dbrov.factor as factor_mod
-import dbrov.space as space_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
-    MateUndefined, NotPositive, NumericsError, SingularIterate
-from dbrov.factor import _grid_pass, _identities, _outer_gap, _polar, \
+    IllConditionedConstant, MateUndefined, NotPositive, NumericsError, SingularIterate
+from dbrov.factor import MAX_ITER, _grid_pass, _identities, _outer_gap, _polar, \
     _split_off, factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_eval, horner, pow2_at_least
 from dbrov.rowschur import defect_laurent
 from dbrov.space import SpaceContext, _verify_context
-from dbrov.tolerances import BEST_FACTOR_TOL
+from dbrov.tolerances import BEST_FACTOR_TOL, PSD_SLACK, Tolerances
 from dbrov.verify import _factorization_identities, run_checks
 
 from conftest import assert_close, circle_grid, completion_oracle, fejer_riesz_mate, \
@@ -201,8 +200,9 @@ class TestJensenGap:
         assert abs(_outer_gap(p.coeffs) - want) <= 1e-12 * want
         assert abs(want + np.log1p(-delta)) <= 1e-15
 
-    # new: p(0) = 0, the identically zero polynomial among them
-    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 0.0, 0.5j], [0.0], [0.0, 0.0]])
+    # new: p(0) = 0, the identically zero polynomial among them, also as
+    # no coefficients at all
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 0.0, 0.5j], [0.0], [0.0, 0.0], []])
     def test_zero_at_the_origin_reads_inf(self, coeffs):
         assert _outer_gap(np.array(coeffs, dtype=complex)) == np.inf
 
@@ -480,14 +480,25 @@ def test_the_engine_run_takes_the_settings(monkeypatch):
     runs = []
     real = factor_mod.wilson_report
 
-    def recording(phi, *run, search):
-        runs.append((phi.coeffs.shape,) + run)
-        return real(phi, *run, search=search)
+    def recording(phi, *run, dip):
+        runs.append((phi.coeffs.shape,) + run + (dip,))
+        return real(phi, *run, dip=dip)
 
     monkeypatch.setattr(factor_mod, "wilson_report", recording)
-    monkeypatch.setattr(space_mod, "wilson_report", recording)
     make_context(fixture("ROW2").B, max_iter=7, grid_log2=12)
-    assert runs == [((3,), 1e-12, 7, 12)]
+    make_context(fixture("ROW2").B, Tolerances(tol_psd=1e-10))
+    assert runs == [((3,), 1e-12, 7, 12, -PSD_SLACK), ((3,), 1e-12, MAX_ITER, None, -1e-10)]
+
+
+def test_tol_psd_reaches_the_positivity_test():
+    # ROW2 scaled by 1 + 2e-9 dips to -4e-9 at its boundary zero: within the
+    # default slack it builds, as a fallback with one member; a tighter
+    # tol_psd refuses it
+    B = RowSchur(fixture("ROW2").B.coeffs * (1 + 2e-9))
+    ctx = make_context(B)
+    assert ctx.reports["factor_fallback"] and len(ctx.Lambda) == 1
+    with pytest.raises(NotPositive, match="dips to -4.000e-09"):
+        make_context(B, Tolerances(tol_psd=1e-10))
 
 
 @pytest.mark.parametrize("B", [fixture(n).B for n in ("ZERO", "SARASON", "ROW2",
@@ -781,6 +792,20 @@ def test_verify_checks_the_outer_gap(shift_mate):
     assert (float(words[1]) <= 1e-8) == shift_mate
 
 
+def test_zero_factor_fails_the_outer_gap():
+    # A with no coefficients is the zero polynomial: the outer gap of its
+    # det is inf, so the identities check fails, and the checks after it
+    # end typed
+    ctx = make_context(fixture("ROW2").B)
+    A = MatPoly(np.zeros((1, 2, 2)))
+    bad = SpaceContext(ctx.B, ctx.a, A, ctx.Lambda, ctx.tol, ctx.reports, ctx.splits)
+    result = _factorization_identities(bad, None)
+    assert not result.passed
+    assert result.detail.endswith("outer gap inf (bound 1.0e-06)")
+    with pytest.raises(IllConditionedConstant):
+        run_checks(bad)
+
+
 def test_context_keeps_the_split_points():
     # ROW2's defect vanishes at 1 to order 2: one split, read-only
     ctx = make_context(fixture("ROW2").B)
@@ -896,7 +921,6 @@ def test_scalar_row_runs_the_engine_once(B, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(factor_mod, "wilson_report", counting)
-    monkeypatch.setattr(space_mod, "wilson_report", counting)
     ctx = make_context(B)
     assert len(runs) == 1
     A = ctx.A.coeffs[:, 0, 0]
