@@ -34,9 +34,9 @@ class OddBoundaryMultiplicity(DbrovError):
 
 
 class FactorizationDiverged(DbrovError):
-    """Spectral factorization residuals stopped improving above tolerance.
+    """No factorization pass came within max(tol_factor, BEST_FACTOR_TOL).
 
-    best is the report of the best factor seen (residual, outer gap,
+    best is the report of the pass of least residual (residual, outer gap,
     grid, splits), or None when no factor was finished.
     """
 

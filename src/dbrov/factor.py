@@ -5,11 +5,11 @@ polynomial into its outer factor with a(0) > 0; `mate_report` is its one
 run on the scalar defect 1 - BB*, the mate a, and `make_context`'s only way
 in.  Every zero of the density on or just outside the circle, found on its
 own coefficients, is split off as an elementary factor 1 - z / w, and the
-strictly positive remainder is factored by a Newton iteration on FFT grids.
-A run that stalls at a residual of at most BEST_FACTOR_TOL returns its best
-factor with fallback set; any other failed run raises FactorizationDiverged.
-The matrix outer factor A of I - B*B needs no second run: for d >= 2,
-`_completion` reads it off the reversed lossless row
+strictly positive remainder is factored by a Newton iteration on FFT grids,
+grown until a Schur-Cohn count certifies a pass.  A factor above tol_factor
+but within BEST_FACTOR_TOL is returned with fallback set, and a worse one
+raises FactorizationDiverged.  The matrix outer factor A of I - B*B needs no
+second run: for d >= 2, `_completion` reads it off the reversed lossless row
 (z^q conj(a(1 / conj(z))), B) by degree-one sections and a unitary
 completion, whose lower-right block has determinant c a and so is outer;
 for d = 1 it is a itself.  Circle zeros of A are seated in place.
@@ -24,20 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDeterminant,
-    FactorizationDiverged,
-    MateUndefined,
-    NotPositive,
-    SingularIterate,
-)
+from .errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
+    MateUndefined, NotPositive, SingularIterate
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_eval, det_coeffs, horner, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
 from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL, Tolerances
 
 ZERO_DEFECT_TOL = 1e-12
-# Newton steps per grid: the budget of every run
+# Newton steps per grid pass
 MAX_ITER = 600
 
 
@@ -46,7 +41,7 @@ class FactorReport:
     """Outcome of a factorization: the factor plus certification numbers.
 
     splits holds the zero w of each elementary factor split off (|w| >= 1),
-    once per split; fallback says the best factor of a stalled run was taken.
+    once per split; fallback says residual_sup is above the run's tol_factor.
     """
 
     factor: CPoly
@@ -171,17 +166,18 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
     return theta
 
 
-# the grid iterates the split density to this residual, not just to
-# tol_factor (putting each split factor back can multiply its error by up to
-# 4), and finer grids are tried while the factor's residual stays above it
+# the floor of every grid pass: the grid iterates the split density to this
+# residual, not just to tol_factor (putting each split factor back can
+# multiply its error by up to 4)
 _GRID_TOL = 1e-14
 # phi(w) below this fraction of the largest value of phi on the circle is a
 # zero
 _NULL_REL = 1e-8
-# a grid of n points resolves a zero of phi at |w| - 1 = delta once
-# n >= 36 / delta ((1 + delta)^-n < 2e-16); zeros nearer the circle than
-# what 4096 points resolve are split off
-_NEAR = 36.0 / 4096
+# n points alias a factor with no zero within 1 + _RESOLVE / n by at most
+# (1 + _RESOLVE / n)^-n < 2.4e-15 (n >= 256; e^-36 as n grows): the grid's
+# certificate.  Zeros nearer than what 4096 points resolve are split off
+_RESOLVE = 36.0
+_NEAR = _RESOLVE / 4096
 
 
 def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = MAX_ITER,
@@ -201,19 +197,20 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     alone.  a = a1 (1 - z / w_1) ... (1 - z / w_k), trimmed to degree m,
     keeps a(0) = a1(0) > 0.  The residual is checked against phi.  The
     first grid holds the coefficients of a1 (grid_log2 sets it when that is
-    enough); it grows four-fold while the residual is above tol_factor, or
-    above rounding level and still falling.
-
-    outer_gap is the outer gap of a1 (`_outer_gap`), exactly 0.0 when
-    a1 has no zero in the closed disk: each factor 1 - z / w_k with
-    |w_k| >= 1 has gap 0.  A failed run whose best residual is at
-    most BEST_FACTOR_TOL returns that best factor with fallback set, at once
-    when an enlargement does not lower it; any other failed run raises
-    FactorizationDiverged with the report of its best factor.
+    enough; a negative one raises DomainError).  It grows four-fold, up to
+    max(2^16, 8 n0) points, until a pass is certified: its residual is at
+    most accept = max(tol_factor, BEST_FACTOR_TOL), and a1 has no zero
+    within 1 + _RESOLVE / n (`_zero_free`): n points alias it at rounding.
+    The certified pass, else the one of least residual, is returned when
+    its residual is at most accept, with fallback set above tol_factor;
+    else FactorizationDiverged carries its report.  outer_gap is the outer
+    gap of a1 (`_outer_gap`), exactly 0.0 when a1 has no zero in the
+    closed disk: each factor 1 - z / w_k with |w_k| >= 1 has gap 0.
     """
+    if grid_log2 is not None and grid_log2 < 0:
+        raise DomainError("grid_log2 must be nonnegative")
     zeros, floor = _boundary_zeros(phi, dip)
     m = phi.half_degree
-    scale = float(np.abs(phi.coeffs).max(initial=0.0))
     phi1, splits = phi, []
     for w in zeros:
         # each split lowers the half-degree: at most m factors split off
@@ -223,62 +220,62 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     m1 = phi1.half_degree
     n0 = max(1 << grid_log2, pow2_at_least(m1 + 1)) if grid_log2 is not None \
         else max(pow2_at_least(8 * max(m1, 1) + 1), 256)
+    accept = max(tol_factor, BEST_FACTOR_TOL)
     trace: list[float] = []  # one residual per Newton step, on every grid
-    best: tuple = (np.inf, None, None, n0)
-    n, prev = n0, np.inf
+    best, n = (np.inf, None, None, n0), n0
     while True:
         _check_size(n, f"factorization grid of {n} points")
         a1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL), trace)
-        iterations = len(trace)
-        coeffs = a1.coeffs
+        coeffs = c1 = a1.coeffs
         for w in reversed(splits):
             coeffs = np.append(coeffs, 0) - np.append(0, coeffs) / w
         factor = CPoly(coeffs[: m + 1])
         resid = factor_residual(factor, phi)
-        stalled = best[0] <= BEST_FACTOR_TOL and resid >= best[0]
-        if resid < best[0]:
+        certified = resid <= accept and _zero_free(
+            c1 * (1 + _RESOLVE / n) ** np.arange(c1.shape[0]))
+        if certified or resid < best[0]:
             best = (resid, factor, a1, n)
-        last = n >= max(1 << 16, 8 * n0) or iterations >= 4 * max_iter or stalled
-        # a coarse grid aliases the factor: enlarge it while that pays off
-        settled = resid <= _GRID_TOL * scale or resid > prev / 4 or last
-        done = best[0] <= tol_factor and settled
-        if done or last:
-            report = None if best[1] is None else FactorReport(
-                best[1], best[0], _outer_gap(best[2].coeffs),
-                iterations, best[3], tuple(splits), fallback=not done)
-            if done or best[0] <= BEST_FACTOR_TOL:
-                return report
-            raise FactorizationDiverged(
-                f"residual {best[0]:.3e} after {iterations} iterations "
-                f"(grid up to {n})",
-                residual_trace=trace,
-                best=report,
-            )
-        n, prev = 4 * n, resid
+        if certified or n >= max(1 << 16, 8 * n0):
+            break
+        n *= 4
+    report = None if best[1] is None else FactorReport(
+        best[1], best[0], _outer_gap(best[2].coeffs), len(trace), best[3],
+        tuple(splits), fallback=best[0] > tol_factor)
+    if best[0] <= accept:
+        return report
+    raise FactorizationDiverged(
+        f"residual {best[0]:.3e} after {len(trace)} iterations (grid up to {n})",
+        residual_trace=trace, best=report)
+
+
+def _zero_free(p: np.ndarray) -> bool:
+    """Whether p has no zero in the closed disk: the Schur-Cohn step
+    p <- p - k p~, k = p_m / conj(p_0), p~ = conj(p[::-1]), drops the top
+    coefficient and keeps the count of zeros there while |k| < 1 (Rouche;
+    |p~| = |p| on the circle), and every |k| < 1 exactly when it is 0
+    (Schur, Cohn).  O(m^2) flops on Python scalars; numpy's are 4x slower."""
+    q = p.tolist()
+    while len(q) > 1:
+        if abs(q[-1]) >= abs(q[0]):
+            return False
+        k = q[-1] / q[0].conjugate()
+        q = [x - k * y.conjugate() for x, y in zip(q[:-1], reversed(q[1:]))]
+    return True
 
 
 def _outer_gap(p: np.ndarray) -> float:
-    """Jensen's gap |log|p(0)| - mean of log|p| on the circle| by a count:
-    the Schur-Cohn step p <- p - k p~, k = p_m / conj(p_0), p~ = conj(p[::-1]),
-    drops the top coefficient and keeps the count of zeros in the closed
-    disk while |k| < 1 (Rouche; |p~| = |p| on the circle): every |k| < 1
-    exactly when p has none there, and then the gap is 0.0 (Schur, Cohn).
-    Else `_roots_gap`; inf when p(0) = 0, p is empty (the zero polynomial)
-    or p is not finite.  Top coefficients at or below 1e-14 max |p| are
-    trimmed first (det A's beyond deg a are rounding).  O(m^2) flops on
-    Python scalars."""
+    """Jensen's gap |log|p(0)| - mean of log|p| on the circle|: 0.0 when
+    `_zero_free` finds no zero in the closed disk, else `_roots_gap`; inf
+    when p(0) = 0, p is empty (the zero polynomial) or p is not finite.
+    Top coefficients at or below 1e-14 max |p| are trimmed first (det A's
+    beyond deg a are rounding)."""
     top = float(np.abs(p).max(initial=0.0))
-    q = c = p.tolist()  # q shares the trim; the steps rebind it
+    c = p.tolist()
     while len(c) > 1 and abs(c[-1]) <= 1e-14 * top:
         c.pop()
     if not (c and c[0] and np.isfinite(top)):
         return float("inf")
-    while len(q) > 1:
-        if abs(q[-1]) >= abs(q[0]):
-            return _roots_gap(CPoly(c))
-        k = q[-1] / q[0].conjugate()
-        q = [x - k * y.conjugate() for x, y in zip(q[:-1], reversed(q[1:]))]
-    return 0.0
+    return 0.0 if _zero_free(p[: len(c)]) else _roots_gap(CPoly(c))
 
 
 def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
@@ -424,7 +421,7 @@ def _polar(coeffs: np.ndarray) -> MatPoly:
 
 def factor_residual(a: CPoly, phi: LaurentHerm) -> float:
     """max of ||a(z)|^2 - phi(z)| on at least 512 circle points: a sample, whose
-    floor stays because `wilson_report` picks its grids from these rounding-level values."""
+    floor keeps `wilson_report`'s fallback test against tol_factor steady."""
     n = max(512, pow2_at_least(4 * max(a.degree, phi.half_degree) + 1))
     av = circle_eval(a.coeffs, n)
     pv = circle_eval(phi.coeffs, n, low=-phi.half_degree)

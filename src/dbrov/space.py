@@ -103,7 +103,7 @@ def make_context(B: RowSchur, tol: Tolerances | None = None,
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
     One engine run, `mate_report` with tol, max_iter and grid_log2, gives
-    the mate a; a run that stalls is accepted down to 1e-8, since
+    the mate a; a run that misses tol_factor is accepted down to 1e-8, since
     regularizing a boundary-degenerate defect would perturb the boundary
     spectrum.  A = a for d = 1; for d >= 2 the lossless completion of
     (a, B) gives it (`_completion`), with no second run.  The run's reports
@@ -310,6 +310,8 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
             if w != 0:
                 N = max(N, ctx.B.degree
                         + int(np.ceil(np.log(ctx.tol.tol_eval) / np.log(abs(w)))))
+        elif N < 0:
+            raise DomainError("kernel order must be nonnegative")
         _check_size((N + 1) * (ctx.dim + 1), f"kernel at {w} to order {N}")
         wbar = np.conj(w) ** np.arange(N + 1)
         quot = np.stack([np.convolve(col, wbar)[: N + 1] for col in num.T], axis=1)

@@ -16,7 +16,7 @@ DENSITY_FLOOR = -1e-9
 # a point within this of a unimodular point (spectrum members, Clark atoms,
 # |B| = 1, outer roots) is taken to be that point
 UNIMODULAR_TOL = 1e-8
-# a stalled iteration's best factor is accepted from this residual down:
+# a factor that misses tol_factor is accepted from this residual down:
 # regularizing a boundary-degenerate density would move its boundary zeros
 BEST_FACTOR_TOL = 1e-8
 

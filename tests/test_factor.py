@@ -17,7 +17,7 @@ import dbrov.factor as factor_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
     IllConditionedConstant, MateUndefined, NotPositive, NumericsError, SingularIterate
 from dbrov.factor import MAX_ITER, _grid_pass, _identities, _outer_gap, _polar, \
-    _split_off, factor_residual
+    _split_off, _zero_free, factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_eval, horner, pow2_at_least
 from dbrov.rowschur import defect_laurent
@@ -235,6 +235,7 @@ class TestJensenGap:
             p = CPoly.from_roots(mod * np.exp(2j * np.pi * rng.random(m)),
                                  leading=complex(*rng.normal(size=2)))
             gap, want = _outer_gap(p.coeffs), outer_check(p)
+            assert _zero_free(p.coeffs) == (want == 0.0)
             if want == 0.0:
                 outer += 1
                 assert gap == 0.0
@@ -418,9 +419,11 @@ def test_split_off_divides_exactly(seed, radius):
 
 
 def test_stalled_run_stops_at_first_idle_enlargement(monkeypatch):
-    # the mate run stalls near 2e-12: once the best residual is below
-    # BEST_FACTOR_TOL, an enlargement that does not lower it ends the run
-    # (it grew to 2^16 points before); it is the only run
+    # the mate run stalls near 1.2e-12, above ENGINE_TOL: its 1,024-point
+    # pass is certified (residual within BEST_FACTOR_TOL, grid factor
+    # zero-free within 1 + 36 / 1024), so the run stops there with fallback
+    # set and no further enlargement (it grew to 2^16 points once); it is
+    # the only run
     grids = []
     real = factor_mod._grid_pass
 
@@ -544,6 +547,53 @@ def test_one_zero_search_per_context(B, monkeypatch):
     monkeypatch.setattr(factor_mod, "_boundary_zeros", counting)
     make_context(B)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("delta,grid", [(0.3, 256), (0.1, 1024), (0.05, 1024),
+                                        (0.02, 4096), (0.01, 4096)])
+def test_grid_resolves_the_nearest_zero(delta, grid):
+    # a = (1 - z / w)(1 + (0.3 + 0.2i) z), w = (1 + delta) e^{0.7i}, outside
+    # the split radius: the grid is the first 256 * 4^k >= 36 / delta, the
+    # first n on which a has no zero within 1 + 36 / n
+    w = (1 + delta) * np.exp(0.7j)
+    a = np.convolve([1.0, -1 / w], [1.0, 0.3 + 0.2j])
+    rep = wilson_report(LaurentHerm(np.correlate(a, a, "full")))
+    assert (rep.grid, rep.splits, rep.fallback) == (grid, (), False)
+    assert rep.residual_sup <= 1e-14
+    assert_close(rep.factor.coeffs, a, 1e-14)
+
+
+def test_grid_survives_a_last_bit_perturbation():
+    # the grid follows the zeros of the grid factor, not the rounding of a
+    # residual: B (1 + 2^-52 s), s = +-1, keeps the grid and the splits on
+    # every NEAR_ROWS row at sup 1 - 1e-9, 1 and 1 + 1e-9 (52 of the 144
+    # moved grid while the grid was chosen from residuals)
+    rows = [(sup, row) for sup in (1.0 - 1e-9, 1.0, 1.0 + 1e-9) for row in NEAR_ROWS]
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], size=len(rows))
+    moved = []
+    for (sup, (d, q, seed)), s in zip(rows, signs):
+        c = random_row(np.random.default_rng(seed), d, q, sup).coeffs
+        reps = [mate_report(RowSchur(c * f)) for f in (1.0, 1.0 + s * 2.0 ** -52)]
+        if len({(r.grid, len(r.splits)) for r in reps}) > 1:
+            moved.append((sup, d, q, seed))
+    assert moved == []
+
+
+def test_loose_tolerance_accepts_its_own_residual(constant_start):
+    # tol_factor 1e-4 is above BEST_FACTOR_TOL, so it is the accepted
+    # residual: three Newton steps from a constant leave 1.3e-5 on
+    # TRUNC(3), and that first pass is certified and returned, no fallback
+    # (an acceptance at BEST_FACTOR_TOL alone raised, after 15 steps on
+    # grids up to 65,536 points)
+    rep = wilson_report(defect_laurent(fixture("TRUNC(3)").B), 1e-4, 3)
+    assert BEST_FACTOR_TOL < rep.residual_sup <= 1e-4
+    assert (rep.grid, rep.iterations, rep.fallback) == (256, 3, False)
+
+
+def test_negative_grid_refused():
+    # 1 << -1 raised an untyped ValueError ("negative shift count")
+    with pytest.raises(DomainError, match="grid_log2"):
+        make_context(fixture("ROW2").B, grid_log2=-1)
 
 
 def test_oversized_grid_refused_before_any_run(monkeypatch):

@@ -107,8 +107,11 @@ def test_stalled_factor_fallback_is_root_free():
 def test_mate_zero_just_outside_the_circle_builds():
     # a = (0.1828, 0.0707 + 0.1685i) has its one zero 2.7e-4 outside the
     # circle (|k| = 0.99973 < 1): outer by the count, where the 4096-point
-    # Jensen mean read a gap of 9.2e-5 and the row raised NumericsError.  It
-    # builds as a fallback, with no split and a mate residual near 5e-9
+    # Jensen mean read a gap of 9.2e-5 and the row raised NumericsError.  No
+    # pass is certified: the zero lies within 1 + 36 / n on every grid up
+    # to 2^16 points, and the 16,384- and 65,536-point passes diverge.  It
+    # builds from the pass of least residual (4,096 points) as a fallback,
+    # with no split and a mate residual near 5e-9
     ctx = make_context(random_row(np.random.default_rng(707), 8, 1, 1 + 1e-9))
     assert ctx.reports["outer_gap_mate"] == 0.0
     assert ctx.reports["outer_gap_factor"] == 0.0

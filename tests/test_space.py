@@ -179,6 +179,12 @@ class TestKernel:
         with pytest.raises(DomainError):
             kernel(ctx_row2, 1.2)
 
+    @pytest.mark.parametrize("w", [0.5, 0.0])
+    def test_negative_order_refused(self, ctx_row2, w):
+        # np.convolve raised an untyped ValueError ("v cannot be empty")
+        with pytest.raises(DomainError, match="order"):
+            kernel(ctx_row2, w, N=-1)
+
     @pytest.mark.parametrize("name", ["ZERO", "SARASON", "ROW2", "TRUNC(3)"])
     def test_reproducing(self, all_contexts, name):
         ctx = all_contexts[name]
