@@ -14,7 +14,6 @@ import sys
 from .boundary import caratheodory, clark
 from .cyclic import cyclicity, spectrum_crosscheck
 from .errors import DbrovError, ValidationError
-from .factor import MAX_ITER
 from .fixtures import fixture
 from .poly import CPoly
 from .schema import JSON_NAMES, ProblemSpec, parse_problem, to_json
@@ -66,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--tol-factor", type=float, default=None)
     parser.add_argument("--grid-log2", type=int, default=None)
-    parser.add_argument("--max-iter", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -93,7 +91,7 @@ def _load_spec(args) -> ProblemSpec:
     tolerances = data.get("tolerances", {})
     if args.tol_factor is not None and isinstance(tolerances, dict):
         data["tolerances"] = {**tolerances, "tol_factor": args.tol_factor}
-    for key in ("grid_log2", "max_iter", "seed"):
+    for key in ("grid_log2", "seed"):
         if getattr(args, key) is not None:
             data[key] = getattr(args, key)
     spec = parse_problem(data, B=B)
@@ -113,8 +111,7 @@ def _require(spec, field, command):
 
 def _dispatch(args, spec: ProblemSpec):
     cmd = args.command
-    ctx = make_context(spec.B, spec.tolerances, max_iter=spec.max_iter or MAX_ITER,
-                       grid_log2=spec.grid_log2)
+    ctx = make_context(spec.B, spec.tolerances, grid_log2=spec.grid_log2)
     if cmd == "verify":
         checks = run_checks(ctx, seed=spec.seed)
         return {

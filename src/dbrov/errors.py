@@ -36,8 +36,9 @@ class OddBoundaryMultiplicity(DbrovError):
 class FactorizationDiverged(DbrovError):
     """No factorization pass came within max(tol_factor, BEST_FACTOR_TOL).
 
-    best is the report of the pass of least residual (residual, outer gap,
-    grid, splits), or None when no factor was finished.
+    residual_trace holds the factor residual of each grid pass, best the
+    report of the pass of least residual (residual, outer gap, grid,
+    splits), or None when no factor was finished.
     """
 
     def __init__(self, message, residual_trace=None, best=None):
@@ -48,8 +49,7 @@ class FactorizationDiverged(DbrovError):
 
 class SingularIterate(DbrovError):
     """The factorization met a zero it cannot divide by: a density that
-    vanishes identically, a grid iterate that vanishes, or a zero constant
-    coefficient."""
+    vanishes identically, or a zero constant coefficient."""
 
 
 class DegenerateDeterminant(DbrovError):

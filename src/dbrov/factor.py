@@ -5,8 +5,8 @@ polynomial into its outer factor with a(0) > 0; `mate_report` is its one
 run on the scalar defect 1 - BB*, the mate a, and `make_context`'s only way
 in.  Every zero of the density on or just outside the circle, found on its
 own coefficients, is split off as an elementary factor 1 - z / w, and the
-strictly positive remainder is factored by a Newton iteration on FFT grids,
-grown until a Schur-Cohn count certifies a pass.  A factor above tol_factor
+strictly positive remainder by its cepstral factor on FFT grids, grown
+until a Schur-Cohn count certifies a pass.  A factor above tol_factor
 but within BEST_FACTOR_TOL is returned with fallback set, and a worse one
 raises FactorizationDiverged.  The matrix outer factor A of I - B*B needs no
 second run: for d >= 2, `_completion` reads it off the reversed lossless row
@@ -32,16 +32,15 @@ from .rowschur import RowSchur, defect_laurent
 from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL, Tolerances
 
 ZERO_DEFECT_TOL = 1e-12
-# Newton steps per grid pass
-MAX_ITER = 600
 
 
 @dataclass(frozen=True)
 class FactorReport:
     """Outcome of a factorization: the factor plus certification numbers.
 
-    splits holds the zero w of each elementary factor split off (|w| >= 1),
-    once per split; fallback says residual_sup is above the run's tol_factor.
+    iterations counts the grid passes; splits holds the zero w of each
+    elementary factor split off (|w| >= 1), once per split; fallback says
+    residual_sup is above the run's tol_factor.
     """
 
     factor: CPoly
@@ -53,11 +52,11 @@ class FactorReport:
     fallback: bool = False
 
 
-def mate_report(B: RowSchur, tol: Tolerances | None = None, max_iter: int = MAX_ITER,
+def mate_report(B: RowSchur, tol: Tolerances | None = None, *,
                 grid_log2: int | None = None) -> FactorReport:
     """The mate a by the one `wilson_report` run on 1 - BB* (`defect_laurent`),
-    `make_context`'s, with min(tol_factor, ENGINE_TOL), max_iter, grid_log2
-    and dip = -min(tol_psd, PSD_SLACK); a defect that vanishes identically
+    `make_context`'s, with min(tol_factor, ENGINE_TOL), grid_log2 and
+    dip = -min(tol_psd, PSD_SLACK); a defect that vanishes identically
     raises MateUndefined.  The unimodular split points are the zeros of a on
     the circle, once per split; residual_sup is |a|^2 - (1 - BB*), outer_gap
     the gap of the grid factor a1, which the split factors leave unchanged.
@@ -66,7 +65,7 @@ def mate_report(B: RowSchur, tol: Tolerances | None = None, max_iter: int = MAX_
     defect = defect_laurent(B)
     if np.abs(defect.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
-    return wilson_report(defect, min(tol.tol_factor, ENGINE_TOL), max_iter, grid_log2,
+    return wilson_report(defect, min(tol.tol_factor, ENGINE_TOL), grid_log2=grid_log2,
                          dip=-min(tol.tol_psd, PSD_SLACK))
 
 
@@ -166,10 +165,6 @@ def _refine_boundary_angle(laurent_coeffs: np.ndarray, theta: float) -> float:
     return theta
 
 
-# the floor of every grid pass: the grid iterates the split density to this
-# residual, not just to tol_factor (putting each split factor back can
-# multiply its error by up to 4)
-_GRID_TOL = 1e-14
 # phi(w) below this fraction of the largest value of phi on the circle is a
 # zero
 _NULL_REL = 1e-8
@@ -180,8 +175,8 @@ _RESOLVE = 36.0
 _NEAR = _RESOLVE / 4096
 
 
-def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = MAX_ITER,
-                  grid_log2: int | None = None, *, dip: float = -PSD_SLACK) -> FactorReport:
+def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, *,
+                  grid_log2: int | None = None, dip: float = -PSD_SLACK) -> FactorReport:
     """Outer factor a with |a|^2 = phi: split circle zeros off, grid the rest.
 
     At each zero w of phi on the circle or within the split radius
@@ -189,12 +184,11 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     phi = |1 - z / w|^2 phi1 with phi1 again Hermitian Laurent, of
     half-degree one less (Youla-Kazanjian), repeated while |phi1(w)| stays
     at the null floor, both from `_boundary_zeros`, which raises
-    NotPositive where phi dips below dip on the circle.  The Newton iteration
-    a1 <- [phi1 / |a1|^2 + 1]_+ a1 on an FFT grid ([.]_+ keeps the analytic
-    half, constant term halved) factors the strictly positive phi1 with
-    quadratic convergence (Wilson), from its cepstral factor exp [log phi1]_+
-    (Kolmogorov) on every grid: a pass depends on phi1, n and max_iter
-    alone.  a = a1 (1 - z / w_1) ... (1 - z / w_k), trimmed to degree m,
+    NotPositive where phi dips below dip on the circle.  A pass on n grid
+    points factors the strictly positive phi1 by its cepstral factor a1 =
+    exp [log phi1]_+ (Kolmogorov; `_grid_pass`), a fixed point of Wilson's
+    Newton map a1 <- [phi1 / |a1|^2 + 1]_+ a1, since |a1|^2 = phi1 on the
+    grid.  a = a1 (1 - z / w_1) ... (1 - z / w_k), trimmed to degree m,
     keeps a(0) = a1(0) > 0.  The residual is checked against phi.  The
     first grid holds the coefficients of a1 (grid_log2 sets it when that is
     enough; a negative one raises DomainError).  It grows four-fold, up to
@@ -221,16 +215,17 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     n0 = max(1 << grid_log2, pow2_at_least(m1 + 1)) if grid_log2 is not None \
         else max(pow2_at_least(8 * max(m1, 1) + 1), 256)
     accept = max(tol_factor, BEST_FACTOR_TOL)
-    trace: list[float] = []  # one residual per Newton step, on every grid
+    trace: list[float] = []  # the residual of each pass
     best, n = (np.inf, None, None, n0), n0
     while True:
         _check_size(n, f"factorization grid of {n} points")
-        a1 = _grid_pass(phi1, n, max_iter, min(tol_factor, _GRID_TOL), trace)
+        a1 = _grid_pass(phi1, n)
         coeffs = c1 = a1.coeffs
         for w in reversed(splits):
             coeffs = np.append(coeffs, 0) - np.append(0, coeffs) / w
         factor = CPoly(coeffs[: m + 1])
         resid = factor_residual(factor, phi)
+        trace.append(resid)
         certified = resid <= accept and _zero_free(
             c1 * (1 + _RESOLVE / n) ** np.arange(c1.shape[0]))
         if certified or resid < best[0]:
@@ -244,7 +239,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, max_iter: int = M
     if best[0] <= accept:
         return report
     raise FactorizationDiverged(
-        f"residual {best[0]:.3e} after {len(trace)} iterations (grid up to {n})",
+        f"residual {best[0]:.3e} after {len(trace)} passes (grid up to {n})",
         residual_trace=trace, best=report)
 
 
@@ -350,58 +345,21 @@ def _split_off(phi: LaurentHerm, w: complex) -> LaurentHerm:
     return LaurentHerm(-np.conj(w) * _divide_one_minus(g, np.conj(w)))
 
 
-def _grid_pass(phi: LaurentHerm, n: int, max_iter: int, tol: float,
-               trace: list[float]) -> CPoly:
-    """One Newton pass on n points from the cepstral factor: the finished
-    factor.  phi is tabulated on the half-sample offset grid (one that
-    vanishes identically raises SingularIterate), and `_newton_grid` runs
-    to a residual of max(tol, 16 eps scale), scale the largest value of phi
-    there, each step's on trace."""
-    vals = circle_eval(phi.coeffs, n, 0.5, -phi.half_degree).real
+def _grid_pass(phi: LaurentHerm, n: int) -> CPoly:
+    """The cepstral factor exp [log phi]_+ on n points, |a|^2 = phi there
+    ([.]_+ keeps the analytic half, constant and Nyquist terms halved), as
+    coefficients 0..m off the half-sample offset grid, turned so that
+    a(0) > 0; phi is clamped to eps times its scale, and one that vanishes
+    identically raises SingularIterate."""
+    m = phi.half_degree
+    vals = circle_eval(phi.coeffs, n, 0.5, -m).real
     scale = np.abs(vals).max()
     if not scale:
         raise SingularIterate("density vanishes identically on the circle")
-    floor = max(tol, 16 * np.finfo(float).eps * scale)
-    return _finish(_newton_grid(vals, None, max_iter, floor, trace), phi.half_degree)
-
-
-def _newton_grid(vals: np.ndarray, a_grid: np.ndarray | None, max_iter: int, floor: float,
-                 trace: list[float]) -> np.ndarray:
-    """Newton steps on the (n,) grid values of phi from a_grid until the
-    residual is at most floor or stalls; returns the best grid factor.
-    a_grid None, as in every engine pass, starts at exp [log phi]_+ with the
-    one [.]_+ mask, phi clamped to eps times its scale where the remainder
-    reads <= 0; a given a_grid is the tests' seam for other starts."""
-    n = vals.shape[0]
-    # [.]_+ on the spectrum: the analytic half, constant and Nyquist halved
     half = np.where(np.arange(n) < n // 2, 1.0, 0.0)
     half[[0, n // 2]] = 0.5
-    if a_grid is None:
-        logs = np.log(np.maximum(vals, np.finfo(float).eps * np.abs(vals).max()))
-        a_grid = np.exp(np.fft.ifft(np.fft.fft(logs) * half))
-    best = (np.inf, a_grid)
-    stall = 0
-    for _ in range(max_iter):
-        if not np.all(a_grid):
-            raise SingularIterate("singular iterate on the grid")
-        inv = 1.0 / a_grid
-        g = np.conj(inv) * vals * inv + 1.0
-        a_grid = np.fft.ifft(np.fft.fft(g) * half) * a_grid
-        resid = float(np.abs(np.conj(a_grid) * a_grid - vals).max())
-        trace.append(resid)
-        # Newton steps at least halve the residual until rounding stops them
-        stall = stall + 1 if resid > 0.5 * best[0] else 0
-        if resid < best[0]:
-            best = (resid, a_grid)
-        if resid <= floor or stall >= 3:
-            break
-    return best[1]
-
-
-def _finish(a_grid: np.ndarray, m: int) -> CPoly:
-    """Coefficients 0..m of half-sample offset grid values, turned by the
-    phase |a0| / a0 so that a(0) > 0 with |a|^2 unchanged."""
-    n = a_grid.shape[0]
+    logs = np.log(np.maximum(vals, np.finfo(float).eps * scale))
+    a_grid = np.exp(np.fft.ifft(np.fft.fft(logs) * half))
     coeffs = np.fft.fft(a_grid)[: m + 1] / n * np.exp(-1j * np.pi * np.arange(m + 1) / n)
     if not coeffs[0]:
         raise SingularIterate("constant coefficient of the factor is singular")

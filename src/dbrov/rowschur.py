@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .poly import CPoly, LaurentHerm, VecPoly, _Poly, circle_eval, pow2_at_least
-from .tolerances import PSD_SLACK
+from .tolerances import PSD_SLACK, Tolerances
 
 
 class RowSchur(_Poly):
@@ -20,6 +20,7 @@ class RowSchur(_Poly):
     __slots__ = ()
 
     def __init__(self, coeffs, tol_psd: float = PSD_SLACK):
+        Tolerances(tol_psd=tol_psd)  # refuses a tol_psd that is not positive and finite
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ValidationError("row coefficients must form a (q+1, d) array")

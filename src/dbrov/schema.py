@@ -20,7 +20,7 @@ from .tolerances import Tolerances
 SCHEMA_VERSION = "1"
 # the JSON name of each optional ProblemSpec field
 JSON_NAMES = {"f": "f", "w": "w", "lam": "lambda", "xi": "xi", "N": "N",
-              "grid_log2": "grid_log2", "max_iter": "max_iter", "seed": "seed"}
+              "grid_log2": "grid_log2", "seed": "seed"}
 
 
 @dataclass
@@ -33,7 +33,6 @@ class ProblemSpec:
     lam: complex | None = None
     N: int | None = None
     grid_log2: int | None = None
-    max_iter: int | None = None
     seed: int = 0
     schema_version: str = SCHEMA_VERSION
 
@@ -84,16 +83,14 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
     version = str(data.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}")
-    if not isinstance(data.get("tolerances", {}), dict):
+    tols = data.get("tolerances", {})
+    if not isinstance(tols, dict):
         raise ValidationError("'tolerances' must be an object")
-    tol_kwargs = {}
-    for key in ("tol_psd", "tol_factor", "tol_outer", "tol_eval"):
-        if key in data.get("tolerances", {}):
-            value = data["tolerances"][key]
-            if not _is_real(value) or not value > 0:
-                raise ValidationError(f"tolerances.{key} must be positive and finite")
-            tol_kwargs[key] = float(value)
-    tol = Tolerances(**tol_kwargs)
+    tols = {k: v for k, v in tols.items() if k in Tolerances.__dataclass_fields__}
+    for key, value in tols.items():
+        if not _is_real(value):
+            raise ValidationError(f"tolerances.{key} must be a finite number, got {value!r}")
+    tol = Tolerances(**{k: float(v) for k, v in tols.items()})  # refuses values <= 0
     if B is not None:
         if "B" in data:
             raise ValidationError("'B' given both inline and as a fixture")
@@ -133,7 +130,6 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
                             for i, v in enumerate(data["xi"])])
     for key, low, high, what in (("N", 0, np.inf, "a nonnegative integer"),
                                  ("grid_log2", 4, 20, "an integer in 4..20"),
-                                 ("max_iter", 1, np.inf, "a positive integer"),
                                  ("seed", 0, np.inf, "a nonnegative integer")):
         if key in data:
             if not (_is_int(data[key]) and low <= data[key] <= high):

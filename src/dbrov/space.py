@@ -25,7 +25,7 @@ from .errors import (
     IllConditionedConstant,
     NumericsError,
 )
-from .factor import MAX_ITER, _completion, _identities, mate_report
+from .factor import _completion, _identities, mate_report
 from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
     _divide_one_minus, _trim, horner, toeplitz_conj
 from .rowschur import RowSchur
@@ -97,24 +97,23 @@ class SpaceContext:
                 f"|Lambda|={len(self.Lambda)})")
 
 
-def make_context(B: RowSchur, tol: Tolerances | None = None,
-                 max_iter: int = MAX_ITER,
+def make_context(B: RowSchur, tol: Tolerances | None = None, *,
                  grid_log2: int | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    One engine run, `mate_report` with tol, max_iter and grid_log2, gives
-    the mate a; a run that misses tol_factor is accepted down to 1e-8, since
+    One engine run, `mate_report` with tol and grid_log2, gives the mate a;
+    a run that misses tol_factor is accepted down to 1e-8, since
     regularizing a boundary-degenerate defect would perturb the boundary
     spectrum.  A = a for d = 1; for d >= 2 the lossless completion of
     (a, B) gives it (`_completion`), with no second run.  The run's reports
-    (iterations, grid, deflations, fallbacks, the mate's outer gap) hold for
-    every d; `_identities` gives the residuals of a, A and det A = a and
-    the outer gap of det A.  The boundary spectrum is the run's unimodular
+    (grid passes as factor_iterations, grid, deflations, fallbacks, the
+    mate's outer gap) hold for every d; `_identities` gives the residuals
+    of a, A and det A = a and the outer gap of det A.  The boundary spectrum is the run's unimodular
     split points, multiplicity the number of splits at each; the context
     keeps all of the run's split points.
     """
     tol = tol or Tolerances()
-    rep = mate_report(B, tol, max_iter, grid_log2)
+    rep = mate_report(B, tol, grid_log2=grid_log2)
     a = rep.factor
     A = _completion(B, a, rep.splits) if B.dim > 1 else MatPoly(a.coeffs[:, None, None])
     lam = Counter(w / abs(w) for w in rep.splits if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)

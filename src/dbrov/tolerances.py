@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
+
 # positivity slack: a row passes with sup |B| <= 1 + PSD_SLACK, and a defect
 # may dip to -PSD_SLACK on the circle before it is NotPositive
 PSD_SLACK = 1e-8
@@ -23,11 +25,17 @@ BEST_FACTOR_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The tolerances a caller sets for a context.  tol_factor only tightens:
-    the engine run uses min(tol_factor, ENGINE_TOL), so every value at or
-    above 1e-12, the default 1e-10 included, builds the same context."""
+    """The tolerances a caller sets for a context, each positive and finite
+    (else ValidationError).  tol_factor only tightens: the engine run uses
+    min(tol_factor, ENGINE_TOL), so every value at or above 1e-12, the
+    default 1e-10 included, builds the same context."""
 
     tol_psd: float = PSD_SLACK
     tol_factor: float = 1e-10
     tol_outer: float = 1e-6
     tol_eval: float = 1e-8
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 < value < float("inf"):  # NaN too
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")

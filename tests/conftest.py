@@ -6,7 +6,7 @@ import dbrov.factor as factor_mod
 from dbrov import fixture, make_context
 from dbrov.boundary import radial_extrapolate
 from dbrov.errors import DomainError
-from dbrov.poly import _divide_one_minus, circle_eval
+from dbrov.poly import CPoly, _divide_one_minus, circle_eval
 from dbrov.rowschur import defect_laurent
 from dbrov.tolerances import PSD_SLACK
 
@@ -54,16 +54,17 @@ def circle_grid(n):
 
 
 @pytest.fixture
-def constant_start(monkeypatch):
-    """Every engine pass starts from the square root of the grid mean of
-    phi in place of its cepstral factor, as `matrix_factor` starts from its
-    Cholesky factor: one step no longer finishes a run."""
-    real = factor_mod._newton_grid
+def scaled_factor(monkeypatch):
+    """scale(eps) makes every engine pass return its factor times 1 + eps:
+    a residual of about 2 eps max phi on every grid, while the zeros of the
+    grid factor, and so its certificate, stay where they are."""
+    real = factor_mod._grid_pass
 
-    def start(vals, a_grid, *args):
-        return real(vals, np.sqrt(vals.mean(keepdims=True)) * np.ones(vals.shape[0]), *args)
+    def scale(eps):
+        monkeypatch.setattr(factor_mod, "_grid_pass",
+                            lambda phi, n: CPoly(real(phi, n).coeffs * (1 + eps)))
 
-    monkeypatch.setattr(factor_mod, "_newton_grid", start)
+    return scale
 
 
 def matrix_defect(B):

@@ -16,8 +16,8 @@ from dbrov import (
 import dbrov.factor as factor_mod
 from dbrov.errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
     IllConditionedConstant, MateUndefined, NotPositive, NumericsError, SingularIterate
-from dbrov.factor import MAX_ITER, _grid_pass, _identities, _outer_gap, _polar, \
-    _split_off, _zero_free, factor_residual
+from dbrov.factor import _identities, _outer_gap, _polar, _split_off, _zero_free, \
+    factor_residual
 from dbrov.fixtures import fixture
 from dbrov.poly import circle_eval, horner, pow2_at_least
 from dbrov.rowschur import defect_laurent
@@ -126,15 +126,6 @@ class TestWilson:
         bad = LaurentHerm([0.6, 1.0, 0.6])
         with pytest.raises(NotPositive):
             wilson_report(bad)
-
-    @pytest.mark.parametrize("name", ["SARASON", "ROW2", "TRUNC(3)", "TRUNC(8)"])
-    def test_grid_residuals_non_increasing(self, name, constant_start):
-        # from a constant start, past the first steps, each Newton step on
-        # the unsplit defect lowers the residual
-        trace = []
-        _grid_pass(defect_laurent(fixture(name).B), 256, 200, 1e-13, trace)
-        tail = trace[3:]
-        assert all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
 
 
 class TestOuterCheck:
@@ -339,23 +330,6 @@ def test_certificates_match_a_per_point_reference(B):
     assert max(want) <= 1e-14
 
 
-class TestGridKernels:
-    """The engine's grid pass."""
-
-    @pytest.mark.parametrize("m", [2, 5])
-    def test_singular_iterate_raises(self, m, monkeypatch):
-        # a start that vanishes at every grid point stops the iteration
-        phi = LaurentHerm(np.correlate(_outer_poly(m), _outer_poly(m), "full"))
-        real = factor_mod._newton_grid
-
-        def zero_start(vals, a_grid, *args):
-            return real(vals, np.zeros(vals.shape[0], dtype=complex), *args)
-
-        monkeypatch.setattr(factor_mod, "_newton_grid", zero_start)
-        with pytest.raises(SingularIterate):
-            _grid_pass(phi, 64, 10, 1e-14, [])
-
-
 class TestPolar:
     """A <- U A with U unitary and U A(0) Hermitian positive definite."""
 
@@ -483,14 +457,24 @@ def test_the_engine_run_takes_the_settings(monkeypatch):
     runs = []
     real = factor_mod.wilson_report
 
-    def recording(phi, *run, dip):
-        runs.append((phi.coeffs.shape,) + run + (dip,))
-        return real(phi, *run, dip=dip)
+    def recording(phi, tol_factor, *, grid_log2, dip):
+        runs.append((phi.coeffs.shape, tol_factor, grid_log2, dip))
+        return real(phi, tol_factor, grid_log2=grid_log2, dip=dip)
 
     monkeypatch.setattr(factor_mod, "wilson_report", recording)
-    make_context(fixture("ROW2").B, max_iter=7, grid_log2=12)
+    make_context(fixture("ROW2").B, grid_log2=12)
     make_context(fixture("ROW2").B, Tolerances(tol_psd=1e-10))
-    assert runs == [((3,), 1e-12, 7, 12, -PSD_SLACK), ((3,), 1e-12, MAX_ITER, None, -1e-10)]
+    assert runs == [((3,), 1e-12, 12, -PSD_SLACK), ((3,), 1e-12, None, -1e-10)]
+
+
+def test_grid_log2_is_keyword_only():
+    # a stale positional third argument fails instead of being read as a
+    # grid exponent (600 would ask for 2^600 points)
+    B = fixture("ROW2").B
+    for run in (lambda: make_context(B, None, 12), lambda: mate_report(B, None, 12),
+                lambda: wilson_report(defect_laurent(B), 1e-12, 600)):
+        with pytest.raises(TypeError):
+            run()
 
 
 def test_tol_psd_reaches_the_positivity_test():
@@ -510,7 +494,7 @@ def test_tol_psd_reaches_the_positivity_test():
                             for s, d, q, sup in ((21, 1, 4, 1.0), (22, 2, 3, 0.9),
                                                  (23, 3, 5, 1.0))])
 def test_mate_report_is_the_context_mate(B):
-    # one Newton budget, MAX_ITER, for the public mate and make_context's
+    # the public mate is make_context's, bit for bit
     assert np.array_equal(mate_report(B).factor.coeffs, make_context(B).a.coeffs)
 
 
@@ -518,20 +502,23 @@ def test_stalled_run_returns_best_factor():
     # one stall policy: a public run that stalls near 2e-12 returns its best
     # factor with fallback set, as the runs of make_context do
     B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
-    rep = wilson_report(defect_laurent(B), 1e-12, 600)
+    rep = wilson_report(defect_laurent(B), 1e-12)
     assert rep.fallback
     assert 1e-12 < rep.residual_sup <= BEST_FACTOR_TOL
 
 
-def test_run_above_best_factor_bound_raises(constant_start):
-    # a run whose best residual stays above BEST_FACTOR_TOL has no fallback;
-    # the mate's run starts from a constant, which one step cannot finish
+def test_run_above_best_factor_bound_raises(scaled_factor):
+    # a run whose best residual stays above BEST_FACTOR_TOL has no fallback:
+    # every pass's factor scaled by 1 + 1e-4 misses phi by about 1e-4, on
+    # every grid up to 2^16 points, and the trace holds one residual a pass
+    scaled_factor(1e-4)
     B = fixture("TRUNC(8)").B
-    for build in (lambda: make_context(B, max_iter=1),
-                  lambda: wilson_report(defect_laurent(B), 1e-12, 1)):
+    for build in (lambda: make_context(B),
+                  lambda: wilson_report(defect_laurent(B), 1e-12)):
         with pytest.raises(FactorizationDiverged) as info:
             build()
         assert info.value.best.residual_sup > BEST_FACTOR_TOL
+        assert len(info.value.residual_trace) == 5
 
 
 @pytest.mark.parametrize("B", [fixture("SARASON").B, fixture("ROW2").B,
@@ -579,15 +566,16 @@ def test_grid_survives_a_last_bit_perturbation():
     assert moved == []
 
 
-def test_loose_tolerance_accepts_its_own_residual(constant_start):
+def test_loose_tolerance_accepts_its_own_residual(scaled_factor):
     # tol_factor 1e-4 is above BEST_FACTOR_TOL, so it is the accepted
-    # residual: three Newton steps from a constant leave 1.3e-5 on
-    # TRUNC(3), and that first pass is certified and returned, no fallback
-    # (an acceptance at BEST_FACTOR_TOL alone raised, after 15 steps on
-    # grids up to 65,536 points)
-    rep = wilson_report(defect_laurent(fixture("TRUNC(3)").B), 1e-4, 3)
+    # residual: the factor scaled by 1 + 8e-6 leaves 1.0e-5 on TRUNC(3)
+    # (max phi = 0.625), and that first pass is certified and returned, no
+    # fallback (an acceptance at BEST_FACTOR_TOL alone would raise, after
+    # passes on grids up to 65,536 points)
+    scaled_factor(8e-6)
+    rep = wilson_report(defect_laurent(fixture("TRUNC(3)").B), 1e-4)
     assert BEST_FACTOR_TOL < rep.residual_sup <= 1e-4
-    assert (rep.grid, rep.iterations, rep.fallback) == (256, 3, False)
+    assert (rep.grid, rep.iterations, rep.fallback) == (256, 1, False)
 
 
 def test_negative_grid_refused():
@@ -598,7 +586,7 @@ def test_negative_grid_refused():
 
 def test_oversized_grid_refused_before_any_run(monkeypatch):
     # the mate run's grid of 2^25 points is one stack of more than 2^24
-    # entries: its size check refuses it, typed, before any Newton pass (the
+    # entries: its size check refuses it, typed, before any grid pass (the
     # matrix factor needs no grid, so d does not enter)
     def refused(*args, **kwargs):
         raise AssertionError("a grid pass ran")
@@ -879,8 +867,8 @@ def _row_with_mate(a):
     + [pytest.param(_row_with_mate([0.1, -0.15, 0.075, -0.0125]),
                     [0.1, -0.15, 0.075, -0.0125], id="partner-triple-zero")])
 def test_cold_scalar_run_takes_one_step(B, mate):
-    # from the cepstral factor exp [log phi]_+ one Newton step reaches the
-    # floor on the 256-point grid; forward errors measured: <= 1.2e-16 on
+    # the cepstral factor exp [log phi]_+ on the first, 256-point grid is
+    # certified: one pass; forward errors measured: <= 1.2e-16 on
     # the contractive rows, 1.2e-14 on the partner row of 0.1 (1 - z / 2)^3
     with mpmath.workdps(50):
         want = [complex(x) for x in (fejer_riesz_mate(B)[0] if mate is None else mate)]
@@ -891,8 +879,8 @@ def test_cold_scalar_run_takes_one_step(B, mate):
 
 
 # a = 0.1 (1 - z / w)^3, a triple zero near the circle: from a constant start
-# the mate's run diverged at a residual of 4.2e-4; from the cepstral factor
-# it takes one step.  Forward errors of a measured: 1.4e-12 and 1.6e-12 at
+# a Newton run on the mate's defect diverged at a residual of 4.2e-4; its
+# cepstral factor needs no step.  Forward errors of a measured: 1.4e-12 and 1.6e-12 at
 # w = 1.2i, 9.5e-12 (d = 1) and 5.5e-11 (d = 2) at w = 1.1
 @pytest.mark.parametrize("w,bound", [(1.2j, 1e-11), (1.1, 2e-10)])
 @pytest.mark.parametrize("d", [1, 2])

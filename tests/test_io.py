@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import dbrov
+import dbrov.factor as factor_mod
 from dbrov.cli import COMMANDS, main
 from dbrov.errors import DbrovError, MateUndefined, ValidationError
 from dbrov.fixtures import fixture
@@ -96,14 +97,35 @@ class TestSchema:
         with pytest.raises(ValidationError):
             parse_problem(bad)
 
+    def test_max_iter_key_is_ignored(self):
+        # the field went with the Newton loop; an old spec that carries it
+        # parses, as one with any unknown key does, and does not keep it
+        spec = parse_problem({**ROW2_SPEC, "max_iter": 5})
+        assert not hasattr(spec, "max_iter")
+        assert "max_iter" not in serialize_problem(spec)
+
     @pytest.mark.parametrize("field", [
         {"tolerances": {"tol_eval": True}}, {"tolerances": {"tol_psd": float("nan")}},
-        {"seed": True}, {"max_iter": True}, {"grid_log2": True}, {"N": False},
+        {"seed": True}, {"grid_log2": True}, {"N": False},
         {"lambda": [1, float("inf")]}, {"xi": [[True, 0], [0, 0]]},
+        {"tolerances": {"tol_factor": 10 ** 400}},  # float() would overflow
     ])
     def test_non_finite_and_boolean_fields(self, field):
         with pytest.raises(ValidationError):
             parse_problem({**ROW2_SPEC, **field})
+
+    @pytest.mark.parametrize("name", ["tol_psd", "tol_factor", "tol_outer", "tol_eval"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_library_tolerances_are_validated(self, name, value):
+        # with no schema in between, tol_eval 0 ended kernel(ctx, 0.5) in an
+        # untyped OverflowError (NaN or -1: ValueError), tol_factor NaN made
+        # ROW2 diverge after 3,000 steps, tol_psd NaN switched the positivity
+        # test off, and tol_outer NaN read "0.000e+00 > nan"
+        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+            Tolerances(**{name: value})
+        if name == "tol_psd":
+            with pytest.raises(ValidationError, match="tol_psd must be positive"):
+                RowSchur([[2.0]], tol_psd=value)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, -np.inf)])
     def test_row_refuses_non_finite_coefficients(self, bad):
@@ -280,13 +302,24 @@ class TestCli:
         assert "(bound 1e-12), density monotone: True" in check["detail"]
         assert float(check["detail"].split()[1]) < 1e-14
 
-    def test_verify_honours_flags(self, capsys, constant_start):
-        # from a constant start one Newton step cannot factor TRUNC(8)'s
-        # defect, so the run diverges only if --max-iter 1 is passed on
+    def test_verify_honours_flags(self, capsys, monkeypatch):
+        # --grid-log2 reaches the engine: the one run's first pass is on
+        # 2^12 points, where TRUNC(8)'s would be on 256
+        grids = []
+        real = factor_mod._grid_pass
+        monkeypatch.setattr(factor_mod, "_grid_pass",
+                            lambda phi, n: grids.append(n) or real(phi, n))
         code, out = self.run(
-            ["verify", "--fixture", "TRUNC(8)", "--max-iter", "1"], capsys)
-        assert code == 3
-        assert json.loads(out)["error"] == "FactorizationDiverged"
+            ["verify", "--fixture", "TRUNC(8)", "--grid-log2", "12"], capsys)
+        assert code == 0 and json.loads(out)["passed"]
+        assert grids == [4096]
+
+    def test_max_iter_flag_is_gone(self, capsys):
+        # the Newton step budget went with the Newton loop: argparse refuses
+        # the flag as any unknown one, exit 2
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--fixture", "ROW2", "--max-iter", "5"])
+        assert info.value.code == 2
 
     def test_oversized_grid_refused(self, capsys):
         # a grid above 2^20 points is refused by validation; the largest one
@@ -361,11 +394,11 @@ class TestCli:
     @pytest.mark.parametrize("extra", [
         ["--grid-log2", "-1"],
         ["--grid-log2", "3"],
-        ["--max-iter", "0"],
         ["--tol-factor", "-1"],
         ["--tol-factor", "nan"],
         ["--tol-factor", "inf"],
         ["--payload", '{"tolerances": 5}', "--tol-factor", "1e-11"],
+        ["--tol-factor", "0"],
     ])
     def test_flags_are_validated(self, capsys, extra):
         code, out = self.run(["analyze", "--fixture", "ROW2", *extra], capsys)
@@ -563,7 +596,7 @@ def _raw_spec(draw):
         "f": st.lists(_PAIR, min_size=1, max_size=4), "w": _PAIR, "lambda": _PAIR,
         "xi": st.lists(_PAIR, min_size=row["d"], max_size=row["d"]),
         "N": st.integers(0, 16), "grid_log2": st.integers(4, 8),
-        "max_iter": st.integers(1, 40), "seed": st.integers(-3, 3),
+        "seed": st.integers(-3, 3),
         "tolerances": st.dictionaries(
             st.sampled_from(["tol_psd", "tol_factor", "tol_outer", "tol_eval"]),
             st.floats(1e-14, 1.0), max_size=2),
@@ -640,8 +673,6 @@ _CARATHEODORY_CORRUPT = {
 }
 _ANALYZE_CORRUPT = {
     "grid_log2 out of range": ("grid_log2", st.integers(-3, 3) | st.integers(21, 64)),
-    "max_iter below 1": ("max_iter", st.integers(-5, 0)),
-    "one Newton step": ("max_iter", st.just(1)),
     "non-finite tolerance": ("tolerances", st.fixed_dictionaries(
         {"tol_factor": st.sampled_from([np.nan, np.inf, -np.inf])})),
     "row outside the disk": ("B", st.floats(1.01, 1e3).map(
@@ -713,11 +744,9 @@ def test_corrupt_caratheodory_spec_ends_typed(case):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(case=_corrupt_spec({"max_iter": st.integers(50, 600)}, _ANALYZE_CORRUPT))
+@given(case=_corrupt_spec({}, _ANALYZE_CORRUPT))
 def test_corrupt_analyze_spec_ends_typed(case):
-    # a single Newton step may still factor a row whose defect is constant
-    kind, spec = case
-    assert _run_typed("analyze", spec) in (2, 3) or kind == "one Newton step"
+    assert _run_typed("analyze", case[1]) in (2, 3)
 
 
 _F = st.lists(_PAIR, min_size=1, max_size=6)
@@ -808,7 +837,6 @@ def _spec(draw):
         lam=draw(maybe(_COMPLEX)),
         N=draw(maybe(st.integers(0, 10 ** 6))),
         grid_log2=draw(maybe(st.integers(4, 20))),
-        max_iter=draw(maybe(st.integers(1, 10 ** 6))),
         seed=draw(st.integers(0, 2 ** 63)),
     )
 
@@ -824,6 +852,6 @@ def test_spec_round_trips(spec):
         want = getattr(spec, name)
         got = getattr(back, name)
         assert got is None if want is None else np.array_equal(got, want)
-    for name in ("w", "lam", "N", "grid_log2", "max_iter", "seed", "schema_version"):
+    for name in ("w", "lam", "N", "grid_log2", "seed", "schema_version"):
         assert getattr(back, name) == getattr(spec, name)
     assert serialize_problem(back) == once

@@ -109,10 +109,13 @@ def test_mate_zero_just_outside_the_circle_builds():
     # circle (|k| = 0.99973 < 1): outer by the count, where the 4096-point
     # Jensen mean read a gap of 9.2e-5 and the row raised NumericsError.  No
     # pass is certified: the zero lies within 1 + 36 / n on every grid up
-    # to 2^16 points, and the 16,384- and 65,536-point passes diverge.  It
-    # builds from the pass of least residual (4,096 points) as a fallback,
-    # with no split and a mate residual near 5e-9
+    # to 2^16 points, and the 16,384- and 65,536-point passes read 7.6e-8
+    # and 6.3e-8.  It builds from the pass of least residual (4,096 points)
+    # as a fallback, with no split and a mate residual near 5e-9, in one
+    # pass a grid from 256 to 65,536 points
     ctx = make_context(random_row(np.random.default_rng(707), 8, 1, 1 + 1e-9))
+    assert ctx.reports["factor_iterations"] == 5
+    assert ctx.reports["factor_grid"] == 4096
     assert ctx.reports["outer_gap_mate"] == 0.0
     assert ctx.reports["outer_gap_factor"] == 0.0
     assert ctx.reports["mate_fallback"] == 1.0
