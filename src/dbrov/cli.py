@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation errors (malformed JSON, bad schema,
 unknown fixture), 3 numerical failures (the error payload is serialized to
-standard output as JSON).
+standard output as JSON).  The JSON is strict: a result that holds a NaN or
+an infinity ends in a NumericsError payload, exit 3.
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ def main(argv=None) -> int:
         code = 2 if isinstance(exc, ValidationError) else 3
         payload = {"error": type(exc).__name__, "message": str(exc)}
     try:
-        _write(_render(payload, args), args.out)
+        text = _render(payload, args)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        code, text = 3, _render({"error": "NumericsError",
+                                 "message": f"non-finite result: {exc}"}, args)
+    try:
+        _write(text, args.out)
     except OSError as exc:  # the error goes to standard output instead
         _write(_render({"error": "ValidationError",
                         "message": f"cannot write --out: {exc}"}, args), None)
@@ -63,14 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(f, w, xi, lambda, N), for --fixture runs")
     parser.add_argument("--out", metavar="PATH", help="write output here")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--tol-factor", type=float, default=None)
-    parser.add_argument("--grid-log2", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     return parser
 
 
 def _load_spec(args) -> ProblemSpec:
-    """The decoded spec with the flags merged in, validated as one object."""
+    """The decoded spec with --seed merged in, validated as one object."""
     B = None
     if args.fixture:
         B = fixture(args.fixture).B
@@ -88,12 +92,8 @@ def _load_spec(args) -> ProblemSpec:
             raise ValidationError(f"cannot read the spec: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("problem spec must be a JSON object")
-    tolerances = data.get("tolerances", {})
-    if args.tol_factor is not None and isinstance(tolerances, dict):
-        data["tolerances"] = {**tolerances, "tol_factor": args.tol_factor}
-    for key in ("grid_log2", "seed"):
-        if getattr(args, key) is not None:
-            data[key] = getattr(args, key)
+    if args.seed is not None:
+        data["seed"] = args.seed
     spec = parse_problem(data, B=B)
     if args.format is None:
         args.format = "csv" if args.command in ("density", "crosscheck") else "json"
@@ -111,7 +111,7 @@ def _require(spec, field, command):
 
 def _dispatch(args, spec: ProblemSpec):
     cmd = args.command
-    ctx = make_context(spec.B, spec.tolerances, grid_log2=spec.grid_log2)
+    ctx = make_context(spec.B, spec.tolerances)
     if cmd == "verify":
         checks = run_checks(ctx, seed=spec.seed)
         return {
@@ -206,7 +206,7 @@ def _render(payload, args) -> str:
             lines += [",".join(map(str, row)) for row in rows]
             return "\n".join(lines) + "\n"
         payload = {"columns": header, "rows": rows}
-    return json.dumps(payload, indent=2, default=to_json) + "\n"
+    return json.dumps(payload, indent=2, default=to_json, allow_nan=False) + "\n"
 
 
 def _write(text: str, out) -> None:

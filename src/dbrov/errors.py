@@ -22,7 +22,8 @@ class RootFindingFailed(DbrovError):
 
 
 class MateUndefined(DbrovError):
-    """The scalar boundary defect vanishes identically; no outer mate exists."""
+    """The scalar boundary defect vanishes identically, or is negative on the
+    whole circle within the positivity slack; no outer mate exists."""
 
 
 class NotPositive(DbrovError):
@@ -34,7 +35,7 @@ class OddBoundaryMultiplicity(DbrovError):
 
 
 class FactorizationDiverged(DbrovError):
-    """No factorization pass came within max(tol_factor, BEST_FACTOR_TOL).
+    """No factorization pass came within BEST_FACTOR_TOL.
 
     residual_trace holds the factor residual of each grid pass, best the
     report of the pass of least residual (residual, outer gap, grid,

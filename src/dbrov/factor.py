@@ -6,7 +6,7 @@ run on the scalar defect 1 - BB*, the mate a, and `make_context`'s only way
 in.  Every zero of the density on or just outside the circle, found on its
 own coefficients, is split off as an elementary factor 1 - z / w, and the
 strictly positive remainder by its cepstral factor on FFT grids, grown
-until a Schur-Cohn count certifies a pass.  A factor above tol_factor
+until a Schur-Cohn count certifies a pass.  A factor above ENGINE_TOL
 but within BEST_FACTOR_TOL is returned with fallback set, and a worse one
 raises FactorizationDiverged.  The matrix outer factor A of I - B*B needs no
 second run: for d >= 2, `_completion` reads it off the reversed lossless row
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDeterminant, DomainError, FactorizationDiverged, \
-    MateUndefined, NotPositive, SingularIterate
+from .errors import DegenerateDeterminant, FactorizationDiverged, MateUndefined, \
+    NotPositive, SingularIterate
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_eval, det_coeffs, horner, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
@@ -40,7 +40,7 @@ class FactorReport:
 
     iterations counts the grid passes; splits holds the zero w of each
     elementary factor split off (|w| >= 1), once per split; fallback says
-    residual_sup is above the run's tol_factor.
+    residual_sup is above ENGINE_TOL.
     """
 
     factor: CPoly
@@ -52,21 +52,20 @@ class FactorReport:
     fallback: bool = False
 
 
-def mate_report(B: RowSchur, tol: Tolerances | None = None, *,
-                grid_log2: int | None = None) -> FactorReport:
+def mate_report(B: RowSchur, tol: Tolerances | None = None) -> FactorReport:
     """The mate a by the one `wilson_report` run on 1 - BB* (`defect_laurent`),
-    `make_context`'s, with min(tol_factor, ENGINE_TOL), grid_log2 and
-    dip = -min(tol_psd, PSD_SLACK); a defect that vanishes identically
-    raises MateUndefined.  The unimodular split points are the zeros of a on
-    the circle, once per split; residual_sup is |a|^2 - (1 - BB*), outer_gap
-    the gap of the grid factor a1, which the split factors leave unchanged.
+    `make_context`'s, with dip = -min(tol_psd, PSD_SLACK); a defect that
+    vanishes identically, or is negative on the whole circle within that
+    slack, raises MateUndefined.  The unimodular split points are the zeros
+    of a on the circle, once per split; residual_sup is |a|^2 - (1 - BB*),
+    outer_gap the gap of the grid factor a1, which the split factors leave
+    unchanged.
     """
     tol = tol or Tolerances()
     defect = defect_laurent(B)
     if np.abs(defect.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
-    return wilson_report(defect, min(tol.tol_factor, ENGINE_TOL), grid_log2=grid_log2,
-                         dip=-min(tol.tol_psd, PSD_SLACK))
+    return wilson_report(defect, dip=-min(tol.tol_psd, PSD_SLACK))
 
 
 def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
@@ -175,8 +174,7 @@ _RESOLVE = 36.0
 _NEAR = _RESOLVE / 4096
 
 
-def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, *,
-                  grid_log2: int | None = None, dip: float = -PSD_SLACK) -> FactorReport:
+def wilson_report(phi: LaurentHerm, *, dip: float = -PSD_SLACK) -> FactorReport:
     """Outer factor a with |a|^2 = phi: split circle zeros off, grid the rest.
 
     At each zero w of phi on the circle or within the split radius
@@ -184,25 +182,24 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, *,
     phi = |1 - z / w|^2 phi1 with phi1 again Hermitian Laurent, of
     half-degree one less (Youla-Kazanjian), repeated while |phi1(w)| stays
     at the null floor, both from `_boundary_zeros`, which raises
-    NotPositive where phi dips below dip on the circle.  A pass on n grid
-    points factors the strictly positive phi1 by its cepstral factor a1 =
-    exp [log phi1]_+ (Kolmogorov; `_grid_pass`), a fixed point of Wilson's
+    NotPositive where phi dips below dip on the circle, and MateUndefined
+    where it stays between dip and 0 on the whole circle.  A pass on n
+    grid points factors the strictly positive phi1 by its cepstral factor
+    a1 = exp [log phi1]_+ (Kolmogorov; `_grid_pass`), a fixed point of Wilson's
     Newton map a1 <- [phi1 / |a1|^2 + 1]_+ a1, since |a1|^2 = phi1 on the
     grid.  a = a1 (1 - z / w_1) ... (1 - z / w_k), trimmed to degree m,
     keeps a(0) = a1(0) > 0.  The residual is checked against phi.  The
-    first grid holds the coefficients of a1 (grid_log2 sets it when that is
-    enough; a negative one raises DomainError).  It grows four-fold, up to
-    max(2^16, 8 n0) points, until a pass is certified: its residual is at
-    most accept = max(tol_factor, BEST_FACTOR_TOL), and a1 has no zero
-    within 1 + _RESOLVE / n (`_zero_free`): n points alias it at rounding.
-    The certified pass, else the one of least residual, is returned when
-    its residual is at most accept, with fallback set above tol_factor;
-    else FactorizationDiverged carries its report.  outer_gap is the outer
-    gap of a1 (`_outer_gap`), exactly 0.0 when a1 has no zero in the
-    closed disk: each factor 1 - z / w_k with |w_k| >= 1 has gap 0.
+    first grid, n0 = max(8 m1 + 1 rounded up to a power of 2, 256) points
+    for phi1 of half-degree m1, holds the coefficients of a1.  It grows
+    four-fold, up to max(2^16, 8 n0) points, until a pass is certified: its
+    residual is at most BEST_FACTOR_TOL, and a1 has no zero within
+    1 + _RESOLVE / n (`_zero_free`): n points alias it at rounding.  The
+    certified pass, else the one of least residual, is returned when its
+    residual is at most BEST_FACTOR_TOL, with fallback set above
+    ENGINE_TOL; else FactorizationDiverged carries its report.  outer_gap
+    is the outer gap of a1 (`_outer_gap`), exactly 0.0 when a1 has no zero
+    in the closed disk: each factor 1 - z / w_k with |w_k| >= 1 has gap 0.
     """
-    if grid_log2 is not None and grid_log2 < 0:
-        raise DomainError("grid_log2 must be nonnegative")
     zeros, floor = _boundary_zeros(phi, dip)
     m = phi.half_degree
     phi1, splits = phi, []
@@ -212,9 +209,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, *,
             splits.append(w)
             phi1 = _split_off(phi1, w)
     m1 = phi1.half_degree
-    n0 = max(1 << grid_log2, pow2_at_least(m1 + 1)) if grid_log2 is not None \
-        else max(pow2_at_least(8 * max(m1, 1) + 1), 256)
-    accept = max(tol_factor, BEST_FACTOR_TOL)
+    n0 = max(pow2_at_least(8 * max(m1, 1) + 1), 256)
     trace: list[float] = []  # the residual of each pass
     best, n = (np.inf, None, None, n0), n0
     while True:
@@ -226,7 +221,7 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, *,
         factor = CPoly(coeffs[: m + 1])
         resid = factor_residual(factor, phi)
         trace.append(resid)
-        certified = resid <= accept and _zero_free(
+        certified = resid <= BEST_FACTOR_TOL and _zero_free(
             c1 * (1 + _RESOLVE / n) ** np.arange(c1.shape[0]))
         if certified or resid < best[0]:
             best = (resid, factor, a1, n)
@@ -235,8 +230,8 @@ def wilson_report(phi: LaurentHerm, tol_factor: float = 1e-10, *,
         n *= 4
     report = None if best[1] is None else FactorReport(
         best[1], best[0], _outer_gap(best[2].coeffs), len(trace), best[3],
-        tuple(splits), fallback=best[0] > tol_factor)
-    if best[0] <= accept:
+        tuple(splits), fallback=best[0] > ENGINE_TOL)
+    if best[0] <= BEST_FACTOR_TOL:
         return report
     raise FactorizationDiverged(
         f"residual {best[0]:.3e} after {len(trace)} passes (grid up to {n})",
@@ -284,7 +279,9 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
     through its three grid values puts that pair twice _NEAR off the circle
     skips the angle Newton.  The null floor is relative to the largest
     value of phi on the circle.  A value below dip on the grid (of at least
-    1024 points) raises NotPositive first.
+    1024 points) raises NotPositive first, and a grid maximum below 0,
+    phi negative everywhere within the slack, MateUndefined: phi vanishes
+    there, as a defect 1 - BB* that is 0 identically does.
     """
     m = phi.half_degree
     n = pow2_at_least(max(8 * m + 1, 1024))
@@ -292,8 +289,11 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
     if vals.min() < dip:
         raise NotPositive(f"density dips to {vals.min():.3e} on the circle")
     top = float(vals.max())
+    if top < 0:
+        raise MateUndefined(f"density is at most {top:.3e} on the circle: it vanishes"
+                            " within the positivity slack")
     floor = _NULL_REL * top
-    if top <= 0:
+    if not top:
         return [], floor
     out: list[complex] = []
     minima = (vals < np.roll(vals, 1)) & (vals < np.roll(vals, -1))
@@ -379,7 +379,7 @@ def _polar(coeffs: np.ndarray) -> MatPoly:
 
 def factor_residual(a: CPoly, phi: LaurentHerm) -> float:
     """max of ||a(z)|^2 - phi(z)| on at least 512 circle points: a sample, whose
-    floor keeps `wilson_report`'s fallback test against tol_factor steady."""
+    floor keeps `wilson_report`'s fallback test against ENGINE_TOL steady."""
     n = max(512, pow2_at_least(4 * max(a.degree, phi.half_degree) + 1))
     av = circle_eval(a.coeffs, n)
     pv = circle_eval(phi.coeffs, n, low=-phi.half_degree)

@@ -20,7 +20,7 @@ from .tolerances import Tolerances
 SCHEMA_VERSION = "1"
 # the JSON name of each optional ProblemSpec field
 JSON_NAMES = {"f": "f", "w": "w", "lam": "lambda", "xi": "xi", "N": "N",
-              "grid_log2": "grid_log2", "seed": "seed"}
+              "seed": "seed"}
 
 
 @dataclass
@@ -32,7 +32,6 @@ class ProblemSpec:
     xi: np.ndarray | None = None
     lam: complex | None = None
     N: int | None = None
-    grid_log2: int | None = None
     seed: int = 0
     schema_version: str = SCHEMA_VERSION
 
@@ -128,12 +127,10 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
             raise ValidationError(f"'xi' must list {B.dim} [re, im] pairs")
         spec.xi = np.array([_pair_to_complex(v, f"xi[{i}]")
                             for i, v in enumerate(data["xi"])])
-    for key, low, high, what in (("N", 0, np.inf, "a nonnegative integer"),
-                                 ("grid_log2", 4, 20, "an integer in 4..20"),
-                                 ("seed", 0, np.inf, "a nonnegative integer")):
+    for key in ("N", "seed"):
         if key in data:
-            if not (_is_int(data[key]) and low <= data[key] <= high):
-                raise ValidationError(f"'{key}' must be {what}")
+            if not (_is_int(data[key]) and data[key] >= 0):
+                raise ValidationError(f"'{key}' must be a nonnegative integer")
             setattr(spec, key, data[key])
     return spec
 

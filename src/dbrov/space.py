@@ -97,12 +97,11 @@ class SpaceContext:
                 f"|Lambda|={len(self.Lambda)})")
 
 
-def make_context(B: RowSchur, tol: Tolerances | None = None, *,
-                 grid_log2: int | None = None) -> SpaceContext:
+def make_context(B: RowSchur, tol: Tolerances | None = None) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    One engine run, `mate_report` with tol and grid_log2, gives the mate a;
-    a run that misses tol_factor is accepted down to 1e-8, since
+    One engine run, `mate_report` with tol, gives the mate a; a run that
+    misses ENGINE_TOL is accepted down to BEST_FACTOR_TOL, since
     regularizing a boundary-degenerate defect would perturb the boundary
     spectrum.  A = a for d = 1; for d >= 2 the lossless completion of
     (a, B) gives it (`_completion`), with no second run.  The run's reports
@@ -113,7 +112,7 @@ def make_context(B: RowSchur, tol: Tolerances | None = None, *,
     keeps all of the run's split points.
     """
     tol = tol or Tolerances()
-    rep = mate_report(B, tol, grid_log2=grid_log2)
+    rep = mate_report(B, tol)
     a = rep.factor
     A = _completion(B, a, rep.splits) if B.dim > 1 else MatPoly(a.coeffs[:, None, None])
     lam = Counter(w / abs(w) for w in rep.splits if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)

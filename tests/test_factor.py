@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
@@ -440,16 +442,17 @@ def test_matrix_run_reuses_mate_zeros(B):
     assert _padded_gap(ctx.A.coeffs, A) <= 1e-10
 
 
-@pytest.mark.parametrize("grid_log2", [4, 5])
+@pytest.mark.parametrize("d", [4, 5])
 @pytest.mark.parametrize("sup", [0.9, 1.0])
 @pytest.mark.parametrize("q", [16, 33])
-def test_first_grid_holds_the_factor(q, sup, grid_log2):
-    # a first grid of 2^grid_log2 points, fewer than the q + 1 coefficients
-    # of the mate, grows to hold them
-    B = random_row(np.random.default_rng(q), 2, q, sup)
-    ctx = make_context(B, grid_log2=grid_log2)
+def test_first_grid_holds_the_factor(q, sup, d):
+    # the first grid has more than 8 m1 points, m1 = q less the splits
+    # (the half-degree left to the grid), so it holds the m1 + 1
+    # coefficients of the grid factor with room to spare
+    B = random_row(np.random.default_rng(q), d, q, sup)
+    ctx = make_context(B)
     assert ctx.reports["factor_residual_sup"] <= 1e-12
-    assert ctx.reports["factor_grid"] > q
+    assert ctx.reports["factor_grid"] > 8 * (q - ctx.reports["boundary_deflations"])
 
 
 def test_the_engine_run_takes_the_settings(monkeypatch):
@@ -457,22 +460,27 @@ def test_the_engine_run_takes_the_settings(monkeypatch):
     runs = []
     real = factor_mod.wilson_report
 
-    def recording(phi, tol_factor, *, grid_log2, dip):
-        runs.append((phi.coeffs.shape, tol_factor, grid_log2, dip))
-        return real(phi, tol_factor, grid_log2=grid_log2, dip=dip)
+    def recording(phi, *, dip):
+        runs.append((phi.coeffs.shape, dip))
+        return real(phi, dip=dip)
 
     monkeypatch.setattr(factor_mod, "wilson_report", recording)
-    make_context(fixture("ROW2").B, grid_log2=12)
+    make_context(fixture("ROW2").B)
     make_context(fixture("ROW2").B, Tolerances(tol_psd=1e-10))
-    assert runs == [((3,), 1e-12, 12, -PSD_SLACK), ((3,), 1e-12, None, -1e-10)]
+    assert runs == [((3,), -PSD_SLACK), ((3,), -1e-10)]
 
 
-def test_grid_log2_is_keyword_only():
-    # a stale positional third argument fails instead of being read as a
-    # grid exponent (600 would ask for 2^600 points)
+def test_stale_settings_raise_type_error():
+    # the grid exponent and the residual target are no settings: a stale
+    # keyword, or a stale positional argument, fails at once instead of
+    # being read as another parameter
     B = fixture("ROW2").B
-    for run in (lambda: make_context(B, None, 12), lambda: mate_report(B, None, 12),
-                lambda: wilson_report(defect_laurent(B), 1e-12, 600)):
+    phi = defect_laurent(B)
+    for run in (lambda: make_context(B, grid_log2=12), lambda: make_context(B, None, 12),
+                lambda: mate_report(B, grid_log2=12), lambda: mate_report(B, None, 12),
+                lambda: wilson_report(phi, grid_log2=8), lambda: wilson_report(phi, 1e-12),
+                lambda: wilson_report(phi, tol_factor=1e-12),
+                lambda: Tolerances(tol_factor=1e-10)):
         with pytest.raises(TypeError):
             run()
 
@@ -502,7 +510,7 @@ def test_stalled_run_returns_best_factor():
     # one stall policy: a public run that stalls near 2e-12 returns its best
     # factor with fallback set, as the runs of make_context do
     B = random_row(np.random.default_rng(2), 2, 32, 1.0 - 1e-9)
-    rep = wilson_report(defect_laurent(B), 1e-12)
+    rep = wilson_report(defect_laurent(B))
     assert rep.fallback
     assert 1e-12 < rep.residual_sup <= BEST_FACTOR_TOL
 
@@ -514,7 +522,7 @@ def test_run_above_best_factor_bound_raises(scaled_factor):
     scaled_factor(1e-4)
     B = fixture("TRUNC(8)").B
     for build in (lambda: make_context(B),
-                  lambda: wilson_report(defect_laurent(B), 1e-12)):
+                  lambda: wilson_report(defect_laurent(B))):
         with pytest.raises(FactorizationDiverged) as info:
             build()
         assert info.value.best.residual_sup > BEST_FACTOR_TOL
@@ -566,34 +574,30 @@ def test_grid_survives_a_last_bit_perturbation():
     assert moved == []
 
 
-def test_loose_tolerance_accepts_its_own_residual(scaled_factor):
-    # tol_factor 1e-4 is above BEST_FACTOR_TOL, so it is the accepted
-    # residual: the factor scaled by 1 + 8e-6 leaves 1.0e-5 on TRUNC(3)
-    # (max phi = 0.625), and that first pass is certified and returned, no
-    # fallback (an acceptance at BEST_FACTOR_TOL alone would raise, after
-    # passes on grids up to 65,536 points)
-    scaled_factor(8e-6)
-    rep = wilson_report(defect_laurent(fixture("TRUNC(3)").B), 1e-4)
-    assert BEST_FACTOR_TOL < rep.residual_sup <= 1e-4
-    assert (rep.grid, rep.iterations, rep.fallback) == (256, 1, False)
-
-
-def test_negative_grid_refused():
-    # 1 << -1 raised an untyped ValueError ("negative shift count")
-    with pytest.raises(DomainError, match="grid_log2"):
-        make_context(fixture("ROW2").B, grid_log2=-1)
-
-
 def test_oversized_grid_refused_before_any_run(monkeypatch):
-    # the mate run's grid of 2^25 points is one stack of more than 2^24
-    # entries: its size check refuses it, typed, before any grid pass (the
-    # matrix factor needs no grid, so d does not enter)
+    # a density of half-degree 2^21 takes a first grid of 2^25 points, one
+    # stack of more than 2^24 entries: its size check refuses it, typed,
+    # before any grid pass.  A stand-in carries the degree alone, with the
+    # zero search patched out, so no array of that size is made
     def refused(*args, **kwargs):
         raise AssertionError("a grid pass ran")
 
+    monkeypatch.setattr(factor_mod, "_boundary_zeros", lambda phi, dip: ([], 0.0))
     monkeypatch.setattr(factor_mod, "_grid_pass", refused)
     with pytest.raises(DomainError, match="factorization grid of 33554432 points"):
-        make_context(fixture("TRUNC(8)").B, grid_log2=25)
+        wilson_report(SimpleNamespace(half_degree=1 << 21))
+
+
+@pytest.mark.parametrize("coeffs,top", [([[1, 0], [0, 1e-5]], -1e-10),
+                                        ([[1 + 2e-9]], -4e-9),
+                                        ([[0], [1 + 2e-9]], -4e-9)])
+def test_nowhere_positive_defect_has_no_mate(coeffs, top):
+    # validation admits each row (sup |B| <= 1 + PSD_SLACK) and its defect
+    # stays above the dip, but it is negative on the whole circle: within
+    # the slack it vanishes, as FLAT's does, and no factor of eps-clamped
+    # values is built
+    with pytest.raises(MateUndefined, match=f"at most {top:.3e} on the circle"):
+        make_context(RowSchur(coeffs))
 
 
 def test_mate_run_errors_come_first():

@@ -1,10 +1,7 @@
 import contextlib
 import io
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import dbrov
-import dbrov.factor as factor_mod
 from dbrov.cli import COMMANDS, main
 from dbrov.errors import DbrovError, MateUndefined, ValidationError
 from dbrov.fixtures import fixture
@@ -22,7 +18,6 @@ from dbrov.space import density_residual, make_context, spectrum_member
 from dbrov.tolerances import Tolerances
 
 from conftest import assert_close
-from test_random_rows import random_row
 
 ROW2_SPEC = {
     "schema_version": "1",
@@ -93,7 +88,7 @@ class TestSchema:
             parse_problem(bad)
 
     def test_bad_tolerance(self):
-        bad = dict(ROW2_SPEC, tolerances={"tol_factor": -1.0})
+        bad = dict(ROW2_SPEC, tolerances={"tol_eval": -1.0})
         with pytest.raises(ValidationError):
             parse_problem(bad)
 
@@ -104,23 +99,37 @@ class TestSchema:
         assert not hasattr(spec, "max_iter")
         assert "max_iter" not in serialize_problem(spec)
 
+    def test_stale_engine_keys_are_ignored(self):
+        # grid_log2 and tolerances.tol_factor went with the engine settings:
+        # a spec that carries them parses as one without, keeps neither, and
+        # builds the default context bit for bit
+        stale = parse_problem({**ROW2_SPEC, "grid_log2": 4,
+                               "tolerances": {"tol_factor": 1e-3}})
+        plain = parse_problem(ROW2_SPEC)
+        assert stale.tolerances == plain.tolerances == Tolerances()
+        assert serialize_problem(stale) == serialize_problem(plain)
+        got, want = (make_context(spec.B, spec.tolerances) for spec in (stale, plain))
+        assert np.array_equal(got.a.coeffs, want.a.coeffs)
+        assert np.array_equal(got.A.coeffs, want.A.coeffs)
+        assert (got.Lambda, got.splits, got.reports) == (want.Lambda, want.splits,
+                                                         want.reports)
+
     @pytest.mark.parametrize("field", [
         {"tolerances": {"tol_eval": True}}, {"tolerances": {"tol_psd": float("nan")}},
-        {"seed": True}, {"grid_log2": True}, {"N": False},
+        {"seed": True}, {"w": [True, 0]}, {"N": False},
         {"lambda": [1, float("inf")]}, {"xi": [[True, 0], [0, 0]]},
-        {"tolerances": {"tol_factor": 10 ** 400}},  # float() would overflow
+        {"tolerances": {"tol_outer": 10 ** 400}},  # float() would overflow
     ])
     def test_non_finite_and_boolean_fields(self, field):
         with pytest.raises(ValidationError):
             parse_problem({**ROW2_SPEC, **field})
 
-    @pytest.mark.parametrize("name", ["tol_psd", "tol_factor", "tol_outer", "tol_eval"])
+    @pytest.mark.parametrize("name", ["tol_psd", "tol_outer", "tol_eval"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_library_tolerances_are_validated(self, name, value):
         # with no schema in between, tol_eval 0 ended kernel(ctx, 0.5) in an
-        # untyped OverflowError (NaN or -1: ValueError), tol_factor NaN made
-        # ROW2 diverge after 3,000 steps, tol_psd NaN switched the positivity
-        # test off, and tol_outer NaN read "0.000e+00 > nan"
+        # untyped OverflowError (NaN or -1: ValueError), tol_psd NaN switched
+        # the positivity test off, and tol_outer NaN read "0.000e+00 > nan"
         with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
             Tolerances(**{name: value})
         if name == "tol_psd":
@@ -302,17 +311,16 @@ class TestCli:
         assert "(bound 1e-12), density monotone: True" in check["detail"]
         assert float(check["detail"].split()[1]) < 1e-14
 
-    def test_verify_honours_flags(self, capsys, monkeypatch):
-        # --grid-log2 reaches the engine: the one run's first pass is on
-        # 2^12 points, where TRUNC(8)'s would be on 256
-        grids = []
-        real = factor_mod._grid_pass
-        monkeypatch.setattr(factor_mod, "_grid_pass",
-                            lambda phi, n: grids.append(n) or real(phi, n))
-        code, out = self.run(
-            ["verify", "--fixture", "TRUNC(8)", "--grid-log2", "12"], capsys)
-        assert code == 0 and json.loads(out)["passed"]
-        assert grids == [4096]
+    def test_verify_honours_flags(self, capsys):
+        # --seed reaches the randomized suite: its draws, and so the errors
+        # the checks report, follow the seed
+        docs = []
+        for seed in ("0", "9", "9"):
+            code, out = self.run(["verify", "--fixture", "TRUNC(8)", "--seed", seed],
+                                 capsys)
+            assert code == 0 and json.loads(out)["passed"]
+            docs.append(json.loads(out))
+        assert docs[0] != docs[1] == docs[2]
 
     def test_max_iter_flag_is_gone(self, capsys):
         # the Newton step budget went with the Newton loop: argparse refuses
@@ -321,28 +329,26 @@ class TestCli:
             main(["analyze", "--fixture", "ROW2", "--max-iter", "5"])
         assert info.value.code == 2
 
-    def test_oversized_grid_refused(self, capsys):
-        # a grid above 2^20 points is refused by validation; the largest one
-        # builds TRUNC(8) (d = 8) under a 1 GiB address-space cap, since
-        # only the mate run takes a grid, one (2^20, 1, 1) stack, and the
-        # matrix factor none
-        code, out = self.run(["analyze", "--fixture", "TRUNC(8)", "--grid-log2", "21"],
-                             capsys)
-        assert code == 2
-        assert json.loads(out)["error"] == "ValidationError"
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from dbrov.cli import main\n"
-            "sys.exit(main(['analyze', '--fixture', 'TRUNC(8)',"
-            " '--grid-log2', '20']))\n"
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(dbrov.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["reports"]["factor_grid"] == 1 << 20
+    @pytest.mark.parametrize("flag", [["--grid-log2", "8"], ["--tol-factor", "1e-11"]])
+    def test_grid_and_tolerance_flags_are_gone(self, capsys, flag):
+        # the first grid follows the degree and the residual targets are
+        # fixed: argparse refuses each flag as any unknown one, exit 2
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--fixture", "ROW2", *flag])
+        assert info.value.code == 2
+
+    def test_non_finite_result_ends_typed(self, capsys):
+        # a norm beyond float range overflows to inf (numpy warns), which
+        # strict JSON cannot hold: a typed error, exit 3, in output that a
+        # parser refusing NaN and Infinity reads
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        with pytest.warns(RuntimeWarning):
+            code, out = self.run(["norm", "--fixture", "ROW2", "--payload",
+                                  '{"f": [[1e200, 0]]}'], capsys)
+        assert code == 3
+        assert json.loads(out, parse_constant=refuse)["error"] == "NumericsError"
 
     def test_verify_flat_fails_with_mate_error(self, capsys):
         code, out = self.run(["verify", "--fixture", "FLAT"], capsys)
@@ -392,13 +398,13 @@ class TestCli:
         assert json.loads(out)["error"] == "DomainError"
 
     @pytest.mark.parametrize("extra", [
-        ["--grid-log2", "-1"],
-        ["--grid-log2", "3"],
-        ["--tol-factor", "-1"],
-        ["--tol-factor", "nan"],
-        ["--tol-factor", "inf"],
-        ["--payload", '{"tolerances": 5}', "--tol-factor", "1e-11"],
-        ["--tol-factor", "0"],
+        ["--seed", "-1"],
+        ["--format", "csv"],
+        ["--payload", '{"tolerances": 5}'],
+        ["--payload", '{"tolerances": {"tol_psd": 0}}'],
+        ["--payload", '{"tolerances": {"tol_eval": NaN}}'],
+        ["--payload", '{"seed": 1.5}'],
+        ["--payload", '{"N": -1}'],
     ])
     def test_flags_are_validated(self, capsys, extra):
         code, out = self.run(["analyze", "--fixture", "ROW2", *extra], capsys)
@@ -413,35 +419,24 @@ class TestCli:
         assert doc["message"] == "--payload requires --fixture"
 
     def test_flag_overrides_payload(self, capsys):
-        payload = '{"grid_log2": 8}'
-        grids = []
-        for extra in ([], ["--grid-log2", "6"]):
-            code, out = self.run(["analyze", "--fixture", "SARASON", "--payload",
-                                  payload, *extra], capsys)
+        # --seed replaces the payload's seed: the run with both matches the
+        # run with the flag alone
+        docs = []
+        for extra in (["--payload", '{"seed": 3}', "--seed", "9"], ["--seed", "9"],
+                      ["--payload", '{"seed": 3}']):
+            code, out = self.run(["verify", "--fixture", "TRUNC(8)", *extra], capsys)
             assert code == 0
-            grids.append(json.loads(out)["reports"]["factor_grid"])
-        assert grids == [256, 64]
-
-    def test_first_grid_below_the_degree(self, tmp_path, capsys):
-        # --grid-log2 4 is a 16-point first grid, fewer points than the 21
-        # coefficients of a d = 2, q = 20 row's mate: the grid grows to hold
-        # them
-        B = random_row(np.random.default_rng(20), 2, 20, 1.0)
-        path = tmp_path / "q20.json"
-        path.write_text(json.dumps({"B": {"d": 2, "coeffs": [
-            [[z.real, z.imag] for z in row] for row in B.coeffs]}}))
-        code, out = self.run(["analyze", "--spec", str(path), "--grid-log2", "4"],
-                             capsys)
-        assert code == 0
-        assert json.loads(out)["reports"]["factor_residual_sup"] <= 1e-12
+            docs.append(json.loads(out))
+        assert docs[0] == docs[1] != docs[2]
 
     def test_clark_ignores_grid_log2(self, capsys):
-        # --grid-log2 sets the factorization grid only; the Clark measure is
-        # the partial fractions of 2/(1 - b) and uses no grid
+        # a stale grid_log2 key is ignored, as any unknown key is: the Clark
+        # measure, the partial fractions of 2/(1 - b), is the same with it
         docs = []
-        for extra in ([], ["--grid-log2", "4"]):
-            code, out = self.run(["clark", "--fixture", "ROW2", "--payload",
-                                  '{"xi": [[0.5, 0], [0, 0]]}', *extra], capsys)
+        for payload in ('{"xi": [[0.5, 0], [0, 0]]}',
+                        '{"xi": [[0.5, 0], [0, 0]], "grid_log2": 4}'):
+            code, out = self.run(["clark", "--fixture", "ROW2", "--payload", payload],
+                                 capsys)
             assert code == 0
             docs.append(json.loads(out))
         assert docs[0] == docs[1]
@@ -595,10 +590,9 @@ def _raw_spec(draw):
     valid = {
         "f": st.lists(_PAIR, min_size=1, max_size=4), "w": _PAIR, "lambda": _PAIR,
         "xi": st.lists(_PAIR, min_size=row["d"], max_size=row["d"]),
-        "N": st.integers(0, 16), "grid_log2": st.integers(4, 8),
-        "seed": st.integers(-3, 3),
+        "N": st.integers(0, 16), "seed": st.integers(-3, 3),
         "tolerances": st.dictionaries(
-            st.sampled_from(["tol_psd", "tol_factor", "tol_outer", "tol_eval"]),
+            st.sampled_from(["tol_psd", "tol_outer", "tol_eval"]),
             st.floats(1e-14, 1.0), max_size=2),
     }
     spec = {"B": row}
@@ -672,9 +666,9 @@ _CARATHEODORY_CORRUPT = {
     "non-finite lambda": ("lambda", _NON_FINITE),
 }
 _ANALYZE_CORRUPT = {
-    "grid_log2 out of range": ("grid_log2", st.integers(-3, 3) | st.integers(21, 64)),
+    "negative N": _SWEEP_CORRUPT["negative N"],
     "non-finite tolerance": ("tolerances", st.fixed_dictionaries(
-        {"tol_factor": st.sampled_from([np.nan, np.inf, -np.inf])})),
+        {"tol_outer": st.sampled_from([np.nan, np.inf, -np.inf])})),
     "row outside the disk": ("B", st.floats(1.01, 1e3).map(
         lambda s: {"d": 2, "coeffs": [[[s, 0.0], [0.0, 0.0]]]})),
 }
@@ -830,13 +824,12 @@ def _spec(draw):
     maybe = lambda strategy: st.none() | strategy
     return ProblemSpec(
         B=B,
-        tolerances=Tolerances(*(draw(_TOL) for _ in range(4))),
+        tolerances=Tolerances(*(draw(_TOL) for _ in range(3))),
         f=draw(maybe(st.integers(1, 4).flatmap(vector))),
         w=draw(maybe(_COMPLEX)),
         xi=draw(maybe(vector(B.dim))),
         lam=draw(maybe(_COMPLEX)),
         N=draw(maybe(st.integers(0, 10 ** 6))),
-        grid_log2=draw(maybe(st.integers(4, 20))),
         seed=draw(st.integers(0, 2 ** 63)),
     )
 
@@ -852,6 +845,6 @@ def test_spec_round_trips(spec):
         want = getattr(spec, name)
         got = getattr(back, name)
         assert got is None if want is None else np.array_equal(got, want)
-    for name in ("w", "lam", "N", "grid_log2", "seed", "schema_version"):
+    for name in ("w", "lam", "N", "seed", "schema_version"):
         assert getattr(back, name) == getattr(spec, name)
     assert serialize_problem(back) == once
