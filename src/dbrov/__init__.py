@@ -32,12 +32,11 @@ from .space import (
     point_eval_residual,
     toeplitz_conj_hb,
 )
-from .tolerances import Tolerances
 
 __all__ = [
     "BoundaryReport", "ClarkMeasure", "CPoly", "CyclicityCertificate",
     "FactorReport", "Fixture", "HBElement", "LaurentHerm", "MatPoly",
-    "RowSchur", "SpaceContext", "SpectrumSweep", "Tolerances", "VecPoly",
+    "RowSchur", "SpaceContext", "SpectrumSweep", "VecPoly",
     "backward_shift", "caratheodory", "clark",
     "cyclicity", "defect_laurent", "density_residual", "embed", "errors",
     "fixture", "gram", "hb_inner", "is_outer", "kernel",

@@ -111,7 +111,7 @@ def _require(spec, field, command):
 
 def _dispatch(args, spec: ProblemSpec):
     cmd = args.command
-    ctx = make_context(spec.B, spec.tolerances)
+    ctx = make_context(spec.B)
     if cmd == "verify":
         checks = run_checks(ctx, seed=spec.seed)
         return {

@@ -29,7 +29,7 @@ from .errors import DegenerateDeterminant, FactorizationDiverged, MateUndefined,
 from .poly import CPoly, LaurentHerm, MatPoly, _check_size, _divide_one_minus, \
     angle_derivatives, circle_eval, det_coeffs, horner, poly_roots, pow2_at_least
 from .rowschur import RowSchur, defect_laurent
-from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL, Tolerances
+from .tolerances import BEST_FACTOR_TOL, ENGINE_TOL, PSD_SLACK, UNIMODULAR_TOL
 
 ZERO_DEFECT_TOL = 1e-12
 
@@ -52,20 +52,18 @@ class FactorReport:
     fallback: bool = False
 
 
-def mate_report(B: RowSchur, tol: Tolerances | None = None) -> FactorReport:
+def mate_report(B: RowSchur) -> FactorReport:
     """The mate a by the one `wilson_report` run on 1 - BB* (`defect_laurent`),
-    `make_context`'s, with dip = -min(tol_psd, PSD_SLACK); a defect that
-    vanishes identically, or is negative on the whole circle within that
-    slack, raises MateUndefined.  The unimodular split points are the zeros
-    of a on the circle, once per split; residual_sup is |a|^2 - (1 - BB*),
-    outer_gap the gap of the grid factor a1, which the split factors leave
-    unchanged.
+    `make_context`'s; a defect that vanishes identically, or is negative on
+    the whole circle within PSD_SLACK, raises MateUndefined.  The unimodular
+    split points are the zeros of a on the circle, once per split;
+    residual_sup is |a|^2 - (1 - BB*), outer_gap the gap of the grid factor
+    a1, which the split factors leave unchanged.
     """
-    tol = tol or Tolerances()
     defect = defect_laurent(B)
     if np.abs(defect.coeffs).max(initial=0.0) <= ZERO_DEFECT_TOL:
         raise MateUndefined("1 - BB* vanishes identically on the circle")
-    return wilson_report(defect, dip=-min(tol.tol_psd, PSD_SLACK))
+    return wilson_report(defect)
 
 
 def _identities(B: RowSchur, a: CPoly, A: MatPoly, splits=()):
@@ -174,7 +172,7 @@ _RESOLVE = 36.0
 _NEAR = _RESOLVE / 4096
 
 
-def wilson_report(phi: LaurentHerm, *, dip: float = -PSD_SLACK) -> FactorReport:
+def wilson_report(phi: LaurentHerm) -> FactorReport:
     """Outer factor a with |a|^2 = phi: split circle zeros off, grid the rest.
 
     At each zero w of phi on the circle or within the split radius
@@ -182,8 +180,8 @@ def wilson_report(phi: LaurentHerm, *, dip: float = -PSD_SLACK) -> FactorReport:
     phi = |1 - z / w|^2 phi1 with phi1 again Hermitian Laurent, of
     half-degree one less (Youla-Kazanjian), repeated while |phi1(w)| stays
     at the null floor, both from `_boundary_zeros`, which raises
-    NotPositive where phi dips below dip on the circle, and MateUndefined
-    where it stays between dip and 0 on the whole circle.  A pass on n
+    NotPositive where phi dips below -PSD_SLACK on the circle, and
+    MateUndefined where it stays below 0 on the whole circle.  A pass on n
     grid points factors the strictly positive phi1 by its cepstral factor
     a1 = exp [log phi1]_+ (Kolmogorov; `_grid_pass`), a fixed point of Wilson's
     Newton map a1 <- [phi1 / |a1|^2 + 1]_+ a1, since |a1|^2 = phi1 on the
@@ -200,7 +198,7 @@ def wilson_report(phi: LaurentHerm, *, dip: float = -PSD_SLACK) -> FactorReport:
     is the outer gap of a1 (`_outer_gap`), exactly 0.0 when a1 has no zero
     in the closed disk: each factor 1 - z / w_k with |w_k| >= 1 has gap 0.
     """
-    zeros, floor = _boundary_zeros(phi, dip)
+    zeros, floor = _boundary_zeros(phi)
     m = phi.half_degree
     phi1, splits = phi, []
     for w in zeros:
@@ -268,7 +266,7 @@ def _outer_gap(p: np.ndarray) -> float:
     return 0.0 if _zero_free(p[: len(c)]) else _roots_gap(CPoly(c))
 
 
-def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
+def _boundary_zeros(phi: LaurentHerm):
     """Zeros w of phi on or near the circle, and the floor for nulls.
 
     phi is a nonnegative trigonometric polynomial.  A grid minimum, refined
@@ -278,15 +276,15 @@ def _boundary_zeros(phi: LaurentHerm, dip: float = -PSD_SLACK):
     Newton in the plane finds the w with |w| > 1.  A minimum whose parabola
     through its three grid values puts that pair twice _NEAR off the circle
     skips the angle Newton.  The null floor is relative to the largest
-    value of phi on the circle.  A value below dip on the grid (of at least
-    1024 points) raises NotPositive first, and a grid maximum below 0,
-    phi negative everywhere within the slack, MateUndefined: phi vanishes
-    there, as a defect 1 - BB* that is 0 identically does.
+    value of phi on the circle.  A value below -PSD_SLACK on the grid (of
+    at least 1024 points) raises NotPositive first, and a grid maximum
+    below 0, phi negative everywhere within the slack, MateUndefined: phi
+    vanishes there, as a defect 1 - BB* that is 0 identically does.
     """
     m = phi.half_degree
     n = pow2_at_least(max(8 * m + 1, 1024))
     vals = circle_eval(phi.coeffs, n, low=-m).real
-    if vals.min() < dip:
+    if vals.min() < -PSD_SLACK:
         raise NotPositive(f"density dips to {vals.min():.3e} on the circle")
     top = float(vals.max())
     if top < 0:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .poly import CPoly, LaurentHerm, VecPoly, _Poly, circle_eval, pow2_at_least
-from .tolerances import PSD_SLACK, Tolerances
+from .tolerances import PSD_SLACK
 
 
 class RowSchur(_Poly):
@@ -19,8 +19,7 @@ class RowSchur(_Poly):
 
     __slots__ = ()
 
-    def __init__(self, coeffs, tol_psd: float = PSD_SLACK):
-        Tolerances(tol_psd=tol_psd)  # refuses a tol_psd that is not positive and finite
+    def __init__(self, coeffs):
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ValidationError("row coefficients must form a (q+1, d) array")
@@ -29,7 +28,7 @@ class RowSchur(_Poly):
         self.coeffs = arr
         self.dim = int(arr.shape[1])
         sup = self.sup_norm()
-        if sup > 1.0 + tol_psd:
+        if sup > 1.0 + PSD_SLACK:
             raise ValidationError(
                 f"row is not a Schur function: sup |B| = {sup:.6g} > 1"
             )

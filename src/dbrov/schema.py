@@ -9,13 +9,12 @@ the outer index the power of z and the inner index the coordinate.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .rowschur import RowSchur
-from .tolerances import Tolerances
 
 SCHEMA_VERSION = "1"
 # the JSON name of each optional ProblemSpec field
@@ -26,7 +25,6 @@ JSON_NAMES = {"f": "f", "w": "w", "lam": "lambda", "xi": "xi", "N": "N",
 @dataclass
 class ProblemSpec:
     B: RowSchur
-    tolerances: Tolerances = field(default_factory=Tolerances)
     f: np.ndarray | None = None
     w: complex | None = None
     xi: np.ndarray | None = None
@@ -82,14 +80,6 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
     version = str(data.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}")
-    tols = data.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ValidationError("'tolerances' must be an object")
-    tols = {k: v for k, v in tols.items() if k in Tolerances.__dataclass_fields__}
-    for key, value in tols.items():
-        if not _is_real(value):
-            raise ValidationError(f"tolerances.{key} must be a finite number, got {value!r}")
-    tol = Tolerances(**{k: float(v) for k, v in tols.items()})  # refuses values <= 0
     if B is not None:
         if "B" in data:
             raise ValidationError("'B' given both inline and as a fixture")
@@ -113,9 +103,9 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
                 )
             parsed.append([_pair_to_complex(v, f"B.coeffs[{k}][{i}]")
                            for i, v in enumerate(row)])
-        B = RowSchur(np.array(parsed), tol_psd=tol.tol_psd)
+        B = RowSchur(np.array(parsed))
 
-    spec = ProblemSpec(B=B, tolerances=tol, schema_version=version)
+    spec = ProblemSpec(B=B, schema_version=version)
     if "f" in data:
         spec.f = _parse_coeff_vector(data["f"], "f")
     if "w" in data:
@@ -138,8 +128,7 @@ def parse_problem(data: dict, B: RowSchur | None = None) -> ProblemSpec:
 def serialize_problem(spec: ProblemSpec) -> dict:
     """Inverse of parse_problem; parse(serialize(s)) reproduces s."""
     out = {"schema_version": spec.schema_version,
-           "B": {"d": spec.B.dim, "coeffs": to_json(spec.B.coeffs)},
-           "tolerances": asdict(spec.tolerances)}
+           "B": {"d": spec.B.dim, "coeffs": to_json(spec.B.coeffs)}}
     for attr, key in JSON_NAMES.items():
         value = getattr(spec, attr)
         if value is not None and attr in ("f", "w", "lam", "xi"):  # a real value too

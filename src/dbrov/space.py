@@ -12,6 +12,7 @@ makes the norm identity exact by construction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +30,11 @@ from .factor import _completion, _identities, mate_report
 from .poly import CPoly, MatPoly, VecPoly, _as_cpoly, _check_size, _conj_band, \
     _divide_one_minus, _trim, horner, toeplitz_conj
 from .rowschur import RowSchur
-from .tolerances import BEST_FACTOR_TOL, DENSITY_FLOOR, UNIMODULAR_TOL, Tolerances
+from .tolerances import BEST_FACTOR_TOL, DENSITY_FLOOR, OUTER_TOL, UNIMODULAR_TOL
+
+# a pair residual above this times the pair's scale fails the pair check, and
+# an interior kernel by default keeps its terms down to |w|^k at this size
+EVAL_TOL = 1e-8
 
 
 def on_circle(w):
@@ -50,13 +55,18 @@ class HBElement:
     """Embedded pair (f, f+) with its exact squared norm.
 
     For truncated interior kernels, tail_bound carries the geometric bound on
-    the norm of the dropped tail; exact elements have tail_bound 0.
+    the norm of the dropped tail; exact elements have tail_bound 0.  Both
+    numbers are finite (else NumericsError).
     """
 
     f: CPoly
     f_plus: VecPoly
     norm_sq: float
     tail_bound: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.norm_sq) and math.isfinite(self.tail_bound)):
+            raise NumericsError(f"non-finite norm {self.norm_sq} or tail {self.tail_bound}")
 
 
 class SpaceContext:
@@ -71,13 +81,11 @@ class SpaceContext:
     of each factor the engine run split off, once per split.
     """
 
-    def __init__(self, B: RowSchur, a: CPoly, A: MatPoly, Lambda, tol: Tolerances,
-                 reports: dict, splits=()):
+    def __init__(self, B: RowSchur, a: CPoly, A: MatPoly, Lambda, reports: dict, splits=()):
         self.B = B
         self.a = a
         self.A = A
         self.Lambda = tuple(Lambda)
-        self.tol = tol
         self.reports = dict(reports)
         self._splits = tuple(splits)
         self._astar = np.conj(A.coeffs).transpose(0, 2, 1)
@@ -97,22 +105,22 @@ class SpaceContext:
                 f"|Lambda|={len(self.Lambda)})")
 
 
-def make_context(B: RowSchur, tol: Tolerances | None = None) -> SpaceContext:
+def make_context(B: RowSchur) -> SpaceContext:
     """Build the full context for B: mate, outer factor, boundary spectrum.
 
-    One engine run, `mate_report` with tol, gives the mate a; a run that
-    misses ENGINE_TOL is accepted down to BEST_FACTOR_TOL, since
+    B alone fixes it.  One engine run, `mate_report`, gives the mate a; a
+    run that misses ENGINE_TOL is accepted down to BEST_FACTOR_TOL, since
     regularizing a boundary-degenerate defect would perturb the boundary
     spectrum.  A = a for d = 1; for d >= 2 the lossless completion of
     (a, B) gives it (`_completion`), with no second run.  The run's reports
     (grid passes as factor_iterations, grid, deflations, fallbacks, the
     mate's outer gap) hold for every d; `_identities` gives the residuals
-    of a, A and det A = a and the outer gap of det A.  The boundary spectrum is the run's unimodular
-    split points, multiplicity the number of splits at each; the context
-    keeps all of the run's split points.
+    of a, A and det A = a and the outer gap of det A (both gaps within
+    OUTER_TOL).  The boundary spectrum is the run's unimodular split
+    points, multiplicity the number of splits at each; the context keeps
+    all of the run's split points.
     """
-    tol = tol or Tolerances()
-    rep = mate_report(B, tol)
+    rep = mate_report(B)
     a = rep.factor
     A = _completion(B, a, rep.splits) if B.dim > 1 else MatPoly(a.coeffs[:, None, None])
     lam = Counter(w / abs(w) for w in rep.splits if abs(abs(w) - 1.0) <= UNIMODULAR_TOL)
@@ -135,7 +143,7 @@ def make_context(B: RowSchur, tol: Tolerances | None = None) -> SpaceContext:
         "det_gap_sup": det_sup,
     }
     ctx = SpaceContext(B, a, A, sorted(lam.items(), key=lambda t: np.angle(t[0])),
-                       tol, reports, rep.splits)
+                       reports, rep.splits)
     _verify_context(ctx)
     return ctx
 
@@ -145,8 +153,8 @@ def _verify_context(ctx: SpaceContext) -> None:
     checks = [
         ("mate residual", rep["mate_residual_sup"], BEST_FACTOR_TOL),
         ("factorization residual", rep["factor_residual_sup"], BEST_FACTOR_TOL),
-        ("mate outer gap", rep["outer_gap_mate"], ctx.tol.tol_outer),
-        ("factor outer gap", rep["outer_gap_factor"], ctx.tol.tol_outer),
+        ("mate outer gap", rep["outer_gap_mate"], OUTER_TOL),
+        ("factor outer gap", rep["outer_gap_factor"], OUTER_TOL),
         ("det A vs mate", rep["det_gap_sup"], 1e-7),
     ]
     for lam, _ in ctx.Lambda:
@@ -181,8 +189,10 @@ def embed(ctx: SpaceContext, f) -> HBElement:
         P[:, i] = np.correlate(c, hbar[:, i], "full")[n1 - 1 :]
     _check_pairs(ctx, *_pair_bounds(ctx, c[:, None], P[:, :, None])[:, -1])
     # the leading zero gives the zero polynomial a zero norm
-    sq = np.abs(np.concatenate([[0.0], c, P[::-1].ravel()])) ** 2
-    return HBElement(f, VecPoly(P, dim=ctx.dim), float(np.cumsum(sq)[-1]))
+    with np.errstate(over="ignore"):  # an inf norm raises NumericsError below
+        sq = np.abs(np.concatenate([[0.0], c, P[::-1].ravel()])) ** 2
+        norm_sq = float(np.cumsum(sq)[-1])
+    return HBElement(f, VecPoly(P, dim=ctx.dim), norm_sq)
 
 
 def _generator(ctx: SpaceContext, N: int) -> np.ndarray:
@@ -242,7 +252,7 @@ def _pair_bounds(ctx: SpaceContext, F: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _check_pairs(ctx: SpaceContext, worst: np.ndarray, scale: np.ndarray) -> None:
-    if np.any(worst > ctx.tol.tol_eval * scale):
+    if np.any(worst > EVAL_TOL * scale):
         raise IllConditionedConstant(
             f"pair residual {worst.max():.3e} exceeds tolerance; "
             f"A(0)* solve degraded"
@@ -272,8 +282,10 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
     the columns of one array, divided by (1 - conj(w) z).
 
     Inside the disk the quotient is a power series, truncated at order N with
-    a reported tail_bound: geometric, or at w = 0 the exact norm of the
-    dropped numerator rows.  On the circle the kernel exists exactly
+    a reported tail_bound: at w = 0 the exact norm of the dropped numerator
+    rows, else the sum over the rows j of |num_j| |w|^max(0, N + 1 - j) /
+    sqrt(1 - |w|^2), each power taken at j = deg num once N >= deg num (the
+    default orders).  On the circle the kernel exists exactly
     when w lies in the boundary spectrum, where both numerators vanish at w
     and the division is exact polynomial division (Sarason 1994).
     """
@@ -307,7 +319,7 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
             N = max_deg
             if w != 0:
                 N = max(N, ctx.B.degree
-                        + int(np.ceil(np.log(ctx.tol.tol_eval) / np.log(abs(w)))))
+                        + int(np.ceil(np.log(EVAL_TOL) / np.log(abs(w)))))
         elif N < 0:
             raise DomainError("kernel order must be nonnegative")
         _check_size((N + 1) * (ctx.dim + 1), f"kernel at {w} to order {N}")
@@ -316,8 +328,13 @@ def kernel(ctx: SpaceContext, w, N: int | None = None) -> HBElement:
         if w == 0:
             tail = float(np.linalg.norm(num[N + 1 :]))
         else:
-            size = np.abs(num[:, 0]).sum() + np.linalg.norm(num[:, 1:], axis=1).sum()
-            tail = float(size * abs(w) ** (N + 1 - max_deg) / np.sqrt(1 - abs(w) ** 2))
+            col, rows = np.abs(num[:, 0]), np.linalg.norm(num[:, 1:], axis=1)
+            if N >= max_deg:
+                tail = (col.sum() + rows.sum()) * abs(w) ** (N + 1 - max_deg)
+            else:
+                drop = np.maximum(N + 1 - np.arange(max_deg + 1), 0)
+                tail = (col + rows) @ abs(w) ** drop
+            tail = float(tail / np.sqrt(1 - abs(w) ** 2))
     f, f_plus = CPoly(quot[:, 0]), VecPoly(quot[:, 1:], dim=ctx.dim)
     return HBElement(f, f_plus, f.norm_sq() + f_plus.norm_sq(), tail_bound=tail)
 

@@ -1,11 +1,5 @@
 """Shared tolerances: every value that several modules test against has its
-one name here, next to the caller-settable `Tolerances` of a context."""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .errors import ValidationError
+one name here.  They are fixed: no caller, spec or flag sets a bound."""
 
 # positivity slack: a row passes with sup |B| <= 1 + PSD_SLACK, and a defect
 # may dip to -PSD_SLACK on the circle before it is NotPositive
@@ -23,19 +17,6 @@ UNIMODULAR_TOL = 1e-8
 # a pass is certified only within it: regularizing a boundary-degenerate
 # density would move its boundary zeros
 BEST_FACTOR_TOL = 1e-8
+# an outer gap of the mate or of det A above this fails the context check
+OUTER_TOL = 1e-6
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The tolerances a caller sets for a context, each positive and finite
-    (else ValidationError).  Of them the engine run reads only tol_psd, as
-    its dip; its residual bounds are ENGINE_TOL and BEST_FACTOR_TOL."""
-
-    tol_psd: float = PSD_SLACK
-    tol_outer: float = 1e-6
-    tol_eval: float = 1e-8
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not 0 < value < float("inf"):  # NaN too
-                raise ValidationError(f"{name} must be positive and finite, got {value!r}")

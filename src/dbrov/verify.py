@@ -32,7 +32,7 @@ from .space import (
     multiply_z,
     toeplitz_conj_hb,
 )
-from .tolerances import DENSITY_FLOOR
+from .tolerances import DENSITY_FLOOR, OUTER_TOL
 
 # random inputs per randomized check
 _N_RANDOM = 25
@@ -164,8 +164,8 @@ def _context_build(ctx, rng) -> CheckResult:
 def _factorization_identities(ctx, rng) -> CheckResult:
     *residuals, gap = _identities(ctx.B, ctx.a, ctx.A, ctx.splits)
     res = _result("factorization_identities", max(residuals), 1e-8)
-    return CheckResult(res.name, res.passed and gap <= ctx.tol.tol_outer,
-                       f"{res.detail}, outer gap {gap:.3e} (bound {ctx.tol.tol_outer:.1e})")
+    return CheckResult(res.name, res.passed and gap <= OUTER_TOL,
+                       f"{res.detail}, outer gap {gap:.3e} (bound {OUTER_TOL:.1e})")
 
 
 def _embedding_residual(ctx, rng) -> CheckResult:

@@ -7,8 +7,7 @@ from dbrov import fixture, make_context
 from dbrov.boundary import radial_extrapolate
 from dbrov.errors import DomainError
 from dbrov.poly import CPoly, _divide_one_minus, circle_eval
-from dbrov.rowschur import defect_laurent
-from dbrov.tolerances import PSD_SLACK
+from dbrov.rowschur import RowSchur, defect_laurent
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +44,15 @@ def all_contexts(ctx_zero, ctx_sarason, ctx_row2, ctx_trunc3, ctx_trunc8):
         "TRUNC(3)": ctx_trunc3,
         "TRUNC(8)": ctx_trunc8,
     }
+
+
+def unchecked_row(coeffs) -> RowSchur:
+    """A RowSchur holding coeffs with no contraction check, for the internal
+    branches that only a row outside the Schur class reaches."""
+    B = RowSchur.__new__(RowSchur)
+    B.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
+    B.dim = B.coeffs.shape[1]
+    return B
 
 
 def circle_grid(n):
@@ -99,7 +107,7 @@ def matrix_factor(B):
     """
     q, d, n = B.degree, B.dim, 4096
     phi = matrix_defect(B)
-    zeros, floor = factor_mod._boundary_zeros(defect_laurent(B), -PSD_SLACK)
+    zeros, floor = factor_mod._boundary_zeros(defect_laurent(B))
     splits = []
     for w in zeros:
         while len(splits) < q:

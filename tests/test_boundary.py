@@ -6,7 +6,6 @@ from dbrov import (
     CPoly,
     MatPoly,
     RowSchur,
-    Tolerances,
     caratheodory,
     clark,
     cyclicity,
@@ -28,14 +27,14 @@ from dbrov.space import SpaceContext
 from dbrov.tolerances import UNIMODULAR_TOL
 from dbrov.verify import clark_imbalance
 
-from conftest import assert_close, circle_grid, trunc_limit_pairing, trunc_limit_slope
+from conftest import assert_close, circle_grid, trunc_limit_pairing, trunc_limit_slope, \
+    unchecked_row
 from test_random_rows import random_row, sup_angle
 
 
 def _hand_context(B: RowSchur, Lambda) -> SpaceContext:
     """A context around B with the given spectrum and a trivial factor."""
-    return SpaceContext(B, CPoly([1.0]), MatPoly.identity(1), Lambda,
-                        Tolerances(), {"A0_cond": 1.0})
+    return SpaceContext(B, CPoly([1.0]), MatPoly.identity(1), Lambda, {"A0_cond": 1.0})
 
 
 class TestCaratheodory:
@@ -182,21 +181,20 @@ class TestClark:
 
     def test_negative_slope_refused(self):
         # b = 2 - z equals 1 at z = 1 with slope -1, so the mass would be -1;
-        # tol_psd = 2 admits the row although sup |B| = 3
-        ctx = _hand_context(RowSchur([[2.0], [-1.0]], tol_psd=2.0), [(1.0 + 0j, 1)])
+        # the row, sup |B| = 3, is built unchecked
+        ctx = _hand_context(unchecked_row([[2.0], [-1.0]]), [(1.0 + 0j, 1)])
         with pytest.raises(NonpositiveMass):
             clark(ctx, [1.0])
 
     def test_negative_density_refused(self):
         # |b| = 3/2 on the whole circle, so (1 - |b|^2)/|1 - b|^2 < 0
-        ctx = _hand_context(RowSchur([[1.5]], tol_psd=1.0), [])
+        ctx = _hand_context(unchecked_row([[1.5]]), [])
         with pytest.raises(NotPositive):
             clark(ctx, [1.0])
 
     def test_degenerate_symbol(self):
         ctx = SpaceContext(RowSchur([[1.0]]), CPoly([1.0]),
-                           MatPoly.identity(1), [], Tolerances(),
-                           {"A0_cond": 1.0})
+                           MatPoly.identity(1), [], {"A0_cond": 1.0})
         with pytest.raises(DegenerateSymbol):
             clark(ctx, [1.0])
 
@@ -206,7 +204,7 @@ class TestClark:
         c = 1e-9
         B = RowSchur([[1.0 - c], [2 * c], [-c]])
         ctx = SpaceContext(B, CPoly([1.0]), MatPoly.identity(1), [],
-                           Tolerances(), {"A0_cond": 1.0})
+                           {"A0_cond": 1.0})
         with pytest.raises(HigherOrderBoundaryZero):
             clark(ctx, [1.0])
 

@@ -24,7 +24,7 @@ from dbrov.fixtures import fixture
 from dbrov.poly import circle_eval, horner, pow2_at_least
 from dbrov.rowschur import defect_laurent
 from dbrov.space import SpaceContext, _verify_context
-from dbrov.tolerances import BEST_FACTOR_TOL, PSD_SLACK, Tolerances
+from dbrov.tolerances import BEST_FACTOR_TOL, OUTER_TOL
 from dbrov.verify import _factorization_identities, run_checks
 
 from conftest import assert_close, circle_grid, completion_oracle, fejer_riesz_mate, \
@@ -178,7 +178,7 @@ class TestJensenGap:
 
     # new: the 4096-point mean read these outer polynomials as 1.1e-16,
     # 2.0e-6, 8.9e-5, 1.27e-4, 1.32e-4, 1.32e-4 and 1.32e-4 for delta =
-    # 1e-2 .. 1e-8, above tol_outer = 1e-6 from delta = 1e-3 on
+    # 1e-2 .. 1e-8, above OUTER_TOL = 1e-6 from delta = 1e-3 on
     @pytest.mark.parametrize("delta", [10.0 ** -e for e in range(2, 9)])
     def test_zero_at_one_plus_delta_reads_zero(self, delta):
         p = CPoly.from_roots([(1 + delta) * np.exp(0.7j), -2.0])
@@ -455,45 +455,47 @@ def test_first_grid_holds_the_factor(q, sup, d):
     assert ctx.reports["factor_grid"] > 8 * (q - ctx.reports["boundary_deflations"])
 
 
-def test_the_engine_run_takes_the_settings(monkeypatch):
-    # make_context runs the engine once, for the mate, with its settings
+def test_one_engine_run_per_context(monkeypatch):
+    # make_context runs the engine once, for the mate, on the defect alone
     runs = []
     real = factor_mod.wilson_report
 
-    def recording(phi, *, dip):
-        runs.append((phi.coeffs.shape, dip))
-        return real(phi, dip=dip)
+    def recording(phi):
+        runs.append(phi.coeffs.shape)
+        return real(phi)
 
     monkeypatch.setattr(factor_mod, "wilson_report", recording)
     make_context(fixture("ROW2").B)
-    make_context(fixture("ROW2").B, Tolerances(tol_psd=1e-10))
-    assert runs == [((3,), -PSD_SLACK), ((3,), -1e-10)]
+    assert runs == [(3,)]
 
 
 def test_stale_settings_raise_type_error():
-    # the grid exponent and the residual target are no settings: a stale
-    # keyword, or a stale positional argument, fails at once instead of
-    # being read as another parameter
+    # the grid exponent, the residual target and the tolerances are no
+    # settings: a stale keyword, or a stale positional argument, fails at
+    # once instead of being read as another parameter
     B = fixture("ROW2").B
     phi = defect_laurent(B)
     for run in (lambda: make_context(B, grid_log2=12), lambda: make_context(B, None, 12),
+                lambda: make_context(B, tol=None), lambda: make_context(B, None),
                 lambda: mate_report(B, grid_log2=12), lambda: mate_report(B, None, 12),
+                lambda: mate_report(B, None),
                 lambda: wilson_report(phi, grid_log2=8), lambda: wilson_report(phi, 1e-12),
                 lambda: wilson_report(phi, tol_factor=1e-12),
-                lambda: Tolerances(tol_factor=1e-10)):
+                lambda: wilson_report(phi, dip=-1e-8),
+                lambda: RowSchur(B.coeffs, tol_psd=1.0)):
         with pytest.raises(TypeError):
             run()
 
 
-def test_tol_psd_reaches_the_positivity_test():
+def test_psd_slack_reaches_the_positivity_test():
     # ROW2 scaled by 1 + 2e-9 dips to -4e-9 at its boundary zero: within the
-    # default slack it builds, as a fallback with one member; a tighter
-    # tol_psd refuses it
+    # fixed slack PSD_SLACK = 1e-8 it builds, as a fallback with one member;
+    # scaled by 1 + 6e-9 it dips to -1.2e-8, beyond the slack
     B = RowSchur(fixture("ROW2").B.coeffs * (1 + 2e-9))
     ctx = make_context(B)
     assert ctx.reports["factor_fallback"] and len(ctx.Lambda) == 1
-    with pytest.raises(NotPositive, match="dips to -4.000e-09"):
-        make_context(B, Tolerances(tol_psd=1e-10))
+    with pytest.raises(NotPositive, match="dips to -1.200e-08"):
+        make_context(RowSchur(fixture("ROW2").B.coeffs * (1 + 6e-9)))
 
 
 @pytest.mark.parametrize("B", [fixture(n).B for n in ("ZERO", "SARASON", "ROW2",
@@ -582,7 +584,7 @@ def test_oversized_grid_refused_before_any_run(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a grid pass ran")
 
-    monkeypatch.setattr(factor_mod, "_boundary_zeros", lambda phi, dip: ([], 0.0))
+    monkeypatch.setattr(factor_mod, "_boundary_zeros", lambda phi: ([], 0.0))
     monkeypatch.setattr(factor_mod, "_grid_pass", refused)
     with pytest.raises(DomainError, match="factorization grid of 33554432 points"):
         wilson_report(SimpleNamespace(half_degree=1 << 21))
@@ -603,9 +605,9 @@ def test_nowhere_positive_defect_has_no_mate(coeffs, top):
 def test_mate_run_errors_come_first():
     with pytest.raises(MateUndefined):
         make_context(fixture("FLAT").B)
-    with pytest.raises(NotPositive):
-        # sup |B| = 1.06 gets past validation only with a loose tol_psd
-        make_context(RowSchur(np.array([[0.8, 0.0], [0.0, 0.7]]), tol_psd=1.0))
+    with pytest.raises(NotPositive, match="dips to -1.200e-08"):
+        # sup |B| = 1 + 6e-9 passes validation; its defect goes beyond the slack
+        make_context(RowSchur(fixture("ROW2").B.coeffs * (1 + 6e-9)))
 
 
 COMPLETION_ROWS = [pytest.param(fixture(name).B, id=name)
@@ -699,11 +701,11 @@ def test_certificates_catch_corrupt_factors(name, corrupt, entry, check, grid, m
     names = ("mate_residual_sup", "factor_residual_sup", "det_gap_sup",
              "outer_gap_factor")
     reports = {**ctx.reports, **dict(zip(names, values))}
-    bound = {0: BEST_FACTOR_TOL, 1: BEST_FACTOR_TOL, 2: 1e-7, 3: ctx.tol.tol_outer}
+    bound = {0: BEST_FACTOR_TOL, 1: BEST_FACTOR_TOL, 2: 1e-7, 3: OUTER_TOL}
     assert sizes == [grid]
     assert values[entry] > bound[entry]
     with pytest.raises(NumericsError, match=f"'{check}' failed"):
-        _verify_context(SpaceContext(ctx.B, a, A, ctx.Lambda, ctx.tol, reports))
+        _verify_context(SpaceContext(ctx.B, a, A, ctx.Lambda, reports))
 
 
 def _constant_row(d, norm, seed):
@@ -826,7 +828,7 @@ def test_verify_checks_the_outer_gap(shift_mate):
     ctx = make_context(fixture("ROW2").B)
     A = MatPoly(_times_z_along(ctx.A.coeffs, np.array([0.6, 0.8j])), dim=2)
     a = CPoly(np.append(0.0, ctx.a.coeffs)) if shift_mate else ctx.a
-    bad = SpaceContext(ctx.B, a, A, ctx.Lambda, ctx.tol, ctx.reports, ctx.splits)
+    bad = SpaceContext(ctx.B, a, A, ctx.Lambda, ctx.reports, ctx.splits)
     result = _factorization_identities(bad, None)
     words = result.detail.split()
     assert not result.passed
@@ -840,7 +842,7 @@ def test_zero_factor_fails_the_outer_gap():
     # end typed
     ctx = make_context(fixture("ROW2").B)
     A = MatPoly(np.zeros((1, 2, 2)))
-    bad = SpaceContext(ctx.B, ctx.a, A, ctx.Lambda, ctx.tol, ctx.reports, ctx.splits)
+    bad = SpaceContext(ctx.B, ctx.a, A, ctx.Lambda, ctx.reports, ctx.splits)
     result = _factorization_identities(bad, None)
     assert not result.passed
     assert result.detail.endswith("outer gap inf (bound 1.0e-06)")

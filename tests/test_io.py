@@ -15,7 +15,6 @@ from dbrov.fixtures import fixture
 from dbrov.rowschur import RowSchur
 from dbrov.schema import ProblemSpec, parse_problem, serialize_problem
 from dbrov.space import density_residual, make_context, spectrum_member
-from dbrov.tolerances import Tolerances
 
 from conftest import assert_close
 
@@ -87,11 +86,6 @@ class TestSchema:
         with pytest.raises(ValidationError):
             parse_problem(bad)
 
-    def test_bad_tolerance(self):
-        bad = dict(ROW2_SPEC, tolerances={"tol_eval": -1.0})
-        with pytest.raises(ValidationError):
-            parse_problem(bad)
-
     def test_max_iter_key_is_ignored(self):
         # the field went with the Newton loop; an old spec that carries it
         # parses, as one with any unknown key does, and does not keep it
@@ -100,41 +94,31 @@ class TestSchema:
         assert "max_iter" not in serialize_problem(spec)
 
     def test_stale_engine_keys_are_ignored(self):
-        # grid_log2 and tolerances.tol_factor went with the engine settings:
-        # a spec that carries them parses as one without, keeps neither, and
-        # builds the default context bit for bit
-        stale = parse_problem({**ROW2_SPEC, "grid_log2": 4,
-                               "tolerances": {"tol_factor": 1e-3}})
+        # grid_log2 and the tolerances went with the engine settings and the
+        # caller's bounds: a spec that carries them, even malformed, parses as
+        # one without, keeps neither, and builds the default context bit for
+        # bit (a tol_outer of 1e300 switched both outer-gap checks off)
         plain = parse_problem(ROW2_SPEC)
-        assert stale.tolerances == plain.tolerances == Tolerances()
-        assert serialize_problem(stale) == serialize_problem(plain)
-        got, want = (make_context(spec.B, spec.tolerances) for spec in (stale, plain))
-        assert np.array_equal(got.a.coeffs, want.a.coeffs)
-        assert np.array_equal(got.A.coeffs, want.A.coeffs)
-        assert (got.Lambda, got.splits, got.reports) == (want.Lambda, want.splits,
-                                                         want.reports)
+        want = make_context(plain.B)
+        for keys in ({"grid_log2": 4, "tolerances": {"tol_factor": 1e-3}},
+                     {"tolerances": {"tol_outer": 1e300}}, {"tolerances": 3}):
+            stale = parse_problem({**ROW2_SPEC, **keys})
+            assert serialize_problem(stale) == serialize_problem(plain)
+            got = make_context(stale.B)
+            assert np.array_equal(got.a.coeffs, want.a.coeffs)
+            assert np.array_equal(got.A.coeffs, want.A.coeffs)
+            assert (got.Lambda, got.splits, got.reports) == (want.Lambda, want.splits,
+                                                             want.reports)
 
     @pytest.mark.parametrize("field", [
-        {"tolerances": {"tol_eval": True}}, {"tolerances": {"tol_psd": float("nan")}},
+        {"f": [[True, 0]]}, {"w": [float("nan"), 0]},
         {"seed": True}, {"w": [True, 0]}, {"N": False},
         {"lambda": [1, float("inf")]}, {"xi": [[True, 0], [0, 0]]},
-        {"tolerances": {"tol_outer": 10 ** 400}},  # float() would overflow
+        {"w": [10 ** 400, 0]},  # float() would overflow
     ])
     def test_non_finite_and_boolean_fields(self, field):
         with pytest.raises(ValidationError):
             parse_problem({**ROW2_SPEC, **field})
-
-    @pytest.mark.parametrize("name", ["tol_psd", "tol_outer", "tol_eval"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    def test_library_tolerances_are_validated(self, name, value):
-        # with no schema in between, tol_eval 0 ended kernel(ctx, 0.5) in an
-        # untyped OverflowError (NaN or -1: ValueError), tol_psd NaN switched
-        # the positivity test off, and tol_outer NaN read "0.000e+00 > nan"
-        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
-            Tolerances(**{name: value})
-        if name == "tol_psd":
-            with pytest.raises(ValidationError, match="tol_psd must be positive"):
-                RowSchur([[2.0]], tol_psd=value)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, -np.inf)])
     def test_row_refuses_non_finite_coefficients(self, bad):
@@ -338,15 +322,14 @@ class TestCli:
         assert info.value.code == 2
 
     def test_non_finite_result_ends_typed(self, capsys):
-        # a norm beyond float range overflows to inf (numpy warns), which
-        # strict JSON cannot hold: a typed error, exit 3, in output that a
-        # parser refusing NaN and Infinity reads
+        # a norm beyond float range is refused by the element, with no numpy
+        # warning: a typed error, exit 3, in output that a parser refusing
+        # NaN and Infinity reads
         def refuse(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        with pytest.warns(RuntimeWarning):
-            code, out = self.run(["norm", "--fixture", "ROW2", "--payload",
-                                  '{"f": [[1e200, 0]]}'], capsys)
+        code, out = self.run(["norm", "--fixture", "ROW2", "--payload",
+                              '{"f": [[1e200, 0]]}'], capsys)
         assert code == 3
         assert json.loads(out, parse_constant=refuse)["error"] == "NumericsError"
 
@@ -400,9 +383,9 @@ class TestCli:
     @pytest.mark.parametrize("extra", [
         ["--seed", "-1"],
         ["--format", "csv"],
-        ["--payload", '{"tolerances": 5}'],
-        ["--payload", '{"tolerances": {"tol_psd": 0}}'],
-        ["--payload", '{"tolerances": {"tol_eval": NaN}}'],
+        ["--payload", '{"B": {"d": 1, "coeffs": [[[0.5, 0]]]}}'],  # and --fixture
+        ["--payload", '{"xi": [[1, 0]]}'],  # ROW2 has d = 2
+        ["--payload", '{"schema_version": "2"}'],
         ["--payload", '{"seed": 1.5}'],
         ["--payload", '{"N": -1}'],
     ])
@@ -536,11 +519,11 @@ class TestCli:
         assert code == 2
         assert json.loads(out)["error"] == "ValidationError"
 
-    def test_pair_check_failure_exit_code(self, capsys):
-        # no pair residual meets a tolerance of 1e-300
+    def test_pair_check_failure_exit_code(self, capsys, monkeypatch):
+        # no pair residual meets a bound of 1e-300
+        monkeypatch.setattr(dbrov.space, "EVAL_TOL", 1e-300)
         code, out = self.run(
-            ["norm", "--fixture", "ROW2", "--payload",
-             '{"f": [[1,0],[1,0]], "tolerances": {"tol_eval": 1e-300}}'], capsys)
+            ["norm", "--fixture", "ROW2", "--payload", '{"f": [[1,0],[1,0]]}'], capsys)
         assert code == 3
         assert json.loads(out)["error"] == "IllConditionedConstant"
 
@@ -591,9 +574,6 @@ def _raw_spec(draw):
         "f": st.lists(_PAIR, min_size=1, max_size=4), "w": _PAIR, "lambda": _PAIR,
         "xi": st.lists(_PAIR, min_size=row["d"], max_size=row["d"]),
         "N": st.integers(0, 16), "seed": st.integers(-3, 3),
-        "tolerances": st.dictionaries(
-            st.sampled_from(["tol_psd", "tol_outer", "tol_eval"]),
-            st.floats(1e-14, 1.0), max_size=2),
     }
     spec = {"B": row}
     for key, strategy in valid.items():
@@ -667,8 +647,6 @@ _CARATHEODORY_CORRUPT = {
 }
 _ANALYZE_CORRUPT = {
     "negative N": _SWEEP_CORRUPT["negative N"],
-    "non-finite tolerance": ("tolerances", st.fixed_dictionaries(
-        {"tol_outer": st.sampled_from([np.nan, np.inf, -np.inf])})),
     "row outside the disk": ("B", st.floats(1.01, 1e3).map(
         lambda s: {"d": 2, "coeffs": [[[s, 0.0], [0.0, 0.0]]]})),
 }
@@ -750,14 +728,12 @@ _F_CORRUPT = {
     "f entries not pairs": ("f", st.lists(
         st.lists(_UNIT, min_size=3, max_size=3) | st.booleans() | st.text(max_size=2),
         min_size=1, max_size=3)),
-    "non-finite tolerance": _ANALYZE_CORRUPT["non-finite tolerance"],
     "row outside the disk": _ANALYZE_CORRUPT["row outside the disk"],
 }
 _VERIFY_CORRUPT = {
     "negative seed": ("seed", st.integers(-10 ** 6, -1)),
     "seed not an integer": ("seed", st.floats(-5.0, 5.0) | st.booleans()
                             | st.text(max_size=2)),
-    "non-finite tolerance": _ANALYZE_CORRUPT["non-finite tolerance"],
     "row outside the disk": _ANALYZE_CORRUPT["row outside the disk"],
 }
 
@@ -812,7 +788,6 @@ def test_corrupt_verify_spec_ends_typed(case):
 _FLOAT = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 # a real value, as a library caller may put in a complex field, is a pair too
 _COMPLEX = st.builds(complex, _FLOAT, _FLOAT) | _FLOAT
-_TOL = st.floats(1e-12, 1e3)
 
 
 @st.composite
@@ -824,7 +799,6 @@ def _spec(draw):
     maybe = lambda strategy: st.none() | strategy
     return ProblemSpec(
         B=B,
-        tolerances=Tolerances(*(draw(_TOL) for _ in range(3))),
         f=draw(maybe(st.integers(1, 4).flatmap(vector))),
         w=draw(maybe(_COMPLEX)),
         xi=draw(maybe(vector(B.dim))),
@@ -840,7 +814,6 @@ def test_spec_round_trips(spec):
     once = serialize_problem(spec)
     back = parse_problem(json.loads(json.dumps(once)))
     assert np.array_equal(back.B.coeffs, spec.B.coeffs)
-    assert back.tolerances == spec.tolerances
     for name in ("f", "xi"):
         want = getattr(spec, name)
         got = getattr(back, name)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dbrov import CPoly, RowSchur, hb_inner, kernel, make_context
 from dbrov.errors import DbrovError, NumericsError
-from dbrov.tolerances import BEST_FACTOR_TOL
+from dbrov.tolerances import BEST_FACTOR_TOL, OUTER_TOL
 from dbrov.verify import reproducing_error, run_checks
 
 
@@ -178,4 +178,4 @@ def test_draws_near_the_circle_end_verified_or_typed(d, q, sup, seed):
     assert rep["det_gap_sup"] <= 1e-7
     if d == 1:  # a 1 x 1 A is its own determinant
         assert rep["det_gap_sup"] == 0.0
-    assert rep["outer_gap_factor"] <= ctx.tol.tol_outer
+    assert rep["outer_gap_factor"] <= OUTER_TOL

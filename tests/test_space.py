@@ -64,8 +64,7 @@ def gram_contexts(all_contexts, ctx_touching):
 
 def fresh(ctx, **reports):
     """The same context with an empty generator and the given reports."""
-    return SpaceContext(ctx.B, ctx.a, ctx.A, ctx.Lambda, ctx.tol,
-                        {**ctx.reports, **reports})
+    return SpaceContext(ctx.B, ctx.a, ctx.A, ctx.Lambda, {**ctx.reports, **reports})
 
 
 def back_substitution(ctx, F):
@@ -117,6 +116,12 @@ class TestEmbed:
     def test_non_finite_coefficient_refused(self, ctx_row2, bad):
         with pytest.raises(ValidationError):
             embed(ctx_row2, [bad, 1.0])
+
+    def test_norm_beyond_float_range_refused(self, ctx_row2):
+        # |1e200|^2 overflows: the element refuses the inf norm, typed, with
+        # no numpy warning (the test configuration makes one an error)
+        with pytest.raises(NumericsError, match="non-finite norm inf"):
+            embed(ctx_row2, [1e200])
 
     def test_row_membership_plus_part(self, ctx_row2):
         # embedding B(z) x carries plus part A(z) x - (A(0)*)^{-1} x
@@ -211,6 +216,19 @@ class TestKernel:
         full = kernel(ctx_row2, 0.0).norm_sq
         assert abs(k.tail_bound ** 2 - (full - k.norm_sq)) <= 1e-15
         assert (k.tail_bound == 0.0) == (N >= 1)
+
+    @pytest.mark.parametrize("w", [0.05, 0.5])
+    def test_truncation_below_the_numerator_degree(self, w):
+        # q = 240, N = 0: the old bound scaled the whole numerator by
+        # |w|^(N + 1 - 240), 0.05^-239 overflowed; each row now drops its
+        # terms from its own power on, and the bound covers the dropped
+        # tail, read off the kernel at N = 2000 (its own tail underflows)
+        ctx = make_context(random_row(np.random.default_rng(5), 1, 240, 0.9))
+        k, full = kernel(ctx, w, 0), kernel(ctx, w, 2000)
+        dropped = np.sqrt(np.sum(np.abs(full.f.coeffs[1:]) ** 2)
+                          + np.sum(np.abs(full.f_plus.coeffs[1:]) ** 2))
+        assert np.isfinite(k.tail_bound)
+        assert dropped + full.tail_bound <= k.tail_bound
 
     def test_longer_truncation_shrinks_tail(self, ctx_row2):
         bounds = [kernel(ctx_row2, 0.8, N=N).tail_bound for N in (6, 20, 60)]
